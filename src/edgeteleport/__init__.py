@@ -6,7 +6,6 @@ linear algebra, the edge subsystem lives in a 64-dimensional Fock space, and
 every protocol claim is checked by direct computation.
 """
 
-from ._backend import NUMBA_AVAILABLE, default_backend
 from .fock import (
     AB_MODES,
     TELEPORT_MODES,
@@ -48,6 +47,7 @@ from .protocol import (
     TeleportResult,
     bob_correction,
     bob_fidelity,
+    default_backend,
     prepare_initial,
     run_teleport_mixed,
     run_teleport_once,
@@ -76,7 +76,6 @@ __all__ = [
     "HermitianOperator",
     "MeasurementOutcome",
     "ModeSet",
-    "NUMBA_AVAILABLE",
     "SingleParticleLevel",
     "SpinAmplitudes",
     "StateVector",

@@ -1,141 +1,113 @@
-"""Batched trial kernels for the Monte Carlo runner.
+"""Vectorised trial engine for the electronic and cold-atom variants.
 
-These are the hot inner loops: one call runs every trial of a batch against
-precomputed 64x64 matrices (fused gate/projector/correction products, the
-integer-spin class projector and the per-sector relaxation projectors).  They
-are compiled with numba when the backend allows it and are written so the
-same code runs as plain numpy otherwise.
+One call runs a batch of trials as array operations on an ``(n, 64)`` stack of
+state vectors, one row per trial.  Every trial starts in the span of the two
+unit inputs ``s_up`` and ``s_dn``; the protocol steps are the ones of
+:func:`edgeteleport.protocol.run_teleport_once`, which serves as the reference
+the tests compare against.
 
-Randomness never enters here; callers pregenerate per-trial uniforms from the
-same seeded streams the step-by-step library path draws from, so both backends
-make identical branch decisions.
-
-Error signalling (kernels cannot raise meaningfully from nopython mode):
-``out_rounds[i] = -1`` marks a trial that hit the restart cap and ``-2`` a
-relaxation target failure; callers turn these into exceptions.
+Randomness never enters here; callers pre-draw per-trial uniforms from the
+same seeded streams the step-by-step path draws from, so both make identical
+branch decisions.  The setup mapping is built once per variant by
+``protocol._kernel_setup``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._backend import maybe_njit
+from .measure import born_index
+from .relax import _ORTHO_TOL, _WEIGHT_FLOOR
 
 
-@maybe_njit(cache=True)
 def _norm2(x):
-    s = 0.0
-    for d in range(x.shape[0]):
-        s += x[d].real ** 2 + x[d].imag ** 2
-    return s
+    """Squared norm of each row."""
+    return np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag)
 
 
-@maybe_njit(cache=True)
-def _bob_fidelity(psi, g1, g2, b_up, b_dn, b_sign):
-    # Reduced spin state of the singly occupied b wire against (g1, g2).
-    r00 = 0.0
-    r11 = 0.0
-    r01 = 0.0 + 0.0j
-    for k in range(b_up.shape[0]):
-        au = psi[b_up[k]]
-        ad = psi[b_dn[k]]
-        r00 += au.real ** 2 + au.imag ** 2
-        r11 += ad.real ** 2 + ad.imag ** 2
-        r01 += b_sign[k] * au * np.conj(ad)
-    tr = r00 + r11
-    if tr <= 0.0:
-        return 0.0
-    val = (
-        (g1.real ** 2 + g1.imag ** 2) * r00
-        + (g2.real ** 2 + g2.imag ** 2) * r11
-        + 2.0 * (np.conj(g1) * r01 * g2).real
-    )
-    v = val / tr
-    if v < 0.0:
-        v = 0.0
-    return np.sqrt(v)
-
-
-@maybe_njit(cache=True)
-def _pick_branch(psi, branch_mats, u, ys, probs):
-    k_count = branch_mats.shape[0]
-    for k in range(k_count):
-        y = branch_mats[k] @ psi
-        ys[k] = y
-        probs[k] = _norm2(y)
-    k_sel = k_count - 1
-    acc = 0.0
-    for k in range(k_count):
-        acc += probs[k]
-        if u < acc:
-            k_sel = k
-            break
-    return k_sel
-
-
-@maybe_njit(cache=True)
-def electronic_batch(s_up, s_dn, g1s, g2s, branch_mats, u_branch,
-                     b_up, b_dn, b_sign, out_branch, out_fid):
-    n = g1s.shape[0]
-    k_count, dim = branch_mats.shape[0], branch_mats.shape[1]
-    ys = np.empty((k_count, dim), np.complex128)
-    probs = np.empty(k_count)
-    for i in range(n):
-        psi = g1s[i] * s_up + g2s[i] * s_dn
-        k_sel = _pick_branch(psi, branch_mats, u_branch[i], ys, probs)
-        post = ys[k_sel] / np.sqrt(probs[k_sel])
-        out_branch[i] = k_sel
-        out_fid[i] = _bob_fidelity(post, g1s[i], g2s[i], b_up, b_dn, b_sign)
-
-
-@maybe_njit(cache=True)
-def coldatom_batch(s_up, s_dn, g1s, g2s, p_int, sect_projs, ground_projs,
-                   branch_mats, uniforms, b_up, b_dn, b_sign,
-                   out_branch, out_rounds, out_fid):
-    n = g1s.shape[0]
-    k_count, dim = branch_mats.shape[0], branch_mats.shape[1]
-    n_sect = sect_projs.shape[0]
-    cap = uniforms.shape[1] - 1
-    ys = np.empty((k_count, dim), np.complex128)
-    probs = np.empty(k_count)
-    for i in range(n):
-        psi = g1s[i] * s_up + g2s[i] * s_dn
-        rounds = 0
-        status = 0  # 0 running, 1 success, -1 cap hit, -2 relax failure
-        while rounds < cap:
-            rounds += 1
-            x = p_int @ psi
-            p = _norm2(x)
-            if uniforms[i, rounds - 1] < p:
-                psi = x / np.sqrt(p)
-                status = 1
-                break
-            y = psi - x
-            psi = y / np.sqrt(_norm2(y))
-            acc = np.zeros(dim, np.complex128)
-            bad = False
-            for s in range(n_sect):
-                xs = sect_projs[s] @ psi
-                w2 = _norm2(xs)
-                if w2 <= 1e-24:
-                    continue
-                yg = ground_projs[s] @ xs
-                wy2 = _norm2(yg)
-                if wy2 < 1e-20 * w2:
-                    bad = True
-                    break
-                acc += yg * np.sqrt(w2 / wy2)
-            if bad:
-                status = -2
-                break
-            psi = acc / np.sqrt(_norm2(acc))
-        if status != 1:
-            out_branch[i] = -1
-            out_rounds[i] = status if status != 0 else -1
-            out_fid[i] = np.nan
+def _relax(psi, pairs):
+    """Row-wise ``relax.relax_to_ground`` over cached (basis, ground) pairs."""
+    out = np.zeros_like(psi)
+    for basis, ground in pairs:
+        x = (psi @ basis.conj()) @ basis.T
+        w = np.sqrt(_norm2(x))
+        keep = w > _WEIGHT_FLOOR
+        if not keep.any():
             continue
-        k_sel = _pick_branch(psi, branch_mats, uniforms[i, rounds], ys, probs)
-        post = ys[k_sel] / np.sqrt(probs[k_sel])
-        out_branch[i] = k_sel
-        out_rounds[i] = rounds
-        out_fid[i] = _bob_fidelity(post, g1s[i], g2s[i], b_up, b_dn, b_sign)
+        y = (x[keep] @ ground.conj()) @ ground.T
+        wy = np.sqrt(_norm2(y))
+        if np.any(wy < _ORTHO_TOL * w[keep]):
+            raise RuntimeError(
+                "sector component is orthogonal to its sector ground space; "
+                "relaxation target undefined"
+            )
+        out[keep] += y * (w[keep] / wy)[:, None]
+    total = np.sqrt(_norm2(out))
+    if np.any(total < _WEIGHT_FLOOR):
+        raise RuntimeError("relaxation produced the zero vector")
+    return out / total[:, None]
+
+
+def _measure_and_correct(setup, psi, u, g1s, g2s):
+    """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
+
+    Returns the index into ``protocol.BRANCHES`` (``-1`` for an outcome
+    outside the four branches) and Bob's fidelity for every row of ``psi``.
+    """
+    coeffs = [psi @ cols for cols in setup["alice_cols"]]
+    probs = np.stack([_norm2(c) for c in coeffs], axis=1)
+    sector = born_index(probs, u)
+    fid = np.empty(len(psi))
+    sign = setup["b_sign"]
+    for s, up_rows, dn_rows in setup["bob_rows"]:
+        rows = sector == s
+        c = coeffs[s][rows] / np.sqrt(probs[rows, s])[:, None]
+        au, ad = c @ up_rows.T, c @ dn_rows.T
+        r00, r11 = _norm2(au), _norm2(ad)
+        r01 = (au * ad.conj()) @ sign
+        g1, g2 = g1s[rows], g2s[rows]
+        val = np.abs(g1) ** 2 * r00 + np.abs(g2) ** 2 * r11 + 2.0 * (g1.conj() * r01 * g2).real
+        tr = r00 + r11
+        ratio = np.divide(val, tr, out=np.zeros_like(tr), where=tr > 0.0)
+        fid[rows] = np.sqrt(np.maximum(ratio, 0.0))
+    return setup["branch_of_sector"][sector], fid
+
+
+def electronic_batch(setup, g1s, g2s, u_branch):
+    """Branch index and fidelity of each electronic trial."""
+    psi = g1s[:, None] * setup["s_up"] + g2s[:, None] * setup["s_dn"]
+    return _measure_and_correct(setup, psi, u_branch, g1s, g2s)
+
+
+def coldatom_batch(setup, g1s, g2s, uniforms):
+    """Branch index, rounds and fidelity of each cold-atom trial.
+
+    Row ``i`` of ``uniforms`` holds trial ``i``'s draws in stream order: one
+    per class measurement, then the branch draw, so its width is the round
+    cap plus one.  Hitting the cap raises, as in the step-by-step path.
+    """
+    n, max_rounds = len(g1s), uniforms.shape[1] - 1
+    p_int = setup["p_int"]
+    psi = g1s[:, None] * setup["s_up"] + g2s[:, None] * setup["s_dn"]
+    rounds = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    for r in range(1, max_rounds + 1):
+        x = psi[active] @ p_int.T
+        p = _norm2(x)
+        rounds[active] = r
+        hit = uniforms[active, r - 1] < p
+        psi[active[hit]] = x[hit] / np.sqrt(p[hit])[:, None]
+        miss = ~hit
+        y = psi[active[miss]] - x[miss]
+        active = active[miss]
+        if not active.size:
+            break
+        if r == max_rounds:
+            raise RuntimeError(
+                f"no integer-spin outcome after {max_rounds} restarts; "
+                "statistically unreachable, check the setup"
+            )
+        psi[active] = _relax(y / np.sqrt(_norm2(y))[:, None], setup["relax_pairs"])
+    u_branch = uniforms[np.arange(n), rounds]
+    branch, fid = _measure_and_correct(setup, psi, u_branch, g1s, g2s)
+    return branch, rounds, fid

@@ -60,7 +60,11 @@ def _cmd_hubbard(parser, args) -> int:
         parser.error("e2 must be > 0")
     if args.lam < 0:
         parser.error("lambda must be >= 0")
-    report = hubbard_report(CouplingParams(args.e2, args.lam))
+    try:
+        params = CouplingParams(args.e2, args.lam)
+    except ValueError as exc:
+        parser.error(str(exc))
+    report = hubbard_report(params)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -81,7 +85,10 @@ def _cmd_teleport(parser, args) -> int:
         parser.error(f"|g1|^2 + |g2|^2 = {norm:.6g}; amplitudes must be normalized")
     if args.trials < 1:
         parser.error("trials must be >= 1")
-    g = SpinAmplitudes.normalized(g1, g2)
+    try:
+        g = SpinAmplitudes.normalized(g1, g2)
+    except ValueError as exc:
+        parser.error(f"--g1/--g2: {exc}")
     report = run_trials(g, args.variant, args.trials, seed=args.seed)
     _write_text(args.out, report.to_json())
     print(

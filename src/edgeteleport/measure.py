@@ -168,6 +168,21 @@ def spin_sectors(state: StateVector, wires=None) -> list[MeasurementOutcome]:
     return outcomes
 
 
+def born_index(probs, u):
+    """Born-rule outcome index for the uniform draw ``u``.
+
+    Outcomes lie on the last axis of ``probs``; any leading batch axes are
+    shared with ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
+    the running sum ``p_0 + ... + p_k``.  When rounding leaves ``u`` at or
+    above the total, the last outcome with nonzero probability is chosen, so
+    a zero-probability outcome is never returned unless all are zero.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    hit = np.asarray(u)[..., None] < np.cumsum(probs, axis=-1)
+    last_nonzero = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    return np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), last_nonzero)
+
+
 def measure_spin(state: StateVector, wires, rng: np.random.Generator) -> MeasurementOutcome:
     """Sample one (j, m) outcome with its Born probability.
 
@@ -177,17 +192,7 @@ def measure_spin(state: StateVector, wires, rng: np.random.Generator) -> Measure
     bases = spin_sector_bases(state.modes, wires)
     comps = [basis @ (basis.conj().T @ state.amps) for _, _, basis in bases]
     probs = np.array([np.vdot(c, c).real for c in comps])
-    u = rng.random()
-    chosen = len(probs) - 1
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            chosen = k
-            break
-    else:
-        nz = np.flatnonzero(probs > 0.0)
-        chosen = int(nz[-1]) if len(nz) else chosen
+    chosen = int(born_index(probs, rng.random()))
     j, m, _ = bases[chosen]
     p = float(probs[chosen])
     post = StateVector(state.modes, comps[chosen] / np.sqrt(p))
@@ -240,14 +245,7 @@ def measure_spin_dm(rho: DensityMatrix, wires, rng: np.random.Generator):
     blocks = [basis @ (basis.conj().T @ rho.mat @ basis) @ basis.conj().T
               for _, _, basis in bases]
     probs = np.array([np.trace(b).real for b in blocks])
-    u = rng.random()
-    chosen = len(probs) - 1
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            chosen = k
-            break
+    chosen = int(born_index(probs, rng.random()))
     j, m, _ = bases[chosen]
     p = float(probs[chosen])
     return j, m, p, DensityMatrix(rho.modes, blocks[chosen] / p)

@@ -29,7 +29,8 @@ overall -1.
 
 Batch runs are reproducible: trial ``i`` of ``run_trials(..., seed)`` uses the
 generator ``default_rng([seed, i])`` and consumes draws in a fixed order, so
-serial, parallel and numba-batched executions all agree.
+the vectorised engine in :mod:`edgeteleport._kernels` and the step-by-step
+path of :func:`run_teleport_once` make the same decisions in every trial.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._backend import resolve_backend
 from .fock import (
     AB_MODES,
     TELEPORT_MODES,
@@ -60,6 +60,7 @@ from .measure import (
     measure_spin_class,
     measure_spin_class_dm,
     measure_spin_dm,
+    spin_sector_bases,
 )
 from .relax import relax_to_ground, relax_to_ground_dm, sector_ground_spaces
 
@@ -73,6 +74,10 @@ DEFAULT_MAX_ROUNDS = 64
 
 VARIANTS = ("electronic", "coldatom", "mixed")
 
+#: Trials per engine call: bounds the per-call arrays (the cold-atom uniforms
+#: are ``max_rounds + 1`` per trial) whatever the total trial count.
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class SpinAmplitudes:
@@ -82,6 +87,8 @@ class SpinAmplitudes:
     def __post_init__(self):
         object.__setattr__(self, "g1", complex(self.g1))
         object.__setattr__(self, "g2", complex(self.g2))
+        if not (np.isfinite(self.g1) and np.isfinite(self.g2)):
+            raise ValueError("spin amplitudes must be finite")
         n = abs(self.g1) ** 2 + abs(self.g2) ** 2
         if abs(n - 1.0) > 1e-12:
             raise ValueError("|g1|^2 + |g2|^2 must equal 1")
@@ -89,6 +96,8 @@ class SpinAmplitudes:
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
         n = np.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
+        if not np.isfinite(n):
+            raise ValueError("spin amplitudes must be finite")
         if n < 1e-15:
             raise ValueError("cannot normalize zero amplitudes")
         return SpinAmplitudes(g1 / n, g2 / n)
@@ -335,20 +344,18 @@ def _branch_key(j: float, m: float) -> str:
     return f"{j:g},{m:g}"
 
 
-def _assemble_report(variant, seed, g, backend, branches, rounds, fids) -> TeleportReport:
-    counts = {_branch_key(j, m): 0 for j, m in BRANCHES}
-    for b in branches:
-        counts[_branch_key(*BRANCHES[b])] += 1
-    hist: dict[int, int] = {}
-    for r in rounds:
-        hist[int(r)] = hist.get(int(r), 0) + 1
+def _assemble_report(variant, seed, g, branches, rounds, fids) -> TeleportReport:
+    per_branch = np.bincount(branches, minlength=len(BRANCHES))
+    counts = {_branch_key(j, m): int(c) for (j, m), c in zip(BRANCHES, per_branch)}
+    values, freqs = np.unique(rounds, return_counts=True)
+    hist = {int(r): int(c) for r, c in zip(values, freqs)}
     return TeleportReport(
         variant=variant,
         trials=len(branches),
         seed=seed,
         g1=(g.g1.real, g.g1.imag) if g is not None else None,
         g2=(g.g2.real, g.g2.imag) if g is not None else None,
-        backend=backend,
+        backend=default_backend(),
         branch_counts=counts,
         rounds_histogram=hist,
         mean_rounds=float(np.mean(rounds)),
@@ -367,130 +374,112 @@ def _branch_index(j: float, m: float) -> int:
     raise ValueError(f"unexpected branch ({j}, {m})")
 
 
+def default_backend() -> str:
+    """Name of the trial engine, recorded in every report's ``backend`` field."""
+    return "numpy"
+
+
 def _kernel_setup(variant: str) -> dict:
-    """Fused matrices consumed by the batch kernels, built once per variant."""
+    """Arrays consumed by the batch engine, built once per variant.
+
+    The measurement and relaxation bases are the cached ones of
+    :mod:`edgeteleport.measure` and :mod:`edgeteleport.relax`.  The only new
+    arrays are those bases with Alice's gates folded in, and Bob's corrected
+    branch bases restricted to the rows his reduced state reads.
+    """
     cached = _SETUP_CACHE.get(variant)
     if cached is not None:
         return cached
     modes = TELEPORT_MODES
-    from .measure import spin_sector_bases
-
-    s_up = prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps
-    s_dn = prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps
+    sectors = spin_sector_bases(modes, ALICE_WIRES)
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
-
-    sector_lookup = {(j, m): basis for j, m, basis in spin_sector_bases(modes, ALICE_WIRES)}
-    branch_mats = np.empty((len(BRANCHES), modes.dim, modes.dim), dtype=np.complex128)
-    for k, (j, m) in enumerate(BRANCHES):
-        basis = sector_lookup[(j, m)]
-        w = np.eye(modes.dim, dtype=np.complex128)
-        for spec in bob_correction(j, m):
-            w = gate_unitary(spec, modes) @ w
-        branch_mats[k] = w @ (basis @ basis.conj().T) @ u_alice
-
     n_up, n_dn, signs = _b_reduction_indices(modes, BOB_WIRE)
+    branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
+    bob_rows = []
+    for s, (j, m, basis) in enumerate(sectors):
+        if (j, m) not in BRANCHES:
+            continue
+        branch_of_sector[s] = BRANCHES.index((j, m))
+        corrected = basis
+        for spec in bob_correction(j, m):
+            corrected = gate_unitary(spec, modes) @ corrected
+        bob_rows.append((s, corrected[n_up], corrected[n_dn]))
     setup = {
-        "s_up": np.ascontiguousarray(s_up),
-        "s_dn": np.ascontiguousarray(s_dn),
-        "branch_mats": np.ascontiguousarray(branch_mats),
-        "b_up": np.ascontiguousarray(n_up),
-        "b_dn": np.ascontiguousarray(n_dn),
-        "b_sign": np.ascontiguousarray(signs),
+        "s_up": prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
+        "s_dn": prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps,
+        # row psi @ cols = sector coordinates of psi after Alice's two gates
+        "alice_cols": [u_alice.T @ basis.conj() for _, _, basis in sectors],
+        "branch_of_sector": branch_of_sector,
+        "bob_rows": bob_rows,
+        "b_sign": signs,
     }
     if variant == "coldatom":
-        setup["p_int"] = np.ascontiguousarray(integer_class_projector(modes, ALICE_WIRES))
-        pairs = sector_ground_spaces(_relax_hamiltonian(), ("a", "b"))
-        sect = np.empty((len(pairs), modes.dim, modes.dim), dtype=np.complex128)
-        ground = np.empty_like(sect)
-        for i, (basis, gnd) in enumerate(pairs):
-            sect[i] = basis @ basis.conj().T
-            ground[i] = gnd @ gnd.conj().T
-        setup["sect_projs"] = np.ascontiguousarray(sect)
-        setup["ground_projs"] = np.ascontiguousarray(ground)
+        setup["p_int"] = integer_class_projector(modes, ALICE_WIRES)
+        setup["relax_pairs"] = sector_ground_spaces(_relax_hamiltonian(), ("a", "b"))
     return _SETUP_CACHE.setdefault(variant, setup)
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):
     setup = _kernel_setup(variant)
-    g1s = np.empty(n, dtype=np.complex128)
-    g2s = np.empty(n, dtype=np.complex128)
+    branches = np.empty(n, dtype=np.int64)
+    rounds = np.ones(n, dtype=np.int64)
+    fids = np.empty(n)
     n_uniform = 1 if variant == "electronic" else max_rounds + 1
-    uniforms = np.empty((n, n_uniform))
-    for i in range(n):
-        rng = trial_rng(seed, i)
-        gi = g if g is not None else SpinAmplitudes.haar(rng)
-        g1s[i], g2s[i] = gi.g1, gi.g2
-        uniforms[i] = rng.random(n_uniform)
-
-    out_branch = np.empty(n, dtype=np.int64)
-    out_fid = np.empty(n)
-    if variant == "electronic":
-        _kernels.electronic_batch(
-            setup["s_up"], setup["s_dn"], g1s, g2s, setup["branch_mats"],
-            np.ascontiguousarray(uniforms[:, 0]),
-            setup["b_up"], setup["b_dn"], setup["b_sign"], out_branch, out_fid,
-        )
-        out_rounds = np.ones(n, dtype=np.int64)
-    else:
-        out_rounds = np.empty(n, dtype=np.int64)
-        _kernels.coldatom_batch(
-            setup["s_up"], setup["s_dn"], g1s, g2s, setup["p_int"],
-            setup["sect_projs"], setup["ground_projs"], setup["branch_mats"],
-            uniforms, setup["b_up"], setup["b_dn"], setup["b_sign"],
-            out_branch, out_rounds, out_fid,
-        )
-        if np.any(out_rounds == -2):
-            raise RuntimeError("relaxation target undefined in a trial")
-        if np.any(out_rounds == -1):
-            raise RuntimeError(f"no integer-spin outcome after {max_rounds} restarts")
-    return out_branch, out_rounds, out_fid
+    for start in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - start)
+        g1s = np.empty(size, dtype=np.complex128)
+        g2s = np.empty(size, dtype=np.complex128)
+        uniforms = np.empty((size, n_uniform))
+        for i in range(size):
+            rng = trial_rng(seed, start + i)
+            gi = g if g is not None else SpinAmplitudes.haar(rng)
+            g1s[i], g2s[i] = gi.g1, gi.g2
+            uniforms[i] = rng.random(n_uniform)
+        out = slice(start, start + size)
+        if variant == "electronic":
+            branches[out], fids[out] = _kernels.electronic_batch(setup, g1s, g2s, uniforms[:, 0])
+        else:
+            branches[out], rounds[out], fids[out] = _kernels.coldatom_batch(
+                setup, g1s, g2s, uniforms)
+    return branches, rounds, fids
 
 
 def warm_up(variant: str = "electronic"):
-    """Compile the batch kernels ahead of timing-sensitive runs."""
+    """Build the engine's cached matrices ahead of timing-sensitive runs."""
     run_trials(SpinAmplitudes(1.0, 0.0), variant, 2, seed=0)
 
 
 def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
-               backend: str | None = None, resource: DensityMatrix | None = None,
+               resource: DensityMatrix | None = None,
                max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportReport:
     """Aggregate ``n`` independent seeded runs into a report.
 
     ``g=None`` draws fresh haar-random spin amplitudes per trial.  Reports are
-    bitwise reproducible for a fixed seed; the numba and numpy backends agree
-    on every branch decision and round count because they consume identical
-    uniform streams.
+    bitwise reproducible for a fixed seed.  The electronic and cold-atom
+    variants run on the vectorised engine, which makes the same branch and
+    round decisions as :func:`run_teleport_once` trial for trial; the mixed
+    variant runs :func:`run_teleport_mixed` once per trial.
     """
     if n < 1:
         raise ValueError("need at least one trial")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    chosen = resolve_backend(backend)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
 
-    if variant == "mixed":
-        # Density-matrix path; not batched (cold spot, runs are few).
-        if resource is None:
-            resource = DensityMatrix.from_state(singlet_state(AB_MODES))
-        branches, rounds, fids = [], [], []
-        for i in range(n):
-            rng = trial_rng(seed, i)
-            gi = g if g is not None else SpinAmplitudes.haar(rng)
-            res = run_teleport_mixed(gi, resource, rng, max_rounds)
-            branches.append(_branch_index(*res.branch))
-            rounds.append(res.rounds)
-            fids.append(res.fidelity)
-        return _assemble_report(variant, seed, g, "numpy", branches, np.array(rounds), np.array(fids))
+    if variant != "mixed":
+        branches, rounds, fids = _run_trials_batched(g, variant, n, seed, max_rounds)
+        return _assemble_report(variant, seed, g, branches, rounds, fids)
 
-    if chosen == "numba":
-        out_branch, out_rounds, out_fid = _run_trials_batched(g, variant, n, seed, max_rounds)
-        return _assemble_report(variant, seed, g, chosen, out_branch, out_rounds, out_fid)
-
+    # Density-matrix path; not batched (cold spot, runs are few).
+    if resource is None:
+        resource = DensityMatrix.from_state(singlet_state(AB_MODES))
     branches, rounds, fids = [], [], []
     for i in range(n):
         rng = trial_rng(seed, i)
         gi = g if g is not None else SpinAmplitudes.haar(rng)
-        res = run_teleport_once(gi, variant, rng, max_rounds)
+        res = run_teleport_mixed(gi, resource, rng, max_rounds)
         branches.append(_branch_index(*res.branch))
         rounds.append(res.rounds)
         fids.append(res.fidelity)
-    return _assemble_report(variant, seed, g, chosen, branches, np.array(rounds), np.array(fids))
+    return _assemble_report(variant, seed, g, np.array(branches), np.array(rounds), np.array(fids))

@@ -1,53 +1,83 @@
-"""The numba batch kernels must reproduce the step-by-step numpy path."""
+"""The vectorised batch engine must reproduce the step-by-step path trial by trial.
 
+``run_teleport_once`` on the stream ``trial_rng(seed, i)`` is the reference:
+the engine pre-draws the same uniforms, so branch and round decisions agree
+exactly and fidelities agree to rounding.
+"""
+
+import numpy as np
 import pytest
 
-from edgeteleport._backend import NUMBA_AVAILABLE, resolve_backend
-from edgeteleport.protocol import SpinAmplitudes, run_trials
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-
-
-def test_resolve_backend():
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-    assert resolve_backend(None) in ("numba", "numpy")
+import edgeteleport.protocol as protocol
+from edgeteleport.protocol import (
+    SpinAmplitudes,
+    default_backend,
+    run_teleport_once,
+    run_trials,
+    trial_rng,
+)
 
 
-def test_env_flag_forces_numpy(monkeypatch):
-    from edgeteleport import _backend
+def _oracle(g, variant, n, seed):
+    branches, rounds, fids = [], [], []
+    for i in range(n):
+        rng = trial_rng(seed, i)
+        gi = g if g is not None else SpinAmplitudes.haar(rng)
+        res = run_teleport_once(gi, variant, rng)
+        branches.append(protocol._branch_index(*res.branch))
+        rounds.append(res.rounds)
+        fids.append(res.fidelity)
+    return np.array(branches), np.array(rounds), np.array(fids)
 
-    monkeypatch.setenv("EDGETELEPORT_DISABLE_NUMBA", "1")
-    assert _backend.default_backend() == "numpy"
-    monkeypatch.delenv("EDGETELEPORT_DISABLE_NUMBA")
+
+def _assert_engine_matches_oracle(g, variant, n, seed):
+    branches, rounds, fids = protocol._run_trials_batched(
+        g, variant, n, seed, protocol.DEFAULT_MAX_ROUNDS)
+    o_branches, o_rounds, o_fids = _oracle(g, variant, n, seed)
+    np.testing.assert_array_equal(branches, o_branches)
+    np.testing.assert_array_equal(rounds, o_rounds)
+    assert np.abs(fids - o_fids).max() <= 1e-12
 
 
-@needs_numba
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
-@pytest.mark.parametrize("g", [SpinAmplitudes(1.0, 0.0), None])
-def test_backends_agree(variant, g):
-    nb = run_trials(g, variant, 300, seed=13, backend="numba")
-    np_ = run_trials(g, variant, 300, seed=13, backend="numpy")
-    # integer-valued statistics agree exactly: identical uniform streams
-    assert nb.branch_counts == np_.branch_counts
-    assert nb.rounds_histogram == np_.rounds_histogram
-    assert nb.mean_rounds == np_.mean_rounds
-    # fidelities may differ in the last ulp from operation fusion
-    assert abs(nb.min_fidelity - np_.min_fidelity) < 1e-12
-    assert abs(nb.mean_fidelity - np_.mean_fidelity) < 1e-12
+@pytest.mark.parametrize("g", [SpinAmplitudes(1.0, 0.0),
+                               SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
+                         ids=["up", "fixed", "haar"])
+@pytest.mark.parametrize("seed", [0, 13, 99])
+def test_engine_matches_oracle(variant, g, seed):
+    _assert_engine_matches_oracle(g, variant, 150, seed)
 
 
-@needs_numba
-def test_backend_recorded_in_report():
-    nb = run_trials(None, "electronic", 10, seed=0, backend="numba")
-    np_ = run_trials(None, "electronic", 10, seed=0, backend="numpy")
-    assert nb.backend == "numba"
-    assert np_.backend == "numpy"
+@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
+def test_engine_matches_oracle_across_chunks(variant):
+    _assert_engine_matches_oracle(None, variant, protocol._CHUNK + 37, 5)
 
 
-@needs_numba
+def test_report_statistics_match_oracle():
+    g = SpinAmplitudes.normalized(0.6, 0.8j)
+    rep = run_trials(g, "coldatom", 300, seed=21)
+    branches, rounds, fids = _oracle(g, "coldatom", 300, 21)
+    assert list(rep.branch_counts.values()) == np.bincount(branches, minlength=4).tolist()
+    assert rep.rounds_histogram == {int(r): int(c)
+                                    for r, c in zip(*np.unique(rounds, return_counts=True))}
+    assert rep.mean_rounds == float(np.mean(rounds))
+    assert abs(rep.min_fidelity - fids.min()) <= 1e-12
+    assert abs(rep.mean_fidelity - fids.mean()) <= 1e-12
+
+
+def test_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds():
+    longest = int(_oracle(None, "coldatom", 60, 4)[1].max())
+    assert longest >= 2
+    rep = run_trials(None, "coldatom", 60, seed=4, max_rounds=longest)
+    assert max(rep.rounds_histogram) == longest
+    with pytest.raises(RuntimeError, match=f"no integer-spin outcome after {longest - 1} restarts"):
+        run_trials(None, "coldatom", 60, seed=4, max_rounds=longest - 1)
+    with pytest.raises(ValueError):
+        run_trials(None, "coldatom", 60, seed=4, max_rounds=0)
+
+
 def test_batched_run_is_reproducible():
-    a = run_trials(None, "coldatom", 250, seed=99, backend="numba")
-    b = run_trials(None, "coldatom", 250, seed=99, backend="numba")
+    a = run_trials(None, "coldatom", 250, seed=99)
+    b = run_trials(None, "coldatom", 250, seed=99)
     assert a.to_json() == b.to_json()
+    assert a.backend == default_backend() == "numpy"

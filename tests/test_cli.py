@@ -76,6 +76,15 @@ def test_hubbard_rejects_zero_e2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [["--e2", "nan", "--lambda", "0.01"],
+                                  ["--e2", "1", "--lambda", "nan"]])
+def test_hubbard_rejects_non_finite_couplings(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hubbard", *args])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_teleport_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["teleport", "--variant", "electronic", "--g1", "1,0",
@@ -95,6 +104,16 @@ def test_teleport_rejects_unnormalized_g(tmp_path):
         run_cli(["teleport", "--g1", "1,0", "--g2", "1,0", "--trials", "10",
                  "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("g1, g2", [("nan,0", "0,0"), ("1,0", "0,nan")])
+def test_teleport_rejects_non_finite_g(tmp_path, capsys, g1, g2):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["teleport", "--g1", g1, "--g2", g2, "--trials", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_teleport_normalizes_near_unit_inputs(tmp_path):

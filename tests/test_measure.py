@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgeteleport.fock import (
     TELEPORT_MODES,
+    DensityMatrix,
     build_observable,
     create,
     normalize,
@@ -15,9 +18,11 @@ from edgeteleport.measure import (
     HALF_ODD_INTEGER,
     INTEGER,
     MeasurementOutcome,
+    born_index,
     integer_class_projector,
     measure_spin,
     measure_spin_class,
+    measure_spin_dm,
     spin_sector_bases,
     spin_sectors,
     symmetry_sectors,
@@ -215,3 +220,56 @@ def test_zero_probability_outcomes_dropped():
     outcomes = spin_sectors(state, ("a", "b"))
     assert all(o.probability > 1e-14 for o in outcomes)
     assert isinstance(outcomes[0], MeasurementOutcome)
+
+
+def _born_loop(probs, u):
+    """Scalar reference: first running sum above u, else the last nonzero outcome."""
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return k
+    nonzero = [k for k, p in enumerate(probs) if p > 0.0]
+    return nonzero[-1] if nonzero else len(probs) - 1
+
+
+def test_born_index_falls_back_to_last_nonzero_outcome():
+    probs = [0.25, 0.25, 0.25, 0.25 - 1e-15, 0.0, 0.0]
+    assert born_index(probs, 0.9999999999999999) == 3
+    assert born_index(probs, 0.1) == 0
+    assert born_index([0.0, 0.0], 0.5) == 1
+    batch = np.array([probs, [0.0, 0.5, 0.5, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(born_index(batch, np.array([0.9999999999999999, 0.6])), [3, 2])
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_measurements_never_pick_a_zero_probability_sector():
+    # a triplet pair: every sector after (1, 1) has probability zero
+    state = create(create(_vac(), "b", "up"), "a", "up")
+    rho = DensityMatrix.from_state(state)
+    for u in (0.0, 0.5, 1.0):
+        out = measure_spin(state, ("a", "b"), _FixedUniform(u))
+        assert (out.j, out.m) == (1.0, 1.0)
+        j, m, p, post = measure_spin_dm(rho, ("a", "b"), _FixedUniform(u))
+        assert (j, m) == (1.0, 1.0)
+        assert np.all(np.isfinite(post.mat))
+
+
+_probs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)
+
+
+@given(st.lists(st.tuples(_probs, st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=6))
+def test_born_index_batch_matches_scalar_loop(rows):
+    width = max(len(p) for p, _ in rows)
+    probs = np.array([p + [0.0] * (width - len(p)) for p, _ in rows])
+    u = np.array([u for _, u in rows])
+    expected = [_born_loop(p, x) for p, x in zip(probs, u)]
+    np.testing.assert_array_equal(born_index(probs, u), expected)
+    assert [int(born_index(p, x)) for p, x in zip(probs, u)] == expected

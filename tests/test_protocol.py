@@ -39,6 +39,11 @@ def test_spin_amplitudes_validation():
     assert abs(g.g1) ** 2 + abs(g.g2) ** 2 == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         SpinAmplitudes.normalized(0.0, 0.0)
+    for bad in ((np.nan, 0.0), (1.0, complex(0.0, np.nan)), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SpinAmplitudes(*bad)
+        with pytest.raises(ValueError):
+            SpinAmplitudes.normalized(*bad)
 
 
 def test_prepare_electronic_amplitude_pattern():
