@@ -14,12 +14,7 @@ import sys
 
 from .protocol import SpinAmplitudes, run_trials
 from .hubbard import CouplingParams, hubbard_report
-from .ssh_lattice import (
-    WireParams,
-    analytic_spectrum,
-    numerical_spectrum,
-    zeromode_density_csv,
-)
+from .ssh_lattice import WireParams, spectrum_csv, zeromode_density_csv
 
 
 def _wire_params(parser: argparse.ArgumentParser, args) -> WireParams:
@@ -38,13 +33,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_spectrum(parser, args) -> int:
     params = _wire_params(parser, args)
-    analytic = analytic_spectrum(params)
-    numeric = numerical_spectrum(params)
-    lines = ["index,energy_analytic,energy_numeric,abs_diff"]
-    for i, (ea, en) in enumerate(zip(analytic, numeric)):
-        lines.append(f"{i},{ea:.15g},{en:.15g},{abs(ea - en):.15g}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {len(analytic)} levels to {args.out}")
+    _write_text(args.out, spectrum_csv(params))
+    print(f"wrote {params.num_sites} levels to {args.out}")
     return 0
 
 
@@ -64,8 +54,12 @@ def _cmd_hubbard(parser, args) -> int:
         params = CouplingParams(args.e2, args.lam)
     except ValueError as exc:
         parser.error(str(exc))
-    report = hubbard_report(params)
-    print(json.dumps(report, indent=2))
+    try:
+        # strict JSON: a non-finite energy is an error, never "-Infinity"
+        text = json.dumps(hubbard_report(params), indent=2, allow_nan=False)
+    except (ArithmeticError, ValueError) as exc:
+        parser.error(f"e2={args.e2!r}, lambda={args.lam!r} give no finite report: {exc}")
+    print(text)
     return 0
 
 
@@ -83,13 +77,14 @@ def _cmd_teleport(parser, args) -> int:
     norm = abs(g1) ** 2 + abs(g2) ** 2
     if abs(norm - 1.0) > 1e-6:
         parser.error(f"|g1|^2 + |g2|^2 = {norm:.6g}; amplitudes must be normalized")
-    if args.trials < 1:
-        parser.error("trials must be >= 1")
     try:
         g = SpinAmplitudes.normalized(g1, g2)
     except ValueError as exc:
         parser.error(f"--g1/--g2: {exc}")
-    report = run_trials(g, args.variant, args.trials, seed=args.seed)
+    try:
+        report = run_trials(g, args.variant, args.trials, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     _write_text(args.out, report.to_json())
     print(
         f"variant={args.variant} trials={report.trials} seed={report.seed} "

@@ -8,8 +8,10 @@ occupation-number basis state with integer label ``n`` is
 
 with bit ``i`` of ``n`` giving the occupancy of mode ``i``, and a creation
 operator acting on mode ``i`` picks up ``(-1)^(number of occupied modes with
-index < i)``.  Everything downstream (gates, measurements, relaxation) derives
-its signs from this single convention.
+index < i)``.  Everything downstream (gates, measurements, relaxation, Bob's
+reduced state) builds on the ladder operators and the number, charge and
+spin_z observables defined here, so no other module reads occupation bits
+and all fermionic signs follow this single convention.
 
 Operators are kept as dense ``2^M x 2^M`` complex matrices; with at most six
 modes in play the full space is 64-dimensional and dense algebra is both the
@@ -268,10 +270,6 @@ def create(state: StateVector, wire: str, spin: str) -> StateVector:
     return apply_creation(state, state.modes.index(wire, spin))
 
 
-def annihilate(state: StateVector, wire: str, spin: str) -> StateVector:
-    return apply_annihilation(state, state.modes.index(wire, spin))
-
-
 # ---------------------------------------------------------------------------
 # Inner products and expectations
 # ---------------------------------------------------------------------------
@@ -297,11 +295,6 @@ def normalize(x: StateVector) -> StateVector:
 def expectation(op: HermitianOperator, state: StateVector) -> float:
     _require_same_modes(op, state)
     return float(np.vdot(state.amps, op.mat @ state.amps).real)
-
-
-def expectation_dm(op: HermitianOperator, rho: DensityMatrix) -> float:
-    _require_same_modes(op, rho)
-    return float(np.trace(op.mat @ rho.mat).real)
 
 
 # ---------------------------------------------------------------------------

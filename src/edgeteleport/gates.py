@@ -4,25 +4,28 @@ All gates are full ``2^M x 2^M`` unitaries that respect electric charge and
 fermion-parity superselection: they conserve the electron number of every wire
 they touch and act as the identity on all other modes.
 
+Gates are built from :mod:`edgeteleport.fock`'s ladder and number operators,
+so every fermionic sign follows fock's single ordering convention.
+
 Spin rotations are the Fock-space lift of a 2x2 unitary ``u`` mixing a wire's
-up/dn modes, i.e. the basis change ``f_s^dag -> sum_s' u[s', s] f_s'^dag``
-expanded over occupation states:
+up/dn modes, i.e. the basis change ``f_s^dag -> sum_s' u[s', s] f_s'^dag``:
 
 * empty wire: unchanged,
-* singly occupied: the amplitude spinor (up, dn) is rotated by ``u``,
+* singly occupied: ``sum_{s', s} u[s', s] f_s'^dag f_s``,
 * doubly occupied: multiplied by ``det(u)``.
 
 The two named rotations are the Hadamard, ``u = [[1, 1], [1, -1]]/sqrt(2)``,
 and ``iY``, which sends ``up^dag -> dn^dag`` and ``dn^dag -> -up^dag``
 (``u = [[0, -1], [1, 0]]``).
 
-The CNOT flips the target wire's spin when the control wire holds exactly one
-electron with spin dn, and does nothing when the control electron is spin up.
-Control-empty and control-doubly-occupied branches are extended as the
-identity; the protocol only applies the gate after the control wire is known
-to be singly occupied, and the identity extension keeps the matrix unitary
-and superselection-compatible.  On a doubly occupied target the spin flip is
-the occupation swap, whose fermionic reordering contributes a factor -1.
+The CNOT applies the rotation ``X = [[0, 1], [1, 0]]`` to the target wire when
+the control wire holds exactly one electron with spin dn, and does nothing
+when the control electron is spin up.  Control-empty and
+control-doubly-occupied branches are extended as the identity; the protocol
+only applies the gate after the control wire is known to be singly occupied,
+and the identity extension keeps the matrix unitary and
+superselection-compatible.  On a doubly occupied target the flip gives
+``det(X) = -1``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ModeSet, StateVector
+from .fock import ModeSet, StateVector, annihilation_matrix, build_observable, creation_matrix
 
 HADAMARD_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 IY_2X2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 CNOT = "CNOT"
 HADAMARD = "HADAMARD"
@@ -77,55 +81,25 @@ def spin_rotation(wire: str, matrix: np.ndarray) -> GateSpec:
     return GateSpec(SPIN_ROTATION, target=wire, matrix=matrix)
 
 
-def _bit(n: int, i: int) -> int:
-    return (n >> i) & 1
-
-
-def _between_mask(i: int, j: int) -> int:
-    lo, hi = min(i, j), max(i, j)
-    return ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-
-
-def _crossing_sign(n: int, i: int, j: int) -> float:
-    return -1.0 if bin(n & _between_mask(i, j)).count("1") % 2 else 1.0
-
-
 def _rotation_unitary(modes: ModeSet, wire: str, u: np.ndarray) -> np.ndarray:
-    iu, idn = modes.wire_indices(wire)
+    pair = tuple(enumerate(modes.wire_indices(wire)))  # (spin index, mode index)
+    occ = np.diagonal(build_observable(modes, "number", (wire,)).mat).real
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    both = (1 << iu) | (1 << idn)
-    mat = np.zeros((modes.dim, modes.dim), dtype=np.complex128)
-    for n in range(modes.dim):
-        bu, bd = _bit(n, iu), _bit(n, idn)
-        if bu == bd:
-            mat[n, n] = 1.0 if bu == 0 else det
-        else:
-            cross = _crossing_sign(n, iu, idn)
-            if bu:  # spin-up electron present
-                mat[n, n] = u[0, 0]
-                mat[n ^ both, n] = u[1, 0] * cross
-            else:
-                mat[n, n] = u[1, 1]
-                mat[n ^ both, n] = u[0, 1] * cross
+    mat = np.diag(np.where(occ == 2, det, 1.0 + 0j))
+    single = occ == 1
+    mat[:, single] = sum(
+        u[t, s] * (creation_matrix(modes, mt) @ annihilation_matrix(modes, ms))[:, single]
+        for t, mt in pair
+        for s, ms in pair
+    )
     return mat
 
 
 def _cnot_unitary(modes: ModeSet, control: str, target: str) -> np.ndarray:
-    cu, cd = modes.wire_indices(control)
-    tu, td = modes.wire_indices(target)
-    both = (1 << tu) | (1 << td)
-    mat = np.zeros((modes.dim, modes.dim), dtype=np.complex128)
-    for n in range(modes.dim):
-        active = _bit(n, cd) == 1 and _bit(n, cu) == 0
-        if not active:
-            mat[n, n] = 1.0
-            continue
-        bu, bd = _bit(n, tu), _bit(n, td)
-        if bu == bd:
-            mat[n, n] = 1.0 if bu == 0 else -1.0
-        else:
-            mat[n ^ both, n] = _crossing_sign(n, tu, td)
-    return mat
+    # spin_z = -1/2 exactly when the control holds one dn electron and no up
+    sz = np.diagonal(build_observable(modes, "spin_z", (control,)).mat).real
+    flip = _rotation_unitary(modes, target, _PAULI_X)
+    return np.where(sz == -0.5, flip, np.eye(modes.dim))
 
 
 _GATE_CACHE: dict[tuple, np.ndarray] = {}

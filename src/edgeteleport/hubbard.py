@@ -33,6 +33,7 @@ from .fock import (
     ModeSet,
     StateVector,
     annihilation_matrix,
+    build_observable,
     creation_matrix,
     singlet_state,
 )
@@ -77,10 +78,8 @@ def build_h_int(params: CouplingParams, modes: ModeSet,
     modes.check_wires((wire1, wire2))
     mat = build_h_lambda(params.lam, modes, wire1, wire2).mat.copy()
     for wire in (wire1, wire2):
-        iu, idn = modes.wire_indices(wire)
-        n = np.arange(modes.dim)
-        occ = ((n >> iu) & 1) + ((n >> idn) & 1)
-        mat += np.diag(0.5 * params.e2 * (occ - 1.0) ** 2)
+        q = np.diagonal(build_observable(modes, "charge", (wire,)).mat).real
+        mat += np.diag(0.5 * params.e2 * q ** 2)
     return HermitianOperator(modes, mat, label=f"H_int({wire1},{wire2})")
 
 

@@ -23,10 +23,7 @@ from .fock import (
     DensityMatrix,
     ModeSet,
     StateVector,
-    _mask_bits,
-    _popcount,
     _resolve_wires,
-    _wire_mask,
     build_observable,
 )
 
@@ -90,10 +87,8 @@ def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
 
     dim = modes.dim
     n = np.arange(dim, dtype=np.int64)
-    mask = _wire_mask(modes, wires_t)
-    q = (_popcount(n & mask) - len(wires_t)).astype(np.int64)
-    two_m = (_popcount(n & _mask_bits(modes, wires_t, "up"))
-             - _popcount(n & _mask_bits(modes, wires_t, "dn"))).astype(np.int64)
+    q = np.diagonal(build_observable(modes, "charge", wires_t).mat).real.astype(np.int64)
+    two_m = (2 * np.diagonal(build_observable(modes, "spin_z", wires_t).mat).real).astype(np.int64)
     j2 = build_observable(modes, "spin_squared", wires_t).mat
 
     groups: dict[tuple[int, int], np.ndarray] = {}
@@ -225,18 +220,6 @@ def measure_spin_class_dm(rho: DensityMatrix, wires, rng: np.random.Generator):
     comp = np.eye(rho.modes.dim) - p
     y = comp @ rho.mat @ comp
     return HALF_ODD_INTEGER, DensityMatrix(rho.modes, y / np.trace(y).real)
-
-
-def spin_sectors_dm(rho: DensityMatrix, wires=None):
-    """(j, m, probability, conditional density matrix) list for a mixed state."""
-    out = []
-    for j, m, basis in spin_sector_bases(rho.modes, wires):
-        block = basis @ (basis.conj().T @ rho.mat @ basis) @ basis.conj().T
-        p = float(np.trace(block).real)
-        if p < PROB_FLOOR:
-            continue
-        out.append((j, m, p, DensityMatrix(rho.modes, block / p)))
-    return out
 
 
 def measure_spin_dm(rho: DensityMatrix, wires, rng: np.random.Generator):

@@ -35,6 +35,7 @@ path of :func:`run_teleport_once` make the same decisions in every trial.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -46,8 +47,10 @@ from .fock import (
     TELEPORT_MODES,
     DensityMatrix,
     StateVector,
+    annihilation_matrix,
     basis_state,
     create,
+    creation_matrix,
     singlet_state,
     vacuum_state,
 )
@@ -150,19 +153,13 @@ def bob_correction(j: float, m: float) -> list[GateSpec]:
 # Bob's reduced spin state and fidelity
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _b_reduction_indices(modes, wire):
-    from .fock import _popcount
-
+    """(n_up, n_dn, sign) with f_dn^dag f_up |n_up> = sign |n_dn>, by n_up."""
     iu, idn = modes.wire_indices(wire)
-    both = (1 << iu) | (1 << idn)
-    lo, hi = min(iu, idn), max(iu, idn)
-    between = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    n = np.arange(modes.dim, dtype=np.int64)
-    sel = ((n >> iu) & 1 == 1) & ((n >> idn) & 1 == 0)
-    n_up = n[sel]
-    n_dn = n_up ^ both
-    signs = np.where(_popcount(n_up & between) % 2 == 0, 1.0, -1.0)
-    return n_up, n_dn, signs
+    flip = (creation_matrix(modes, idn) @ annihilation_matrix(modes, iu)).T
+    n_up, n_dn = np.nonzero(flip)
+    return n_up, n_dn, flip[n_up, n_dn]
 
 
 def bob_reduced_spin(state, wire: str = BOB_WIRE) -> np.ndarray:
@@ -466,6 +463,8 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError(f"variant must be one of {VARIANTS}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     if variant != "mixed":
         branches, rounds, fids = _run_trials_batched(g, variant, n, seed, max_rounds)

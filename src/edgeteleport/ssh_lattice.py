@@ -25,7 +25,6 @@ documentation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,20 +110,12 @@ def band_gap(params: WireParams) -> float:
     return float(np.sqrt((t - tp) ** 2 + 4 * t * tp * np.cos(np.pi * L / (2 * L + 2)) ** 2))
 
 
-def _csv(lines: list[str]) -> str:
-    buf = io.StringIO()
-    for line in lines:
-        buf.write(line)
-        buf.write("\n")
-    return buf.getvalue()
-
-
 def spectrum_csv(params: WireParams) -> str:
-    """`index,energy` rows of the closed-form spectrum, 15 significant digits."""
-    lines = ["index,energy"]
-    for i, e in enumerate(analytic_spectrum(params)):
-        lines.append(f"{i},{e:.15g}")
-    return _csv(lines)
+    """`index,energy_analytic,energy_numeric,abs_diff` rows, 15 significant digits."""
+    lines = ["index,energy_analytic,energy_numeric,abs_diff"]
+    for i, (ea, en) in enumerate(zip(analytic_spectrum(params), numerical_spectrum(params))):
+        lines.append(f"{i},{ea:.15g},{en:.15g},{abs(ea - en):.15g}")
+    return "\n".join(lines) + "\n"
 
 
 def zeromode_density_csv(params: WireParams) -> str:
@@ -133,4 +124,4 @@ def zeromode_density_csv(params: WireParams) -> str:
     lines = ["site,density"]
     for site, a in enumerate(level.amplitudes, start=1):
         lines.append(f"{site},{a * a:.15g}")
-    return _csv(lines)
+    return "\n".join(lines) + "\n"

@@ -61,9 +61,15 @@ def test_zeromode_profile_sums_to_one(tmp_path):
     assert np.all(densities[1::2] == 0.0)
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_hubbard_json(capsys):
     assert run_cli(["hubbard", "--e2", "1", "--lambda", "0.01"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["E0_perturbative"] == pytest.approx(-4e-4)
     assert payload["E0_exact"] == pytest.approx((1 - np.sqrt(1 + 16e-4)) / 2, abs=1e-14)
     assert payload["triplet_gap"] == pytest.approx(4e-4, rel=0.01)
@@ -85,6 +91,18 @@ def test_hubbard_rejects_non_finite_couplings(args, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:lam/e2 > 0.1")
+@pytest.mark.parametrize("e2, lam", [("1", "1e200"), ("1e-320", "1")])
+def test_hubbard_rejects_non_finite_report(e2, lam, capsys):
+    # lambda^2 overflows, or -4 lambda^2 / e2 is -inf: no JSON report is printed
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hubbard", "--e2", e2, "--lambda", lam])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no finite report" in captured.err
+
+
 def test_teleport_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["teleport", "--variant", "electronic", "--g1", "1,0",
@@ -104,6 +122,15 @@ def test_teleport_rejects_unnormalized_g(tmp_path):
         run_cli(["teleport", "--g1", "1,0", "--g2", "1,0", "--trials", "10",
                  "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+def test_teleport_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["teleport", "--seed", "-1", "--trials", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("g1, g2", [("nan,0", "0,0"), ("1,0", "0,nan")])

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from edgeteleport.fock import (
     TELEPORT_MODES,
+    ModeSet,
+    annihilation_matrix,
     build_observable,
     create,
+    creation_matrix,
     inner_product,
     normalize,
     vacuum_state,
@@ -212,3 +217,49 @@ def test_generic_rotation_matches_two_by_two_on_single_electron():
     out_dn = apply_gate(spec, a_dn)
     assert inner_product(a_up, out_dn) == pytest.approx(u2[0, 1], abs=1e-12)
     assert inner_product(a_dn, out_dn) == pytest.approx(u2[1, 1], abs=1e-12)
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+#: Same wires with each wire's up and dn modes apart, so moving an electron
+#: between them crosses occupied spectator modes.
+INTERLEAVED_MODES = ModeSet((("a", "up"), ("b", "dn"), ("c", "up"),
+                             ("a", "dn"), ("c", "dn"), ("b", "up")))
+WIRE_CASES = [(m, w) for m in (MODES, INTERLEAVED_MODES) for w in m.wires]
+
+
+@pytest.mark.parametrize("modes, wire", WIRE_CASES)
+@pytest.mark.parametrize("name, make, u2", [
+    ("H", hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)),
+    ("iY", iy, np.array([[0.0, -1.0], [1.0, 0.0]])),
+    ("random", None, _random_unitary(17)),
+])
+def test_rotation_lift_is_covariant_on_every_wire(modes, wire, name, make, u2):
+    # U f_s^dag U^dag = sum_s' u[s', s] f_s'^dag as a full-space operator
+    # identity, so every spectator occupation (and its sign) is covered
+    spec = make(wire) if make is not None else spin_rotation(wire, u2)
+    u = gate_unitary(spec, modes)
+    f = [creation_matrix(modes, i) for i in modes.wire_indices(wire)]
+    for s in (0, 1):
+        lhs = u @ f[s] @ u.conj().T
+        rhs = u2[0, s] * f[0] + u2[1, s] * f[1]
+        assert np.abs(lhs - rhs).max() < 1e-12, (name, wire, s)
+
+
+@pytest.mark.parametrize("modes, control, target", [
+    (m, c, t) for m in (MODES, INTERLEAVED_MODES) for c, t in itertools.permutations(m.wires, 2)
+])
+def test_cnot_is_x_rotation_where_control_holds_one_dn_electron(modes, control, target):
+    cu, cd = modes.wire_indices(control)
+    n_up = np.diagonal(creation_matrix(modes, cu) @ annihilation_matrix(modes, cu))
+    n_dn = np.diagonal(creation_matrix(modes, cd) @ annihilation_matrix(modes, cd))
+    active = (n_up == 0) & (n_dn == 1)
+    u = gate_unitary(cnot(control, target), modes)
+    x = gate_unitary(spin_rotation(target, np.array([[0.0, 1.0], [1.0, 0.0]])), modes)
+    np.testing.assert_allclose(u[:, active], x[:, active], atol=1e-15)
+    np.testing.assert_allclose(u[:, ~active], np.eye(modes.dim)[:, ~active], atol=1e-15)

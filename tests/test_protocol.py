@@ -307,6 +307,8 @@ def test_run_trials_rejects_bad_inputs():
         run_trials(SpinAmplitudes(1, 0), "electronic", 0, seed=0)
     with pytest.raises(ValueError):
         run_trials(SpinAmplitudes(1, 0), "smoke", 10, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=-1)
 
 
 def test_every_variant_recovers_200_random_spin_states():

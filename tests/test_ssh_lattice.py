@@ -157,7 +157,7 @@ def test_csv_outputs():
     p = WireParams(5, 1.0, 0.5)
     spec = spectrum_csv(p)
     lines = spec.split("\n")
-    assert lines[0] == "index,energy"
+    assert lines[0] == "index,energy_analytic,energy_numeric,abs_diff"
     assert len(lines) == 7 and lines[-1] == ""  # header + 5 rows + trailing LF
     assert "\r" not in spec
 
