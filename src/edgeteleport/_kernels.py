@@ -6,10 +6,13 @@ unit inputs ``s_up`` and ``s_dn``; the protocol steps are the ones of
 :func:`edgeteleport.protocol.run_teleport_once`, which serves as the reference
 the tests compare against.
 
-Randomness never enters here; callers pre-draw per-trial uniforms from the
-same seeded streams the step-by-step path draws from, so both make identical
-branch decisions.  The setup mapping is built once per variant by
-``protocol._kernel_setup``.
+Randomness never enters here: callers supply each trial's uniforms, read
+from the same counter-based streams the step-by-step path draws from (see
+:mod:`edgeteleport.protocol`), so both make identical branch decisions.  The
+electronic engine takes one uniform per trial; the cold-atom engine asks a
+callback for the uniforms of the trials still active in each round, so no
+array grows with the round cap.  The setup mapping is built once per variant
+by ``protocol._kernel_setup``.
 """
 
 from __future__ import annotations
@@ -79,14 +82,15 @@ def electronic_batch(setup, g1s, g2s, u_branch):
     return _measure_and_correct(setup, psi, u_branch, g1s, g2s)
 
 
-def coldatom_batch(setup, g1s, g2s, uniforms):
+def coldatom_batch(setup, g1s, g2s, draw, max_rounds):
     """Branch index, rounds and fidelity of each cold-atom trial.
 
-    Row ``i`` of ``uniforms`` holds trial ``i``'s draws in stream order: one
-    per class measurement, then the branch draw, so its width is the round
-    cap plus one.  Hitting the cap raises, as in the step-by-step path.
+    ``draw(rows, k)`` returns, for the trials at the integer array ``rows``,
+    their ``k``-th uniform in stream order (``k`` a scalar or one entry per
+    row): draw ``r - 1`` decides class measurement ``r`` and draw ``rounds``
+    the branch.  Hitting ``max_rounds`` raises, as in the step-by-step path.
     """
-    n, max_rounds = len(g1s), uniforms.shape[1] - 1
+    n = len(g1s)
     p_int = setup["p_int"]
     psi = g1s[:, None] * setup["s_up"] + g2s[:, None] * setup["s_dn"]
     rounds = np.zeros(n, dtype=np.int64)
@@ -95,7 +99,7 @@ def coldatom_batch(setup, g1s, g2s, uniforms):
         x = psi[active] @ p_int.T
         p = _norm2(x)
         rounds[active] = r
-        hit = uniforms[active, r - 1] < p
+        hit = draw(active, r - 1) < p
         psi[active[hit]] = x[hit] / np.sqrt(p[hit])[:, None]
         miss = ~hit
         y = psi[active[miss]] - x[miss]
@@ -108,6 +112,6 @@ def coldatom_batch(setup, g1s, g2s, uniforms):
                 "statistically unreachable, check the setup"
             )
         psi[active] = _relax(y / np.sqrt(_norm2(y))[:, None], setup["relax_pairs"])
-    u_branch = uniforms[np.arange(n), rounds]
+    u_branch = draw(np.arange(n), rounds)
     branch, fid = _measure_and_correct(setup, psi, u_branch, g1s, g2s)
     return branch, rounds, fid

@@ -74,7 +74,7 @@ def _parse_complex(parser, text: str, name: str) -> complex:
 def _cmd_teleport(parser, args) -> int:
     g1 = _parse_complex(parser, args.g1, "--g1")
     g2 = _parse_complex(parser, args.g2, "--g2")
-    norm = abs(g1) ** 2 + abs(g2) ** 2
+    norm = abs(g1) * abs(g1) + abs(g2) * abs(g2)  # inf, not OverflowError, when huge
     if abs(norm - 1.0) > 1e-6:
         parser.error(f"|g1|^2 + |g2|^2 = {norm:.6g}; amplitudes must be normalized")
     try:

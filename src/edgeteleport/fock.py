@@ -302,6 +302,7 @@ def expectation(op: HermitianOperator, state: StateVector) -> float:
 # ---------------------------------------------------------------------------
 
 _OBS_CACHE: dict[tuple, np.ndarray] = {}
+_DIAG_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _wire_mask(modes: ModeSet, wires: Iterable[str]) -> int:
@@ -334,18 +335,44 @@ def _resolve_wires(modes: ModeSet, wires) -> tuple[str, ...]:
     return wires
 
 
-def _spin_component_matrices(modes: ModeSet, wires: tuple[str, ...]):
-    """(Jz, J+, J-) summed over the given wires."""
+def _observable_diagonal(modes: ModeSet, kind: str, wires=None) -> np.ndarray:
+    """Real diagonal of a diagonal observable of :func:`build_observable`.
+
+    Cached as a read-only length-``2^M`` vector per (modes, kind, wires); the
+    gates, sector labels and charging term read these labels, so no dense
+    matrix is kept for them.
+    """
+    wires_t = _resolve_wires(modes, wires)
+    key = (modes, kind, wires_t)
+    diag = _DIAG_CACHE.get(key)
+    if diag is None:
+        if kind == "number":
+            diag = _number_diag(modes, _wire_mask(modes, wires_t))
+        elif kind == "charge":
+            diag = _number_diag(modes, _wire_mask(modes, wires_t)) - len(wires_t)
+        elif kind == "parity":
+            n = np.arange(modes.dim, dtype=np.int64)
+            diag = np.where(_popcount(n) % 2 == 0, 1.0, -1.0)
+        elif kind == "spin_z":
+            diag = 0.5 * (_number_diag(modes, _mask_bits(modes, wires_t, SPIN_UP))
+                          - _number_diag(modes, _mask_bits(modes, wires_t, SPIN_DN)))
+        else:
+            raise ValueError(f"unknown observable kind {kind!r}")
+        diag.flags.writeable = False
+        diag = _DIAG_CACHE.setdefault(key, diag)
+    return diag
+
+
+def _spin_squared_matrix(modes: ModeSet, wires: tuple[str, ...]) -> np.ndarray:
+    """J^2 = Jz^2 + (J+ J- + J- J+)/2 summed over the given wires."""
     dim = modes.dim
-    jz = np.diag(
-        0.5 * (_number_diag(modes, _mask_bits(modes, wires, SPIN_UP))
-               - _number_diag(modes, _mask_bits(modes, wires, SPIN_DN)))
-    ).astype(np.complex128)
+    jz = np.diag(_observable_diagonal(modes, "spin_z", wires)).astype(np.complex128)
     jp = np.zeros((dim, dim), dtype=np.complex128)
     for w in wires:
         iu, idn = modes.wire_indices(w)
         jp += creation_matrix(modes, iu) @ annihilation_matrix(modes, idn)
-    return jz, jp, jp.conj().T
+    jm = jp.conj().T
+    return jz @ jz + 0.5 * (jp @ jm + jm @ jp)
 
 
 def build_observable(modes: ModeSet, kind: str, wires=None) -> HermitianOperator:
@@ -356,25 +383,13 @@ def build_observable(modes: ModeSet, kind: str, wires=None) -> HermitianOperator
     modes), ``spin_z``, ``spin_squared``.
     """
     wires_t = _resolve_wires(modes, wires)
-    key = (modes, kind, wires_t)
-    mat = _OBS_CACHE.get(key)
-    if mat is None:
-        if kind == "number":
-            mat = np.diag(_number_diag(modes, _wire_mask(modes, wires_t))).astype(np.complex128)
-        elif kind == "charge":
-            diag = _number_diag(modes, _wire_mask(modes, wires_t)) - len(wires_t)
-            mat = np.diag(diag).astype(np.complex128)
-        elif kind == "parity":
-            n = np.arange(modes.dim, dtype=np.int64)
-            mat = np.diag(np.where(_popcount(n) % 2 == 0, 1.0, -1.0)).astype(np.complex128)
-        elif kind == "spin_z":
-            mat = _spin_component_matrices(modes, wires_t)[0]
-        elif kind == "spin_squared":
-            jz, jp, jm = _spin_component_matrices(modes, wires_t)
-            mat = jz @ jz + 0.5 * (jp @ jm + jm @ jp)
-        else:
-            raise ValueError(f"unknown observable kind {kind!r}")
-        mat = _OBS_CACHE.setdefault(key, mat)
+    if kind == "spin_squared":
+        key = (modes, kind, wires_t)
+        mat = _OBS_CACHE.get(key)
+        if mat is None:
+            mat = _OBS_CACHE.setdefault(key, _spin_squared_matrix(modes, wires_t))
+    else:
+        mat = np.diag(_observable_diagonal(modes, kind, wires_t)).astype(np.complex128)
     return HermitianOperator(modes, mat, label=f"{kind}({','.join(wires_t)})")
 
 

@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ModeSet, StateVector, annihilation_matrix, build_observable, creation_matrix
+from .fock import (
+    ModeSet,
+    StateVector,
+    _observable_diagonal,
+    annihilation_matrix,
+    creation_matrix,
+)
 
 HADAMARD_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 IY_2X2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -83,7 +89,7 @@ def spin_rotation(wire: str, matrix: np.ndarray) -> GateSpec:
 
 def _rotation_unitary(modes: ModeSet, wire: str, u: np.ndarray) -> np.ndarray:
     pair = tuple(enumerate(modes.wire_indices(wire)))  # (spin index, mode index)
-    occ = np.diagonal(build_observable(modes, "number", (wire,)).mat).real
+    occ = _observable_diagonal(modes, "number", (wire,))
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     mat = np.diag(np.where(occ == 2, det, 1.0 + 0j))
     single = occ == 1
@@ -97,7 +103,7 @@ def _rotation_unitary(modes: ModeSet, wire: str, u: np.ndarray) -> np.ndarray:
 
 def _cnot_unitary(modes: ModeSet, control: str, target: str) -> np.ndarray:
     # spin_z = -1/2 exactly when the control holds one dn electron and no up
-    sz = np.diagonal(build_observable(modes, "spin_z", (control,)).mat).real
+    sz = _observable_diagonal(modes, "spin_z", (control,))
     flip = _rotation_unitary(modes, target, _PAULI_X)
     return np.where(sz == -0.5, flip, np.eye(modes.dim))
 

@@ -32,8 +32,8 @@ from .fock import (
     HermitianOperator,
     ModeSet,
     StateVector,
+    _observable_diagonal,
     annihilation_matrix,
-    build_observable,
     creation_matrix,
     singlet_state,
 )
@@ -78,7 +78,7 @@ def build_h_int(params: CouplingParams, modes: ModeSet,
     modes.check_wires((wire1, wire2))
     mat = build_h_lambda(params.lam, modes, wire1, wire2).mat.copy()
     for wire in (wire1, wire2):
-        q = np.diagonal(build_observable(modes, "charge", (wire,)).mat).real
+        q = _observable_diagonal(modes, "charge", (wire,))
         mat += np.diag(0.5 * params.e2 * q ** 2)
     return HermitianOperator(modes, mat, label=f"H_int({wire1},{wire2})")
 
@@ -162,10 +162,17 @@ def perturbative_check(params: CouplingParams, modes: ModeSet | None = None) -> 
 
     The residual scales as lam^4 / e2^3 (closed form above); sweeping lam and
     fitting the quartic coefficient is left to callers, this returns one data
-    point.  Requires e2 > 0.
+    point.  Requires e2 > 0 and a finite -4 lam^2 / e2; otherwise raises
+    ``ValueError`` naming the coupling.
     """
     if params.e2 <= 0:
         raise ValueError("perturbative comparison requires e2 > 0")
+    try:
+        e0_pert = -4.0 * params.lam**2 / params.e2
+    except OverflowError:
+        e0_pert = -np.inf
+    if not np.isfinite(e0_pert):
+        raise ValueError(f"-4 lam^2 / e2 overflows at e2={params.e2!r}, lam={params.lam!r}")
     if params.lam > 0.1 * params.e2:
         warnings.warn(
             "lam/e2 > 0.1: outside the strong-Coulomb regime, the quadratic "
@@ -178,7 +185,6 @@ def perturbative_check(params: CouplingParams, modes: ModeSet | None = None) -> 
         modes = AB_MODES
     h = build_h_int(params, modes)
     e0 = ground_state(h, sector=(0, None, None)).energy
-    e0_pert = -4.0 * params.lam**2 / params.e2
     return PerturbativeCheck(e0, e0_pert, abs(e0 - e0_pert))
 
 
@@ -187,7 +193,10 @@ def quartic_coefficient(e2: float, lams) -> float:
     cs = []
     for lam in lams:
         chk = perturbative_check(CouplingParams(e2, lam))
-        cs.append(chk.deviation * e2**3 / lam**4)
+        try:
+            cs.append(chk.deviation * e2**3 / lam**4)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"e2^3 / lam^4 is not finite at e2={e2!r}, lam={lam!r}") from None
     return float(max(cs))
 
 

@@ -23,6 +23,7 @@ from .fock import (
     DensityMatrix,
     ModeSet,
     StateVector,
+    _observable_diagonal,
     _resolve_wires,
     build_observable,
 )
@@ -87,17 +88,15 @@ def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
 
     dim = modes.dim
     n = np.arange(dim, dtype=np.int64)
-    q = np.diagonal(build_observable(modes, "charge", wires_t).mat).real.astype(np.int64)
-    two_m = (2 * np.diagonal(build_observable(modes, "spin_z", wires_t).mat).real).astype(np.int64)
+    q = _observable_diagonal(modes, "charge", wires_t).astype(np.int64)
+    two_m = (2 * _observable_diagonal(modes, "spin_z", wires_t)).astype(np.int64)
     j2 = build_observable(modes, "spin_squared", wires_t).mat
 
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    for qv in np.unique(q):
-        for tm in np.unique(two_m[q == qv]):
-            groups[(int(qv), int(tm))] = n[(q == qv) & (two_m == tm)]
-
     collected: dict[tuple[int, float, float], list[np.ndarray]] = {}
-    for (qv, tm), idx in groups.items():
+    # (q, 2m) blocks in ascending order from a sorted set, not np.unique: the
+    # plain np.unique call imports numpy.ma (about 1.5 MiB resident).
+    for qv, tm in sorted(set(zip(q.tolist(), two_m.tolist()))):
+        idx = n[(q == qv) & (two_m == tm)]
         block = j2[np.ix_(idx, idx)]
         evals, evecs = np.linalg.eigh(block)
         for col, x in enumerate(evals):

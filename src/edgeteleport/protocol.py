@@ -27,10 +27,19 @@ Fidelity compares Bob's reduced one-electron spin state against (g1, g2) and
 ignores global phase, since two of the correction sequences introduce an
 overall -1.
 
-Batch runs are reproducible: trial ``i`` of ``run_trials(..., seed)`` uses the
-generator ``default_rng([seed, i])`` and consumes draws in a fixed order, so
-the vectorised engine in :mod:`edgeteleport._kernels` and the step-by-step
-path of :func:`run_teleport_once` make the same decisions in every trial.
+Batch runs are reproducible.  Trial ``i`` of ``run_trials(..., seed)`` reads
+the Philox4x64-10 counter-based stream with key ``(seed, i)`` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), so ``0 <= seed <
+2**64``.  Draw ``j`` of a trial is word ``j % 4`` of counter block
+``j // 4 + 1``, turned into a double as ``(w >> 11) * 2**-53``: exactly the
+doubles ``trial_rng(seed, i).random()`` returns in order.  The batch path
+evaluates that pure function of ``(seed, trial, draw)`` as ``uint64`` array
+arithmetic for a whole chunk of trials at once; the step-by-step path of
+:func:`run_teleport_once` reads the same stream through numpy's ``Philox``.
+Draws are consumed in a fixed order (three for Haar amplitudes, one per
+class measurement, one for the branch), so the vectorised engine in
+:mod:`edgeteleport._kernels` and the step-by-step path make the same
+decisions in every trial.
 """
 
 from __future__ import annotations
@@ -77,9 +86,47 @@ DEFAULT_MAX_ROUNDS = 64
 
 VARIANTS = ("electronic", "coldatom", "mixed")
 
-#: Trials per engine call: bounds the per-call arrays (the cold-atom uniforms
-#: are ``max_rounds + 1`` per trial) whatever the total trial count.
+#: Trials per engine call: bounds the per-call arrays whatever the total
+#: trial count.
 _CHUNK = 1024
+
+#: Name and version of the per-trial random-stream scheme, recorded in every
+#: report; any change to the draws a trial consumes needs a new version.
+_RNG_SCHEME = "philox4x64-10/v1"
+
+#: Counter blocks (four draws each) evaluated up front for every cold-atom
+#: trial of a chunk; later draws are derived only for the trials that need
+#: them.  A round succeeds with probability 1/2, so few trials get that far.
+_PREDRAWN_BLOCKS = 2
+
+
+def _require_unit_amplitudes(g1, g2):
+    """Raise unless every (g1, g2) pair is finite with unit norm to 1e-12.
+
+    Takes complex scalars or arrays; a NaN or infinite amplitude fails the
+    norm test too, and is then reported as such.
+    """
+    a1, a2 = abs(g1), abs(g2)
+    # products, not ** 2: a float power raises OverflowError above ~1e154
+    if np.all(abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12):
+        return
+    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        raise ValueError("spin amplitudes must be finite")
+    raise ValueError("|g1|^2 + |g2|^2 must equal 1")
+
+
+def _haar_amplitudes(u):
+    """Exact Haar-random (g1, g2) arrays from three uniforms per row of ``u``.
+
+    ``|g1|^2`` of a Haar-random unit vector in C^2 is uniform on [0, 1] and
+    the two phases are independent and uniform, so no normal draws (and no
+    rejection) are needed: ``g1 = sqrt(u0) e^{2 pi i u1}``,
+    ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.
+    """
+    g1 = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    g2 = np.sqrt(1.0 - u[:, 0]) * np.exp(2j * np.pi * u[:, 2])
+    _require_unit_amplitudes(g1, g2)
+    return g1, g2
 
 
 @dataclass(frozen=True)
@@ -90,11 +137,7 @@ class SpinAmplitudes:
     def __post_init__(self):
         object.__setattr__(self, "g1", complex(self.g1))
         object.__setattr__(self, "g2", complex(self.g2))
-        if not (np.isfinite(self.g1) and np.isfinite(self.g2)):
-            raise ValueError("spin amplitudes must be finite")
-        n = abs(self.g1) ** 2 + abs(self.g2) ** 2
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("|g1|^2 + |g2|^2 must equal 1")
+        _require_unit_amplitudes(self.g1, self.g2)
 
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
@@ -107,8 +150,9 @@ class SpinAmplitudes:
 
     @staticmethod
     def haar(rng: np.random.Generator) -> "SpinAmplitudes":
-        z = rng.standard_normal(4)
-        return SpinAmplitudes.normalized(z[0] + 1j * z[1], z[2] + 1j * z[3])
+        """Haar-random amplitudes from the next three uniforms of ``rng``."""
+        g1, g2 = _haar_amplitudes(rng.random((1, 3)))
+        return SpinAmplitudes(g1[0], g2[0])
 
 
 def prepare_initial(g: SpinAmplitudes, variant: str) -> StateVector:
@@ -300,8 +344,69 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
 # ---------------------------------------------------------------------------
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial stream: independent, reproducible, order-insensitive."""
-    return np.random.default_rng([seed, trial])
+    """Per-trial stream: numpy's Philox4x64-10 keyed by ``(seed, trial)``.
+
+    The key is built as a ``uint64`` array: from a list numpy rounds words
+    above 2**53 through float, so distinct seeds would share a stream.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _philox_blocks(seed: int, trials, blocks) -> np.ndarray:
+    """Philox4x64-10 output words ``(n, 4)`` of counter ``(blocks[k], 0, 0, 0)``
+    under key ``(seed, trials[k])``, for 1-d ``trials`` and ``blocks`` of
+    length ``n``.
+
+    Both 64x64-bit products of a round run as one ``(2, n)`` array operation.
+    The low words are the wrapped ``uint64`` products; the high words are
+    summed from the products of 32-bit halves, none of which overflows.
+    """
+    trials, blocks = np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
+    key = np.stack([np.full(trials.shape, seed, dtype=np.uint64), trials])
+    x02 = np.stack([blocks, np.zeros_like(blocks)])  # counter words 0 and 2
+    x13 = np.zeros_like(x02)  # counter words 1 and 3
+    # One round: (x0, x1, x2, x3) <- (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2),
+    #                                 hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)),
+    # with the key bumped by W before every round but the first.
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        x_lo, x_hi = x02 & _LO32, x02 >> _U32
+        t = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> _U32)
+        w = (t & _LO32) + x_lo * _PHILOX_M_HI
+        hi = x_hi * _PHILOX_M_HI + (t >> _U32) + (w >> _U32)
+        x02, x13 = hi[::-1] ^ x13 ^ key, (x02 * _PHILOX_M)[::-1]
+    return np.stack([x02[0], x13[0], x02[1], x13[1]], axis=-1)
+
+
+def _to_unit_double(words) -> np.ndarray:
+    """numpy's uint64 -> [0, 1) double: the top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _stream_uniforms(seed: int, trials, draws) -> np.ndarray:
+    """Draw ``draws[k]`` of trial ``trials[k]``'s stream, for 1-d arrays.
+
+    Equal to the ``draws[k]``-th double of ``trial_rng(seed, trials[k])``.
+    """
+    draws = np.asarray(draws, dtype=np.int64)
+    words = _philox_blocks(seed, trials, draws // 4 + 1)
+    return _to_unit_double(np.take_along_axis(words, (draws % 4)[:, None], axis=1)[:, 0])
+
+
+def _stream_prefix(seed: int, trials, n_blocks: int) -> np.ndarray:
+    """The first ``4 * n_blocks`` draws of each trial's stream, one row per trial."""
+    words = _philox_blocks(seed, np.repeat(trials, n_blocks),
+                           np.tile(np.arange(1, n_blocks + 1), len(trials)))
+    return _to_unit_double(words).reshape(len(trials), 4 * n_blocks)
 
 
 @dataclass(frozen=True)
@@ -312,6 +417,7 @@ class TeleportReport:
     g1: tuple[float, float] | None
     g2: tuple[float, float] | None
     backend: str
+    rng: str
     branch_counts: dict[str, int]
     rounds_histogram: dict[int, int]
     mean_rounds: float
@@ -326,6 +432,7 @@ class TeleportReport:
             "g1": list(self.g1) if self.g1 is not None else None,
             "g2": list(self.g2) if self.g2 is not None else None,
             "backend": self.backend,
+            "rng": self.rng,
             "branch_counts": self.branch_counts,
             "rounds_histogram": {str(k): v for k, v in sorted(self.rounds_histogram.items())},
             "mean_rounds": self.mean_rounds,
@@ -353,6 +460,7 @@ def _assemble_report(variant, seed, g, branches, rounds, fids) -> TeleportReport
         g1=(g.g1.real, g.g1.imag) if g is not None else None,
         g2=(g.g2.real, g.g2.imag) if g is not None else None,
         backend=default_backend(),
+        rng=_RNG_SCHEME,
         branch_counts=counts,
         rounds_histogram=hist,
         mean_rounds=float(np.mean(rounds)),
@@ -421,23 +529,33 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
     branches = np.empty(n, dtype=np.int64)
     rounds = np.ones(n, dtype=np.int64)
     fids = np.empty(n)
-    n_uniform = 1 if variant == "electronic" else max_rounds + 1
+    first = 0 if g is not None else 3  # a Haar trial's first three draws make g
+    n_blocks = 1 if variant == "electronic" else _PREDRAWN_BLOCKS
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
-        g1s = np.empty(size, dtype=np.complex128)
-        g2s = np.empty(size, dtype=np.complex128)
-        uniforms = np.empty((size, n_uniform))
-        for i in range(size):
-            rng = trial_rng(seed, start + i)
-            gi = g if g is not None else SpinAmplitudes.haar(rng)
-            g1s[i], g2s[i] = gi.g1, gi.g2
-            uniforms[i] = rng.random(n_uniform)
+        trials = np.arange(start, start + size, dtype=np.uint64)
+        pre = _stream_prefix(seed, trials, n_blocks)
+        if g is None:
+            g1s, g2s = _haar_amplitudes(pre[:, :3])
+        else:
+            g1s, g2s = np.full(size, g.g1), np.full(size, g.g2)
         out = slice(start, start + size)
         if variant == "electronic":
-            branches[out], fids[out] = _kernels.electronic_batch(setup, g1s, g2s, uniforms[:, 0])
-        else:
-            branches[out], rounds[out], fids[out] = _kernels.coldatom_batch(
-                setup, g1s, g2s, uniforms)
+            branches[out], fids[out] = _kernels.electronic_batch(setup, g1s, g2s, pre[:, first])
+            continue
+
+        def draw(rows, k, trials=trials, pre=pre):
+            j = np.broadcast_to(first + k, rows.shape)
+            u = np.empty(rows.shape)
+            near = j < pre.shape[1]
+            u[near] = pre[rows[near], j[near]]
+            far = ~near
+            if far.any():
+                u[far] = _stream_uniforms(seed, trials[rows[far]], j[far])
+            return u
+
+        branches[out], rounds[out], fids[out] = _kernels.coldatom_batch(
+            setup, g1s, g2s, draw, max_rounds)
     return branches, rounds, fids
 
 
@@ -465,6 +583,8 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError("max_rounds must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if seed >= 2**64:
+        raise ValueError("seed must be < 2**64: it is one 64-bit word of the stream key")
 
     if variant != "mixed":
         branches, rounds, fids = _run_trials_batched(g, variant, n, seed, max_rounds)

@@ -1,8 +1,8 @@
 """The vectorised batch engine must reproduce the step-by-step path trial by trial.
 
 ``run_teleport_once`` on the stream ``trial_rng(seed, i)`` is the reference:
-the engine pre-draws the same uniforms, so branch and round decisions agree
-exactly and fidelities agree to rounding.
+the engine reads the same uniforms from the vectorised stream, so branch and
+round decisions agree exactly and fidelities agree to rounding.
 """
 
 import numpy as np
@@ -37,6 +37,7 @@ def _assert_engine_matches_oracle(g, variant, n, seed):
     np.testing.assert_array_equal(branches, o_branches)
     np.testing.assert_array_equal(rounds, o_rounds)
     assert np.abs(fids - o_fids).max() <= 1e-12
+    return rounds
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -51,6 +52,16 @@ def test_engine_matches_oracle(variant, g, seed):
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
 def test_engine_matches_oracle_across_chunks(variant):
     _assert_engine_matches_oracle(None, variant, protocol._CHUNK + 37, 5)
+
+
+@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
+                         ids=["fixed", "haar"])
+def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
+    rounds = _assert_engine_matches_oracle(g, "coldatom", protocol._CHUNK + 37, 8)
+    # a trial's last draw, its branch draw, has index (Haar draws) + rounds;
+    # the case is covered only if some trial read past the pre-drawn blocks
+    first = 0 if g is not None else 3
+    assert (first + rounds).max() >= 4 * protocol._PREDRAWN_BLOCKS
 
 
 def test_report_statistics_match_oracle():

@@ -133,6 +133,24 @@ def test_teleport_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_teleport_seed_domain(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["teleport", "--seed", str(2**64), "--trials", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "seed must be < 2**64" in capsys.readouterr().err
+    assert not out.exists()
+    reports = {}
+    for seed in (2**63, 2**63 + 5, 2**64 - 1):
+        assert run_cli(["teleport", "--variant", "coldatom", "--seed", str(seed),
+                        "--trials", "200", "--out", str(out)]) == 0
+        reports[seed] = json.loads(out.read_text())
+        assert reports[seed]["seed"] == seed
+    # 2**63 and 2**63 + 5 would share a stream if the key went through float
+    a, b = reports[2**63], reports[2**63 + 5]
+    assert (a["branch_counts"], a["rounds_histogram"]) != (b["branch_counts"], b["rounds_histogram"])
+
+
 @pytest.mark.parametrize("g1, g2", [("nan,0", "0,0"), ("1,0", "0,nan")])
 def test_teleport_rejects_non_finite_g(tmp_path, capsys, g1, g2):
     out = tmp_path / "x.json"
@@ -140,6 +158,15 @@ def test_teleport_rejects_non_finite_g(tmp_path, capsys, g1, g2):
         run_cli(["teleport", "--g1", g1, "--g2", g2, "--trials", "10", "--out", str(out)])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_teleport_rejects_overflowing_g(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["teleport", "--g1", "1e200,0", "--trials", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "amplitudes must be normalized" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from edgeteleport import fock
 from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
@@ -106,6 +107,32 @@ def test_observables_commute():
     parity = build_observable(modes, "parity").mat
     for x, y in ((j2, jz), (charge, j2), (charge, jz), (charge, parity)):
         assert np.abs(x @ y - y @ x).max() < 1e-12
+
+
+def test_diagonal_observables_are_cached_vectors():
+    modes = TELEPORT_MODES
+
+    def occupation(wire, spin):
+        i = modes.index(wire, spin)
+        return np.diagonal(creation_matrix(modes, i) @ annihilation_matrix(modes, i))
+
+    n_b = occupation("b", "up") + occupation("b", "dn")
+    expected = {
+        ("number", ("b",)): n_b,
+        ("charge", ("b",)): n_b - 1,
+        ("spin_z", ("b",)): 0.5 * (occupation("b", "up") - occupation("b", "dn")),
+        ("parity", None): (-1.0) ** sum(occupation(w, s) for w in "cab" for s in ("up", "dn")),
+    }
+    for (kind, wires), want in expected.items():
+        diag = fock._observable_diagonal(modes, kind, wires)
+        assert not diag.flags.writeable
+        np.testing.assert_array_equal(diag, want)
+        np.testing.assert_array_equal(build_observable(modes, kind, wires).mat, np.diag(diag))
+    with pytest.raises(ValueError):
+        fock._observable_diagonal(modes, "spin_squared")
+    # only the non-diagonal J^2 is kept as a dense matrix
+    build_observable(modes, "spin_z", ("a",))
+    assert all(kind == "spin_squared" for _, kind, _ in fock._OBS_CACHE)
 
 
 def test_inner_product_and_normalize():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,21 @@ def test_perturbative_check_zero_hopping():
 def test_perturbative_check_requires_coulomb():
     with pytest.raises(ValueError):
         perturbative_check(CouplingParams(0.0, 0.1))
+
+
+@pytest.mark.parametrize("e2, lam", [(1.0, 1e200), (1e-320, 1.0)])
+def test_perturbative_check_rejects_overflowing_coupling(e2, lam):
+    # lam**2 overflows, or -4 lam^2 / e2 is -inf: an error naming the coupling
+    with pytest.raises(ValueError, match=re.escape(f"e2={e2!r}, lam={lam!r}")):
+        perturbative_check(CouplingParams(e2, lam))
+    with pytest.raises(ValueError, match="overflows"):
+        quartic_coefficient(e2, [lam])
+
+
+@pytest.mark.parametrize("e2, lam", [(1e100, 1e90), (1.0, 0.0)])
+def test_quartic_coefficient_rejects_undefined_ratio(e2, lam):
+    with pytest.raises(ValueError, match=re.escape(f"e2={e2!r}, lam={lam!r}")):
+        quartic_coefficient(e2, [lam])
 
 
 def test_perturbative_regime_warning():

@@ -44,6 +44,8 @@ def test_spin_amplitudes_validation():
             SpinAmplitudes(*bad)
         with pytest.raises(ValueError):
             SpinAmplitudes.normalized(*bad)
+    with pytest.raises(ValueError, match="must equal 1"):
+        SpinAmplitudes(1e200, 0.0)
 
 
 def test_prepare_electronic_amplitude_pattern():
@@ -293,6 +295,10 @@ def test_run_trials_branch_statistics():
     assert rep.min_fidelity >= 1 - 1e-12
 
 
+#: First two doubles of trial 4's stream under seed 9.
+PINNED_9_4 = ["0x1.acdaf2cc37900p-9", "0x1.ca5730b8908f5p-1"]
+
+
 def test_trial_rng_streams_are_stable():
     # scalar and batch draws walk the same stream, so the batched kernels and
     # the step-by-step path consume identical uniforms
@@ -300,6 +306,13 @@ def test_trial_rng_streams_are_stable():
     seq = [r1.random() for _ in range(6)]
     r2 = trial_rng(9, 4)
     np.testing.assert_array_equal(np.array(seq), r2.random(6))
+    # the stream is Philox4x64-10 keyed by (seed, trial); pinned, since every
+    # report number depends on it
+    ref = np.random.Generator(np.random.Philox(key=np.array([9, 4], dtype=np.uint64)))
+    np.testing.assert_array_equal(np.array(seq), ref.random(6))
+    assert [x.hex() for x in seq[:2]] == PINNED_9_4
+    np.testing.assert_array_equal(
+        protocol._stream_uniforms(9, np.full(6, 4, dtype=np.uint64), np.arange(6)), seq)
 
 
 def test_run_trials_rejects_bad_inputs():
@@ -309,6 +322,22 @@ def test_run_trials_rejects_bad_inputs():
         run_trials(SpinAmplitudes(1, 0), "smoke", 10, seed=0)
     with pytest.raises(ValueError, match="seed"):
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=-1)
+    with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
+        run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=2**64)
+
+
+def test_run_trials_accepts_the_largest_seed():
+    for variant in ("electronic", "coldatom", "mixed"):
+        rep = run_trials(None, variant, 5, seed=2**64 - 1)
+        assert rep.seed == 2**64 - 1 and rep.trials == 5
+
+
+def test_report_keys_and_rng_provenance():
+    d = run_trials(SpinAmplitudes(1, 0), "electronic", 3, seed=1).to_dict()
+    assert list(d) == ["variant", "trials", "seed", "g1", "g2", "backend", "rng",
+                       "branch_counts", "rounds_histogram", "mean_rounds",
+                       "min_fidelity", "mean_fidelity"]
+    assert d["rng"] == "philox4x64-10/v1"
 
 
 def test_every_variant_recovers_200_random_spin_states():
