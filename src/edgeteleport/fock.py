@@ -44,8 +44,8 @@ class ModeSet:
     modes: tuple[Mode, ...]
 
     def __post_init__(self):
-        if len(self.modes) > 16:
-            raise ValueError("at most 16 modes are supported")
+        if len(self.modes) > 10:  # a dense complex operator takes 16 MiB at 10 modes
+            raise ValueError("at most 10 modes are supported: operators are dense 2^M x 2^M")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("duplicate (wire, spin) mode")
         for wire, spin in self.modes:

@@ -134,11 +134,15 @@ def ground_state(h: HermitianOperator, sector=None, wires=("a", "b")) -> GroundS
         basis = np.column_stack([s.basis for s in matching])
         proj = basis @ basis.conj().T
         scale = max(1.0, float(np.abs(h.mat).max()))
-        if np.abs(h.mat @ proj - proj @ h.mat).max() > 1e-10 * scale:
-            raise ValueError("sector projector does not commute with the Hamiltonian")
-        block = basis.conj().T @ h.mat @ basis
-
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            if np.abs(h.mat @ proj - proj @ h.mat).max() > 1e-10 * scale:
+                raise ValueError("sector projector does not commute with the Hamiltonian")
+            block = basis.conj().T @ h.mat @ basis
+    if not np.all(np.isfinite(block)):
+        raise ValueError(f"Hamiltonian block of sector {sector!r} is not finite")
     evals, evecs = np.linalg.eigh(block)
+    if not np.all(np.isfinite(evals)):
+        raise ValueError("eigenvalues overflow")
     scale = max(1.0, float(np.abs(evals).max()))
     keep = evals <= evals[0] + DEGENERACY_TOL * scale
     cols = evecs[:, keep]
@@ -205,13 +209,16 @@ def hubbard_report(params: CouplingParams) -> dict:
     from .fock import AB_MODES, inner_product
 
     h = build_h_int(params, AB_MODES)
-    neutral = ground_state(h, sector=(0, None, None))
+    try:
+        neutral = ground_state(h, sector=(0, None, None))
+        triplet = ground_state(h, sector=(0, 1.0, 1.0))
+    except ValueError as exc:  # LinAlgError is one too
+        raise ValueError(f"no ground state at e2={params.e2!r}, lam={params.lam!r}: {exc}") from None
     singlet = singlet_state(AB_MODES)
     # Under degeneracy report the norm of the singlet's projection instead of
     # a single overlap.
     proj = sum(abs(inner_product(s, singlet)) ** 2 for s in neutral.states)
     singlet_overlap = float(np.sqrt(proj))
-    triplet = ground_state(h, sector=(0, 1.0, 1.0))
     if params.e2 > 0:
         chk = perturbative_check(params)
         e0_pert = chk.e0_perturbative

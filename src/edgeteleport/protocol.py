@@ -44,6 +44,7 @@ decisions in every trial.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
@@ -245,16 +246,11 @@ class TeleportResult:
     bob_state: StateVector | DensityMatrix = field(repr=False)
 
 
-_RELAX_H = None
-
-
+@functools.lru_cache(maxsize=None)
 def _relax_hamiltonian():
     """Hopping Hamiltonian used as the relaxation target (scale is irrelevant:
     the sector ground spaces do not depend on lam > 0)."""
-    global _RELAX_H
-    if _RELAX_H is None:
-        _RELAX_H = build_h_lambda(1.0, TELEPORT_MODES)
-    return _RELAX_H
+    return build_h_lambda(1.0, TELEPORT_MODES)
 
 
 def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
@@ -425,51 +421,48 @@ class TeleportReport:
     mean_fidelity: float
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "trials": self.trials,
-            "seed": self.seed,
-            "g1": list(self.g1) if self.g1 is not None else None,
-            "g2": list(self.g2) if self.g2 is not None else None,
-            "backend": self.backend,
-            "rng": self.rng,
-            "branch_counts": self.branch_counts,
-            "rounds_histogram": {str(k): v for k, v in sorted(self.rounds_histogram.items())},
-            "mean_rounds": self.mean_rounds,
-            "min_fidelity": self.min_fidelity,
-            "mean_fidelity": self.mean_fidelity,
-        }
+        """The fields in order, with JSON-ready ``g1``, ``g2`` and round keys."""
+        d = dataclasses.asdict(self)
+        for key in ("g1", "g2"):
+            d[key] = list(d[key]) if d[key] is not None else None
+        d["rounds_histogram"] = {str(k): v for k, v in sorted(self.rounds_histogram.items())}
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _branch_key(j: float, m: float) -> str:
-    return f"{j:g},{m:g}"
-
-
-def _assemble_report(variant, seed, g, branches, rounds, fids) -> TeleportReport:
-    per_branch = np.bincount(branches, minlength=len(BRANCHES))
-    counts = {_branch_key(j, m): int(c) for (j, m), c in zip(BRANCHES, per_branch)}
-    values, freqs = np.unique(rounds, return_counts=True)
-    hist = {int(r): int(c) for r, c in zip(values, freqs)}
+def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
+    """Fold ``(branches, rounds, fidelities)`` chunks into a report in O(chunk)
+    memory.  The fidelity sum is pairwise over chunks, from a stack of
+    ``(k, sum of 2**k chunks)``; one chunk gives exactly ``np.mean``."""
+    per_branch, per_round = np.zeros(len(BRANCHES), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    n, min_fid, fid_sums = 0, np.inf, []
+    for branches, rounds, fids in chunks:
+        n += len(branches)
+        per_branch += np.bincount(branches, minlength=len(BRANCHES))
+        counts = np.bincount(rounds)
+        per_round = np.pad(per_round, (0, max(0, len(counts) - len(per_round))))
+        per_round[:len(counts)] += counts
+        min_fid = float(np.minimum(min_fid, np.min(fids)))
+        level, x = 0, float(np.sum(fids))
+        while fid_sums and fid_sums[-1][0] == level:
+            level, x = level + 1, fid_sums.pop()[1] + x
+        fid_sums.append((level, x))
     return TeleportReport(
         variant=variant,
-        trials=len(branches),
+        trials=n,
         seed=seed,
         g1=(g.g1.real, g.g1.imag) if g is not None else None,
         g2=(g.g2.real, g.g2.imag) if g is not None else None,
         backend=default_backend(),
         rng=_RNG_SCHEME,
-        branch_counts=counts,
-        rounds_histogram=hist,
-        mean_rounds=float(np.mean(rounds)),
-        min_fidelity=float(np.min(fids)),
-        mean_fidelity=float(np.mean(fids)),
+        branch_counts={f"{j:g},{m:g}": int(c) for (j, m), c in zip(BRANCHES, per_branch)},
+        rounds_histogram={r: int(c) for r, c in enumerate(per_round) if c},
+        mean_rounds=int(per_round @ np.arange(len(per_round))) / n,
+        min_fidelity=min_fid,
+        mean_fidelity=sum(partial for _, partial in reversed(fid_sums)) / n,
     )
-
-
-_SETUP_CACHE: dict[str, dict] = {}
 
 
 def _branch_index(j: float, m: float) -> int:
@@ -484,23 +477,34 @@ def default_backend() -> str:
     return "numpy"
 
 
-def _kernel_setup(variant: str) -> dict:
-    """Arrays consumed by the batch engine, built once per variant.
+def _indicator(blocks) -> np.ndarray:
+    """0/1 matrix summing ``|psi @ np.hstack(blocks)|^2`` block by block, with
+    a row per real and imaginary part, as in a complex array's float64 view."""
+    col = np.repeat(np.arange(len(blocks)), [2 * b.shape[1] for b in blocks])
+    return (col[:, None] == np.arange(len(blocks))).astype(np.float64)
 
-    The measurement and relaxation bases are the cached ones of
-    :mod:`edgeteleport.measure` and :mod:`edgeteleport.relax`.  The only new
-    arrays are those bases with Alice's gates folded in, and Bob's corrected
-    branch bases restricted to the rows his reduced state reads.
+
+@functools.lru_cache(maxsize=None)
+def _kernel_setup(variant: str) -> dict:
+    """Stacked arrays consumed by the batch engine, built once per variant.
+
+    The bases are the cached ones of :mod:`edgeteleport.measure` and
+    :mod:`edgeteleport.relax`, stacked side by side.  Alice's gates, and for
+    electronic trials (``[g1, g2] @ inputs``) the two inputs, are folded into
+    her columns; Bob's corrected branch bases are folded onto those.
     """
-    cached = _SETUP_CACHE.get(variant)
-    if cached is not None:
-        return cached
     modes = TELEPORT_MODES
     sectors = spin_sector_bases(modes, ALICE_WIRES)
+    inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
+                       prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
+    # psi @ blocks[s] = sector-s coordinates of psi after Alice's two gates
+    blocks = [u_alice.T @ basis.conj() for _, _, basis in sectors]
+    if variant == "electronic":
+        blocks = [inputs @ b for b in blocks]
     n_up, n_dn, signs = _b_reduction_indices(modes, BOB_WIRE)
     branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
-    bob_rows = []
+    bob = []
     for s, (j, m, basis) in enumerate(sectors):
         if (j, m) not in BRANCHES:
             continue
@@ -508,27 +512,34 @@ def _kernel_setup(variant: str) -> dict:
         corrected = basis
         for spec in bob_correction(j, m):
             corrected = gate_unitary(spec, modes) @ corrected
-        bob_rows.append((s, corrected[n_up], corrected[n_dn]))
+        # x @ bob = Bob's amplitudes [up | sign * dn] in branch s, unnormalised
+        read = np.vstack([corrected[n_up], signs[:, None] * corrected[n_dn]])
+        bob.append((s, blocks[s] @ read.T))
+    alice = np.hstack(blocks)
+    used = np.any(alice != 0, axis=0)  # 8 of 64 columns for electronic trials
     setup = {
-        "s_up": prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
-        "s_dn": prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps,
-        # row psi @ cols = sector coordinates of psi after Alice's two gates
-        "alice_cols": [u_alice.T @ basis.conj() for _, _, basis in sectors],
+        "inputs": inputs,
+        "alice": alice[:, used],
+        "alice_sectors": _indicator(blocks)[np.repeat(used, 2)],
         "branch_of_sector": branch_of_sector,
-        "bob_rows": bob_rows,
-        "b_sign": signs,
+        "bob": tuple(bob),
     }
     if variant == "coldatom":
+        pairs = sector_ground_spaces(_relax_hamiltonian(), ("a", "b"))
+        grounds = [ground for _, ground in pairs]
         setup["p_int"] = integer_class_projector(modes, ALICE_WIRES)
-        setup["relax_pairs"] = sector_ground_spaces(_relax_hamiltonian(), ("a", "b"))
-    return _SETUP_CACHE.setdefault(variant, setup)
+        # psi @ relax_cols = [sector coordinates | ground coordinates] of psi,
+        # and the indicator sums them into [sector weights | ground weights]
+        setup["relax_cols"] = np.hstack([basis for basis, _ in pairs] + grounds).conj()
+        setup["relax_sectors"] = _indicator([basis for basis, _ in pairs] + grounds)
+        setup["ground_sector"] = np.repeat(np.arange(len(pairs)), [g.shape[1] for g in grounds])
+        setup["ground_t"] = np.hstack(grounds).T
+    return setup
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):
+    """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time."""
     setup = _kernel_setup(variant)
-    branches = np.empty(n, dtype=np.int64)
-    rounds = np.ones(n, dtype=np.int64)
-    fids = np.empty(n)
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
     n_blocks = 1 if variant == "electronic" else _PREDRAWN_BLOCKS
     for start in range(0, n, _CHUNK):
@@ -539,9 +550,9 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
             g1s, g2s = _haar_amplitudes(pre[:, :3])
         else:
             g1s, g2s = np.full(size, g.g1), np.full(size, g.g2)
-        out = slice(start, start + size)
         if variant == "electronic":
-            branches[out], fids[out] = _kernels.electronic_batch(setup, g1s, g2s, pre[:, first])
+            branches, fids = _kernels.electronic_batch(setup, g1s, g2s, pre[:, first])
+            yield branches, np.ones(size, dtype=np.int64), fids
             continue
 
         def draw(rows, k, trials=trials, pre=pre):
@@ -554,9 +565,7 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
                 u[far] = _stream_uniforms(seed, trials[rows[far]], j[far])
             return u
 
-        branches[out], rounds[out], fids[out] = _kernels.coldatom_batch(
-            setup, g1s, g2s, draw, max_rounds)
-    return branches, rounds, fids
+        yield _kernels.coldatom_batch(setup, g1s, g2s, draw, max_rounds)
 
 
 def warm_up(variant: str = "electronic"):
@@ -587,18 +596,16 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError("seed must be < 2**64: it is one 64-bit word of the stream key")
 
     if variant != "mixed":
-        branches, rounds, fids = _run_trials_batched(g, variant, n, seed, max_rounds)
-        return _assemble_report(variant, seed, g, branches, rounds, fids)
+        return _assemble_report(variant, seed, g,
+                                _run_trials_batched(g, variant, n, seed, max_rounds))
 
     # Density-matrix path; not batched (cold spot, runs are few).
     if resource is None:
         resource = DensityMatrix.from_state(singlet_state(AB_MODES))
-    branches, rounds, fids = [], [], []
+    results = []
     for i in range(n):
         rng = trial_rng(seed, i)
-        gi = g if g is not None else SpinAmplitudes.haar(rng)
-        res = run_teleport_mixed(gi, resource, rng, max_rounds)
-        branches.append(_branch_index(*res.branch))
-        rounds.append(res.rounds)
-        fids.append(res.fidelity)
-    return _assemble_report(variant, seed, g, np.array(branches), np.array(rounds), np.array(fids))
+        res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng),
+                                 resource, rng, max_rounds)
+        results.append((_branch_index(*res.branch), res.rounds, res.fidelity))
+    return _assemble_report(variant, seed, g, [tuple(map(np.array, zip(*results)))])

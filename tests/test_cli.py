@@ -92,9 +92,10 @@ def test_hubbard_rejects_non_finite_couplings(args, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:lam/e2 > 0.1")
-@pytest.mark.parametrize("e2, lam", [("1", "1e200"), ("1e-320", "1")])
+@pytest.mark.parametrize("e2, lam", [("1", "1e200"), ("1e-320", "1"), ("1", "1.7e308")])
 def test_hubbard_rejects_non_finite_report(e2, lam, capsys):
-    # lambda^2 overflows, or -4 lambda^2 / e2 is -inf: no JSON report is printed
+    # lambda^2 overflows, -4 lambda^2 / e2 is -inf, or the Hamiltonian's
+    # sector block overflows: no JSON report is printed
     with pytest.raises(SystemExit) as exc:
         run_cli(["hubbard", "--e2", e2, "--lambda", lam])
     assert exc.value.code == 2

@@ -30,10 +30,24 @@ def test_mode_set_validation():
         ModeSet(tuple((f"w{i}", s) for i in range(9) for s in ("up", "dn")))
     with pytest.raises(ValueError):
         ModeSet((("a", "sideways"),))
+    assert ModeSet(tuple((f"w{i}", s) for i in range(5) for s in ("up", "dn"))).dim == 1024
     assert TELEPORT_MODES.wires == ("c", "a", "b")
     assert TELEPORT_MODES.index("b", "dn") == 5
     with pytest.raises(KeyError):
         TELEPORT_MODES.index("z", "up")
+
+
+def test_mode_set_rejects_more_modes_than_dense_operators_hold(monkeypatch):
+    # 11 modes: one dense complex operator would take 64 MiB; the rejection
+    # must come from the mode count alone, before any operator is built
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(fock, "creation_matrix", no_operator)
+    monkeypatch.setattr(fock, "_observable_diagonal", no_operator)
+    modes = tuple((f"w{i}", "up") for i in range(11))
+    with pytest.raises(ValueError, match="at most 10 modes"):
+        ModeSet(modes)
 
 
 @pytest.mark.parametrize("modes", [AB_MODES, TELEPORT_MODES])

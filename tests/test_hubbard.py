@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ def test_empty_sector_raises():
     h = build_h_int(CouplingParams(1.0, 0.02), AB_MODES)
     with pytest.raises(ValueError):
         ground_state(h, sector=(0, 3.0, 0.0))
+
+
+@pytest.mark.parametrize("lam", [1.7e308, 1e308])
+def test_overflowing_coupling_raises_value_error_naming_it(lam):
+    # at 1.7e308 the neutral sector block overflows, at 1e308 its eigenvalues
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"e2=1.0, lam={lam!r}")):
+            hubbard_report(CouplingParams(1.0, lam))
+        with pytest.raises(ValueError, match="not finite|overflow"):
+            ground_state(build_h_lambda(lam, AB_MODES), sector=(0, None, None))
 
 
 def test_hubbard_report_fields():
