@@ -10,12 +10,8 @@ from .fock import (
     AB_MODES,
     TELEPORT_MODES,
     DensityMatrix,
-    HermitianOperator,
     ModeSet,
     StateVector,
-    apply_annihilation,
-    apply_creation,
-    basis_state,
     build_observable,
     expectation,
     inner_product,
@@ -24,42 +20,28 @@ from .fock import (
     singlet_state,
     vacuum_state,
 )
-from .gates import GateSpec, apply_gate, cnot, gate_unitary, hadamard, iy, spin_rotation
+from .gates import apply_gate, cnot, gate_unitary, hadamard, iy, spin_rotation
 from .hubbard import (
     CouplingParams,
-    GroundState,
     build_h_int,
     build_h_lambda,
     ground_state,
-    hubbard_report,
     perturbative_check,
 )
-from .measure import (
-    MeasurementOutcome,
-    measure_spin,
-    measure_spin_class,
-    spin_sectors,
-    symmetry_sectors,
-)
+from .measure import measure_spin, measure_spin_class, spin_sectors
 from .protocol import (
     SpinAmplitudes,
-    TeleportReport,
-    TeleportResult,
-    bob_correction,
-    bob_fidelity,
     default_backend,
     prepare_initial,
     run_teleport_mixed,
     run_teleport_once,
     run_trials,
 )
-from .relax import relax_to_ground, relax_to_ground_dm
+from .relax import relax_to_ground
 from .ssh_lattice import (
-    SingleParticleLevel,
     WireParams,
     analytic_spectrum,
     band_gap,
-    build_hamiltonian,
     numerical_spectrum,
     zero_mode,
 )
@@ -71,28 +53,15 @@ __all__ = [
     "TELEPORT_MODES",
     "CouplingParams",
     "DensityMatrix",
-    "GateSpec",
-    "GroundState",
-    "HermitianOperator",
-    "MeasurementOutcome",
     "ModeSet",
-    "SingleParticleLevel",
     "SpinAmplitudes",
     "StateVector",
-    "TeleportReport",
-    "TeleportResult",
     "WireParams",
     "analytic_spectrum",
-    "apply_annihilation",
-    "apply_creation",
     "apply_gate",
     "band_gap",
-    "basis_state",
-    "bob_correction",
-    "bob_fidelity",
     "build_h_int",
     "build_h_lambda",
-    "build_hamiltonian",
     "build_observable",
     "cnot",
     "default_backend",
@@ -100,7 +69,6 @@ __all__ = [
     "gate_unitary",
     "ground_state",
     "hadamard",
-    "hubbard_report",
     "inner_product",
     "iy",
     "measure_spin",
@@ -111,14 +79,12 @@ __all__ = [
     "perturbative_check",
     "prepare_initial",
     "relax_to_ground",
-    "relax_to_ground_dm",
     "run_teleport_mixed",
     "run_teleport_once",
     "run_trials",
     "singlet_state",
     "spin_rotation",
     "spin_sectors",
-    "symmetry_sectors",
     "vacuum_state",
     "zero_mode",
 ]

@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,31 +18,21 @@ from .hubbard import CouplingParams, hubbard_report
 from .ssh_lattice import WireParams, spectrum_csv, zeromode_density_csv
 
 
-def _wire_params(parser: argparse.ArgumentParser, args) -> WireParams:
-    if args.sites % 2 == 0 or args.sites < 3:
-        parser.error("num_sites must be odd and >= 3")
-    try:
-        return WireParams(args.sites, args.t, args.tprime)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
-def _cmd_spectrum(parser, args) -> int:
-    params = _wire_params(parser, args)
-    _write_text(args.out, spectrum_csv(params))
-    print(f"wrote {params.num_sites} levels to {args.out}")
-    return 0
-
-
-def _cmd_zeromode(parser, args) -> int:
-    params = _wire_params(parser, args)
-    _write_text(args.out, zeromode_density_csv(params))
-    print(f"wrote {params.num_sites} site densities to {args.out}")
+def _cmd_chain(parser, args) -> int:
+    spectrum = args.command == "spectrum"
+    try:
+        params = WireParams(args.sites, args.t, args.tprime)
+        # spectrum: over the dense size cap, or levels past the float range
+        text = spectrum_csv(params) if spectrum else zeromode_density_csv(params)
+    except ValueError as exc:
+        parser.error(str(exc))
+    _write_text(args.out, text)
+    print(f"wrote {params.num_sites} {'levels' if spectrum else 'site densities'} to {args.out}")
     return 0
 
 
@@ -93,6 +84,7 @@ def _cmd_teleport(parser, args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeteleport",
@@ -132,9 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads "--opt=--" as an empty list
+        parser.error("an option is missing its value")
     handler = {
-        "spectrum": _cmd_spectrum,
-        "zeromode": _cmd_zeromode,
+        "spectrum": _cmd_chain,
+        "zeromode": _cmd_chain,
         "hubbard": _cmd_hubbard,
         "teleport": _cmd_teleport,
     }[args.command]

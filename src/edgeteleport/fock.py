@@ -20,7 +20,6 @@ simplest and the fastest option.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -140,20 +139,6 @@ class StateVector:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> str:
-        payload = {
-            "modes": [list(m) for m in self.modes.modes],
-            "amplitudes": [[float(z.real), float(z.imag)] for z in self.amps],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "StateVector":
-        payload = json.loads(text)
-        modes = ModeSet(tuple((w, s) for w, s in payload["modes"]))
-        amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-        return StateVector(modes, amps)
-
 
 @dataclass(frozen=True)
 class HermitianOperator:
@@ -260,10 +245,6 @@ def annihilation_matrix(modes: ModeSet, mode: int) -> np.ndarray:
 def apply_creation(state: StateVector, mode: int) -> StateVector:
     """f_mode^dag |state>; the zero vector is a legal result."""
     return StateVector(state.modes, creation_matrix(state.modes, mode) @ state.amps)
-
-
-def apply_annihilation(state: StateVector, mode: int) -> StateVector:
-    return StateVector(state.modes, annihilation_matrix(state.modes, mode) @ state.amps)
 
 
 def create(state: StateVector, wire: str, spin: str) -> StateVector:

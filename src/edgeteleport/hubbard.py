@@ -29,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    AB_MODES,
     HermitianOperator,
     ModeSet,
     StateVector,
     _observable_diagonal,
     annihilation_matrix,
     creation_matrix,
+    inner_product,
     singlet_state,
 )
 from .measure import Sector, symmetry_sectors
@@ -114,13 +116,13 @@ def _matching_sectors(sectors, sector) -> list[Sector]:
     return out
 
 
-def ground_state(h: HermitianOperator, sector=None, wires=("a", "b")) -> GroundState:
+def ground_state(h: HermitianOperator, sector=None) -> GroundState:
     """Lowest eigenpair of ``h``, optionally restricted to a symmetry sector.
 
-    ``sector`` is a ``(charge, j, m)`` triple; entries may be ``None`` to
-    leave that quantum number unrestricted.  When the lowest level is
-    degenerate (within ``DEGENERACY_TOL`` times the spectral scale) an
-    orthonormal basis of the ground space is returned with the flag set.
+    ``sector`` is a ``(charge, j, m)`` triple of the a-b wires; entries may
+    be ``None`` to leave that quantum number unrestricted.  When the lowest
+    level is degenerate (within ``DEGENERACY_TOL`` times the spectral scale)
+    an orthonormal basis of the ground space is returned with the flag set.
     Each returned vector has its largest-magnitude amplitude rotated to the
     positive real axis.
     """
@@ -128,7 +130,7 @@ def ground_state(h: HermitianOperator, sector=None, wires=("a", "b")) -> GroundS
         basis = None
         block = h.mat
     else:
-        matching = _matching_sectors(symmetry_sectors(h.modes, wires), sector)
+        matching = _matching_sectors(symmetry_sectors(h.modes, AB_MODES.wires), sector)
         if not matching:
             raise ValueError(f"empty sector {sector!r}")
         basis = np.column_stack([s.basis for s in matching])
@@ -161,7 +163,7 @@ class PerturbativeCheck:
     deviation: float
 
 
-def perturbative_check(params: CouplingParams, modes: ModeSet | None = None) -> PerturbativeCheck:
+def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
     """Exact neutral-sector ground energy against -4 lam^2 / e2.
 
     The residual scales as lam^4 / e2^3 (closed form above); sweeping lam and
@@ -183,11 +185,7 @@ def perturbative_check(params: CouplingParams, modes: ModeSet | None = None) -> 
             "formula for the ground energy degrades",
             stacklevel=2,
         )
-    if modes is None:
-        from .fock import AB_MODES
-
-        modes = AB_MODES
-    h = build_h_int(params, modes)
+    h = build_h_int(params, AB_MODES)
     e0 = ground_state(h, sector=(0, None, None)).energy
     return PerturbativeCheck(e0, e0_pert, abs(e0 - e0_pert))
 
@@ -206,8 +204,6 @@ def quartic_coefficient(e2: float, lams) -> float:
 
 def hubbard_report(params: CouplingParams) -> dict:
     """Summary used by the CLI: exact vs perturbative energy, overlaps, gap."""
-    from .fock import AB_MODES, inner_product
-
     h = build_h_int(params, AB_MODES)
     try:
         neutral = ground_state(h, sector=(0, None, None))

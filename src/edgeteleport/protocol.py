@@ -142,9 +142,12 @@ class SpinAmplitudes:
 
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
-        n = np.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
+        try:
+            n = np.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
+        except OverflowError:  # a float power above ~1e154
+            n = np.inf
         if not np.isfinite(n):
-            raise ValueError("spin amplitudes must be finite")
+            raise ValueError("|g1|^2 + |g2|^2 is not finite")
         if n < 1e-15:
             raise ValueError("cannot normalize zero amplitudes")
         return SpinAmplitudes(g1 / n, g2 / n)
@@ -199,17 +202,17 @@ def bob_correction(j: float, m: float) -> list[GateSpec]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _b_reduction_indices(modes, wire):
-    """(n_up, n_dn, sign) with f_dn^dag f_up |n_up> = sign |n_dn>, by n_up."""
-    iu, idn = modes.wire_indices(wire)
+def _b_reduction_indices(modes):
+    """(n_up, n_dn, sign) with b_dn^dag b_up |n_up> = sign |n_dn>, by n_up."""
+    iu, idn = modes.wire_indices(BOB_WIRE)
     flip = (creation_matrix(modes, idn) @ annihilation_matrix(modes, iu)).T
     n_up, n_dn = np.nonzero(flip)
     return n_up, n_dn, flip[n_up, n_dn]
 
 
-def bob_reduced_spin(state, wire: str = BOB_WIRE) -> np.ndarray:
-    """Unnormalized 2x2 spin density matrix of the singly occupied wire."""
-    n_up, n_dn, signs = _b_reduction_indices(state.modes, wire)
+def bob_reduced_spin(state) -> np.ndarray:
+    """Unnormalized 2x2 spin density matrix of Bob's singly occupied wire."""
+    n_up, n_dn, signs = _b_reduction_indices(state.modes)
     if isinstance(state, DensityMatrix):
         r00 = float(np.sum(np.diagonal(state.mat)[n_up]).real)
         r11 = float(np.sum(np.diagonal(state.mat)[n_dn]).real)
@@ -223,9 +226,9 @@ def bob_reduced_spin(state, wire: str = BOB_WIRE) -> np.ndarray:
     return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
 
 
-def bob_fidelity(state, g: SpinAmplitudes, wire: str = BOB_WIRE) -> float:
+def bob_fidelity(state, g: SpinAmplitudes) -> float:
     """|overlap| of Bob's reduced one-electron spin state with (g1, g2)."""
-    rho = bob_reduced_spin(state, wire)
+    rho = bob_reduced_spin(state)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
         return 0.0
@@ -502,7 +505,7 @@ def _kernel_setup(variant: str) -> dict:
     blocks = [u_alice.T @ basis.conj() for _, _, basis in sectors]
     if variant == "electronic":
         blocks = [inputs @ b for b in blocks]
-    n_up, n_dn, signs = _b_reduction_indices(modes, BOB_WIRE)
+    n_up, n_dn, signs = _b_reduction_indices(modes)
     branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
     bob = []
     for s, (j, m, basis) in enumerate(sectors):
@@ -525,7 +528,7 @@ def _kernel_setup(variant: str) -> dict:
         "bob": tuple(bob),
     }
     if variant == "coldatom":
-        pairs = sector_ground_spaces(_relax_hamiltonian(), ("a", "b"))
+        pairs = sector_ground_spaces(_relax_hamiltonian())
         grounds = [ground for _, ground in pairs]
         setup["p_int"] = integer_class_projector(modes, ALICE_WIRES)
         # psi @ relax_cols = [sector coordinates | ground coordinates] of psi,

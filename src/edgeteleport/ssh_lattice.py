@@ -56,25 +56,39 @@ class WireParams:
 class SingleParticleLevel:
     energy: float
     amplitudes: np.ndarray = field(repr=False)
-    band_index: int | str = 0
     delocalized: bool = False
+
+
+#: Largest dense chain: it and its eigensolve take about 16 n^2 bytes (256 MiB at 4001).
+MAX_DENSE_SITES = 4001
 
 
 def build_hamiltonian(params: WireParams) -> np.ndarray:
     """Real symmetric tridiagonal hopping matrix (spinless; degeneracy 2)."""
     n = params.num_sites
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"{n} sites exceed the dense chain's cap of {MAX_DENSE_SITES} sites")
     hop = np.empty(n - 1)
     hop[0::2] = params.t_prime  # bonds (2m-1, 2m), 1-based
     hop[1::2] = params.t        # bonds (2m, 2m+1)
     return np.diag(hop, 1) + np.diag(hop, -1)
 
 
+def _band(params: WireParams, k):
+    """Closed-form e(k) >= 0 at k in 1..L, from the bonds divided by s = max(t, t')
+    so the squares stay in [0, 1]; a level past the float range raises ValueError."""
+    s = max(params.t, params.t_prime)
+    t, tp = params.t / s, params.t_prime / s
+    with np.errstate(over="ignore"):
+        e = s * np.sqrt((t - tp) ** 2 + 4 * t * tp * np.cos(np.pi * k / (params.num_sites + 1)) ** 2)
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"closed-form levels overflow at t={params.t!r}, t'={params.t_prime!r}")
+    return e
+
+
 def analytic_spectrum(params: WireParams) -> np.ndarray:
     """All 2L+1 energies in closed form, sorted ascending (one exact zero)."""
-    L = params.half_length
-    t, tp = params.t, params.t_prime
-    k = np.arange(1, L + 1)
-    band = np.sqrt((t - tp) ** 2 + 4 * t * tp * np.cos(np.pi * k / (2 * L + 2)) ** 2)
+    band = _band(params, np.arange(1, params.half_length + 1))
     return np.sort(np.concatenate([-band, [0.0], band]))
 
 
@@ -100,20 +114,19 @@ def zero_mode(params: WireParams) -> SingleParticleLevel:
         amps[0::2] = (-1.0) ** n * (1.0 / r) ** (L - n)
     amps /= np.linalg.norm(amps)
     gap_closed = abs(params.t - params.t_prime) < 1e-12 * params.t
-    return SingleParticleLevel(0.0, amps, band_index="zero-mode", delocalized=gap_closed)
+    return SingleParticleLevel(0.0, amps, delocalized=gap_closed)
 
 
 def band_gap(params: WireParams) -> float:
     """Smallest |e| over the nonzero levels (finite-size value)."""
-    L = params.half_length
-    t, tp = params.t, params.t_prime
-    return float(np.sqrt((t - tp) ** 2 + 4 * t * tp * np.cos(np.pi * L / (2 * L + 2)) ** 2))
+    return float(_band(params, params.half_length))
 
 
 def spectrum_csv(params: WireParams) -> str:
     """`index,energy_analytic,energy_numeric,abs_diff` rows, 15 significant digits."""
+    numeric = numerical_spectrum(params)  # first: it enforces the size cap
     lines = ["index,energy_analytic,energy_numeric,abs_diff"]
-    for i, (ea, en) in enumerate(zip(analytic_spectrum(params), numerical_spectrum(params))):
+    for i, (ea, en) in enumerate(zip(analytic_spectrum(params), numeric)):
         lines.append(f"{i},{ea:.15g},{en:.15g},{abs(ea - en):.15g}")
     return "\n".join(lines) + "\n"
 

@@ -38,6 +38,28 @@ def test_spectrum_agreement_59(tmp_path):
     assert max(float(r[3]) for r in rows) < 1e-10
 
 
+def test_spectrum_with_huge_bonds_writes_finite_levels(tmp_path):
+    out = tmp_path / "spec.csv"
+    assert run_cli(["spectrum", "--sites", "3", "--t", "1e200", "--tprime", "0.5",
+                    "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 1], [-1e200, 0.0, 1e200])
+    assert np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sites", "5", "--t", "1.7e308", "--tprime", "1.7e308"], "overflow at t=1.7e+308"),
+    (["--sites", "4003"], "cap of 4001 sites"),
+])
+def test_spectrum_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectrum", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zeromode_dimerized(tmp_path):
     out = tmp_path / "zm.csv"
     run_cli(["zeromode", "--sites", "7", "--t", "1", "--tprime", "0",

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -171,13 +169,3 @@ def test_apply_creation_matches_matrix():
         via_op = apply_creation(state, i)
         via_mat = creation_matrix(AB_MODES, i) @ state.amps
         np.testing.assert_allclose(via_op.amps, via_mat, atol=1e-15)
-
-
-def test_state_serialization_round_trip():
-    g = singlet_state(AB_MODES)
-    text = g.to_json()
-    payload = json.loads(text)
-    assert payload["modes"] == [["a", "up"], ["a", "dn"], ["b", "up"], ["b", "dn"]]
-    back = StateVector.from_json(text)
-    assert back.modes == AB_MODES
-    np.testing.assert_allclose(back.amps, g.amps, atol=1e-15)

@@ -48,6 +48,13 @@ def test_spin_amplitudes_validation():
         SpinAmplitudes(1e200, 0.0)
 
 
+def test_normalized_rejects_amplitudes_whose_squares_overflow():
+    with pytest.raises(ValueError, match="not finite"):
+        SpinAmplitudes.normalized(1e200, 0.0)
+    g = SpinAmplitudes.normalized(1e150, 1e150j)
+    assert (g.g1, g.g2) == pytest.approx((2**-0.5, 2**-0.5 * 1j), abs=1e-15)
+
+
 def test_prepare_electronic_amplitude_pattern():
     psi = prepare_initial(SpinAmplitudes(1.0, 0.0), "electronic")
     nz = np.flatnonzero(np.abs(psi.amps) > 1e-14)
@@ -133,9 +140,9 @@ def test_coldatom_relaxes_exactly_rounds_minus_one_times(monkeypatch):
     calls = {"n": 0}
     real = protocol.relax_to_ground
 
-    def counting(state, h, wires=("a", "b")):
+    def counting(state, h):
         calls["n"] += 1
-        return real(state, h, wires)
+        return real(state, h)
 
     monkeypatch.setattr(protocol, "relax_to_ground", counting)
     rng = np.random.default_rng(17)

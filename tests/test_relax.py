@@ -108,7 +108,7 @@ def test_rejects_hamiltonian_touching_other_wires():
     h_bad = build_h_lambda(1.0, MODES, "c", "a")
     state = doublon_state(1.0, 0.0)
     with pytest.raises(ValueError):
-        relax_to_ground(state, h_bad, wires=("a", "b"))
+        relax_to_ground(state, h_bad)
 
 
 def test_dm_channel_matches_pure_channel():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from edgeteleport import ssh_lattice
 from edgeteleport.ssh_lattice import (
+    MAX_DENSE_SITES,
     WireParams,
     analytic_spectrum,
     band_gap,
@@ -167,3 +169,43 @@ def test_csv_outputs():
     total = sum(float(r[1]) for r in rows)
     assert abs(total - 1.0) < 1e-12
     assert float(rows[1][1]) == 0.0 and float(rows[3][1]) == 0.0
+
+
+@pytest.mark.parametrize("n, t, tp", [(3, 1e200, 0.5), (5, 1e300, 1e300), (5, 1e-300, 1e-300),
+                                      (7, 1.0, 1e300), (7, 8e307, 8e307)])
+def test_closed_form_survives_extreme_bonds(n, t, tp):
+    # the squares of t and t' would overflow or underflow; the levels do not
+    p = WireParams(n, t, tp)
+    exact, numeric = analytic_spectrum(p), numerical_spectrum(p)
+    scale = max(t, tp)
+    assert np.all(np.isfinite(exact))
+    assert np.abs(exact - numeric).max() <= 1e-12 * scale
+    assert np.count_nonzero(exact) == n - 1
+    assert band_gap(p) == np.abs(exact[exact != 0]).min()
+
+
+def test_closed_form_overflow_raises_value_error_naming_the_bonds():
+    p = WireParams(3, 1.7e308, 1.7e308)  # the one positive level, sqrt(2) t, is past the range
+    for f in (analytic_spectrum, band_gap):
+        with pytest.raises(ValueError, match=r"t=1\.7e\+308, t'=1\.7e\+308"):
+            f(p)
+
+
+def test_dense_chain_is_capped_before_any_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the dense chain was allocated")
+
+    for name in ("empty", "diag", "arange"):  # arange: the closed form's O(n) levels
+        monkeypatch.setattr(ssh_lattice.np, name, no_allocation)
+    assert MAX_DENSE_SITES == 4001
+    with pytest.raises(ValueError, match="cap of 4001 sites"):
+        build_hamiltonian(WireParams(MAX_DENSE_SITES + 2))
+    with pytest.raises(ValueError, match="cap of 4001 sites"):
+        spectrum_csv(WireParams(10**9 + 1))
+
+
+def test_closed_forms_are_not_capped():
+    p = WireParams(MAX_DENSE_SITES + 2, 1.0, 0.5)
+    assert len(analytic_spectrum(p)) == p.num_sites
+    assert len(zero_mode(p).amplitudes) == p.num_sites
+    assert 0.5 < band_gap(p) < 0.501
