@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +98,10 @@ _RNG_SCHEME = "philox4x64-10/v1"
 
 #: Counter blocks (four draws each) evaluated up front for every cold-atom
 #: trial of a chunk; later draws are derived only for the trials that need
-#: them.  A round succeeds with probability 1/2, so few trials get that far.
-_PREDRAWN_BLOCKS = 2
+#: them.  A round succeeds with probability 1/2, so 16 draws cover all but a
+#: 2**-15 share of fixed-input trials (2**-12 of Haar ones, whose first three
+#: draws make the input).
+_PREDRAWN_BLOCKS = 4
 
 
 def _require_unit_amplitudes(g1, g2):
@@ -142,11 +145,14 @@ class SpinAmplitudes:
 
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
+        # Python floats and products: a numpy scalar power warns on overflow,
+        # a float product gives inf silently
         try:
-            n = np.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
-        except OverflowError:  # a float power above ~1e154
-            n = np.inf
-        if not np.isfinite(n):
+            a1, a2 = abs(complex(g1)), abs(complex(g2))
+        except OverflowError:  # a modulus above the float range
+            a1 = a2 = math.inf
+        n = math.sqrt(a1 * a1 + a2 * a2)
+        if not math.isfinite(n):
             raise ValueError("|g1|^2 + |g2|^2 is not finite")
         if n < 1e-15:
             raise ValueError("cannot normalize zero amplitudes")
@@ -525,6 +531,7 @@ def _kernel_setup(variant: str) -> dict:
         "alice": alice[:, used],
         "alice_sectors": _indicator(blocks)[np.repeat(used, 2)],
         "branch_of_sector": branch_of_sector,
+        "sector_labels": tuple((j, m) for j, m, _ in sectors),
         "bob": tuple(bob),
     }
     if variant == "coldatom":
@@ -541,7 +548,12 @@ def _kernel_setup(variant: str) -> dict:
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):
-    """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time."""
+    """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
+
+    The engine gets the distinct inputs of a chunk and each trial's row among
+    them: one row shared by every trial for a fixed ``g``, one row per trial
+    for Haar-random inputs.
+    """
     setup = _kernel_setup(variant)
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
     n_blocks = 1 if variant == "electronic" else _PREDRAWN_BLOCKS
@@ -550,25 +562,26 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         trials = np.arange(start, start + size, dtype=np.uint64)
         pre = _stream_prefix(seed, trials, n_blocks)
         if g is None:
-            g1s, g2s = _haar_amplitudes(pre[:, :3])
+            g_rows, of = np.stack(_haar_amplitudes(pre[:, :3]), axis=1), np.arange(size)
         else:
-            g1s, g2s = np.full(size, g.g1), np.full(size, g.g2)
+            g_rows, of = np.array([[g.g1, g.g2]]), np.zeros(size, dtype=np.int64)
         if variant == "electronic":
-            branches, fids = _kernels.electronic_batch(setup, g1s, g2s, pre[:, first])
+            branches, fids = _kernels.electronic_batch(setup, g_rows, of, pre[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
             continue
 
         def draw(rows, k, trials=trials, pre=pre):
             j = np.broadcast_to(first + k, rows.shape)
-            u = np.empty(rows.shape)
             near = j < pre.shape[1]
+            if near.all():  # a round's class draws are one column of the block
+                return pre[rows, j]
+            u = np.empty(rows.shape)
             u[near] = pre[rows[near], j[near]]
             far = ~near
-            if far.any():
-                u[far] = _stream_uniforms(seed, trials[rows[far]], j[far])
+            u[far] = _stream_uniforms(seed, trials[rows[far]], j[far])
             return u
 
-        yield _kernels.coldatom_batch(setup, g1s, g2s, draw, max_rounds)
+        yield _kernels.coldatom_batch(setup, g_rows, of, draw, max_rounds)
 
 
 def warm_up(variant: str = "electronic"):

@@ -59,7 +59,10 @@ def test_engine_matches_oracle_across_chunks(variant):
 
 @pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
                          ids=["fixed", "haar"])
-def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
+def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g, monkeypatch):
+    # fewer pre-drawn blocks than the default, so that some trials of this
+    # run read past them and take the fallback
+    monkeypatch.setattr(protocol, "_PREDRAWN_BLOCKS", 2)
     rounds = _assert_engine_matches_oracle(g, "coldatom", protocol._CHUNK + 37, 8)
     # a trial's last draw, its branch draw, has index (Haar draws) + rounds;
     # the case is covered only if some trial read past the pre-drawn blocks
@@ -163,3 +166,158 @@ def test_run_trials_over_many_chunks_matches_the_array_path(variant, monkeypatch
     assert rep.mean_rounds == float(np.mean(rounds))
     assert abs(rep.min_fidelity - fids.min()) <= 1e-12
     assert abs(rep.mean_fidelity - fids.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [SpinAmplitudes(1.0, 0.0),
+                               SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)],
+                         ids=["up", "fixed"])
+def test_one_shared_row_gives_the_per_trial_rows_results(g):
+    n = 400
+    row = np.array([[g.g1, g.g2]])
+    shared = (row, np.zeros(n, dtype=np.int64))
+    per_trial = (np.repeat(row, n, axis=0), np.arange(n))
+    u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
+
+    setup = protocol._kernel_setup("electronic")
+    (b1, f1), (b2, f2) = (kernels.electronic_batch(setup, *rows, u[:, 0])
+                          for rows in (shared, per_trial))
+    np.testing.assert_array_equal(b1, b2)
+    assert np.abs(f1 - f2).max() <= 1e-15
+
+    setup = protocol._kernel_setup("coldatom")
+    (b1, r1, f1), (b2, r2, f2) = (
+        kernels.coldatom_batch(setup, *rows, lambda trials, k: u[trials, k],
+                               protocol.DEFAULT_MAX_ROUNDS)
+        for rows in (shared, per_trial))
+    np.testing.assert_array_equal(b1, b2)
+    np.testing.assert_array_equal(r1, r2)
+    assert np.abs(f1 - f2).max() <= 1e-15
+    assert r1.max() >= 5  # the shared row went through several restarts
+
+
+@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
+                         ids=["fixed", "haar"])
+def test_relaxation_runs_once_per_state_row(g, monkeypatch):
+    sizes = []
+    real = kernels._relax
+
+    def spy(psi, setup):
+        sizes.append(len(psi))
+        return real(psi, setup)
+
+    monkeypatch.setattr(kernels, "_relax", spy)
+    n = protocol._CHUNK + 37
+    chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
+    if g is not None:
+        # one input: a single row relaxes after each round but a chunk's last
+        assert sizes == [1] * sum(int(rounds.max()) - 1 for _, rounds, _ in chunks)
+    else:
+        # one row per trial: every trial relaxes once per miss
+        assert sum(sizes) == sum(int(np.sum(rounds - 1)) for _, rounds, _ in chunks)
+
+
+def test_outcome_outside_the_branches_raises_naming_it():
+    setup = protocol._kernel_setup("coldatom")
+    # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates
+    lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
+    with pytest.raises(RuntimeError, match=r"Alice measured \(J, Jz\) = \(0\.5, -?0\.5\)"):
+        kernels._measure_and_correct(setup, lone[None, :], np.array([[1.0, 0.0]]),
+                                     np.zeros(3, dtype=np.int64), np.array([0.1, 0.5, 0.9]))
+
+
+# Exact report bytes: a change to any of them must be deliberate.
+_GOLDEN = {
+    ("electronic", "fixed", 11): """\
+{
+  "variant": "electronic",
+  "trials": 300,
+  "seed": 11,
+  "g1": [
+    0.42426406871192845,
+    0.565685424949238
+  ],
+  "g2": [
+    0.7071067811865475,
+    0.0
+  ],
+  "backend": "numpy",
+  "rng": "philox4x64-10/v1",
+  "branch_counts": {
+    "1,1": 72,
+    "1,0": 76,
+    "1,-1": 83,
+    "0,0": 69
+  },
+  "rounds_histogram": {
+    "1": 300
+  },
+  "mean_rounds": 1.0,
+  "min_fidelity": 1.0,
+  "mean_fidelity": 1.0
+}
+""",
+    ("electronic", "haar", 12): """\
+{
+  "variant": "electronic",
+  "trials": 300,
+  "seed": 12,
+  "g1": null,
+  "g2": null,
+  "backend": "numpy",
+  "rng": "philox4x64-10/v1",
+  "branch_counts": {
+    "1,1": 83,
+    "1,0": 62,
+    "1,-1": 82,
+    "0,0": 73
+  },
+  "rounds_histogram": {
+    "1": 300
+  },
+  "mean_rounds": 1.0,
+  "min_fidelity": 0.9999999999999997,
+  "mean_fidelity": 1.0
+}
+""",
+    ("coldatom", "fixed", 13): """\
+{
+  "variant": "coldatom",
+  "trials": 300,
+  "seed": 13,
+  "g1": [
+    0.42426406871192845,
+    0.565685424949238
+  ],
+  "g2": [
+    0.7071067811865475,
+    0.0
+  ],
+  "backend": "numpy",
+  "rng": "philox4x64-10/v1",
+  "branch_counts": {
+    "1,1": 80,
+    "1,0": 84,
+    "1,-1": 68,
+    "0,0": 68
+  },
+  "rounds_histogram": {
+    "1": 149,
+    "2": 78,
+    "3": 28,
+    "4": 22,
+    "5": 18,
+    "6": 3,
+    "7": 2
+  },
+  "mean_rounds": 1.9966666666666666,
+  "min_fidelity": 0.9999999999999998,
+  "mean_fidelity": 1.0
+}
+""",
+}
+
+
+@pytest.mark.parametrize("variant, g_kind, seed", list(_GOLDEN))
+def test_golden_report_bytes(variant, g_kind, seed):
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
+    assert run_trials(g, variant, 300, seed=seed).to_json() == _GOLDEN[variant, g_kind, seed]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_normalized_rejects_amplitudes_whose_squares_overflow():
         SpinAmplitudes.normalized(1e200, 0.0)
     g = SpinAmplitudes.normalized(1e150, 1e150j)
     assert (g.g1, g.g2) == pytest.approx((2**-0.5, 2**-0.5 * 1j), abs=1e-15)
+
+
+@pytest.mark.parametrize("big", [np.complex128(1e200), np.float64(1e200),
+                                 complex(1e308, 1e308)], ids=["complex128", "float64", "python"])
+def test_normalized_overflow_gives_value_error_and_no_warning(big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            SpinAmplitudes.normalized(big, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            SpinAmplitudes.normalized(0.5, big)
 
 
 def test_prepare_electronic_amplitude_pattern():
