@@ -15,10 +15,13 @@ relaxation is one matrix product over the rows, and a 0/1 sector indicator
 (``protocol._indicator``) sums the squared coordinates into sector weights
 with one more.  Alice's measurement reads ``X @ M``: ``X`` is the ``(m, 2)``
 array of input amplitudes for electronic trials (``M`` has the two inputs
-folded in) and the ``(m, 64)`` array of states for cold-atom ones.  Only
-Bob's correction loops, over the four branches, once per row that some trial
-reached in each.  The setup mapping is built once per variant by
-``protocol._kernel_setup``.
+folded in) and the ``(m, 64)`` array of states for cold-atom ones.  Bob's
+correction runs once per (row, sector) pair that some trial reached: the
+pairs are sorted by sector, so each branch owns one segment of them, and the
+only loop, over the four branches, is one matrix product per non-empty
+segment into a shared block.  Bob's overlap, both norms, the ``tr > 0`` guard
+and the square root then run once over all pairs.  The setup mapping is
+built once per variant by ``protocol._kernel_setup``.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
@@ -81,29 +84,35 @@ def _measure_and_correct(setup, x, g, of, u):
     ``x`` holds the distinct state rows and ``g`` their ``(g1, g2)`` inputs;
     trial ``i`` is in row ``of[i]`` and draws its sector with ``u[i]``.
     Returns each trial's index into ``protocol.BRANCHES`` and Bob's fidelity,
-    computed once per (row, branch) pair that some trial reached.  ``x @ bob``
-    is ``[au | sign * ad]``, Bob's amplitudes unscaled by ``1 / sqrt(p)``,
-    which cancels in ``val / tr`` with
+    computed once per (row, branch) pair that some trial reached; the pairs
+    are grouped by sector, so each branch's product covers one segment of
+    them.  ``x @ bob`` is ``[au | sign * ad]``, Bob's amplitudes unscaled by
+    ``1 / sqrt(p)``, which cancels in ``val / tr`` with
     ``val = t^dag rho t = |conj(g1) au + conj(g2) sign ad|^2`` and
     ``tr = |au|^2 + |ad|^2``.
     """
     probs = np.square((x @ setup["alice"]).view(np.float64)) @ setup["alice_sectors"]
     sector = born_index(probs.take(of, axis=0), u)
     branch = setup["branch_of_sector"][sector]
-    if np.any(branch < 0):
+    if (branch < 0).any():
         j, m = setup["sector_labels"][sector[np.argmax(branch < 0)]]
         raise RuntimeError(f"Alice measured (J, Jz) = ({j:g}, {m:g}), "
                            "which has no correction for Bob")
     cell = of * probs.shape[1] + sector  # each trial's (row, sector) pair, flat
     reached = np.zeros(probs.shape, dtype=bool)
     reached.ravel()[cell] = True
+    # the reached pairs sorted by sector: each branch owns one segment
+    sectors, rows = reached.T.nonzero()
+    bounds = np.searchsorted(sectors, setup["bob_bounds"]).tolist()
+    xr = x[rows]
+    a = np.empty((len(rows), setup["bob"][0].shape[1]), dtype=np.complex128)
+    for (lo, hi), bob in zip(bounds, setup["bob"]):
+        if lo < hi:
+            np.matmul(xr[lo:hi], bob, out=a[lo:hi])
+    v = np.einsum("ik,ikj->ij", g[rows].conj(), a.reshape(len(rows), 2, -1))
+    tr = _norm2(a)
     fid = np.empty(probs.shape)  # read only where reached
-    for s, bob in setup["bob"]:
-        rows = reached[:, s]
-        a = x[rows] @ bob
-        v = np.einsum("ik,ikj->ij", g[rows].conj(), a.reshape(-1, 2, bob.shape[1] // 2))
-        tr = _norm2(a)
-        fid[rows, s] = np.sqrt(np.divide(_norm2(v), tr, out=np.zeros_like(tr), where=tr > 0.0))
+    fid[rows, sectors] = np.sqrt(np.divide(_norm2(v), tr, out=np.zeros_like(tr), where=tr > 0.0))
     return branch, fid.take(cell)
 
 

@@ -173,8 +173,12 @@ def born_index(probs, u):
     """
     probs = np.asarray(probs, dtype=np.float64)
     hit = np.asarray(u)[..., None] < np.cumsum(probs, axis=-1)
+    chosen = np.argmax(hit, axis=-1)
+    over = ~hit.any(axis=-1)
+    if not over.any():
+        return chosen
     last_nonzero = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    return np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), last_nonzero)
+    return np.where(over, last_nonzero, chosen)
 
 
 def measure_spin(state: StateVector, wires, rng: np.random.Generator) -> MeasurementOutcome:

@@ -357,12 +357,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
-_LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
+# 0-d arrays: a ufunc takes them faster than numpy scalars
+_LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_U32 = np.array(32, dtype=np.uint64)
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# the multipliers' 32-bit halves, low then high, shaped to broadcast against
+# the (2, 2, n) halves [lo(x), hi(x)] of the words a round multiplies
+_PHILOX_M_HALVES = np.stack([_PHILOX_M & _LO32, _PHILOX_M >> _U32])[:, None]
+# round r adds r * W to the key; uint64 array products wrap silently
+_PHILOX_KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W
 
 
 def _philox_blocks(seed: int, trials, blocks) -> np.ndarray:
@@ -370,26 +375,46 @@ def _philox_blocks(seed: int, trials, blocks) -> np.ndarray:
     under key ``(seed, trials[k])``, for 1-d ``trials`` and ``blocks`` of
     length ``n``.
 
-    Both 64x64-bit products of a round run as one ``(2, n)`` array operation.
-    The low words are the wrapped ``uint64`` products; the high words are
-    summed from the products of 32-bit halves, none of which overflows.
+    Both 64x64-bit products of a round run as array operations on ``(2, n)``
+    words.  The low words are the wrapped ``uint64`` products; the high words
+    are summed from the four products of 32-bit halves, none of which
+    overflows, and those four come from one broadcast product.  The ten round
+    keys are one broadcast sum, and every round writes into buffers allocated
+    once per call.
     """
-    trials, blocks = np.asarray(trials, dtype=np.uint64), np.asarray(blocks, dtype=np.uint64)
-    key = np.stack([np.full(trials.shape, seed, dtype=np.uint64), trials])
-    x02 = np.stack([blocks, np.zeros_like(blocks)])  # counter words 0 and 2
-    x13 = np.zeros_like(x02)  # counter words 1 and 3
+    n = len(trials)
+    first_key = np.empty((2, n), dtype=np.uint64)
+    first_key[0], first_key[1] = seed, np.asarray(trials, dtype=np.uint64)
+    keys = first_key + _PHILOX_KEY_STEPS
+    x02 = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
+    x02[0] = blocks
+    x31 = np.zeros_like(x02)  # counter words 3 and 1
+    nxt, hi = np.empty_like(x02), np.empty_like(x02)
+    halves = np.empty((2, 2, n), dtype=np.uint64)  # [lo(x02), hi(x02)]
+    # products of halves [lo(x) lo(M), hi(x) lo(M), lo(x) hi(M), hi(x) hi(M)]
+    prod = np.empty((4, 2, n), dtype=np.uint64)
+    ll, hl, lh, _ = prod
+    tw, high_terms = prod[1:3], prod[1:]
     # One round: (x0, x1, x2, x3) <- (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2),
-    #                                 hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)),
-    # with the key bumped by W before every round but the first.
-    for r in range(10):
-        if r:
-            key = key + _PHILOX_W
-        x_lo, x_hi = x02 & _LO32, x02 >> _U32
-        t = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> _U32)
-        w = (t & _LO32) + x_lo * _PHILOX_M_HI
-        hi = x_hi * _PHILOX_M_HI + (t >> _U32) + (w >> _U32)
-        x02, x13 = hi[::-1] ^ x13 ^ key, (x02 * _PHILOX_M)[::-1]
-    return np.stack([x02[0], x13[0], x02[1], x13[1]], axis=-1)
+    #                                 hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)).
+    # Keeping words 1 and 3 in reverse order leaves one reversed operand per round.
+    for key in keys:
+        np.bitwise_and(x02, _LO32, out=halves[0])
+        np.right_shift(x02, _U32, out=halves[1])
+        np.multiply(halves, _PHILOX_M_HALVES, out=prod.reshape(2, 2, 2, n))
+        np.right_shift(ll, _U32, out=ll)
+        hl += ll  # t = hi(x) lo(M) + (lo(x) lo(M) >> 32)
+        np.bitwise_and(hl, _LO32, out=ll)
+        lh += ll  # w = lo(t) + lo(x) hi(M)
+        np.right_shift(tw, _U32, out=tw)
+        np.add.reduce(high_terms, axis=0, out=hi)  # hi(x) hi(M) + (t >> 32) + (w >> 32)
+        np.bitwise_xor(hi, x31, out=nxt[::-1])
+        nxt ^= key
+        np.multiply(x02, _PHILOX_M, out=x31)
+        x02, nxt = nxt, x02
+    out = np.empty((n, 4), dtype=np.uint64)  # words (x0, x1, x2, x3) per row
+    out[:, 0::2], out[:, 1::2] = x02.T, x31[::-1].T
+    return out
 
 
 def _to_unit_double(words) -> np.ndarray:
@@ -410,7 +435,7 @@ def _stream_uniforms(seed: int, trials, draws) -> np.ndarray:
 def _stream_prefix(seed: int, trials, n_blocks: int) -> np.ndarray:
     """The first ``4 * n_blocks`` draws of each trial's stream, one row per trial."""
     words = _philox_blocks(seed, np.repeat(trials, n_blocks),
-                           np.tile(np.arange(1, n_blocks + 1), len(trials)))
+                           np.arange(len(trials) * n_blocks) % n_blocks + 1)
     return _to_unit_double(words).reshape(len(trials), 4 * n_blocks)
 
 
@@ -431,9 +456,10 @@ class TeleportReport:
 
     def to_dict(self) -> dict:
         """The fields in order, with JSON-ready ``g1``, ``g2`` and round keys."""
-        d = dataclasses.asdict(self)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         for key in ("g1", "g2"):
             d[key] = list(d[key]) if d[key] is not None else None
+        d["branch_counts"] = dict(self.branch_counts)
         d["rounds_histogram"] = {str(k): v for k, v in sorted(self.rounds_histogram.items())}
         return d
 
@@ -450,9 +476,9 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
     for branches, rounds, fids in chunks:
         n += len(branches)
         per_branch += np.bincount(branches, minlength=len(BRANCHES))
-        counts = np.bincount(rounds)
-        per_round = np.pad(per_round, (0, max(0, len(counts) - len(per_round))))
-        per_round[:len(counts)] += counts
+        counts = np.bincount(rounds, minlength=len(per_round))
+        counts[:len(per_round)] += per_round
+        per_round = counts
         min_fid = float(np.minimum(min_fid, np.min(fids)))
         level, x = 0, float(np.sum(fids))
         while fid_sums and fid_sums[-1][0] == level:
@@ -523,7 +549,7 @@ def _kernel_setup(variant: str) -> dict:
             corrected = gate_unitary(spec, modes) @ corrected
         # x @ bob = Bob's amplitudes [up | sign * dn] in branch s, unnormalised
         read = np.vstack([corrected[n_up], signs[:, None] * corrected[n_dn]])
-        bob.append((s, blocks[s] @ read.T))
+        bob.append(blocks[s] @ read.T)
     alice = np.hstack(blocks)
     used = np.any(alice != 0, axis=0)  # 8 of 64 columns for electronic trials
     setup = {
@@ -533,6 +559,9 @@ def _kernel_setup(variant: str) -> dict:
         "branch_of_sector": branch_of_sector,
         "sector_labels": tuple((j, m) for j, m, _ in sectors),
         "bob": tuple(bob),
+        # [s, s + 1] per branch sector s, in the order of "bob": searched in
+        # the sector-sorted reached pairs, they bound each branch's segment
+        "bob_bounds": np.array([[s, s + 1] for s in np.flatnonzero(branch_of_sector >= 0)]),
     }
     if variant == "coldatom":
         pairs = sector_ground_spaces(_relax_hamiltonian())
@@ -571,9 +600,12 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
             continue
 
         def draw(rows, k, trials=trials, pre=pre):
-            j = np.broadcast_to(first + k, rows.shape)
+            j = first + k
+            if isinstance(j, int) and j < pre.shape[1]:
+                return pre[rows, j]  # a round's class draws: one column of the block
+            j = np.broadcast_to(j, rows.shape)
             near = j < pre.shape[1]
-            if near.all():  # a round's class draws are one column of the block
+            if near.all():
                 return pre[rows, j]
             u = np.empty(rows.shape)
             u[near] = pre[rows[near], j[near]]

@@ -5,14 +5,20 @@ the engine reads the same uniforms from the vectorised stream, so branch and
 round decisions agree exactly and fidelities agree to rounding.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import TELEPORT_MODES, StateVector, create, vacuum_state
+from edgeteleport.gates import apply_gate, cnot, gate_unitary, hadamard
+from edgeteleport.measure import measure_spin, spin_sector_bases
 from edgeteleport.protocol import (
     SpinAmplitudes,
+    bob_correction,
+    bob_fidelity,
     default_backend,
     run_teleport_once,
     run_trials,
@@ -225,6 +231,67 @@ def test_outcome_outside_the_branches_raises_naming_it():
                                      np.zeros(3, dtype=np.int64), np.array([0.1, 0.5, 0.9]))
 
 
+class _Uniforms:
+    """Stands in for a trial's generator: the step-by-step path reads its
+    uniforms one ``random()`` call at a time, in stream order."""
+
+    def __init__(self, u):
+        self.u = iter(u)
+
+    def random(self):
+        return next(self.u)
+
+
+def _step_by_step_fidelity(x, g, u):
+    """Alice's gates and measurement on the state ``x`` with the uniform
+    ``u``, Bob's correction, then ``bob_fidelity`` against ``g``."""
+    psi = apply_gate(hadamard("c"), apply_gate(cnot("c", "a"), StateVector(TELEPORT_MODES, x)))
+    outcome = measure_spin(psi, protocol.ALICE_WIRES, _Uniforms([u]))
+    psi = outcome.post_state
+    for spec in bob_correction(outcome.j, outcome.m):
+        psi = apply_gate(spec, psi)
+    return bob_fidelity(psi, SpinAmplitudes(*g))
+
+
+@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
+def test_bob_step_with_every_trial_in_one_branch(branch):
+    # generic states inside one branch sector: Bob's fidelity depends on
+    # which branch's correction the engine applies, and the other three
+    # branches' segments are empty
+    sectors = spin_sector_bases(TELEPORT_MODES, protocol.ALICE_WIRES)
+    basis = next(b for j, m, b in sectors if (j, m) == protocol.BRANCHES[branch])
+    u_alice = (gate_unitary(hadamard("c"), TELEPORT_MODES)
+               @ gate_unitary(cnot("c", "a"), TELEPORT_MODES))
+    rng = np.random.default_rng(41 + branch)
+    m, n = 40, protocol._CHUNK
+    c = rng.normal(size=(basis.shape[1], m)) + 1j * rng.normal(size=(basis.shape[1], m))
+    x = c.T @ basis.T @ u_alice.conj()  # Alice's gates take each row into the sector
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    g = np.stack(protocol._haar_amplitudes(rng.random((m, 3))), axis=1)
+    of, u = rng.integers(0, m, n), rng.random(n)
+    branches, fids = kernels._measure_and_correct(protocol._kernel_setup("coldatom"), x, g, of, u)
+    assert set(branches.tolist()) == {branch}
+    expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
+    assert np.abs(fids - expected).max() <= 1e-15
+    assert np.ptp(fids) > 0.1  # generic fidelities, not the protocol's 1
+
+
+@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
+def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
+    n = protocol._CHUNK
+    u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
+    setup, row, of = protocol._kernel_setup(variant), np.array([[g.g1, g.g2]]), np.zeros(n, dtype=int)
+    if variant == "electronic":
+        branches, fids = kernels.electronic_batch(setup, row, of, u[:, 0])
+    else:
+        branches, _, fids = kernels.coldatom_batch(setup, row, of, lambda trials, k: u[trials, k],
+                                                   protocol.DEFAULT_MAX_ROUNDS)
+    assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
+    expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
+    assert np.abs(fids - expected).max() <= 1e-15
+
+
 # Exact report bytes: a change to any of them must be deliberate.
 _GOLDEN = {
     ("electronic", "fixed", 11): """\
@@ -321,3 +388,40 @@ _GOLDEN = {
 def test_golden_report_bytes(variant, g_kind, seed):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
     assert run_trials(g, variant, 300, seed=seed).to_json() == _GOLDEN[variant, g_kind, seed]
+
+
+# SHA-256 of the report JSON over both engine variants, fixed and Haar inputs,
+# one trial, part of a chunk and past a chunk, a small and the largest seed.
+_DIGESTS = {
+    ("electronic", "fixed", 1, 5): "4902c9c70d9f85ec9f9de1a3455896691b15676ea7ad737f443646fa48754c37",
+    ("electronic", "fixed", 1, 2**64 - 1): "fb4aa1b989cc13628651f2479b532eb5f8b1aba2179201dc3d355469545500fb",
+    ("electronic", "fixed", 50, 5): "f35b61f85992451fe0634a07e387fff7b0ba658e3da1b1f0dae12dd674b83466",
+    ("electronic", "fixed", 50, 2**64 - 1): "5effd9f1aa69a3f2999358ab1a579dd77b66a4ebc07be17aa5d71ef24c75c268",
+    ("electronic", "fixed", 1025, 5): "646045ebf442bf7d40705656c3320fd20eb20da9978aa09d2b20a1a9f633d4c3",
+    ("electronic", "fixed", 1025, 2**64 - 1): "74dfddf8580902560896a6a964ec9162ba509ef703292821573118b1dc326a87",
+    ("electronic", "haar", 1, 5): "69157d8ccc95b54dd2e45f1c03507c0d1d027e9c04ee74262140bfdfc58ec01a",
+    ("electronic", "haar", 1, 2**64 - 1): "0382e60e2f8dbc67374844343b9eb6259c5d196e5911ec7626eb6e93161d3202",
+    ("electronic", "haar", 50, 5): "7f9bd0dffe5bc3e1736cfaef70dc12a805eaf66d04bc698dbe7b82d0d70428eb",
+    ("electronic", "haar", 50, 2**64 - 1): "6d2a7d0a55648003e4a136281f0bccba3fe2d699efd8f32d6f190a860161bfdc",
+    ("electronic", "haar", 1025, 5): "41f1d89c5c498e75f99b0e4b368c6d1a107d83da497cc2835d3fe1084986aa44",
+    ("electronic", "haar", 1025, 2**64 - 1): "f0515fc1df8efe69ef100fc555835e7c3de6b9d948eb0292278314d54d649d28",
+    ("coldatom", "fixed", 1, 5): "2df4803804d04f2228ade6aa39643a4cd2482a9fac560b64f492e11109f24867",
+    ("coldatom", "fixed", 1, 2**64 - 1): "c6e834762a8c5bab614883b9afb22045e4a8494c5d54e11a01d70e6dc3cf5fd1",
+    ("coldatom", "fixed", 50, 5): "9f5f39035aa73d34abc66845e6cb2baa38197cb7ad04377b1ef75617074ced99",
+    ("coldatom", "fixed", 50, 2**64 - 1): "07ac43a28f66f29c9f426f3ba5064d22e50f21c8f2e0149e28c39e3ef0ea79da",
+    ("coldatom", "fixed", 1025, 5): "4e9a89670d44254c1f80563f90ae9be8baa5cdc2ba2e6b4a9c9cf5249d412273",
+    ("coldatom", "fixed", 1025, 2**64 - 1): "bdf976f48c04507d0aa073b0a895793823e39a6b503d3f4f34452d6d924c6683",
+    ("coldatom", "haar", 1, 5): "5e0e7f4a7e46b67430ebce18e22f98e696b27c771d38aa853a1eab3ff4a7385a",
+    ("coldatom", "haar", 1, 2**64 - 1): "5bd0bbcb44c6c6ccdd3cc989ea4d1158ff819331f3e0d5d870c62f1045e134f1",
+    ("coldatom", "haar", 50, 5): "c69311134a112748b8be425703daddd11aa6fdcaac6913b9634eab5288d3cf85",
+    ("coldatom", "haar", 50, 2**64 - 1): "9f928a6e0037df926c1efd77423a0c92d633d1dc3f5c530d3954e807f3bcb352",
+    ("coldatom", "haar", 1025, 5): "a8fa346b2bf9e4b921c19216671556417c5daba4e8bf46b952c7eb003171e8e4",
+    ("coldatom", "haar", 1025, 2**64 - 1): "531178502a9481c141952431796d8a7ab3b70aa14f7e1d36e2704d23378603b2",
+}
+
+
+@pytest.mark.parametrize("variant, g_kind, n, seed", list(_DIGESTS))
+def test_report_digest(variant, g_kind, n, seed):
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
+    report = run_trials(g, variant, n, seed=seed).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == _DIGESTS[variant, g_kind, n, seed]

@@ -6,19 +6,21 @@ arithmetic, many trials at once.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edgeteleport.protocol as protocol
 from edgeteleport.protocol import SpinAmplitudes, run_trials, trial_rng
 
 _SEEDS = st.integers(0, 2**64 - 1)
-_TRIALS = st.integers(0, 2**40)
+# trial words span the whole key word, so every round key wraps somewhere
+_TRIALS = st.integers(0, 2**64 - 1)
 _DRAWS = st.integers(0, 80)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_SEEDS, st.lists(st.tuples(_TRIALS, _DRAWS), min_size=1, max_size=12))
+@example(2**64 - 1, [(2**64 - 1, 0), (2**64 - 1, 79), (0, 5)])
 def test_vectorised_philox_matches_numpy(seed, pairs):
     trials = np.array([t for t, _ in pairs], dtype=np.uint64)
     draws = np.array([d for _, d in pairs])
@@ -32,6 +34,15 @@ def test_vectorised_philox_matches_numpy(seed, pairs):
 def test_stream_prefix_matches_numpy(seed, trials, n_blocks):
     got = protocol._stream_prefix(seed, np.array(trials, dtype=np.uint64), n_blocks)
     expected = [trial_rng(seed, t).random(4 * n_blocks) for t in trials]
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_stream_prefix_of_a_full_chunk_matches_numpy():
+    # one prefix call over more than a chunk, up to the last trial word
+    n, n_blocks = protocol._CHUNK + 1, protocol._PREDRAWN_BLOCKS
+    trials = np.arange(2**64 - n, 2**64, dtype=np.uint64)
+    got = protocol._stream_prefix(2**64 - 2, trials, n_blocks)
+    expected = [trial_rng(2**64 - 2, int(t)).random(4 * n_blocks) for t in trials]
     np.testing.assert_array_equal(got, expected)
 
 
