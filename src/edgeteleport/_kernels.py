@@ -137,34 +137,35 @@ def coldatom_batch(setup, g, of, draw, max_rounds):
     n = len(of)
     origin, at = _distinct(of, len(g))  # the input of each live row
     psi = g[origin] @ setup["inputs"]  # one row per input with running trials
-    rounds = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    # rows of the states the trials stop in, one per (input, round) reached
-    ends, end_origins, end = [], [], np.empty(n, dtype=np.int64)
-    n_ends = 0
+    live = np.stack([np.arange(n), at])  # (trial, row) of each running trial
+    # (projected rows, their weights, their inputs) of every round; a
+    # trial's ``end`` is the row it stops in, counted over all rounds
+    kept, end = [], np.empty(n, dtype=np.int64)
+    n_rows = 0
     for r in range(1, max_rounds + 1):
         x = psi @ setup["p_int"].T
         p = _norm2(x)
-        rounds[active] = r
-        hit = draw(active, r - 1) < p[at]
-        stop, stop_at = _distinct(at[hit], len(psi))
-        ends.append(x[stop] / np.sqrt(p[stop])[:, None])
-        end_origins.append(origin[stop])
-        end[active[hit]] = n_ends + stop_at
-        n_ends += len(stop)
-        miss = ~hit
-        active = active[miss]
-        if not active.size:
+        kept.append((x, p, origin))
+        hit = draw(live[0], r - 1) < p[live[1]]
+        stopped = live[:, hit]
+        end[stopped[0]] = n_rows + stopped[1]
+        n_rows += len(p)
+        live = live[:, ~hit]
+        if not live.shape[1]:
             break
         if r == max_rounds:
             raise RuntimeError(
                 f"no integer-spin outcome after {max_rounds} restarts; "
                 "statistically unreachable, check the setup"
             )
-        go, at = _distinct(at[miss], len(psi))
-        y = psi[go] - x[go]
-        psi, origin = _relax(y / np.sqrt(_norm2(y))[:, None], setup), origin[go]
-    u_branch = draw(np.arange(n), rounds)
-    branch, fid = _measure_and_correct(setup, np.concatenate(ends),
-                                       g[np.concatenate(end_origins)], end, u_branch)
+        if len(psi) > 1:  # a single row stays live while any trial runs
+            go, live[1] = _distinct(live[1], len(psi))
+            psi, x, origin = psi[go], x[go], origin[go]
+        y = psi - x
+        psi = _relax(y / np.sqrt(_norm2(y))[:, None], setup)
+    rounds = np.repeat(np.arange(1, len(kept) + 1), [len(p) for _, p, _ in kept])[end]
+    stop, end = _distinct(end, n_rows)  # the rows some trial stops in
+    x, p, origin = (np.concatenate(a)[stop] for a in zip(*kept))
+    branch, fid = _measure_and_correct(setup, x / np.sqrt(p)[:, None], g[origin], end,
+                                       draw(np.arange(n), rounds))
     return branch, rounds, fid
