@@ -116,7 +116,8 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128)
+        # contiguous, so that the finiteness check can view it as floats
+        a = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if a.shape != (self.modes.dim,):
             raise ValueError(f"amplitude vector must have length {self.modes.dim}")
         if not np.all(np.isfinite(a.view(np.float64))):

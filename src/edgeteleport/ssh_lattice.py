@@ -131,8 +131,17 @@ def spectrum_csv(params: WireParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Longest chain ``zeromode_density_csv`` writes: its text is built in memory,
+#: about 100 bytes per site (100 MB at the cap).
+MAX_DENSITY_CSV_SITES = 1_000_001
+
+
 def zeromode_density_csv(params: WireParams) -> str:
     """`site,density` rows (1-based sites) of the zero-mode probability density."""
+    n = params.num_sites
+    if n > MAX_DENSITY_CSV_SITES:
+        raise ValueError(
+            f"{n} sites exceed the zero-mode CSV's cap of {MAX_DENSITY_CSV_SITES} sites")
     level = zero_mode(params)
     lines = ["site,density"]
     for site, a in enumerate(level.amplitudes, start=1):

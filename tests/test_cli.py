@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from edgeteleport import ssh_lattice
 from edgeteleport.cli import main
 
 
@@ -81,6 +82,19 @@ def test_zeromode_profile_sums_to_one(tmp_path):
     assert abs(densities.sum() - 1.0) < 1e-12
     assert densities[0] == pytest.approx((1 - (2 / 3) ** 2) / (1 - (2 / 3) ** 60), abs=1e-10)
     assert np.all(densities[1::2] == 0.0)
+
+
+def test_zeromode_past_its_cap_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    def no_zero_mode(params):
+        raise AssertionError("the zero mode was computed")
+
+    monkeypatch.setattr(ssh_lattice, "zero_mode", no_zero_mode)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["zeromode", "--sites", "1000003", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "cap of 1000001 sites" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _strict_json(text):

@@ -147,6 +147,15 @@ def test_diagonal_observables_are_cached_vectors():
     assert all(kind == "spin_squared" for _, kind, _ in fock._OBS_CACHE)
 
 
+def test_state_vector_takes_strided_amplitudes():
+    block = np.arange(128, dtype=np.complex128).reshape(64, 2) * (1 + 1j)
+    for amps in (block[:, 0], block[::-1, 1]):
+        state = StateVector(TELEPORT_MODES, amps)
+        np.testing.assert_array_equal(state.amps, amps)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(TELEPORT_MODES, np.full((64, 2), np.nan, dtype=np.complex128)[:, 0])
+
+
 def test_inner_product_and_normalize():
     vac = vacuum_state(TELEPORT_MODES)
     assert inner_product(vac, vac) == pytest.approx(1.0)

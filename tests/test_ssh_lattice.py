@@ -4,6 +4,7 @@ import pytest
 from edgeteleport import ssh_lattice
 from edgeteleport.ssh_lattice import (
     MAX_DENSE_SITES,
+    MAX_DENSITY_CSV_SITES,
     WireParams,
     analytic_spectrum,
     band_gap,
@@ -202,6 +203,19 @@ def test_dense_chain_is_capped_before_any_allocation(monkeypatch):
         build_hamiltonian(WireParams(MAX_DENSE_SITES + 2))
     with pytest.raises(ValueError, match="cap of 4001 sites"):
         spectrum_csv(WireParams(10**9 + 1))
+
+
+def test_zero_mode_csv_is_capped_before_any_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the zero mode was computed")
+
+    monkeypatch.setattr(ssh_lattice, "zero_mode", no_allocation)
+    for name in ("zeros", "arange"):
+        monkeypatch.setattr(ssh_lattice.np, name, no_allocation)
+    assert MAX_DENSITY_CSV_SITES == 1_000_001
+    for n in (MAX_DENSITY_CSV_SITES + 2, 10**12 + 1):
+        with pytest.raises(ValueError, match="cap of 1000001 sites"):
+            zeromode_density_csv(WireParams(n))
 
 
 def test_closed_forms_are_not_capped():
