@@ -27,7 +27,7 @@ Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
 identical branch decisions.  The cold-atom engine asks a callback for the
 uniforms of the trials still active in each round; the callback reads a
-round's class draws as one column of the draws pre-computed for the chunk.
+round's class draws as one column of the chunk's table of draws.
 """
 
 from __future__ import annotations

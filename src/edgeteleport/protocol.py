@@ -27,19 +27,18 @@ Fidelity compares Bob's reduced one-electron spin state against (g1, g2) and
 ignores global phase, since two of the correction sequences introduce an
 overall -1.
 
-Batch runs are reproducible.  Trial ``i`` of ``run_trials(..., seed)`` reads
-the Philox4x64-10 counter-based stream with key ``(seed, i)`` (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), so ``0 <= seed <
-2**64``.  Draw ``j`` of a trial is word ``j % 4`` of counter block
-``j // 4 + 1``, turned into a double as ``(w >> 11) * 2**-53``: exactly the
-doubles ``trial_rng(seed, i).random()`` returns in order.  The batch path
-evaluates that pure function of ``(seed, trial, draw)`` as ``uint64`` array
-arithmetic for a whole chunk of trials at once; the step-by-step path of
-:func:`run_teleport_once` reads the same stream through numpy's ``Philox``.
-Draws are consumed in a fixed order (three for Haar amplitudes, one per
-class measurement, one for the branch), so the vectorised engine in
-:mod:`edgeteleport._kernels` and the step-by-step path make the same
-decisions in every trial.
+Batch runs are reproducible.  A run with seed ``s`` draws from numpy's
+Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11) under the key ``(s, 0)``, so ``0 <= seed < 2**64``.  Block ``k`` of
+trial ``i`` is the first block ``Philox(counter=i + k * 2**64)`` returns, and
+draw ``j`` of the trial is word ``j % 4`` of block ``j // 4``, as the double
+``(w >> 11) * 2**-53``.  Consecutive trials have consecutive counters, so the
+batch path draws block ``k`` of a whole chunk with one generator call; the
+step-by-step path of :func:`run_teleport_once` reads one trial's draws in
+order through :func:`trial_rng`.  Draws are consumed in a fixed order (three
+for Haar amplitudes, one per class measurement, one for the branch), so the
+vectorised engine in :mod:`edgeteleport._kernels` and the step-by-step path
+make the same decisions in every trial.
 """
 
 from __future__ import annotations
@@ -94,15 +93,7 @@ _CHUNK = 1024
 
 #: Name and version of the per-trial random-stream scheme, recorded in every
 #: report; any change to the draws a trial consumes needs a new version.
-_RNG_SCHEME = "philox4x64-10/v1"
-
-#: Counter blocks (four draws each) evaluated up front for every cold-atom
-#: trial of a chunk; later draws are derived only for the trials that need
-#: them.  A round succeeds with probability 1/2, so 16 draws cover all but a
-#: 2**-15 share of fixed-input trials (2**-12 of Haar ones, whose first three
-#: draws make the input).
-_PREDRAWN_BLOCKS = 4
-
+_RNG_SCHEME = "philox4x64-10/v2"
 
 def _require_unit_amplitudes(g1, g2):
     """Raise unless every (g1, g2) pair is finite with unit norm to 1e-12.
@@ -348,95 +339,53 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
 # Batched trials
 # ---------------------------------------------------------------------------
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial stream: numpy's Philox4x64-10 keyed by ``(seed, trial)``.
+class _Draws:
+    """Draws of the trials ``start, ..., start + n - 1`` of a run: column ``j``
+    of the table ``u`` holds draw ``j`` of each trial, one row per trial.
 
-    The key is built as a ``uint64`` array: from a list numpy rounds words
-    above 2**53 through float, so distinct seeds would share a stream.
+    Block ``k`` of trial ``i`` is numpy's Philox block at counter
+    ``i + 1 + k * 2**64``, so block ``k`` of every trial is one
+    ``Generator.random`` call.  Block 0 is drawn up front, later blocks when
+    first read.
     """
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+    def __init__(self, seed: int, start: int, n: int):
+        # a uint64 key: from a list numpy rounds words above 2**53 through float
+        self._bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=start)
+        self._gen = np.random.Generator(self._bits)
+        self.u = self._gen.random((n, 4))
+
+    def upto(self, stop: int) -> np.ndarray:
+        """The table ``u``, with at least ``stop`` draws per trial."""
+        while self.u.shape[1] < stop:
+            n = len(self.u)
+            # block row k ends at counter start + n + k * 2**64
+            self._bits.advance(2**64 - n)
+            self.u = np.hstack([self.u, self._gen.random((n, 4))])
+        return self.u
 
 
-# 0-d arrays: a ufunc takes them faster than numpy scalars
-_LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
-_U32 = np.array(32, dtype=np.uint64)
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-# the multipliers' 32-bit halves, low then high, shaped to broadcast against
-# the (2, 2, n) halves [lo(x), hi(x)] of the words a round multiplies
-_PHILOX_M_HALVES = np.stack([_PHILOX_M & _LO32, _PHILOX_M >> _U32])[:, None]
-# round r adds r * W to the key; uint64 array products wrap silently
-_PHILOX_KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W
+class _TrialStream:
+    """One trial's draws in stream order, read as from a ``numpy.random.Generator``."""
+
+    def __init__(self, seed: int, trial: int):
+        self._draws, self._used = _Draws(seed, trial, 1), 0
+
+    def random(self, size=None):
+        """The next draw as a float, or the next ``prod(size)`` draws shaped ``size``."""
+        first = self._used
+        self._used += 1 if size is None else int(np.prod(size))
+        u = self._draws.upto(self._used)[0, first:self._used]
+        return float(u[0]) if size is None else u.reshape(size)
 
 
-def _philox_blocks(seed: int, trials, blocks) -> np.ndarray:
-    """Philox4x64-10 output words ``(n, 4)`` of counter ``(blocks[k], 0, 0, 0)``
-    under key ``(seed, trials[k])``, for 1-d ``trials`` and ``blocks`` of
-    length ``n``.
+def trial_rng(seed: int, trial: int) -> _TrialStream:
+    """Trial ``trial``'s stream of run seed ``seed``, for the step-by-step path.
 
-    Both 64x64-bit products of a round run as array operations on ``(2, n)``
-    words.  The low words are the wrapped ``uint64`` products; the high words
-    are summed from the four products of 32-bit halves, none of which
-    overflows, and those four come from one broadcast product.  The ten round
-    keys are one broadcast sum, and every round writes into buffers allocated
-    once per call.
+    It returns the doubles the batch engine reads for that trial, in order,
+    one ``random()`` call at a time.
     """
-    n = len(trials)
-    first_key = np.empty((2, n), dtype=np.uint64)
-    first_key[0], first_key[1] = seed, np.asarray(trials, dtype=np.uint64)
-    keys = first_key + _PHILOX_KEY_STEPS
-    x02 = np.zeros((2, n), dtype=np.uint64)  # counter words 0 and 2
-    x02[0] = blocks
-    x31 = np.zeros_like(x02)  # counter words 3 and 1
-    nxt, hi = np.empty_like(x02), np.empty_like(x02)
-    halves = np.empty((2, 2, n), dtype=np.uint64)  # [lo(x02), hi(x02)]
-    # products of halves [lo(x) lo(M), hi(x) lo(M), lo(x) hi(M), hi(x) hi(M)]
-    prod = np.empty((4, 2, n), dtype=np.uint64)
-    ll, hl, lh, _ = prod
-    tw, high_terms = prod[1:3], prod[1:]
-    # One round: (x0, x1, x2, x3) <- (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2),
-    #                                 hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)).
-    # Keeping words 1 and 3 in reverse order leaves one reversed operand per round.
-    for key in keys:
-        np.bitwise_and(x02, _LO32, out=halves[0])
-        np.right_shift(x02, _U32, out=halves[1])
-        np.multiply(halves, _PHILOX_M_HALVES, out=prod.reshape(2, 2, 2, n))
-        np.right_shift(ll, _U32, out=ll)
-        hl += ll  # t = hi(x) lo(M) + (lo(x) lo(M) >> 32)
-        np.bitwise_and(hl, _LO32, out=ll)
-        lh += ll  # w = lo(t) + lo(x) hi(M)
-        np.right_shift(tw, _U32, out=tw)
-        np.add.reduce(high_terms, axis=0, out=hi)  # hi(x) hi(M) + (t >> 32) + (w >> 32)
-        np.bitwise_xor(hi, x31, out=nxt[::-1])
-        nxt ^= key
-        np.multiply(x02, _PHILOX_M, out=x31)
-        x02, nxt = nxt, x02
-    out = np.empty((n, 4), dtype=np.uint64)  # words (x0, x1, x2, x3) per row
-    out[:, 0::2], out[:, 1::2] = x02.T, x31[::-1].T
-    return out
-
-
-def _to_unit_double(words) -> np.ndarray:
-    """numpy's uint64 -> [0, 1) double: the top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _stream_uniforms(seed: int, trials, draws) -> np.ndarray:
-    """Draw ``draws[k]`` of trial ``trials[k]``'s stream, for 1-d arrays.
-
-    Equal to the ``draws[k]``-th double of ``trial_rng(seed, trials[k])``.
-    """
-    draws = np.asarray(draws, dtype=np.int64)
-    words = _philox_blocks(seed, trials, draws // 4 + 1)
-    return _to_unit_double(np.take_along_axis(words, (draws % 4)[:, None], axis=1)[:, 0])
-
-
-def _stream_prefix(seed: int, trials, n_blocks: int) -> np.ndarray:
-    """The first ``4 * n_blocks`` draws of each trial's stream, one row per trial."""
-    words = _philox_blocks(seed, np.repeat(trials, n_blocks),
-                           np.arange(len(trials) * n_blocks) % n_blocks + 1)
-    return _to_unit_double(words).reshape(len(trials), 4 * n_blocks)
+    return _TrialStream(seed, trial)
 
 
 @dataclass(frozen=True)
@@ -585,33 +534,21 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
     """
     setup = _kernel_setup(variant)
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
-    n_blocks = 1 if variant == "electronic" else _PREDRAWN_BLOCKS
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
-        trials = np.arange(start, start + size, dtype=np.uint64)
-        pre = _stream_prefix(seed, trials, n_blocks)
+        draws = _Draws(seed, start, size)
         if g is None:
-            g_rows, of = np.stack(_haar_amplitudes(pre[:, :3]), axis=1), np.arange(size)
+            g_rows, of = np.stack(_haar_amplitudes(draws.u[:, :3]), axis=1), np.arange(size)
         else:
             g_rows, of = np.array([[g.g1, g.g2]]), np.zeros(size, dtype=np.int64)
         if variant == "electronic":
-            branches, fids = _kernels.electronic_batch(setup, g_rows, of, pre[:, first])
+            branches, fids = _kernels.electronic_batch(setup, g_rows, of, draws.u[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
             continue
 
-        def draw(rows, k, trials=trials, pre=pre):
+        def draw(trials, k, draws=draws):
             j = first + k
-            if isinstance(j, int) and j < pre.shape[1]:
-                return pre[rows, j]  # a round's class draws: one column of the block
-            j = np.broadcast_to(j, rows.shape)
-            near = j < pre.shape[1]
-            if near.all():
-                return pre[rows, j]
-            u = np.empty(rows.shape)
-            u[near] = pre[rows[near], j[near]]
-            far = ~near
-            u[far] = _stream_uniforms(seed, trials[rows[far]], j[far])
-            return u
+            return draws.upto(np.max(j) + 1)[trials, j]
 
         yield _kernels.coldatom_batch(setup, g_rows, of, draw, max_rounds)
 

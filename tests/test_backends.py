@@ -53,7 +53,7 @@ def _assert_engine_matches_oracle(g, variant, n, seed):
 @pytest.mark.parametrize("g", [SpinAmplitudes(1.0, 0.0),
                                SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
                          ids=["up", "fixed", "haar"])
-@pytest.mark.parametrize("seed", [0, 13, 99])
+@pytest.mark.parametrize("seed", [0, 13, 99, 2**64 - 1])
 def test_engine_matches_oracle(variant, g, seed):
     _assert_engine_matches_oracle(g, variant, 150, seed)
 
@@ -65,15 +65,15 @@ def test_engine_matches_oracle_across_chunks(variant):
 
 @pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
                          ids=["fixed", "haar"])
-def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g, monkeypatch):
-    # fewer pre-drawn blocks than the default, so that some trials of this
-    # run read past them and take the fallback
-    monkeypatch.setattr(protocol, "_PREDRAWN_BLOCKS", 2)
+def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
+    # a chunk draws its first block row (four draws per trial) up front and
+    # later rows when some trial first reads them
     rounds = _assert_engine_matches_oracle(g, "coldatom", protocol._CHUNK + 37, 8)
     # a trial's last draw, its branch draw, has index (Haar draws) + rounds;
-    # the case is covered only if some trial read past the pre-drawn blocks
+    # the case is covered only if both chunks read a third block row
     first = 0 if g is not None else 3
-    assert (first + rounds).max() >= 4 * protocol._PREDRAWN_BLOCKS
+    last = first + rounds
+    assert last[:protocol._CHUNK].max() >= 8 and last[protocol._CHUNK:].max() >= 8
 
 
 def test_report_statistics_match_oracle():
@@ -308,12 +308,12 @@ _GOLDEN = {
     0.0
   ],
   "backend": "numpy",
-  "rng": "philox4x64-10/v1",
+  "rng": "philox4x64-10/v2",
   "branch_counts": {
-    "1,1": 72,
-    "1,0": 76,
-    "1,-1": 83,
-    "0,0": 69
+    "1,1": 78,
+    "1,0": 71,
+    "1,-1": 66,
+    "0,0": 85
   },
   "rounds_histogram": {
     "1": 300
@@ -331,12 +331,12 @@ _GOLDEN = {
   "g1": null,
   "g2": null,
   "backend": "numpy",
-  "rng": "philox4x64-10/v1",
+  "rng": "philox4x64-10/v2",
   "branch_counts": {
-    "1,1": 83,
-    "1,0": 62,
+    "1,1": 77,
+    "1,0": 71,
     "1,-1": 82,
-    "0,0": 73
+    "0,0": 70
   },
   "rounds_histogram": {
     "1": 300
@@ -360,23 +360,25 @@ _GOLDEN = {
     0.0
   ],
   "backend": "numpy",
-  "rng": "philox4x64-10/v1",
+  "rng": "philox4x64-10/v2",
   "branch_counts": {
-    "1,1": 80,
-    "1,0": 84,
-    "1,-1": 68,
-    "0,0": 68
+    "1,1": 77,
+    "1,0": 80,
+    "1,-1": 73,
+    "0,0": 70
   },
   "rounds_histogram": {
-    "1": 149,
-    "2": 78,
-    "3": 28,
-    "4": 22,
-    "5": 18,
+    "1": 155,
+    "2": 71,
+    "3": 40,
+    "4": 15,
+    "5": 10,
     "6": 3,
-    "7": 2
+    "7": 3,
+    "8": 2,
+    "11": 1
   },
-  "mean_rounds": 1.9966666666666666,
+  "mean_rounds": 1.9766666666666666,
   "min_fidelity": 0.9999999999999998,
   "mean_fidelity": 1.0
 }
@@ -393,30 +395,30 @@ def test_golden_report_bytes(variant, g_kind, seed):
 # SHA-256 of the report JSON over both engine variants, fixed and Haar inputs,
 # one trial, part of a chunk and past a chunk, a small and the largest seed.
 _DIGESTS = {
-    ("electronic", "fixed", 1, 5): "4902c9c70d9f85ec9f9de1a3455896691b15676ea7ad737f443646fa48754c37",
-    ("electronic", "fixed", 1, 2**64 - 1): "fb4aa1b989cc13628651f2479b532eb5f8b1aba2179201dc3d355469545500fb",
-    ("electronic", "fixed", 50, 5): "f35b61f85992451fe0634a07e387fff7b0ba658e3da1b1f0dae12dd674b83466",
-    ("electronic", "fixed", 50, 2**64 - 1): "5effd9f1aa69a3f2999358ab1a579dd77b66a4ebc07be17aa5d71ef24c75c268",
-    ("electronic", "fixed", 1025, 5): "646045ebf442bf7d40705656c3320fd20eb20da9978aa09d2b20a1a9f633d4c3",
-    ("electronic", "fixed", 1025, 2**64 - 1): "74dfddf8580902560896a6a964ec9162ba509ef703292821573118b1dc326a87",
-    ("electronic", "haar", 1, 5): "69157d8ccc95b54dd2e45f1c03507c0d1d027e9c04ee74262140bfdfc58ec01a",
-    ("electronic", "haar", 1, 2**64 - 1): "0382e60e2f8dbc67374844343b9eb6259c5d196e5911ec7626eb6e93161d3202",
-    ("electronic", "haar", 50, 5): "7f9bd0dffe5bc3e1736cfaef70dc12a805eaf66d04bc698dbe7b82d0d70428eb",
-    ("electronic", "haar", 50, 2**64 - 1): "6d2a7d0a55648003e4a136281f0bccba3fe2d699efd8f32d6f190a860161bfdc",
-    ("electronic", "haar", 1025, 5): "41f1d89c5c498e75f99b0e4b368c6d1a107d83da497cc2835d3fe1084986aa44",
-    ("electronic", "haar", 1025, 2**64 - 1): "f0515fc1df8efe69ef100fc555835e7c3de6b9d948eb0292278314d54d649d28",
-    ("coldatom", "fixed", 1, 5): "2df4803804d04f2228ade6aa39643a4cd2482a9fac560b64f492e11109f24867",
-    ("coldatom", "fixed", 1, 2**64 - 1): "c6e834762a8c5bab614883b9afb22045e4a8494c5d54e11a01d70e6dc3cf5fd1",
-    ("coldatom", "fixed", 50, 5): "9f5f39035aa73d34abc66845e6cb2baa38197cb7ad04377b1ef75617074ced99",
-    ("coldatom", "fixed", 50, 2**64 - 1): "07ac43a28f66f29c9f426f3ba5064d22e50f21c8f2e0149e28c39e3ef0ea79da",
-    ("coldatom", "fixed", 1025, 5): "4e9a89670d44254c1f80563f90ae9be8baa5cdc2ba2e6b4a9c9cf5249d412273",
-    ("coldatom", "fixed", 1025, 2**64 - 1): "bdf976f48c04507d0aa073b0a895793823e39a6b503d3f4f34452d6d924c6683",
-    ("coldatom", "haar", 1, 5): "5e0e7f4a7e46b67430ebce18e22f98e696b27c771d38aa853a1eab3ff4a7385a",
-    ("coldatom", "haar", 1, 2**64 - 1): "5bd0bbcb44c6c6ccdd3cc989ea4d1158ff819331f3e0d5d870c62f1045e134f1",
-    ("coldatom", "haar", 50, 5): "c69311134a112748b8be425703daddd11aa6fdcaac6913b9634eab5288d3cf85",
-    ("coldatom", "haar", 50, 2**64 - 1): "9f928a6e0037df926c1efd77423a0c92d633d1dc3f5c530d3954e807f3bcb352",
-    ("coldatom", "haar", 1025, 5): "a8fa346b2bf9e4b921c19216671556417c5daba4e8bf46b952c7eb003171e8e4",
-    ("coldatom", "haar", 1025, 2**64 - 1): "531178502a9481c141952431796d8a7ab3b70aa14f7e1d36e2704d23378603b2",
+    ("electronic", "fixed", 1, 5): "8c314c836c8dcface7452b83d16c770f7a43eab45704d357b9cce1f9fb048b05",
+    ("electronic", "fixed", 1, 2**64 - 1): "3869c7c66f680ca7ee46f938d1bfd48bbc29cb9531a0fed8443b0730e642a293",
+    ("electronic", "fixed", 50, 5): "6241a8d62895337e6478421d1482746c2c192e220ae822c2fd62d1f9a2c9e18f",
+    ("electronic", "fixed", 50, 2**64 - 1): "118c69cf493b00879d88152c0087db0784671a6bdfe056f3aa2ba7302b9ed8ad",
+    ("electronic", "fixed", 1025, 5): "fd9cc2a49eab14ba7751edc3d7585289d562818442d0da3a8addc2a62a1cc6db",
+    ("electronic", "fixed", 1025, 2**64 - 1): "03bd60347661e0d86171c1be28fa4e4832d85254f2d55ab4f87eb13f789d125d",
+    ("electronic", "haar", 1, 5): "a4d2dd15922aa0214379b911c95eb163978de8ee8bf3309c3046f1053390a64c",
+    ("electronic", "haar", 1, 2**64 - 1): "fd73085bef9520231d1a404b3484be7be5c7b25d0bbdba4f48520539d41c17af",
+    ("electronic", "haar", 50, 5): "c0ca6b441815de53ad6df2398830b43796c4fe877eec00c142e8ba9cc45f0fd6",
+    ("electronic", "haar", 50, 2**64 - 1): "595609328b5fea49819c3d1c16490cec5a380ee2e8ed2e7b1052e4fb9564637a",
+    ("electronic", "haar", 1025, 5): "33404312009e3d7c30764c3859f88d4e6e3d84e0c2fd560b04438155a5ddd9b5",
+    ("electronic", "haar", 1025, 2**64 - 1): "e1bc9e195e2772c9a3213ee6282b3e2d500da1f474744f467a3747e46cf3dd66",
+    ("coldatom", "fixed", 1, 5): "5a40d6b4897d2845a99dcad2bfbba63526024a5c866b2d008719d91b01c819d9",
+    ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",
+    ("coldatom", "fixed", 50, 5): "888395affafa8e11b20a946ab852ffce52322836a06b853a10e7e9fc0b5062ed",
+    ("coldatom", "fixed", 50, 2**64 - 1): "fa36fae83a3a54747e1735d7bf0d3f0d6bd254260c6d0e0b3b8ab8f7db3725c3",
+    ("coldatom", "fixed", 1025, 5): "c790a67e06c935ec42b762fa1158468dfaa31b5f089685e76307a5046848b48d",
+    ("coldatom", "fixed", 1025, 2**64 - 1): "b4bceee37a20545ed0d7fc4512906ea9902a6d54af73220081ab309b55eb0f4d",
+    ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
+    ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
+    ("coldatom", "haar", 50, 5): "033912be3bb7e9ae78da5a3ad0975df1a71d3041ddad19dd33401d2982d2dc81",
+    ("coldatom", "haar", 50, 2**64 - 1): "59dfad835c22b8a3707f743dfc64527395b749eabb3dd3429c50f15e6f0a81fd",
+    ("coldatom", "haar", 1025, 5): "e0fd3614e66bfe2191112d3b0ce50a3bdf0d24ae0534d61df853a38f4cc09696",
+    ("coldatom", "haar", 1025, 2**64 - 1): "63e6149312afb4458fa30fef11e90f74ad301c3e855b2cf89b8a5f26efce598d",
 }
 
 

@@ -316,7 +316,7 @@ def test_run_trials_branch_statistics():
 
 
 #: First two doubles of trial 4's stream under seed 9.
-PINNED_9_4 = ["0x1.acdaf2cc37900p-9", "0x1.ca5730b8908f5p-1"]
+PINNED_9_4 = ["0x1.978d4a02a819ap-2", "0x1.e23dba6d369f7p-1"]
 
 
 def test_trial_rng_streams_are_stable():
@@ -326,13 +326,15 @@ def test_trial_rng_streams_are_stable():
     seq = [r1.random() for _ in range(6)]
     r2 = trial_rng(9, 4)
     np.testing.assert_array_equal(np.array(seq), r2.random(6))
-    # the stream is Philox4x64-10 keyed by (seed, trial); pinned, since every
-    # report number depends on it
-    ref = np.random.Generator(np.random.Philox(key=np.array([9, 4], dtype=np.uint64)))
-    np.testing.assert_array_equal(np.array(seq), ref.random(6))
+    # block k of trial i is numpy's Philox4x64-10 block after counter
+    # i + k * 2**64 under key (seed, 0); pinned, since every report number
+    # depends on it
+    blocks = [np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64),
+                                                   counter=4 + k * 2**64)).random(4)
+              for k in range(2)]
+    np.testing.assert_array_equal(np.array(seq), np.concatenate(blocks)[:6])
     assert [x.hex() for x in seq[:2]] == PINNED_9_4
-    np.testing.assert_array_equal(
-        protocol._stream_uniforms(9, np.full(6, 4, dtype=np.uint64), np.arange(6)), seq)
+    np.testing.assert_array_equal(protocol._Draws(9, 0, 7).upto(6)[4, :6], seq)
 
 
 def test_run_trials_rejects_bad_inputs():
@@ -357,7 +359,7 @@ def test_report_keys_and_rng_provenance():
     assert list(d) == ["variant", "trials", "seed", "g1", "g2", "backend", "rng",
                        "branch_counts", "rounds_histogram", "mean_rounds",
                        "min_fidelity", "mean_fidelity"]
-    assert d["rng"] == "philox4x64-10/v1"
+    assert d["rng"] == "philox4x64-10/v2"
 
 
 def test_every_variant_recovers_200_random_spin_states():
