@@ -95,6 +95,7 @@ _CHUNK = 1024
 #: report; any change to the draws a trial consumes needs a new version.
 _RNG_SCHEME = "philox4x64-10/v2"
 
+
 def _require_unit_amplitudes(g1, g2):
     """Raise unless every (g1, g2) pair is finite with unit norm to 1e-12.
 
@@ -382,8 +383,8 @@ class _TrialStream:
 def trial_rng(seed: int, trial: int) -> _TrialStream:
     """Trial ``trial``'s stream of run seed ``seed``, for the step-by-step path.
 
-    It returns the doubles the batch engine reads for that trial, in order,
-    one ``random()`` call at a time.
+    Its ``random()`` returns the doubles the batch engine reads for that
+    trial, in order.
     """
     return _TrialStream(seed, trial)
 
