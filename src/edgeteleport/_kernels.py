@@ -2,32 +2,32 @@
 
 One call runs a batch of trials; the protocol steps are those of
 :func:`edgeteleport.protocol.run_teleport_once`, the reference the tests
-compare against.  The linear algebra runs on distinct state rows, and each
+compare against.  The linear algebra runs on distinct input rows, and each
 trial carries ``of``, the index of its row: a fixed input gives one row for
-the whole batch, Haar-random inputs one row per trial.  Every cold-atom miss
-relaxes the a-b wires to the same state, so the state before a round depends
-only on the input and the round; the restart loop keeps one row per input
-with trials still running, and trials only compare their uniforms with their
-row's probability.
+the whole batch, Haar-random inputs one row per trial.
 
-Sector blocks are stacked side by side, so each measurement and each
-relaxation is one matrix product over the rows, and a 0/1 sector indicator
-(``protocol._indicator``) sums the squared coordinates into sector weights
-with one more.  Alice's measurement reads ``X @ M``: ``X`` is the ``(m, 2)``
-array of input amplitudes for electronic trials (``M`` has the two inputs
-folded in) and the ``(m, 64)`` array of states for cold-atom ones.  Bob's
-correction runs once per (row, sector) pair that some trial reached: the
-pairs are sorted by sector, so each branch owns one segment of them, and the
-only loop, over the four branches, is one matrix product per non-empty
-segment into a shared block.  Bob's overlap, both norms, the ``tr > 0`` guard
-and the square root then run once over all pairs.  The setup mapping is
-built once per variant by ``protocol._kernel_setup``.
+Both variants run on the two-dimensional input span.  ``protocol._kernel_setup``
+folds Alice's gates, her stacked sector blocks and Bob's corrected branch
+bases onto two rows of states: the two inputs for electronic trials, their
+integer-class parts for cold-atom ones.  A cold-atom miss relaxes the a-b
+wires back to the initial state, which the setup certifies once for every
+input, so each restart round measures the state of round 1: a trial's round
+count follows from its draws and its row's class probability alone, and no
+state is relaxed here.
+
+Alice's measurement reads ``x @ alice`` for the ``(m, 2)`` coordinates ``x``,
+and a 0/1 sector indicator (``protocol._indicator``) sums the squared
+coordinates into sector weights with one more product.  Bob's correction
+runs once per (row, sector) pair that some trial reached: the pairs are
+sorted by sector, so each branch owns one segment of them, and the only
+loop, over the four branches, is one matrix product per non-empty segment
+into a shared block.  Bob's overlap, both norms, the ``tr > 0`` guard and
+the square root then run once over all pairs.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
 identical branch decisions.  The cold-atom engine asks a callback for the
-uniforms of the trials still active in each round; the callback reads a
-round's class draws as one column of the chunk's table of draws.
+uniforms of the trials still running in each round.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import born_index
-from .relax import _ORTHO_TOL, _WEIGHT_FLOOR
 
 
 def _norm2(x):
@@ -44,45 +43,12 @@ def _norm2(x):
     return np.einsum("ij,ij->i", r, r)
 
 
-def _distinct(idx, m):
-    """The distinct values of ``idx`` (all in ``range(m)``) in increasing
-    order, and the position of each entry of ``idx`` among them."""
-    present = np.zeros(m, dtype=bool)
-    present[idx] = True
-    return present.nonzero()[0], (np.cumsum(present) - 1)[idx]
-
-
-def _relax(psi, setup):
-    """Row-wise ``relax.relax_to_ground`` in two products over stacked blocks.
-
-    ``psi @ relax_cols`` holds the sector and ground-space coordinates, whose
-    weights give each ground coordinate its sector's rescale ``w / wy``.
-    """
-    d = psi @ setup["relax_cols"]
-    weights = np.sqrt(np.square(d.view(np.float64)) @ setup["relax_sectors"])
-    n_sectors = weights.shape[1] // 2
-    w, wy = weights[:, :n_sectors], weights[:, n_sectors:]
-    keep = w > _WEIGHT_FLOOR
-    if np.any(keep & (wy < _ORTHO_TOL * w)):
-        raise RuntimeError(
-            "sector component is orthogonal to its sector ground space; "
-            "relaxation target undefined"
-        )
-    scale = np.divide(w, wy, out=np.zeros_like(w), where=keep)
-    # the sector bases tile the whole space: ground coordinates follow them
-    ground = d[:, psi.shape[1]:]
-    out = (ground * scale[:, setup["ground_sector"]]) @ setup["ground_t"]
-    total = np.sqrt(_norm2(out))
-    if np.any(total < _WEIGHT_FLOOR):
-        raise RuntimeError("relaxation produced the zero vector")
-    return out / total[:, None]
-
-
 def _measure_and_correct(setup, x, g, of, u):
     """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
 
-    ``x`` holds the distinct state rows and ``g`` their ``(g1, g2)`` inputs;
-    trial ``i`` is in row ``of[i]`` and draws its sector with ``u[i]``.
+    ``x`` holds the distinct state rows, as coordinates on the folded rows of
+    ``setup``, and ``g`` their ``(g1, g2)`` inputs; trial ``i`` is in row
+    ``of[i]`` and draws its sector with ``u[i]``.
     Returns each trial's index into ``protocol.BRANCHES`` and Bob's fidelity,
     computed once per (row, branch) pair that some trial reached; the pairs
     are grouped by sector, so each branch's product covers one segment of
@@ -131,41 +97,26 @@ def coldatom_batch(setup, g, of, draw, max_rounds):
     ``draw(trials, k)`` returns, for the trials at the integer array
     ``trials``, their ``k``-th uniform in stream order (``k`` a scalar or one
     entry per trial): draw ``r - 1`` decides class measurement ``r`` and draw
-    ``rounds`` the branch.  Hitting ``max_rounds`` raises, as in the
-    step-by-step path.
+    ``rounds`` the branch.  Every round measures the state of round 1, so a
+    trial stops in the first round ``r`` whose draw falls below its row's
+    class probability ``p``, in the state ``g @ integer_part / sqrt(p)``.
+    Hitting ``max_rounds`` raises, as in the step-by-step path.
     """
-    n = len(of)
-    origin, at = _distinct(of, len(g))  # the input of each live row
-    psi = g[origin] @ setup["inputs"]  # one row per input with running trials
-    live = np.stack([np.arange(n), at])  # (trial, row) of each running trial
-    # (projected rows, their weights, their inputs) of every round; a
-    # trial's ``end`` is the row it stops in, counted over all rounds
-    kept, end = [], np.empty(n, dtype=np.int64)
-    n_rows = 0
+    p = _norm2(g @ setup["integer_part"])
+    p_of = p[of]
+    rounds = np.zeros(len(of), dtype=np.int64)
+    live = np.arange(len(of))  # the trials still running
     for r in range(1, max_rounds + 1):
-        x = psi @ setup["p_int"].T
-        p = _norm2(x)
-        kept.append((x, p, origin))
-        hit = draw(live[0], r - 1) < p[live[1]]
-        stopped = live[:, hit]
-        end[stopped[0]] = n_rows + stopped[1]
-        n_rows += len(p)
-        live = live[:, ~hit]
-        if not live.shape[1]:
+        hit = draw(live, r - 1) < p_of[live]
+        rounds[live[hit]] = r
+        live = live[~hit]
+        if not len(live):
             break
-        if r == max_rounds:
-            raise RuntimeError(
-                f"no integer-spin outcome after {max_rounds} restarts; "
-                "statistically unreachable, check the setup"
-            )
-        if len(psi) > 1:  # a single row stays live while any trial runs
-            go, live[1] = _distinct(live[1], len(psi))
-            psi, x, origin = psi[go], x[go], origin[go]
-        y = psi - x
-        psi = _relax(y / np.sqrt(_norm2(y))[:, None], setup)
-    rounds = np.repeat(np.arange(1, len(kept) + 1), [len(p) for _, p, _ in kept])[end]
-    stop, end = _distinct(end, n_rows)  # the rows some trial stops in
-    x, p, origin = (np.concatenate(a)[stop] for a in zip(*kept))
-    branch, fid = _measure_and_correct(setup, x / np.sqrt(p)[:, None], g[origin], end,
-                                       draw(np.arange(n), rounds))
+    else:
+        raise RuntimeError(
+            f"no integer-spin outcome after {max_rounds} restarts; "
+            "statistically unreachable, check the setup"
+        )
+    branch, fid = _measure_and_correct(setup, g / np.sqrt(p)[:, None], g, of,
+                                       draw(np.arange(len(of)), rounds))
     return branch, rounds, fid

@@ -75,7 +75,13 @@ from .measure import (
     measure_spin_dm,
     spin_sector_bases,
 )
-from .relax import relax_to_ground, relax_to_ground_dm, sector_ground_spaces
+from .relax import (
+    _ORTHO_TOL,
+    _WEIGHT_FLOOR,
+    relax_to_ground,
+    relax_to_ground_dm,
+    sector_ground_spaces,
+)
 
 ALICE_WIRES = ("c", "a")
 BOB_WIRE = "b"
@@ -469,24 +475,19 @@ def _indicator(blocks) -> np.ndarray:
     return (col[:, None] == np.arange(len(blocks))).astype(np.float64)
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_setup(variant: str) -> dict:
-    """Stacked arrays consumed by the batch engine, built once per variant.
+def _folded(rows) -> dict:
+    """Stacked matrices of the engine for the states ``x @ rows``.
 
-    The bases are the cached ones of :mod:`edgeteleport.measure` and
-    :mod:`edgeteleport.relax`, stacked side by side.  Alice's gates, and for
-    electronic trials (``[g1, g2] @ inputs``) the two inputs, are folded into
-    her columns; Bob's corrected branch bases are folded onto those.
+    The bases are the cached ones of :mod:`edgeteleport.measure`, stacked side
+    by side.  Alice's gates and the ``(k, 64)`` array ``rows`` are folded into
+    her columns, so the engine's state rows are ``(m, k)`` arrays of
+    coordinates ``x``; Bob's corrected branch bases are folded onto those.
     """
     modes = TELEPORT_MODES
     sectors = spin_sector_bases(modes, ALICE_WIRES)
-    inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
-                       prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
-    # psi @ blocks[s] = sector-s coordinates of psi after Alice's two gates
-    blocks = [u_alice.T @ basis.conj() for _, _, basis in sectors]
-    if variant == "electronic":
-        blocks = [inputs @ b for b in blocks]
+    # x @ blocks[s] = sector-s coordinates of x @ rows after Alice's two gates
+    blocks = [rows @ (u_alice.T @ basis.conj()) for _, _, basis in sectors]
     n_up, n_dn, signs = _b_reduction_indices(modes)
     branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
     bob = []
@@ -501,9 +502,8 @@ def _kernel_setup(variant: str) -> dict:
         read = np.vstack([corrected[n_up], signs[:, None] * corrected[n_dn]])
         bob.append(blocks[s] @ read.T)
     alice = np.hstack(blocks)
-    used = np.any(alice != 0, axis=0)  # 8 of 64 columns for electronic trials
-    setup = {
-        "inputs": inputs,
+    used = np.any(alice != 0, axis=0)  # 8 of 64 columns for the two inputs
+    return {
         "alice": alice[:, used],
         "alice_sectors": _indicator(blocks)[np.repeat(used, 2)],
         "branch_of_sector": branch_of_sector,
@@ -513,17 +513,67 @@ def _kernel_setup(variant: str) -> dict:
         # the sector-sorted reached pairs, they bound each branch's segment
         "bob_bounds": np.array([[s, s + 1] for s in np.flatnonzero(branch_of_sector >= 0)]),
     }
-    if variant == "coldatom":
-        pairs = sector_ground_spaces(_relax_hamiltonian())
-        grounds = [ground for _, ground in pairs]
-        setup["p_int"] = integer_class_projector(modes, ALICE_WIRES)
-        # psi @ relax_cols = [sector coordinates | ground coordinates] of psi,
-        # and the indicator sums them into [sector weights | ground weights]
-        setup["relax_cols"] = np.hstack([basis for basis, _ in pairs] + grounds).conj()
-        setup["relax_sectors"] = _indicator([basis for basis, _ in pairs] + grounds)
-        setup["ground_sector"] = np.repeat(np.arange(len(pairs)), [g.shape[1] for g in grounds])
-        setup["ground_t"] = np.hstack(grounds).T
-    return setup
+
+
+def _certify_relaxation(h, inputs, integer_part):
+    """Raise unless relaxing a cold-atom miss by ``h`` restores its input.
+
+    A trial with input ``g`` misses with the state ``g @ y``, where
+    ``y = inputs - integer_part`` is the miss span.  ``relax_to_ground``
+    rescales each a-b sector's ground component by ``w / wy``; if, in every
+    sector the span reaches, the ground-weight form of ``y`` is a constant
+    ``kappa`` times its sector-weight form, then ``w / wy = kappa**-0.5`` for
+    every ``g`` and the relaxation is linear on the span, ``g @ y -> g @ r``.
+    If also ``r = c * inputs``, every miss relaxes, after normalisation, to
+    its initial state up to the global phase of ``c``, so each restart round
+    measures the state of round 1.  Both checks hold to a relative residual
+    of 1e-12, for every input at once; the bounds on ``kappa`` and ``c`` are
+    ``relax_to_ground``'s orthogonality and zero-vector checks.
+    """
+    y = inputs - integer_part
+    total = np.vdot(y, y).real
+    r = np.zeros_like(y)
+    for basis, ground in sector_ground_spaces(h):
+        a, b = y @ basis.conj(), y @ ground.conj()  # sector and ground coordinates
+        w, wy = a @ a.conj().T, b @ b.conj().T
+        if np.trace(w).real <= _WEIGHT_FLOOR**2 * total:
+            continue  # below relax_to_ground's weight floor for every input
+        kappa = np.trace(wy).real / np.trace(w).real
+        residual = np.abs(wy - kappa * w).max() / np.trace(w).real
+        if residual > 1e-12 or kappa <= _ORTHO_TOL**2:
+            raise RuntimeError(
+                "relaxation of the cold-atom miss span is not certified: the "
+                "ground-weight form is not a positive multiple of the sector-weight "
+                f"form (relative residual {residual:.3g}, kappa {kappa:.3g})"
+            )
+        r += b @ ground.T / np.sqrt(kappa)
+    c = np.vdot(inputs, r) / len(inputs)  # the inputs are orthonormal rows
+    residual = np.abs(r - c * inputs).max() / max(np.abs(r).max(), _WEIGHT_FLOOR)
+    if residual > 1e-12 or abs(c) <= _WEIGHT_FLOOR:
+        raise RuntimeError(
+            "relaxation of the cold-atom miss span is not certified: the relaxed "
+            f"span is not a multiple of the inputs (relative residual {residual:.3g}, "
+            f"|c| {abs(c):.3g})"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_setup(variant: str) -> dict:
+    """Stacked arrays consumed by the batch engine, built once per variant.
+
+    Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
+    trials fold their integer-class parts, ``integer_part``: once
+    :func:`_certify_relaxation` has shown that every miss relaxes back to the
+    initial state, a trial stops, whatever its round, in the state
+    ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``.
+    """
+    inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
+                       prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
+    if variant == "electronic":
+        return _folded(inputs)
+    integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
+    _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
+    return {**_folded(integer_part), "integer_part": integer_part}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):

@@ -12,19 +12,33 @@ import pytest
 
 import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
-from edgeteleport.fock import TELEPORT_MODES, StateVector, create, vacuum_state
+from edgeteleport.fock import (
+    TELEPORT_MODES,
+    HermitianOperator,
+    StateVector,
+    annihilation_matrix,
+    create,
+    vacuum_state,
+)
 from edgeteleport.gates import apply_gate, cnot, gate_unitary, hadamard
-from edgeteleport.measure import measure_spin, spin_sector_bases
+from edgeteleport.hubbard import CouplingParams, build_h_int
+from edgeteleport.measure import (
+    integer_class_projector,
+    measure_spin,
+    measure_spin_class,
+    spin_sector_bases,
+)
 from edgeteleport.protocol import (
     SpinAmplitudes,
     bob_correction,
     bob_fidelity,
     default_backend,
+    prepare_initial,
     run_teleport_once,
     run_trials,
     trial_rng,
 )
-from edgeteleport.relax import relax_to_ground, sector_ground_spaces
+from edgeteleport.relax import relax_to_ground
 
 
 def _oracle(g, variant, n, seed):
@@ -106,39 +120,89 @@ def test_batched_run_is_reproducible():
     assert a.backend == default_backend() == "numpy"
 
 
-def _random_states(n, seed):
+def _miss(g):
+    """The cold-atom state after one half-odd class outcome, as the library gives it."""
+    psi = prepare_initial(g, "coldatom")
+    return measure_spin_class(psi, protocol.ALICE_WIRES, _Uniforms([1.0]))[1]
+
+
+def _pair_hamiltonian(sign):
+    """``-A^dag A`` with the pair annihilator ``A = a_dn a_up + sign * b_dn b_up``:
+    in the a-b sector of the cold-atom miss its ground state is the pair
+    state ``a doublon + sign * b doublon``."""
+    c = [annihilation_matrix(TELEPORT_MODES, TELEPORT_MODES.index(w, s))
+         for w in "ab" for s in ("up", "dn")]
+    pair = c[1] @ c[0] + sign * (c[3] @ c[2])
+    return HermitianOperator(TELEPORT_MODES, -pair.conj().T @ pair)
+
+
+def _setup_with(h, monkeypatch):
+    """A fresh cold-atom setup whose relaxation Hamiltonian is ``h``."""
+    monkeypatch.setattr(protocol, "_relax_hamiltonian", lambda: h)
+    return protocol._kernel_setup.__wrapped__("coldatom")
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_certified_relaxation_restores_every_input_in_the_library(seed):
+    # the setup certifies it; the library's relaxation agrees input by input
+    setup, h = protocol._kernel_setup("coldatom"), protocol._relax_hamiltonian()
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=(n, 64)) + 1j * rng.normal(size=(n, 64))
-    return psi / np.linalg.norm(psi, axis=1)[:, None]
+    for gi in np.stack(protocol._haar_amplitudes(rng.random((40, 3))), axis=1):
+        g = SpinAmplitudes(*gi)
+        relaxed = relax_to_ground(_miss(g), h).amps
+        initial = prepare_initial(g, "coldatom").amps
+        assert abs(abs(np.vdot(initial, relaxed)) - 1.0) <= 1e-12
+        p = kernels._norm2(gi[None, :] @ setup["integer_part"])[0]
+        assert abs(p - np.linalg.norm(integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
+                                      @ relaxed) ** 2) <= 1e-12
 
 
-def test_stacked_relaxation_matches_the_library_row_by_row():
-    h = protocol._relax_hamiltonian()
-    psi = _random_states(40, 3)
-    # protocol states reach only a few of the a-b sectors; these reach all ten
-    bases = [basis for basis, _ in sector_ground_spaces(h)]
-    assert len(bases) == 10
-    assert min(np.linalg.norm(psi @ b.conj(), axis=1).min() for b in bases) > 0.05
-    out = kernels._relax(psi, protocol._kernel_setup("coldatom"))
-    for row, state in zip(out, psi):
-        ref = relax_to_ground(StateVector(TELEPORT_MODES, state), h).amps
-        assert np.abs(row - ref).max() <= 1e-12
-
-
-def test_stacked_relaxation_raises_where_the_library_does():
-    setup = protocol._kernel_setup("coldatom")
-    vac = vacuum_state(TELEPORT_MODES)
-    # a doublon minus b doublon is orthogonal to its sector's hopping ground space
-    anti = (create(create(vac, "a", "dn"), "a", "up")
-            - create(create(vac, "b", "dn"), "b", "up")) * (1 / np.sqrt(2.0))
-    anti = create(anti, "c", "up")
+def test_setup_raises_where_the_library_finds_the_miss_orthogonal(monkeypatch):
+    # the cold-atom miss is (a doublon + b doublon) on a-b; this ground state
+    # is orthogonal to it, so the weight multiple kappa is 0
+    h = _pair_hamiltonian(-1.0)
     with pytest.raises(RuntimeError, match="orthogonal"):
-        relax_to_ground(anti, protocol._relax_hamiltonian())
-    good = _random_states(3, 4)
-    with pytest.raises(RuntimeError, match="orthogonal"):
-        kernels._relax(np.vstack([good, anti.amps]), setup)
-    with pytest.raises(RuntimeError, match="zero vector"):
-        kernels._relax(np.vstack([good, np.zeros(64)]), setup)
+        relax_to_ground(_miss(SpinAmplitudes(1.0, 0.0)), h)
+    with pytest.raises(RuntimeError, match=r"not certified.*relative residual .*kappa"):
+        _setup_with(h, monkeypatch)
+
+
+@pytest.mark.parametrize("h", [_pair_hamiltonian(0.0),  # the a doublon alone
+                               build_h_int(CouplingParams(e2=1.0, lam=0.01), TELEPORT_MODES)],
+                         ids=["doublon", "h_int"])
+def test_setup_raises_where_relaxation_leaves_the_input(h, monkeypatch):
+    # the library relaxes the miss to some other state: later rounds would
+    # not repeat round 1, and the fold would be wrong
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
+    relaxed = relax_to_ground(_miss(g), h).amps
+    assert abs(np.vdot(prepare_initial(g, "coldatom").amps, relaxed)) < 0.99
+    with pytest.raises(RuntimeError, match=r"not a multiple of the inputs \(relative residual"):
+        _setup_with(h, monkeypatch)
+
+
+def test_setup_certifies_the_hopping_hamiltonian_afresh(monkeypatch):
+    setup = _setup_with(protocol._relax_hamiltonian(), monkeypatch)
+    cached = protocol._kernel_setup("coldatom")
+    assert setup.keys() == cached.keys()
+    assert np.array_equal(setup["integer_part"], cached["integer_part"])
+
+
+@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
+                         ids=["fixed", "haar"])
+def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
+    shapes = []
+    real = kernels._measure_and_correct
+
+    def spy(setup, x, *args):
+        shapes.append((x.shape, len(args[1])))
+        return real(setup, x, *args)
+
+    monkeypatch.setattr(kernels, "_measure_and_correct", spy)
+    n = protocol._CHUNK + 37
+    chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
+    rows = [1, 1] if g is not None else [protocol._CHUNK, 37]
+    assert shapes == [((m, 2), k) for m, k in zip(rows, [protocol._CHUNK, 37])]
+    assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
 
 def test_report_aggregates_chunks_as_the_array_path_does():
@@ -201,33 +265,12 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     assert r1.max() >= 5  # the shared row went through several restarts
 
 
-@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
-                         ids=["fixed", "haar"])
-def test_relaxation_runs_once_per_state_row(g, monkeypatch):
-    sizes = []
-    real = kernels._relax
-
-    def spy(psi, setup):
-        sizes.append(len(psi))
-        return real(psi, setup)
-
-    monkeypatch.setattr(kernels, "_relax", spy)
-    n = protocol._CHUNK + 37
-    chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
-    if g is not None:
-        # one input: a single row relaxes after each round but a chunk's last
-        assert sizes == [1] * sum(int(rounds.max()) - 1 for _, rounds, _ in chunks)
-    else:
-        # one row per trial: every trial relaxes once per miss
-        assert sum(sizes) == sum(int(np.sum(rounds - 1)) for _, rounds, _ in chunks)
-
-
 def test_outcome_outside_the_branches_raises_naming_it():
-    setup = protocol._kernel_setup("coldatom")
     # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates
     lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
+    setup = protocol._folded(lone[None, :])
     with pytest.raises(RuntimeError, match=r"Alice measured \(J, Jz\) = \(0\.5, -?0\.5\)"):
-        kernels._measure_and_correct(setup, lone[None, :], np.array([[1.0, 0.0]]),
+        kernels._measure_and_correct(setup, np.ones((1, 1), dtype=complex), np.array([[1.0, 0.0]]),
                                      np.zeros(3, dtype=np.int64), np.array([0.1, 0.5, 0.9]))
 
 
@@ -269,7 +312,9 @@ def test_bob_step_with_every_trial_in_one_branch(branch):
     x /= np.linalg.norm(x, axis=1)[:, None]
     g = np.stack(protocol._haar_amplitudes(rng.random((m, 3))), axis=1)
     of, u = rng.integers(0, m, n), rng.random(n)
-    branches, fids = kernels._measure_and_correct(protocol._kernel_setup("coldatom"), x, g, of, u)
+    # the engine's setup folded on the states themselves: row k is the kth state
+    branches, fids = kernels._measure_and_correct(protocol._folded(x), np.eye(m, dtype=complex),
+                                                  g, of, u)
     assert set(branches.tolist()) == {branch}
     expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
     assert np.abs(fids - expected).max() <= 1e-15
@@ -407,14 +452,14 @@ _DIGESTS = {
     ("electronic", "haar", 50, 2**64 - 1): "595609328b5fea49819c3d1c16490cec5a380ee2e8ed2e7b1052e4fb9564637a",
     ("electronic", "haar", 1025, 5): "33404312009e3d7c30764c3859f88d4e6e3d84e0c2fd560b04438155a5ddd9b5",
     ("electronic", "haar", 1025, 2**64 - 1): "e1bc9e195e2772c9a3213ee6282b3e2d500da1f474744f467a3747e46cf3dd66",
-    ("coldatom", "fixed", 1, 5): "5a40d6b4897d2845a99dcad2bfbba63526024a5c866b2d008719d91b01c819d9",
-    ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",
+    ("coldatom", "fixed", 1, 5): "a108f5a50f1e1e6b138ee8b9e610a1f521baeb848e9a67ae7d1bfad924a88b6a",
+    ("coldatom", "fixed", 1, 2**64 - 1): "e93717d0d97c657b4c6ec2c3c37aa41a4aedb483aec42008929e47c2db9f2a97",
     ("coldatom", "fixed", 50, 5): "888395affafa8e11b20a946ab852ffce52322836a06b853a10e7e9fc0b5062ed",
     ("coldatom", "fixed", 50, 2**64 - 1): "fa36fae83a3a54747e1735d7bf0d3f0d6bd254260c6d0e0b3b8ab8f7db3725c3",
     ("coldatom", "fixed", 1025, 5): "c790a67e06c935ec42b762fa1158468dfaa31b5f089685e76307a5046848b48d",
     ("coldatom", "fixed", 1025, 2**64 - 1): "b4bceee37a20545ed0d7fc4512906ea9902a6d54af73220081ab309b55eb0f4d",
     ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
-    ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
+    ("coldatom", "haar", 1, 2**64 - 1): "13fe88b6b7c3b00cf9b25efda9e38bee75bf67a8fa6fc4548d039ae66c355b17",
     ("coldatom", "haar", 50, 5): "033912be3bb7e9ae78da5a3ad0975df1a71d3041ddad19dd33401d2982d2dc81",
     ("coldatom", "haar", 50, 2**64 - 1): "59dfad835c22b8a3707f743dfc64527395b749eabb3dd3429c50f15e6f0a81fd",
     ("coldatom", "haar", 1025, 5): "e0fd3614e66bfe2191112d3b0ce50a3bdf0d24ae0534d61df853a38f4cc09696",
