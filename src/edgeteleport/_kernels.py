@@ -78,7 +78,9 @@ def _measure_and_correct(setup, x, g, of, u):
     v = np.einsum("ik,ikj->ij", g[rows].conj(), a.reshape(len(rows), 2, -1))
     tr = _norm2(a)
     fid = np.empty(probs.shape)  # read only where reached
-    fid[rows, sectors] = np.sqrt(np.divide(_norm2(v), tr, out=np.zeros_like(tr), where=tr > 0.0))
+    # val <= tr up to rounding: capped, val / tr and its root stay <= 1
+    val = np.minimum(_norm2(v), tr)
+    fid[rows, sectors] = np.sqrt(np.divide(val, tr, out=np.zeros_like(tr), where=tr > 0.0))
     return branch, fid.take(cell)
 
 

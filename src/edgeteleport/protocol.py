@@ -237,8 +237,9 @@ def bob_fidelity(state, g: SpinAmplitudes) -> float:
     if tr <= 0.0:
         return 0.0
     t = np.array([g.g1, g.g2])
-    val = float(np.vdot(t, rho @ t).real) / tr
-    return float(np.sqrt(max(0.0, val)))
+    # val <= tr up to rounding: capped, val / tr and its root stay <= 1
+    val = min(float(np.vdot(t, rho @ t).real), tr)
+    return float(np.sqrt(max(0.0, val / tr)))
 
 
 # ---------------------------------------------------------------------------

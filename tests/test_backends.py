@@ -90,6 +90,18 @@ def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
     assert last[:protocol._CHUNK].max() >= 8 and last[protocol._CHUNK:].max() >= 8
 
 
+@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
+def test_no_fidelity_exceeds_one(variant):
+    # rounding puts Bob's overlap above his trace on about one Haar trial in
+    # 15; capped, no per-trial fidelity and so no report exceeds 1
+    chunks = protocol._run_trials_batched(None, variant, 3000, 5, protocol.DEFAULT_MAX_ROUNDS)
+    assert max(float(fids.max()) for _, _, fids in chunks) <= 1.0
+    assert _oracle(None, variant, 300, 5)[2].max() <= 1.0
+    for seed in (0, 7, 2**64 - 1):
+        report = run_trials(None, variant, 1, seed=seed)
+        assert report.min_fidelity <= 1.0 and report.mean_fidelity <= 1.0
+
+
 def test_report_statistics_match_oracle():
     g = SpinAmplitudes.normalized(0.6, 0.8j)
     rep = run_trials(g, "coldatom", 300, seed=21)
@@ -459,7 +471,7 @@ _DIGESTS = {
     ("coldatom", "fixed", 1025, 5): "c790a67e06c935ec42b762fa1158468dfaa31b5f089685e76307a5046848b48d",
     ("coldatom", "fixed", 1025, 2**64 - 1): "b4bceee37a20545ed0d7fc4512906ea9902a6d54af73220081ab309b55eb0f4d",
     ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
-    ("coldatom", "haar", 1, 2**64 - 1): "13fe88b6b7c3b00cf9b25efda9e38bee75bf67a8fa6fc4548d039ae66c355b17",
+    ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
     ("coldatom", "haar", 50, 5): "033912be3bb7e9ae78da5a3ad0975df1a71d3041ddad19dd33401d2982d2dc81",
     ("coldatom", "haar", 50, 2**64 - 1): "59dfad835c22b8a3707f743dfc64527395b749eabb3dd3429c50f15e6f0a81fd",
     ("coldatom", "haar", 1025, 5): "e0fd3614e66bfe2191112d3b0ce50a3bdf0d24ae0534d61df853a38f4cc09696",
