@@ -89,6 +89,9 @@ BOB_WIRE = "b"
 #: Canonical branch order: the four (J, Jz) outcomes of Alice's measurement.
 BRANCHES = ((1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (0.0, 0.0))
 
+#: The report's ``branch_counts`` keys, in ``BRANCHES`` order.
+_BRANCH_KEYS = tuple(f"{j:g},{m:g}" for j, m in BRANCHES)
+
 DEFAULT_MAX_ROUNDS = 64
 
 VARIANTS = ("electronic", "coldatom", "mixed")
@@ -427,20 +430,25 @@ class TeleportReport:
 def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
     """Fold ``(branches, rounds, fidelities)`` chunks into a report in O(chunk)
     memory.  The fidelity sum is pairwise over chunks, from a stack of
-    ``(k, sum of 2**k chunks)``; one chunk gives exactly ``np.mean``."""
-    per_branch, per_round = np.zeros(len(BRANCHES), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    n, min_fid, fid_sums = 0, np.inf, []
+    ``(k, sum of 2**k chunks)``; one chunk gives exactly ``np.mean``, and
+    runs no numpy call beyond its two ``bincount``s, ``min`` and ``sum``."""
+    chunks = iter(chunks)
+    branches, rounds, fids = next(chunks)
+    n, min_fid, fid_sums = len(branches), fids.min(), [(0, fids.sum())]
+    per_branch = np.bincount(branches, minlength=len(BRANCHES))
+    per_round = np.bincount(rounds)
     for branches, rounds, fids in chunks:
         n += len(branches)
         per_branch += np.bincount(branches, minlength=len(BRANCHES))
         counts = np.bincount(rounds, minlength=len(per_round))
         counts[:len(per_round)] += per_round
         per_round = counts
-        min_fid = float(np.minimum(min_fid, np.min(fids)))
-        level, x = 0, float(np.sum(fids))
+        min_fid = np.minimum(min_fid, fids.min())
+        level, x = 0, fids.sum()
         while fid_sums and fid_sums[-1][0] == level:
             level, x = level + 1, fid_sums.pop()[1] + x
         fid_sums.append((level, x))
+    histogram = {r: c for r, c in enumerate(per_round.tolist()) if c}
     return TeleportReport(
         variant=variant,
         trials=n,
@@ -449,11 +457,11 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
         g2=(g.g2.real, g.g2.imag) if g is not None else None,
         backend=default_backend(),
         rng=_RNG_SCHEME,
-        branch_counts={f"{j:g},{m:g}": int(c) for (j, m), c in zip(BRANCHES, per_branch)},
-        rounds_histogram={r: int(c) for r, c in enumerate(per_round) if c},
-        mean_rounds=int(per_round @ np.arange(len(per_round))) / n,
-        min_fidelity=min_fid,
-        mean_fidelity=sum(partial for _, partial in reversed(fid_sums)) / n,
+        branch_counts=dict(zip(_BRANCH_KEYS, per_branch.tolist())),
+        rounds_histogram=histogram,
+        mean_rounds=sum(r * c for r, c in histogram.items()) / n,
+        min_fidelity=float(min_fid),
+        mean_fidelity=float(sum(partial for _, partial in reversed(fid_sums))) / n,
     )
 
 
