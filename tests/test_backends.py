@@ -192,22 +192,15 @@ def test_setup_raises_where_relaxation_leaves_the_input(h, monkeypatch):
         _setup_with(h, monkeypatch)
 
 
-def test_setup_certifies_the_hopping_hamiltonian_afresh(monkeypatch):
-    setup = _setup_with(protocol._relax_hamiltonian(), monkeypatch)
-    cached = protocol._kernel_setup("coldatom")
-    assert setup.keys() == cached.keys()
-    assert np.array_equal(setup["integer_part"], cached["integer_part"])
-
-
 @pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
                          ids=["fixed", "haar"])
 def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     shapes = []
     real = kernels._measure_and_correct
 
-    def spy(setup, x, *args):
-        shapes.append((x.shape, len(args[1])))
-        return real(setup, x, *args)
+    def spy(setup, x, g, of, u):
+        shapes.append((x.shape, len(of)))
+        return real(setup, x, g, of, u)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
