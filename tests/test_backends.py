@@ -198,9 +198,9 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     shapes = []
     real = kernels._measure_and_correct
 
-    def spy(setup, x, g, of, u):
+    def spy(setup, x, g_rows, of, u):
         shapes.append((x.shape, len(of)))
-        return real(setup, x, g, of, u)
+        return real(setup, x, g_rows, of, u)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
