@@ -26,8 +26,9 @@ the square root then run once over all pairs.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
-identical branch decisions.  The cold-atom engine asks a callback for the
-uniforms of the trials still running in each round.
+identical branch decisions.  The cold-atom engine counts every trial's
+rounds over the block rows of draws taken so far, and takes one more row
+only while some trial has not stopped.
 """
 
 from __future__ import annotations
@@ -92,33 +93,35 @@ def electronic_batch(setup, g, of, u_branch):
     return _measure_and_correct(setup, g, g, of, u_branch)
 
 
-def coldatom_batch(setup, g, of, draw, max_rounds):
+def coldatom_batch(setup, g, of, upto, first, max_rounds):
     """Branch index, rounds and fidelity of each cold-atom trial.
 
     ``g`` holds the ``(m, 2)`` distinct inputs and ``of`` each trial's row.
-    ``draw(trials, k)`` returns, for the trials at the integer array
-    ``trials``, their ``k``-th uniform in stream order (``k`` a scalar or one
-    entry per trial): draw ``r - 1`` decides class measurement ``r`` and draw
-    ``rounds`` the branch.  Every round measures the state of round 1, so a
-    trial stops in the first round ``r`` whose draw falls below its row's
-    class probability ``p``, in the state ``g @ integer_part / sqrt(p)``.
-    Hitting ``max_rounds`` raises, as in the step-by-step path.
+    ``upto(stop)`` returns the chunk's draw table, a row per trial, grown by
+    whole Philox block rows to at least ``stop`` columns: column
+    ``first + r - 1`` decides class measurement ``r`` and ``first + rounds``
+    the branch.  Every round measures the state of round 1, so a trial stops
+    in the first round ``r`` whose draw falls below its row's class
+    probability ``p``, in the state ``g @ integer_part / sqrt(p)``.  Rounds
+    are counted over the block rows drawn so far; one more is drawn only
+    while some trial has no hit and fewer than ``max_rounds`` class draws
+    exist.  Hitting ``max_rounds`` raises, as in the step-by-step path.
     """
     p = _norm2(g @ setup["integer_part"])
-    p_of = p[of]
-    rounds = np.zeros(len(of), dtype=np.int64)
-    live = np.arange(len(of))  # the trials still running
-    for r in range(1, max_rounds + 1):
-        hit = draw(live, r - 1) < p_of[live]
-        rounds[live[hit]] = r
-        live = live[~hit]
-        if not len(live):
+    p_of = p[of, None]
+    u = upto(first + 1)
+    while True:
+        hit = u[:, first:first + max_rounds] < p_of
+        if hit.any(axis=1).all():
             break
-    else:
-        raise RuntimeError(
-            f"no integer-spin outcome after {max_rounds} restarts; "
-            "statistically unreachable, check the setup"
-        )
+        if u.shape[1] >= first + max_rounds:
+            raise RuntimeError(
+                f"no integer-spin outcome after {max_rounds} restarts; "
+                "statistically unreachable, check the setup"
+            )
+        u = upto(u.shape[1] + 1)
+    rounds = hit.argmax(axis=1) + 1
+    u = upto(first + int(rounds.max()) + 1)
     branch, fid = _measure_and_correct(setup, g / np.sqrt(p)[:, None], g, of,
-                                       draw(np.arange(len(of)), rounds))
+                                       u[np.arange(len(of)), first + rounds])
     return branch, rounds, fid

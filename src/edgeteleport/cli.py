@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .protocol import SpinAmplitudes, run_trials
@@ -18,9 +20,17 @@ from .hubbard import CouplingParams, hubbard_report
 from .ssh_lattice import WireParams, spectrum_csv, zeromode_density_csv
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _write_text(parser, path: str, text: str) -> None:
+    """Write ``text`` over ``path`` in place, as truncating to zero first
+    makes the filesystem free the file's blocks and allocate them again."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        parser.error(f"cannot write --out {path}: {exc.strerror}")
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a pipe or a tty
+            fh.truncate()
 
 
 def _cmd_chain(parser, args) -> int:
@@ -31,7 +41,7 @@ def _cmd_chain(parser, args) -> int:
         text = spectrum_csv(params) if spectrum else zeromode_density_csv(params)
     except ValueError as exc:
         parser.error(str(exc))
-    _write_text(args.out, text)
+    _write_text(parser, args.out, text)
     print(f"wrote {params.num_sites} {'levels' if spectrum else 'site densities'} to {args.out}")
     return 0
 
@@ -76,7 +86,7 @@ def _cmd_teleport(parser, args) -> int:
         report = run_trials(g, args.variant, args.trials, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    _write_text(args.out, report.to_json())
+    _write_text(parser, args.out, report.to_json())
     print(
         f"variant={args.variant} trials={report.trials} seed={report.seed} "
         f"min_fidelity={report.min_fidelity:.15g} mean_rounds={report.mean_rounds:.4g}"

@@ -605,12 +605,7 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
             branches, fids = _kernels.electronic_batch(setup, g_rows, of, draws.u[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
             continue
-
-        def draw(trials, k, draws=draws):
-            j = first + k
-            return draws.upto(np.max(j) + 1)[trials, j]
-
-        yield _kernels.coldatom_batch(setup, g_rows, of, draw, max_rounds)
+        yield _kernels.coldatom_batch(setup, g_rows, of, draws.upto, first, max_rounds)
 
 
 def warm_up(variant: str = "electronic"):

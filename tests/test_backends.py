@@ -90,6 +90,24 @@ def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
     assert last[:protocol._CHUNK].max() >= 8 and last[protocol._CHUNK:].max() >= 8
 
 
+def test_restart_loop_reads_the_draw_table_once_per_block_row():
+    # rounds are counted over the block rows drawn so far, so the engine reads
+    # the table once, once per added row and once for the branch draws, not
+    # once per round
+    g, n = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), protocol._CHUNK
+    draws, stops = protocol._Draws(8, 0, n), []
+
+    def upto(stop):
+        stops.append(stop)
+        return draws.upto(stop)
+
+    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
+                                          np.array([[g.g1, g.g2]]), np.zeros(n, dtype=np.int64),
+                                          upto, 0, protocol.DEFAULT_MAX_ROUNDS)
+    assert rounds.max() >= 8  # a third block row, and more rounds than table reads
+    assert len(stops) <= draws.u.shape[1] // 4 + 1
+
+
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
 def test_no_fidelity_exceeds_one(variant):
     # rounding puts Bob's overlap above his trace on about one Haar trial in
@@ -261,8 +279,7 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
 
     setup = protocol._kernel_setup("coldatom")
     (b1, r1, f1), (b2, r2, f2) = (
-        kernels.coldatom_batch(setup, *rows, lambda trials, k: u[trials, k],
-                               protocol.DEFAULT_MAX_ROUNDS)
+        kernels.coldatom_batch(setup, *rows, lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
         for rows in (shared, per_trial))
     np.testing.assert_array_equal(b1, b2)
     np.testing.assert_array_equal(r1, r2)
@@ -335,7 +352,7 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     if variant == "electronic":
         branches, fids = kernels.electronic_batch(setup, row, of, u[:, 0])
     else:
-        branches, _, fids = kernels.coldatom_batch(setup, row, of, lambda trials, k: u[trials, k],
+        branches, _, fids = kernels.coldatom_batch(setup, row, of, lambda stop: u, 0,
                                                    protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -229,3 +231,54 @@ def test_teleport_mixed_variant(tmp_path):
                     "--trials", "25", "--seed", "4", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["min_fidelity"] >= 1 - 1e-10
+
+
+# one call of each command that writes --out
+_OUT_ARGV = {
+    "teleport": ["teleport", "--variant", "coldatom", "--g1", "0.6,0", "--g2", "0,0.8",
+                 "--trials", "50", "--seed", "21"],
+    "spectrum": ["spectrum", "--sites", "59", "--tprime", "0.6667"],
+    "zeromode": ["zeromode", "--sites", "59", "--tprime", "0.6667"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ARGV))
+def test_out_is_overwritten_in_place_with_a_fresh_files_bytes(tmp_path, command):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert run_cli([*_OUT_ARGV[command], "--out", str(fresh)]) == 0
+    expected = fresh.read_bytes()
+    assert 3 < len(expected) < 5000
+    out.write_bytes(b"")
+    inode = out.stat().st_ino
+    for junk in (b"x" * 5000, b"y" * 3):  # longer, then shorter than the output
+        out.write_bytes(junk)
+        assert run_cli([*_OUT_ARGV[command], "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+    assert out.stat().st_ino == inode  # rewritten, not replaced
+    assert run_cli([*_OUT_ARGV[command], "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ARGV))
+@pytest.mark.parametrize("where", ["missing directory", "directory", "read-only file"])
+def test_out_that_cannot_be_opened_exits_2_naming_the_path(tmp_path, capsys, monkeypatch,
+                                                           command, where):
+    out = {"missing directory": tmp_path / "missing" / "x.out", "directory": tmp_path,
+           "read-only file": tmp_path / "kept.out"}[where]
+    if where == "read-only file":
+        out.write_text("kept")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):  # root ignores the mode bits: refuse as for a user
+            os_open = os.open
+
+            def refuse(path, flags, *args):
+                if path == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return os_open(path, flags, *args)
+
+            monkeypatch.setattr(os, "open", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*_OUT_ARGV[command], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot write --out {out}: " in capsys.readouterr().err
+    if where == "read-only file":
+        assert out.read_text() == "kept"
