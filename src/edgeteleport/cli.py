@@ -4,18 +4,25 @@ Subcommands: ``spectrum``, ``zeromode``, ``hubbard``, ``teleport``.  All
 randomness flows from ``--seed``; repeated invocations with the same arguments
 produce byte-identical output files.  Exit code 2 on usage or validation
 errors.
+
+When the first argument names a subcommand, :func:`main` parses the rest with
+that subcommand's parser alone: the top parser would only pick it, at the cost
+of a second argparse pass.  Leftover arguments are reported through the top
+parser, and every other argv (none, ``--help``, an unknown command) goes
+through it whole, so each message and usage line is the one ``parse_args``
+gives.  Both JSON outputs are strict JSON from one writer, with the bytes of
+``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import stat
 import sys
 
-from .protocol import SpinAmplitudes, run_trials
+from .protocol import SpinAmplitudes, _json_text, run_trials
 from .hubbard import CouplingParams, hubbard_report
 from .ssh_lattice import WireParams, spectrum_csv, zeromode_density_csv
 
@@ -57,7 +64,7 @@ def _cmd_hubbard(parser, args) -> int:
         parser.error(str(exc))
     try:
         # strict JSON: a non-finite energy is an error, never "-Infinity"
-        text = json.dumps(hubbard_report(params), indent=2, allow_nan=False)
+        text = _json_text(hubbard_report(params))
     except (ArithmeticError, ValueError) as exc:
         parser.error(f"e2={args.e2!r}, lambda={args.lam!r} give no finite report: {exc}")
     print(text)
@@ -95,7 +102,8 @@ def _cmd_teleport(parser, args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="edgeteleport",
         description="Edge modes of an odd-site alternating-bond wire and "
@@ -128,12 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("--trials", type=int, default=1000)
     p_tel.add_argument("--seed", type=int, default=0)
     p_tel.add_argument("--out", required=True, help="output JSON path")
-    return parser
+    return parser, {"spectrum": p_spec, "zeromode": p_zero, "hubbard": p_hub,
+                    "teleport": p_tel}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse reads "--opt=--" as an empty list
         parser.error("an option is missing its value")
     handler = {

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
+import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -120,6 +121,34 @@ def _require_unit_amplitudes(g1, g2):
     raise ValueError("|g1|^2 + |g2|^2 must equal 1")
 
 
+def _json_text(v, newline="\n"):
+    """``json.dumps(v, indent=2, allow_nan=False)`` for str keys and str, int,
+    float, None, bool, list and dict values, through the stdlib's own scalar
+    encoders: with ``indent`` set, ``json.dumps`` runs its pure-Python encoder.
+    ``newline`` is the line break and indentation of ``v``'s own level.
+    """
+    if isinstance(v, str):
+        return _json_str(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return float.__repr__(v)
+    inner = newline + "  "
+    if isinstance(v, dict):
+        items, brackets = [_json_str(k) + ": " + _json_text(x, inner) for k, x in v.items()], "{}"
+    elif isinstance(v, (list, tuple)):
+        items, brackets = [_json_text(x, inner) for x in v], "[]"
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _haar_amplitudes(u):
     """Exact Haar-random (g1, g2) arrays from three uniforms per row of ``u``.
 
@@ -140,9 +169,12 @@ class SpinAmplitudes:
     g2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "g1", complex(self.g1))
-        object.__setattr__(self, "g2", complex(self.g2))
-        _require_unit_amplitudes(self.g1, self.g2)
+        g1, g2 = complex(self.g1), complex(self.g2)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        a1, a2 = abs(g1), abs(g2)
+        if not abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12:  # plain floats: no numpy call
+            _require_unit_amplitudes(g1, g2)
 
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
@@ -424,7 +456,7 @@ class TeleportReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict()) + "\n"
 
 
 def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
@@ -608,6 +640,17 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         yield _kernels.coldatom_batch(setup, g_rows, of, draws.upto, first, max_rounds)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: a numpy integer becomes the equal int, and a
+    float or bool, which would run some other integer's trials, raises."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def warm_up(variant: str = "electronic"):
     """Build the engine's cached matrices ahead of timing-sensitive runs."""
     run_trials(SpinAmplitudes(1.0, 0.0), variant, 2, seed=0)
@@ -624,6 +667,7 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
     round decisions as :func:`run_teleport_once` trial for trial; the mixed
     variant runs :func:`run_teleport_mixed` once per trial.
     """
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 1:
         raise ValueError("need at least one trial")
     if variant not in VARIANTS:

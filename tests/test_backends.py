@@ -6,6 +6,7 @@ round decisions agree exactly and fidelities agree to rounding.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -456,7 +457,9 @@ _GOLDEN = {
 @pytest.mark.parametrize("variant, g_kind, seed", list(_GOLDEN))
 def test_golden_report_bytes(variant, g_kind, seed):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
-    assert run_trials(g, variant, 300, seed=seed).to_json() == _GOLDEN[variant, g_kind, seed]
+    report = run_trials(g, variant, 300, seed=seed)
+    assert report.to_json() == _GOLDEN[variant, g_kind, seed]
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 # SHA-256 of the report JSON over both engine variants, fixed and Haar inputs,
@@ -492,5 +495,7 @@ _DIGESTS = {
 @pytest.mark.parametrize("variant, g_kind, n, seed", list(_DIGESTS))
 def test_report_digest(variant, g_kind, n, seed):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
-    report = run_trials(g, variant, n, seed=seed).to_json()
-    assert hashlib.sha256(report.encode()).hexdigest() == _DIGESTS[variant, g_kind, n, seed]
+    report = run_trials(g, variant, n, seed=seed)
+    text = report.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[variant, g_kind, n, seed]
+    assert text == json.dumps(report.to_dict(), indent=2) + "\n"

@@ -1,12 +1,16 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import edgeteleport
 from edgeteleport import ssh_lattice
 from edgeteleport.cli import main
+from edgeteleport.hubbard import CouplingParams, hubbard_report
 
 
 def run_cli(argv):
@@ -282,3 +286,117 @@ def test_out_that_cannot_be_opened_exits_2_naming_the_path(tmp_path, capsys, mon
     assert f"cannot write --out {out}: " in capsys.readouterr().err
     if where == "read-only file":
         assert out.read_text() == "kept"
+
+
+_USAGE = "usage: edgeteleport [-h] {spectrum,zeromode,hubbard,teleport} ...\n"
+_TELEPORT_USAGE = """\
+usage: edgeteleport teleport [-h] [--variant {electronic,coldatom,mixed}]
+                             [--g1 G1] [--g2 G2] [--trials TRIALS]
+                             [--seed SEED] --out OUT
+"""
+_TOP_HELP = _USAGE + """
+Edge modes of an odd-site alternating-bond wire and spin teleportation between
+wires.
+
+positional arguments:
+  {spectrum,zeromode,hubbard,teleport}
+    spectrum            closed-form vs numerical spectrum as CSV
+    zeromode            zero-mode probability density as CSV
+    hubbard             edge-coupling ground state report as JSON
+    teleport            run seeded teleportation trials
+
+options:
+  -h, --help            show this help message and exit
+"""
+_TELEPORT_HELP = _TELEPORT_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --variant {electronic,coldatom,mixed}
+  --g1 G1               spin-up amplitude as RE,IM
+  --g2 G2               spin-down amplitude as RE,IM
+  --trials TRIALS
+  --seed SEED
+  --out OUT             output JSON path
+"""
+
+
+def _error(message, usage=_USAGE, prog="edgeteleport"):
+    return f"{usage}{prog}: error: {message}\n"
+
+
+# Exit code, stdout and stderr of each argv: the messages and usage lines of
+# the top parser's parse_args, which dispatching straight to a subcommand's
+# parser must keep byte for byte.  "{out}" is a writable path.
+_PINNED_RUNS = [
+    ([], 2, "", _error("the following arguments are required: command")),
+    (["--help"], 0, _TOP_HELP, ""),
+    (["-h", "teleport"], 0, _TOP_HELP, ""),
+    (["bogus"], 2, "", _error("argument command: invalid choice: 'bogus' (choose from "
+                              "'spectrum', 'zeromode', 'hubbard', 'teleport')")),
+    (["teleport", "--help"], 0, _TELEPORT_HELP, ""),
+    (["teleport", "-h", "extra"], 0, _TELEPORT_HELP, ""),
+    (["teleport", "--trials", "5", "--out", "{out}", "extra"], 2, "",
+     _error("unrecognized arguments: extra")),
+    (["teleport", "--bogus", "--out", "{out}"], 2, "", _error("unrecognized arguments: --bogus")),
+    (["spectrum", "--sites", "3", "--out", "{out}", "--", "x"], 2, "",
+     _error("unrecognized arguments: -- x")),
+    (["zeromode", "--sites=--", "--out", "{out}"], 2, "",
+     _error("an option is missing its value")),
+    (["teleport", "--trials", "5"], 2, "",
+     _error("the following arguments are required: --out", _TELEPORT_USAGE,
+            "edgeteleport teleport")),
+    (["teleport", "--seed", "x", "--out", "{out}"], 2, "",
+     _error("argument --seed: invalid int value: 'x'", _TELEPORT_USAGE, "edgeteleport teleport")),
+    (["hubbard"], 2, "",
+     _error("the following arguments are required: --e2, --lambda",
+            "usage: edgeteleport hubbard [-h] --e2 E2 --lambda LAM\n", "edgeteleport hubbard")),
+    (["teleport", "--variant", "coldatom", "--tri", "5", "--out", "{out}"], 0,
+     "variant=coldatom trials=5 seed=0 min_fidelity=1 mean_rounds=1.4\n", ""),
+    (["teleport", "--g1", "1,1", "--out", "{out}"], 2, "",
+     _error("|g1|^2 + |g2|^2 = 2; amplitudes must be normalized")),
+    (["teleport", "--g1", "nan,0", "--out", "{out}"], 2, "",
+     _error("--g1/--g2: |g1|^2 + |g2|^2 is not finite")),
+    (["hubbard", "--e2", "1", "--lambda", "1.7e308"], 2, "",
+     _error("e2=1.0, lambda=1.7e+308 give no finite report: no ground state at e2=1.0, "
+            "lam=1.7e+308: Hamiltonian block of sector (0, None, None) is not finite")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _PINNED_RUNS,
+                         ids=[" ".join(argv) or "no-args" for argv, *_ in _PINNED_RUNS])
+def test_exit_code_and_messages_are_pinned(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    argv = [a.format(out=tmp_path / "r.out") for a in argv]
+    try:
+        got = run_cli(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_console_entry_point_reads_sys_argv(tmp_path, capsys):
+    # python -m runs main() with argv=None, so it parses sys.argv[1:]
+    argv = ["teleport", "--variant", "coldatom", "--g1", "0.6,0", "--g2", "0,0.8",
+            "--trials", "50", "--seed", "21"]
+    assert run_cli([*argv, "--out", str(tmp_path / "in-process.json")]) == 0
+    summary = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(edgeteleport.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "edgeteleport.cli", *argv,
+                          "--out", str(tmp_path / "child.json")],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, summary, "")
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
+    run = subprocess.run([sys.executable, "-m", "edgeteleport.cli", *argv, "--out",
+                          str(tmp_path / "x.json"), "extra"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", _error("unrecognized arguments: extra"))
+
+
+def test_hubbard_prints_the_bytes_of_json_dumps(capsys):
+    # lambda = 0.1 (i + 1) / 33 at e2 = 1: the couplings of a chain-sweep benchmark pass
+    for lam in [0.1 * (i + 1) / 33 for i in range(33)]:
+        assert run_cli(["hubbard", "--e2", "1.0", "--lambda", repr(lam)]) == 0
+        report = hubbard_report(CouplingParams(1.0, lam))
+        assert capsys.readouterr().out == json.dumps(report, indent=2, allow_nan=False) + "\n"

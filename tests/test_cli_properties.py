@@ -84,6 +84,8 @@ def _run(argv):
 @example(["teleport", "--g1=0.6,0", "--g2=0,0.8", "--variant=mixed", "--trials=20",
           "--seed=18446744073709551615", "--out={out}"])
 @example(["teleport", "--variant=coldatom", "--trials=5", "--out={out}/missing/x.json"])
+@example(["bogus"])
+@example(["teleport", "--trials=5", "--out={out}", "extra"])
 def test_every_argv_exits_0_or_2_with_a_message(argv):
     with tempfile.TemporaryDirectory() as d:
         code, err = _run([a.format(out=os.path.join(d, "out")) for a in argv])

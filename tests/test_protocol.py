@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from edgeteleport.gates import HADAMARD, IY, apply_gate, cnot, hadamard
 from edgeteleport.measure import spin_sectors
 from edgeteleport.protocol import (
     SpinAmplitudes,
+    TeleportReport,
     bob_correction,
     bob_fidelity,
     prepare_initial,
@@ -48,6 +50,50 @@ def test_spin_amplitudes_validation():
             SpinAmplitudes.normalized(*bad)
     with pytest.raises(ValueError, match="must equal 1"):
         SpinAmplitudes(1e200, 0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_HUGE = complex(1e308, 1e308)  # finite, with an infinite modulus
+
+
+@pytest.mark.parametrize("g1, g2, message", [
+    (_NAN, 0, "spin amplitudes must be finite"),
+    (0, complex(0, _NAN), "spin amplitudes must be finite"),
+    (_INF, 0, "spin amplitudes must be finite"),
+    (-_INF, 0, "spin amplitudes must be finite"),
+    (0, complex(0, -_INF), "spin amplitudes must be finite"),
+    (np.complex128(_NAN), 0, "spin amplitudes must be finite"),
+    (_HUGE, 0, "|g1|^2 + |g2|^2 must equal 1"),
+    (0, _HUGE, "|g1|^2 + |g2|^2 must equal 1"),
+    (np.complex128(_HUGE), 0, "|g1|^2 + |g2|^2 must equal 1"),
+    (1, 1, "|g1|^2 + |g2|^2 must equal 1"),
+    (np.complex64(1), np.complex64(1), "|g1|^2 + |g2|^2 must equal 1"),
+    (1 + 1e-11, 0, "|g1|^2 + |g2|^2 must equal 1"),
+])
+def test_spin_amplitudes_rejects_each_bad_pair_with_its_message(g1, g2, message):
+    with pytest.raises(ValueError) as exc:
+        SpinAmplitudes(g1, g2)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_spin_amplitudes_stores_python_complex_from_numpy_inputs():
+    for g1, g2 in [(np.complex128(0.6), np.complex128(0.8j)), (np.float64(0.6), 0.8j),
+                   (0.6, 0.8j)]:
+        g = SpinAmplitudes(g1, g2)
+        assert (type(g.g1), type(g.g2)) == (complex, complex)
+        assert (g.g1, g.g2) == (0.6, 0.8j)
+
+
+@pytest.mark.parametrize("g1, g2, hexes", [
+    (1, 1, ("0x1.6a09e667f3bccp-1", "0x0.0p+0", "0x1.6a09e667f3bccp-1", "0x0.0p+0")),
+    (0.3 + 0.4j, 0.5,
+     ("0x1.b27247aff148ep-2", "0x1.21a1851ff630ap-1", "0x1.6a09e667f3bccp-1", "0x0.0p+0")),
+    (np.complex128(3), 4j, ("0x1.3333333333334p-1", "0x0.0p+0", "0x0.0p+0", "0x1.999999999999ap-1")),
+    (1e150, 1e150j, ("0x1.6a09e667f3bcdp-1", "0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcdp-1")),
+])
+def test_normalized_amplitudes_are_bit_exact(g1, g2, hexes):
+    g = SpinAmplitudes.normalized(g1, g2)
+    assert tuple(x.hex() for x in (g.g1.real, g.g1.imag, g.g2.real, g.g2.imag)) == hexes
 
 
 def test_normalized_rejects_amplitudes_whose_squares_overflow():
@@ -346,6 +392,54 @@ def test_run_trials_rejects_bad_inputs():
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=-1)
     with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=2**64)
+
+
+def _report(**fields):
+    """A hand-built report with edge-case values, ``fields`` replacing some."""
+    values = dict(variant="coldatom", trials=10**6, seed=2**64 - 1, g1=None, g2=None,
+                  backend="numpy", rng="philox4x64-10/v2",
+                  branch_counts={"1,1": 0, "1,0": 1, "1,-1": 2**40, "0,0": 3},
+                  rounds_histogram={1: 5, 2: 3, 10: 1, 11: 1, 64: 1},
+                  mean_rounds=1e16, min_fidelity=5e-324, mean_fidelity=-0.0)
+    return TeleportReport(**{**values, **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"g1": (np.float64(0.6), -0.0), "g2": (1e16, 5e-324)},
+    {"mean_rounds": np.float64(1.9766666666666666), "min_fidelity": 0.9999999999999998},
+    {"variant": 'q"\\\n\u00e9\U0001f600\x00', "branch_counts": {}, "rounds_histogram": {}},
+    {"seed": 0, "trials": 1, "rounds_histogram": {64: 1}},
+])
+def test_report_json_is_the_bytes_of_json_dumps(fields):
+    report = _report(**fields)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_report_with_a_non_finite_float_is_not_written(bad):
+    for fields in ({"mean_fidelity": bad}, {"g1": (0.5, bad), "g2": (0.5, 0.0)}):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _report(**fields).to_json()
+
+
+@pytest.mark.parametrize("variant", ["electronic", "coldatom", "mixed"])
+def test_run_trials_takes_numpy_integers_as_the_equal_int(variant):
+    expected = run_trials(None, variant, 3, seed=5).to_json()
+    for seed in (np.int64(5), np.uint64(5), np.int8(5)):
+        report = run_trials(None, variant, np.int64(3), seed=seed)
+        assert type(report.seed) is int
+        assert report.to_json() == expected
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), True, False, np.bool_(True),
+                                 "3", None])
+def test_run_trials_rejects_a_float_or_bool_seed_or_count(bad):
+    # a float seed ran the stream of its integer part, a bool recorded "true"
+    with pytest.raises(TypeError, match="seed must be an integer, not "):
+        run_trials(None, "electronic", 3, seed=bad)
+    with pytest.raises(TypeError, match="n must be an integer, not "):
+        run_trials(None, "electronic", bad, seed=0)
 
 
 def test_run_trials_accepts_the_largest_seed():

@@ -44,3 +44,5 @@ def test_readme_report_example_is_the_documented_commands_report(tmp_path):
     (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
     # key order counts too
     assert json.dumps(json.loads(block)) == json.dumps(json.loads(out.read_text()))
+    text = out.read_text()  # what json.dumps writes: float reprs read back exactly
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
