@@ -16,13 +16,11 @@ count follows from its draws and its row's class probability alone, and no
 state is relaxed here.
 
 Alice's measurement reads ``x @ alice`` for the ``(m, 2)`` coordinates ``x``,
-and a 0/1 sector indicator (``protocol._indicator``) sums the squared
-coordinates into sector weights with one more product.  Bob's correction
-runs once per (row, sector) pair that some trial reached: the pairs are
-sorted by sector, so each branch owns one segment of them, and the only
-loop, over the four branches, is one matrix product per non-empty segment
-into a shared block.  Bob's overlap, both norms, the ``tr > 0`` guard and
-the square root then run once over all pairs.
+and a 0/1 indicator (``protocol._indicator``) sums the squared coordinates
+into sector weights with one more product.  Bob's trace and overlap take the
+same two products, on the setup's per-branch Gram factors: every row gets
+its fidelity in all four branches at once, with the ``tr > 0`` guard and the
+square root, and each trial reads the one of its row and branch.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
@@ -44,6 +42,12 @@ def _norm2(x):
     return np.einsum("ij,ij->i", r, r)
 
 
+def _weights(z, factor, sums):
+    """``|z @ factor|^2`` summed over the column blocks that the 0/1 ``sums``
+    (``protocol._indicator``) marks, for each row of ``z``."""
+    return np.square((z @ factor).view(np.float64)) @ sums
+
+
 def _measure_and_correct(setup, x, g, of, u):
     """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
 
@@ -51,38 +55,25 @@ def _measure_and_correct(setup, x, g, of, u):
     ``setup``, and ``g`` their ``(g1, g2)`` inputs; trial ``i`` is in row
     ``of[i]`` and draws its sector with ``u[i]``.
     Returns each trial's index into ``protocol.BRANCHES`` and Bob's fidelity,
-    computed once per (row, branch) pair that some trial reached; the pairs
-    are grouped by sector, so each branch's product covers one segment of
-    them.  ``x @ bob`` is ``[au | sign * ad]``, Bob's amplitudes unscaled by
-    ``1 / sqrt(p)``, which cancels in ``val / tr`` with
-    ``val = t^dag rho t = |conj(g1) au + conj(g2) sign ad|^2`` and
-    ``tr = |au|^2 + |ad|^2``.
+    read from its row's fidelities in all four branches.  Bob's amplitudes
+    ``au``, ``ad`` are unscaled by ``1 / sqrt(p)``, which cancels in
+    ``val / tr``: per branch block, ``tr = |au|^2 + |ad|^2 = |x @ bob_trace|^2``
+    and ``val = |conj(g1) au + conj(g2) sign ad|^2 = |w @ bob_overlap|^2``
+    with ``w = conj(g) (x) x``.
     """
-    probs = np.square((x @ setup["alice"]).view(np.float64)) @ setup["alice_sectors"]
+    probs = _weights(x, setup["alice"], setup["alice_sectors"])
     sector = born_index(probs.take(of, axis=0), u)
     branch = setup["branch_of_sector"][sector]
     if (branch < 0).any():
         j, m = setup["sector_labels"][sector[np.argmax(branch < 0)]]
         raise RuntimeError(f"Alice measured (J, Jz) = ({j:g}, {m:g}), "
                            "which has no correction for Bob")
-    cell = of * probs.shape[1] + sector  # each trial's (row, sector) pair, flat
-    reached = np.zeros(probs.shape, dtype=bool)
-    reached.ravel()[cell] = True
-    # the reached pairs sorted by sector: each branch owns one segment
-    sectors, rows = reached.T.nonzero()
-    bounds = np.searchsorted(sectors, setup["bob_bounds"]).tolist()
-    xr = x[rows]
-    a = np.empty((len(rows), setup["bob"][0].shape[1]), dtype=np.complex128)
-    for (lo, hi), bob in zip(bounds, setup["bob"]):
-        if lo < hi:
-            np.matmul(xr[lo:hi], bob, out=a[lo:hi])
-    v = np.einsum("ik,ikj->ij", g[rows].conj(), a.reshape(len(rows), 2, -1))
-    tr = _norm2(a)
-    fid = np.empty(probs.shape)  # read only where reached
+    w = (g.conj()[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    tr = _weights(x, setup["bob_trace"], setup["bob_trace_sums"])
     # val <= tr up to rounding: capped, val / tr and its root stay <= 1
-    val = np.minimum(_norm2(v), tr)
-    fid[rows, sectors] = np.sqrt(np.divide(val, tr, out=np.zeros_like(tr), where=tr > 0.0))
-    return branch, fid.take(cell)
+    val = np.minimum(_weights(w, setup["bob_overlap"], setup["bob_overlap_sums"]), tr)
+    fid = np.sqrt(np.divide(val, tr, out=np.zeros_like(tr), where=tr > 0.0))
+    return branch, fid[of, branch]
 
 
 def electronic_batch(setup, g, of, u_branch):

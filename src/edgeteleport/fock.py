@@ -220,6 +220,12 @@ def basis_state(modes: ModeSet, occupied: Sequence[int] | int) -> StateVector:
 _LADDER_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only: every caller of a cache shares its arrays."""
+    a.flags.writeable = False
+    return a
+
+
 def creation_matrix(modes: ModeSet, mode: int) -> np.ndarray:
     """Dense matrix of f_mode^dag (real, signed half-permutation)."""
     if not 0 <= mode < modes.n_modes:
@@ -235,7 +241,7 @@ def creation_matrix(modes: ModeSet, mode: int) -> np.ndarray:
         signs = np.where(_popcount(src & ((1 << mode) - 1)) % 2 == 0, 1.0, -1.0)
         mat = np.zeros((dim, dim))
         mat[dst, src] = signs
-        cached = _LADDER_CACHE.setdefault(key, mat)
+        cached = _LADDER_CACHE.setdefault(key, _read_only(mat))
     return cached
 
 
@@ -340,8 +346,7 @@ def _observable_diagonal(modes: ModeSet, kind: str, wires=None) -> np.ndarray:
                           - _number_diag(modes, _mask_bits(modes, wires_t, SPIN_DN)))
         else:
             raise ValueError(f"unknown observable kind {kind!r}")
-        diag.flags.writeable = False
-        diag = _DIAG_CACHE.setdefault(key, diag)
+        diag = _DIAG_CACHE.setdefault(key, _read_only(diag))
     return diag
 
 
@@ -369,7 +374,7 @@ def build_observable(modes: ModeSet, kind: str, wires=None) -> HermitianOperator
         key = (modes, kind, wires_t)
         mat = _OBS_CACHE.get(key)
         if mat is None:
-            mat = _OBS_CACHE.setdefault(key, _spin_squared_matrix(modes, wires_t))
+            mat = _OBS_CACHE.setdefault(key, _read_only(_spin_squared_matrix(modes, wires_t)))
     else:
         mat = np.diag(_observable_diagonal(modes, kind, wires_t)).astype(np.complex128)
     return HermitianOperator(modes, mat, label=f"{kind}({','.join(wires_t)})")

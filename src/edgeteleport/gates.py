@@ -38,6 +38,7 @@ from .fock import (
     ModeSet,
     StateVector,
     _observable_diagonal,
+    _read_only,
     annihilation_matrix,
     creation_matrix,
 )
@@ -126,7 +127,7 @@ def gate_unitary(spec: GateSpec, modes: ModeSet) -> np.ndarray:
             mat = _rotation_unitary(modes, spec.target, IY_2X2.astype(np.complex128))
         else:
             mat = _rotation_unitary(modes, spec.target, spec.matrix)
-        mat = _GATE_CACHE.setdefault(key, mat)
+        mat = _GATE_CACHE.setdefault(key, _read_only(mat))
     return mat
 
 

@@ -24,6 +24,7 @@ from .fock import (
     ModeSet,
     StateVector,
     _observable_diagonal,
+    _read_only,
     _resolve_wires,
     build_observable,
 )
@@ -106,7 +107,7 @@ def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
             collected.setdefault((qv, j, tm / 2.0), []).append(vec)
 
     sectors = [
-        Sector(qv, j, m, np.column_stack(vecs))
+        Sector(qv, j, m, _read_only(np.column_stack(vecs)))
         for (qv, j, m), vecs in collected.items()
     ]
     sectors.sort(key=lambda s: (-s.j, -s.m, s.charge))
@@ -124,7 +125,7 @@ def spin_sector_bases(modes: ModeSet, wires=None) -> tuple[tuple[float, float, n
     for s in symmetry_sectors(modes, wires_t):
         merged.setdefault((s.j, s.m), []).append(s.basis)
     out = tuple(
-        (j, m, np.column_stack(bases))
+        (j, m, _read_only(np.column_stack(bases)))
         for (j, m), bases in sorted(merged.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
     )
     return _SPIN_SECTOR_CACHE.setdefault(key, out)
@@ -140,7 +141,7 @@ def integer_class_projector(modes: ModeSet, wires=None) -> np.ndarray:
         for j, _, basis in spin_sector_bases(modes, wires_t):
             if round(2 * j) % 2 == 0:
                 p += basis @ basis.conj().T
-        cached = _CLASS_PROJ_CACHE.setdefault(key, p)
+        cached = _CLASS_PROJ_CACHE.setdefault(key, _read_only(p))
     return cached
 
 

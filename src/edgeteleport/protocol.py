@@ -58,6 +58,7 @@ from .fock import (
     TELEPORT_MODES,
     DensityMatrix,
     StateVector,
+    _read_only,
     annihilation_matrix,
     basis_state,
     create,
@@ -246,7 +247,7 @@ def _b_reduction_indices(modes):
     iu, idn = modes.wire_indices(BOB_WIRE)
     flip = (creation_matrix(modes, idn) @ annihilation_matrix(modes, iu)).T
     n_up, n_dn = np.nonzero(flip)
-    return n_up, n_dn, flip[n_up, n_dn]
+    return _read_only(n_up), _read_only(n_dn), _read_only(flip[n_up, n_dn])
 
 
 def bob_reduced_spin(state) -> np.ndarray:
@@ -293,7 +294,9 @@ class TeleportResult:
 def _relax_hamiltonian():
     """Hopping Hamiltonian used as the relaxation target (scale is irrelevant:
     the sector ground spaces do not depend on lam > 0)."""
-    return build_h_lambda(1.0, TELEPORT_MODES)
+    h = build_h_lambda(1.0, TELEPORT_MODES)
+    _read_only(h.mat)
+    return h
 
 
 def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
@@ -522,7 +525,10 @@ def _folded(rows) -> dict:
     The bases are the cached ones of :mod:`edgeteleport.measure`, stacked side
     by side.  Alice's gates and the ``(k, 64)`` array ``rows`` are folded into
     her columns, so the engine's state rows are ``(m, k)`` arrays of
-    coordinates ``x``; Bob's corrected branch bases are folded onto those.
+    coordinates ``x``.  Bob's amplitudes in a branch are ``x @ [up | sign * dn]``
+    and his overlap with ``g`` is ``(conj(g) (x) x) @ [up; sign * dn]``: their
+    squared norms need only the Gram matrices, so the setup keeps triangular
+    factors with the same Gram matrices, by branch in ``BRANCHES`` order.
     """
     modes = TELEPORT_MODES
     sectors = spin_sector_bases(modes, ALICE_WIRES)
@@ -531,17 +537,18 @@ def _folded(rows) -> dict:
     blocks = [rows @ (u_alice.T @ basis.conj()) for _, _, basis in sectors]
     n_up, n_dn, signs = _b_reduction_indices(modes)
     branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
-    bob = []
+    trace, overlap = [None] * len(BRANCHES), [None] * len(BRANCHES)
     for s, (j, m, basis) in enumerate(sectors):
         if (j, m) not in BRANCHES:
             continue
-        branch_of_sector[s] = BRANCHES.index((j, m))
+        b = branch_of_sector[s] = BRANCHES.index((j, m))
         corrected = basis
         for spec in bob_correction(j, m):
             corrected = gate_unitary(spec, modes) @ corrected
-        # x @ bob = Bob's amplitudes [up | sign * dn] in branch s, unnormalised
-        read = np.vstack([corrected[n_up], signs[:, None] * corrected[n_dn]])
-        bob.append(blocks[s] @ read.T)
+        up, dn = blocks[s] @ corrected[n_up].T, blocks[s] @ (signs[:, None] * corrected[n_dn]).T
+        # R^dag of M^dag = QR has the Gram matrix M M^dag of M
+        trace[b] = np.linalg.qr(np.hstack([up, dn]).conj().T, mode="r").conj().T
+        overlap[b] = np.linalg.qr(np.vstack([up, dn]).conj().T, mode="r").conj().T
     alice = np.hstack(blocks)
     used = np.any(alice != 0, axis=0)  # 8 of 64 columns for the two inputs
     return {
@@ -549,10 +556,10 @@ def _folded(rows) -> dict:
         "alice_sectors": _indicator(blocks)[np.repeat(used, 2)],
         "branch_of_sector": branch_of_sector,
         "sector_labels": tuple((j, m) for j, m, _ in sectors),
-        "bob": tuple(bob),
-        # [s, s + 1] per branch sector s, in the order of "bob": searched in
-        # the sector-sorted reached pairs, they bound each branch's segment
-        "bob_bounds": np.array([[s, s + 1] for s in np.flatnonzero(branch_of_sector >= 0)]),
+        "bob_trace": np.hstack(trace),
+        "bob_trace_sums": _indicator(trace),
+        "bob_overlap": np.hstack(overlap),
+        "bob_overlap_sums": _indicator(overlap),
     }
 
 
@@ -611,10 +618,12 @@ def _kernel_setup(variant: str) -> dict:
     inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
                        prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
     if variant == "electronic":
-        return _folded(inputs)
-    integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-    _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
-    return {**_folded(integer_part), "integer_part": integer_part}
+        setup = _folded(inputs)
+    else:
+        integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
+        _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
+        setup = {**_folded(integer_part), "integer_part": integer_part}
+    return {k: _read_only(v) if isinstance(v, np.ndarray) else v for k, v in setup.items()}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):
@@ -668,10 +677,13 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
     variant runs :func:`run_teleport_mixed` once per trial.
     """
     n, seed = _integer(n, "n"), _integer(seed, "seed")
+    max_rounds = _integer(max_rounds, "max_rounds")
     if n < 1:
         raise ValueError("need at least one trial")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if resource is not None and variant != "mixed":
+        raise ValueError(f"a resource state applies to the mixed variant only, not {variant!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if seed < 0:

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import AB_MODES, DensityMatrix, HermitianOperator, StateVector, creation_matrix
+from .fock import (
+    AB_MODES,
+    DensityMatrix,
+    HermitianOperator,
+    StateVector,
+    _read_only,
+    creation_matrix,
+)
 from .measure import symmetry_sectors
 
 _GROUND_CACHE: dict[tuple, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
@@ -61,7 +68,7 @@ def sector_ground_spaces(h: HermitianOperator):
         block = s.basis.conj().T @ h.mat @ s.basis
         evals, evecs = np.linalg.eigh(block)
         keep = evals <= evals[0] + 1e-9 * scale
-        pairs.append((s.basis, s.basis @ evecs[:, keep]))
+        pairs.append((s.basis, _read_only(s.basis @ evecs[:, keep])))
     return _GROUND_CACHE.setdefault(key, tuple(pairs))
 
 

@@ -25,6 +25,7 @@ documentation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,15 @@ class WireParams:
     t_prime: float = 0.5
 
     def __post_init__(self):
-        if int(self.num_sites) != self.num_sites or self.num_sites < 3 or self.num_sites % 2 == 0:
+        # a numpy integer is stored as the equal int; a float or bool raises
+        try:
+            if isinstance(self.num_sites, bool):
+                raise TypeError
+            object.__setattr__(self, "num_sites", operator.index(self.num_sites))
+        except TypeError:
+            raise TypeError("num_sites must be an integer, "
+                            f"not {type(self.num_sites).__name__}") from None
+        if self.num_sites < 3 or self.num_sites % 2 == 0:
             raise ValueError("num_sites must be odd and >= 3")
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("t must be positive")

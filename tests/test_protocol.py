@@ -9,14 +9,21 @@ from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
     DensityMatrix,
+    annihilation_matrix,
     basis_state,
     build_observable,
+    creation_matrix,
     expectation,
     overlap,
     singlet_state,
 )
-from edgeteleport.gates import HADAMARD, IY, apply_gate, cnot, hadamard
-from edgeteleport.measure import spin_sectors
+from edgeteleport.gates import HADAMARD, IY, apply_gate, cnot, gate_unitary, hadamard
+from edgeteleport.measure import (
+    integer_class_projector,
+    spin_sector_bases,
+    spin_sectors,
+    symmetry_sectors,
+)
 from edgeteleport.protocol import (
     SpinAmplitudes,
     TeleportReport,
@@ -28,6 +35,7 @@ from edgeteleport.protocol import (
     run_trials,
     trial_rng,
 )
+from edgeteleport.relax import sector_ground_spaces
 
 MODES = TELEPORT_MODES
 
@@ -392,6 +400,14 @@ def test_run_trials_rejects_bad_inputs():
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=-1)
     with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=2**64)
+    for bad in (2.5, True, "3"):
+        for variant in ("electronic", "coldatom", "mixed"):
+            with pytest.raises(TypeError, match="max_rounds must be an integer"):
+                run_trials(None, variant, 10, max_rounds=bad)
+    rho = DensityMatrix.from_state(singlet_state(AB_MODES))
+    for variant in ("electronic", "coldatom"):
+        with pytest.raises(ValueError, match="mixed variant only"):
+            run_trials(None, variant, 5, resource=rho)
 
 
 def _report(**fields):
@@ -466,3 +482,28 @@ def test_every_variant_recovers_200_random_spin_states():
     for _ in range(30):
         res = run_teleport_mixed(random_g(rng), resource, rng)
         assert res.fidelity >= 1 - 1e-12
+
+
+_CACHED = {
+    "gate_unitary": lambda: gate_unitary(cnot("c", "a"), MODES),
+    "creation_matrix": lambda: creation_matrix(MODES, 0),
+    "annihilation_matrix": lambda: annihilation_matrix(MODES, 0),
+    "spin_squared": lambda: build_observable(MODES, "spin_squared", ("c", "a")).mat,
+    "symmetry_sectors": lambda: symmetry_sectors(MODES, protocol.ALICE_WIRES)[0].basis,
+    "spin_sector_bases": lambda: spin_sector_bases(MODES, protocol.ALICE_WIRES)[0][2],
+    "integer_class_projector": lambda: integer_class_projector(MODES, protocol.ALICE_WIRES),
+    "sector_ground_spaces": lambda: sector_ground_spaces(protocol._relax_hamiltonian())[0][1],
+    "relax_hamiltonian": lambda: protocol._relax_hamiltonian().mat,
+    "b_reduction_indices": lambda: protocol._b_reduction_indices(MODES)[2],
+    "kernel_setup": lambda: protocol._kernel_setup("coldatom")["bob_trace"],
+}
+
+
+@pytest.mark.parametrize("name", list(_CACHED))
+def test_cached_arrays_refuse_in_place_writes(name):
+    # a write into a shared cache entry silently broke every later run
+    with pytest.raises(ValueError, match="read-only"):
+        _CACHED[name]()[...] = 0
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
+    assert run_teleport_once(g, "coldatom", np.random.default_rng(3)).fidelity >= 1 - 1e-12
+    assert run_trials(g, "coldatom", 20, seed=3).min_fidelity >= 1 - 1e-12

@@ -37,6 +37,18 @@ def test_rejects_even_or_tiny_site_counts(bad):
         WireParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [5.0, True, "5", np.float64(5)])
+def test_rejects_a_site_count_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError, match="num_sites must be an integer"):
+        WireParams(bad)
+
+
+def test_stores_a_numpy_site_count_as_an_int():
+    p = WireParams(np.int64(5))
+    assert type(p.num_sites) is int and p.num_sites == 5
+    assert len(numerical_spectrum(p)) == 5
+
+
 def test_rejects_bad_amplitudes():
     with pytest.raises(ValueError):
         WireParams(5, t=0.0)
