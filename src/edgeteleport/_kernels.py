@@ -15,12 +15,16 @@ input, so each restart round measures the state of round 1: a trial's round
 count follows from its draws and its row's class probability alone, and no
 state is relaxed here.
 
-Alice's measurement reads ``x @ alice`` for the ``(m, 2)`` coordinates ``x``,
-and a 0/1 indicator (``protocol._indicator``) sums the squared coordinates
-into sector weights with one more product.  Bob's trace and overlap take the
-same two products, on the setup's per-branch Gram factors: every row gets
-its fidelity in all four branches at once, with the ``tr > 0`` guard and the
-square root, and each trial reads the one of its row and branch.
+Alice's measurement and Bob's fidelity take two products of one row
+``z = [conj(g) (x) x | x]`` per distinct input, for the ``(m, 2)``
+coordinates ``x``.  The first, with the setup's block-diagonal factor, gives
+the coordinates of Bob's overlap, of Alice's sectors and of Bob's trace
+(Bob's on per-branch factors with the Gram matrices of his amplitudes); the
+second, with a 0/1 indicator
+(``protocol._indicator``), sums their squares into Bob's four overlaps, the
+sector probabilities and his four traces.  Every row so gets its fidelity in
+all four branches at once, with the ``tr > 0`` guard and the square root,
+and each trial reads the one of its row and branch.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
@@ -35,17 +39,14 @@ import numpy as np
 
 from .measure import born_index
 
+#: The smallest positive double: ``max(tr, _TINY)`` is ``tr`` for every ``tr > 0``.
+_TINY = np.finfo(np.float64).smallest_subnormal
+
 
 def _norm2(x):
     """Squared norm of each row of a complex array with contiguous rows."""
     r = x.view(np.float64)
     return np.einsum("ij,ij->i", r, r)
-
-
-def _weights(z, factor, sums):
-    """``|z @ factor|^2`` summed over the column blocks that the 0/1 ``sums``
-    (``protocol._indicator``) marks, for each row of ``z``."""
-    return np.square((z @ factor).view(np.float64)) @ sums
 
 
 def _measure_and_correct(setup, x, g, of, u):
@@ -57,22 +58,25 @@ def _measure_and_correct(setup, x, g, of, u):
     Returns each trial's index into ``protocol.BRANCHES`` and Bob's fidelity,
     read from its row's fidelities in all four branches.  Bob's amplitudes
     ``au``, ``ad`` are unscaled by ``1 / sqrt(p)``, which cancels in
-    ``val / tr``: per branch block, ``tr = |au|^2 + |ad|^2 = |x @ bob_trace|^2``
-    and ``val = |conj(g1) au + conj(g2) sign ad|^2 = |w @ bob_overlap|^2``
-    with ``w = conj(g) (x) x``.
+    ``val / tr``: per branch block, ``tr = |au|^2 + |ad|^2 = |x @ T|^2`` and
+    ``val = |conj(g1) au + conj(g2) sign ad|^2 = |(conj(g) (x) x) @ V|^2``.
+    One product of ``z = [conj(g) (x) x | x]`` with the setup's factor, and
+    one with its 0/1 sums, give ``val``, Alice's sector probabilities and
+    ``tr`` side by side.
     """
-    probs = _weights(x, setup["alice"], setup["alice_sectors"])
+    z = np.concatenate([(g.conj()[:, :, None] * x[:, None, :]).reshape(len(x), -1), x], axis=1)
+    weights = np.square((z @ setup["factor"]).view(np.float64)) @ setup["sums"]
+    # four overlaps, one probability per sector, four traces: one per branch
+    val, probs, tr = weights[:, :4], weights[:, 4:-4], weights[:, -4:]
     sector = born_index(probs.take(of, axis=0), u)
     branch = setup["branch_of_sector"][sector]
-    if (branch < 0).any():
+    if branch.min() < 0:
         j, m = setup["sector_labels"][sector[np.argmax(branch < 0)]]
         raise RuntimeError(f"Alice measured (J, Jz) = ({j:g}, {m:g}), "
                            "which has no correction for Bob")
-    w = (g.conj()[:, :, None] * x[:, None, :]).reshape(len(x), -1)
-    tr = _weights(x, setup["bob_trace"], setup["bob_trace_sums"])
-    # val <= tr up to rounding: capped, val / tr and its root stay <= 1
-    val = np.minimum(_weights(w, setup["bob_overlap"], setup["bob_overlap_sums"]), tr)
-    fid = np.sqrt(np.divide(val, tr, out=np.zeros_like(tr), where=tr > 0.0))
+    # val <= tr up to rounding: capped, val / tr and its root stay <= 1; a
+    # zero trace caps val at 0 too, and the divisor _TINY then gives 0
+    fid = np.sqrt(np.minimum(val, tr) / np.maximum(tr, _TINY))
     return branch, fid[of, branch]
 
 

@@ -166,20 +166,24 @@ def spin_sectors(state: StateVector, wires=None) -> list[MeasurementOutcome]:
 def born_index(probs, u):
     """Born-rule outcome index for the uniform draw ``u``.
 
-    Outcomes lie on the last axis of ``probs``; any leading batch axes are
-    shared with ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
-    the running sum ``p_0 + ... + p_k``.  When rounding leaves ``u`` at or
-    above the total, the last outcome with nonzero probability is chosen, so
-    a zero-probability outcome is never returned unless all are zero.
+    Outcomes lie on the last axis of ``probs``, which holds nonnegative
+    weights; any leading batch axes are shared with ``u``.  Outcome ``k`` is
+    chosen when ``u`` first falls below the running sum ``p_0 + ... + p_k``:
+    one comparison with the running sums and the index of its first hit.
+    When rounding leaves ``u`` at or above the total, the last running sum,
+    no sum is hit and the last outcome with nonzero probability is chosen, so
+    a zero-probability outcome is never returned unless all are zero; only
+    such rows compute it.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    hit = np.asarray(u)[..., None] < np.cumsum(probs, axis=-1)
-    chosen = np.argmax(hit, axis=-1)
-    over = ~hit.any(axis=-1)
-    if not over.any():
+    hit = np.asarray(u)[..., None] < probs.cumsum(axis=-1)
+    chosen = hit.argmax(axis=-1)
+    if hit[..., -1].all():
         return chosen
-    last_nonzero = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    return np.where(over, last_nonzero, chosen)
+    over = ~hit[..., -1]
+    chosen = np.array(chosen)  # a 0-d array for one row: writable, unlike a scalar
+    chosen[over] = probs.shape[-1] - 1 - np.argmax(probs[over][..., ::-1] > 0.0, axis=-1)
+    return chosen
 
 
 def measure_spin(state: StateVector, wires, rng: np.random.Generator) -> MeasurementOutcome:

@@ -35,7 +35,9 @@ draw ``j`` of the trial is word ``j % 4`` of block ``j // 4``, as the double
 ``(w >> 11) * 2**-53``.  Consecutive trials have consecutive counters, so the
 batch path draws block ``k`` of a whole chunk with one generator call; the
 step-by-step path of :func:`run_teleport_once` reads one trial's draws in
-order through :func:`trial_rng`.  Draws are consumed in a fixed order (three
+order through :func:`trial_rng`.  Both draw from one numpy ``Philox`` per
+thread, whose key and counter are set before each block row, so no generator
+is built per chunk or per stream.  Draws are consumed in a fixed order (three
 for Haar amplitudes, one per class measurement, one for the branch), so the
 vectorised engine in :mod:`edgeteleport._kernels` and the step-by-step path
 make the same decisions in every trial.
@@ -47,6 +49,9 @@ import dataclasses
 import functools
 import math
 import operator
+import sys
+import threading
+import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -150,18 +155,26 @@ def _json_text(v, newline="\n"):
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
+#: ``|g1|^2 = u0`` and ``|g2|^2 = 1 - u0`` as ``u0 * _HAAR_SIGNS + _HAAR_OFFSETS``.
+_HAAR_SIGNS, _HAAR_OFFSETS = _read_only(np.array([1.0, -1.0])), _read_only(np.array([0.0, 1.0]))
+
+
 def _haar_amplitudes(u):
-    """Exact Haar-random (g1, g2) arrays from three uniforms per row of ``u``.
+    """Exact Haar-random amplitudes from three uniforms per row of ``u``, as
+    the ``(2, n)`` rows ``g1`` and ``g2`` (the transpose of a C-ordered
+    ``(n, 2)`` array).
 
     ``|g1|^2`` of a Haar-random unit vector in C^2 is uniform on [0, 1] and
     the two phases are independent and uniform, so no normal draws (and no
     rejection) are needed: ``g1 = sqrt(u0) e^{2 pi i u1}``,
     ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.
     """
-    g1 = np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    g2 = np.sqrt(1.0 - u[:, 0]) * np.exp(2j * np.pi * u[:, 2])
-    _require_unit_amplitudes(g1, g2)
-    return g1, g2
+    g = np.sqrt(u[:, :1] * _HAAR_SIGNS + _HAAR_OFFSETS) * np.exp(u[:, 1:3] * (2j * np.pi))
+    d = _kernels._norm2(g) - 1.0
+    # sum d^2 <= 1e-24 implies every |d| <= 1e-12; False for a NaN too
+    if not d @ d <= 1e-24:
+        _require_unit_amplitudes(g[:, 0], g[:, 1])
+    return g.T
 
 
 @dataclass(frozen=True)
@@ -385,29 +398,56 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
 # Batched trials
 # ---------------------------------------------------------------------------
 
+#: A Philox's four-word output buffer, marked empty by ``buffer_pos = 4``.
+_EMPTY_BUFFER = _read_only(np.zeros(4, dtype=np.uint64))
+
+
+class _ThreadPhilox(threading.local):
+    """Each thread's Philox and the Generator on it, built on first use.
+
+    Every block row sets the Philox's whole state before it draws, so one
+    generator serves every stream of the thread, alive side by side or not.
+    """
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)  # a seed, not OS entropy; every draw resets the state
+        self.gen = np.random.Generator(self.bits)
+
+
+_PHILOX = _ThreadPhilox()
+
+
 class _Draws:
     """Draws of the trials ``start, ..., start + n - 1`` of a run: column ``j``
     of the table ``u`` holds draw ``j`` of each trial, one row per trial.
 
     Block ``k`` of trial ``i`` is numpy's Philox block at counter
     ``i + 1 + k * 2**64``, so block ``k`` of every trial is one
-    ``Generator.random`` call.  Block 0 is drawn up front, later blocks when
-    first read.
+    ``Generator.random`` call on the thread's Philox, set first to the key
+    ``(seed, 0)``, the counter words ``[start, k, 0, 0]`` and an empty
+    buffer.  Block 0 is drawn up front, later blocks when first read.
     """
 
     def __init__(self, seed: int, start: int, n: int):
-        # a uint64 key: from a list numpy rounds words above 2**53 through float
-        self._bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=start)
-        self._gen = np.random.Generator(self._bits)
-        self.u = self._gen.random((n, 4))
+        # uint64 words: from a list numpy rounds words above 2**53 through float
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([start, 0, 0, 0], dtype=np.uint64),
+                      "key": np.array([seed, 0], dtype=np.uint64)},
+            "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        self.u = self._block_row(n)
+
+    def _block_row(self, n: int) -> np.ndarray:
+        _PHILOX.bits.state = self._state
+        return _PHILOX.gen.random((n, 4))
 
     def upto(self, stop: int) -> np.ndarray:
         """The table ``u``, with at least ``stop`` draws per trial."""
         while self.u.shape[1] < stop:
-            n = len(self.u)
-            # block row k ends at counter start + n + k * 2**64
-            self._bits.advance(2**64 - n)
-            self.u = np.hstack([self.u, self._gen.random((n, 4))])
+            self._state["state"]["counter"][1] = self.u.shape[1] // 4
+            self.u = np.hstack([self.u, self._block_row(len(self.u))])
         return self.u
 
 
@@ -519,6 +559,15 @@ def _indicator(blocks) -> np.ndarray:
     return (col[:, None] == np.arange(len(blocks))).astype(np.float64)
 
 
+def _block_diagonal(*blocks) -> np.ndarray:
+    """The matrices ``blocks`` along the diagonal of one zero matrix."""
+    rows, cols = (np.cumsum([0] + [b.shape[axis] for b in blocks]) for axis in (0, 1))
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.result_type(*blocks))
+    for b, r, c in zip(blocks, rows, cols):
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+    return out
+
+
 def _folded(rows) -> dict:
     """Stacked matrices of the engine for the states ``x @ rows``.
 
@@ -529,6 +578,12 @@ def _folded(rows) -> dict:
     and his overlap with ``g`` is ``(conj(g) (x) x) @ [up; sign * dn]``: their
     squared norms need only the Gram matrices, so the setup keeps triangular
     factors with the same Gram matrices, by branch in ``BRANCHES`` order.
+
+    All three sit in one block-diagonal ``factor``, which takes the rows
+    ``z = [conj(g) (x) x | x]`` to Bob's overlap coordinates, then Alice's
+    sector coordinates and Bob's trace coordinates.  The 0/1 ``sums``
+    (:func:`_indicator`, block by block) add their squares into Bob's four
+    overlaps, Alice's sector probabilities and Bob's four traces.
     """
     modes = TELEPORT_MODES
     sectors = spin_sector_bases(modes, ALICE_WIRES)
@@ -552,14 +607,13 @@ def _folded(rows) -> dict:
     alice = np.hstack(blocks)
     used = np.any(alice != 0, axis=0)  # 8 of 64 columns for the two inputs
     return {
-        "alice": alice[:, used],
-        "alice_sectors": _indicator(blocks)[np.repeat(used, 2)],
+        # Fortran order, as the QR factors come: the one-row product then keeps their bits
+        "factor": np.asfortranarray(_block_diagonal(np.hstack(overlap),
+                                                    np.hstack([alice[:, used], *trace]))),
+        "sums": _block_diagonal(_indicator(overlap), _indicator(blocks)[np.repeat(used, 2)],
+                                _indicator(trace)),
         "branch_of_sector": branch_of_sector,
         "sector_labels": tuple((j, m) for j, m, _ in sectors),
-        "bob_trace": np.hstack(trace),
-        "bob_trace_sums": _indicator(trace),
-        "bob_overlap": np.hstack(overlap),
-        "bob_overlap_sums": _indicator(overlap),
     }
 
 
@@ -615,6 +669,7 @@ def _kernel_setup(variant: str) -> dict:
     initial state, a trial stops, whatever its round, in the state
     ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``.
     """
+    t0 = time.perf_counter()
     inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
                        prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
     if variant == "electronic":
@@ -623,6 +678,11 @@ def _kernel_setup(variant: str) -> dict:
         integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
         _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
         setup = {**_folded(integer_part), "integer_part": integer_part}
+    # a DEBUG line reaches a handler only if the program imported logging to
+    # set one up; the package does not import it (4 ms and 0.5 MiB)
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(__name__).debug(
+            "built the %s kernel setup in %.6f s", variant, time.perf_counter() - t0)
     return {k: _read_only(v) if isinstance(v, np.ndarray) else v for k, v in setup.items()}
 
 
@@ -639,7 +699,7 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            g_rows, of = np.stack(_haar_amplitudes(draws.u[:, :3]), axis=1), np.arange(size)
+            g_rows, of = _haar_amplitudes(draws.u[:, :3]).T, np.arange(size)
         else:
             g_rows, of = np.array([[g.g1, g.g2]]), np.zeros(size, dtype=np.int64)
         if variant == "electronic":
@@ -680,6 +740,9 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
     max_rounds = _integer(max_rounds, "max_rounds")
     if n < 1:
         raise ValueError("need at least one trial")
+    if n > 2**64:
+        raise ValueError("need at most 2**64 trials: a trial's index is one 64-bit word of "
+                         "its stream counter, and trial 2**64 would read trial 0's block 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if resource is not None and variant != "mixed":

@@ -7,6 +7,8 @@ round decisions agree exactly and fidelities agree to rounding.
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -107,6 +109,33 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
                                           upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
+
+
+def test_threads_running_at_once_give_the_sequential_reports():
+    # each thread draws from its own Philox, reset before every block row;
+    # more threads than cores, switching every microsecond
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
+    jobs = [(None, "electronic", 3000, 21), (g, "coldatom", 1500, 22),
+            (None, "electronic", 3000, 2**64 - 1), (g, "coldatom", 1500, 23)]
+    expected = [run_trials(*job[:3], seed=job[3]).to_json() for job in jobs]
+    start, got = threading.Barrier(len(jobs)), [None] * len(jobs)
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = [run_trials(*jobs[i][:3], seed=jobs[i][3]).to_json() for _ in range(8)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[e] * 8 for e in expected]
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -475,7 +504,7 @@ _DIGESTS = {
     ("electronic", "haar", 1, 2**64 - 1): "4d305905a50f4106fce809a5f6015f72a19b59636a7f9503e41a515cb5febbf8",
     ("electronic", "haar", 50, 5): "c0ca6b441815de53ad6df2398830b43796c4fe877eec00c142e8ba9cc45f0fd6",
     ("electronic", "haar", 50, 2**64 - 1): "595609328b5fea49819c3d1c16490cec5a380ee2e8ed2e7b1052e4fb9564637a",
-    ("electronic", "haar", 1025, 5): "33404312009e3d7c30764c3859f88d4e6e3d84e0c2fd560b04438155a5ddd9b5",
+    ("electronic", "haar", 1025, 5): "e7d30d2faca96df8f17bb258f81d296a255f28b88e83e0da687d72d364ca03a2",
     ("electronic", "haar", 1025, 2**64 - 1): "e1bc9e195e2772c9a3213ee6282b3e2d500da1f474744f467a3747e46cf3dd66",
     ("coldatom", "fixed", 1, 5): "62c9b280df5d314665e210d8b0929626c2336122ee520cf6be1c2eb136ee7eca",
     ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",

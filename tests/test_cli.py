@@ -176,6 +176,19 @@ def test_teleport_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_teleport_refuses_more_than_2_64_trials(tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(edgeteleport.protocol, "_run_trials_batched", no_trials)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["teleport", "--trials", str(2**64 + 1), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "need at most 2**64 trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_teleport_seed_domain(tmp_path, capsys):
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:

@@ -242,6 +242,25 @@ def test_born_index_falls_back_to_last_nonzero_outcome():
     np.testing.assert_array_equal(born_index(batch, np.array([0.9999999999999999, 0.6])), [3, 2])
 
 
+def test_born_index_takes_the_fallback_on_the_over_rows_only():
+    # one batch: rows whose draw is at or above the total take the last
+    # nonzero outcome; on every other row that outcome is the wrong answer
+    probs = np.array([[0.25, 0.25, 0.25, 0.25 - 1e-15, 0.0, 0.0],
+                      [0.25, 0.25, 0.25, 0.25 - 1e-15, 0.0, 0.0],
+                      [0.0, 0.5, 0.0, 0.5 - 1e-15, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.5, 0.0, 0.5 - 1e-15, 0.0, 0.0],
+                      [0.3, 0.0, 0.2, 0.0, 0.5 - 1e-15, 0.0]])
+    u = np.array([0.9999999999999999, 0.1, 0.9999999999999999, 0.5, 0.2, 0.45])
+    over = u >= probs.sum(axis=1)
+    assert over.tolist() == [True, False, True, True, False, False]
+    got = born_index(probs, u)
+    np.testing.assert_array_equal(got, [3, 0, 3, 5, 1, 2])
+    assert got.tolist() == [_born_loop(p, x) for p, x in zip(probs, u)]
+    last_nonzero = [max([k for k, p in enumerate(row) if p > 0.0], default=5) for row in probs]
+    assert all((g == last) == o for g, last, o in zip(got, last_nonzero, over))
+
+
 class _FixedUniform:
     def __init__(self, u):
         self.u = u

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -410,6 +412,35 @@ def test_run_trials_rejects_bad_inputs():
             run_trials(None, variant, 5, resource=rho)
 
 
+def test_run_trials_refuses_more_trials_than_stream_counters(monkeypatch):
+    # trial 2**64 would read trial 0's block 1; the refusal runs no trial
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(protocol, "_run_trials_batched", no_trials)
+    monkeypatch.setattr(protocol, "trial_rng", no_trials)
+    for variant in ("electronic", "coldatom", "mixed"):
+        with pytest.raises(ValueError, match=r"at most 2\*\*64 trials.*trial 0's block 1"):
+            run_trials(None, variant, 2**64 + 1)
+    with pytest.raises(AssertionError, match="a trial ran"):
+        run_trials(None, "electronic", 2**64)  # the largest count is accepted
+
+
+def test_kernel_setup_logs_its_build(caplog):
+    protocol._kernel_setup("coldatom")  # cached before the capture: the run below logs nothing
+    with caplog.at_level(logging.DEBUG, logger="edgeteleport.protocol"):
+        for variant in ("electronic", "coldatom"):
+            protocol._kernel_setup.__wrapped__(variant)
+        report = run_trials(None, "coldatom", 30, seed=4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "edgeteleport.protocol"]
+    assert len(lines) == 2
+    for variant, line in zip(("electronic", "coldatom"), lines):
+        assert re.fullmatch(rf"built the {variant} kernel setup in \d+\.\d{{6}} s", line)
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    # logging leaves the report alone
+    assert report.to_json() == run_trials(None, "coldatom", 30, seed=4).to_json()
+
+
 def _report(**fields):
     """A hand-built report with edge-case values, ``fields`` replacing some."""
     values = dict(variant="coldatom", trials=10**6, seed=2**64 - 1, g1=None, g2=None,
@@ -495,7 +526,7 @@ _CACHED = {
     "sector_ground_spaces": lambda: sector_ground_spaces(protocol._relax_hamiltonian())[0][1],
     "relax_hamiltonian": lambda: protocol._relax_hamiltonian().mat,
     "b_reduction_indices": lambda: protocol._b_reduction_indices(MODES)[2],
-    "kernel_setup": lambda: protocol._kernel_setup("coldatom")["bob_trace"],
+    "kernel_setup": lambda: protocol._kernel_setup("coldatom")["factor"],
 }
 
 

@@ -103,3 +103,18 @@ def test_haar_scalar_and_batch_amplitudes_are_bit_identical():
     for t in (0, 1, 7, 8, 63, 511, n - 1):
         g = SpinAmplitudes.haar(trial_rng(17, t))
         assert (g.g1, g.g2) == (g1s[t], g2s[t])
+
+
+def test_streams_read_alternately_match_streams_read_in_turn():
+    # every block row resets the thread's one Philox, so streams alive side
+    # by side do not disturb each other, within a block row or across one
+    seed, trials, sizes = 2**64 - 3, (5, 2**64 - 1), [1, 3, 2, 4, 1, 5, 3]
+    whole = [trial_rng(seed, t).random(sum(sizes)) for t in trials]
+    streams, parts = [trial_rng(seed, t) for t in trials], [[], []]
+    for size in sizes:
+        for stream, part in zip(streams, parts):
+            part.append(stream.random(size))
+    for got, want, t in zip(parts, whole, trials):
+        np.testing.assert_array_equal(np.concatenate(got), want)
+        n_blocks = len(want) // 4 + 1
+        np.testing.assert_array_equal(want, _oracle_rows(seed, [t], n_blocks)[0, :len(want)])
