@@ -170,11 +170,41 @@ def _haar_amplitudes(u):
     ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.
     """
     g = np.sqrt(u[:, :1] * _HAAR_SIGNS + _HAAR_OFFSETS) * np.exp(u[:, 1:3] * (2j * np.pi))
-    d = _kernels._norm2(g) - 1.0
+    r = g.view(np.float64)
+    d = np.einsum("ij,ij->i", r, r) - 1.0
     # sum d^2 <= 1e-24 implies every |d| <= 1e-12; False for a NaN too
     if not d @ d <= 1e-24:
         _require_unit_amplitudes(g[:, 0], g[:, 1])
     return g.T
+
+
+def _bloch(g1, g2):
+    """The real coordinates ``F = (|g1|^2, |g2|^2, Re g1 conj(g2), Im g1 conj(g2))``
+    of ``q = g g^dag``, as a tuple, for complex scalars or arrays."""
+    a, b, c, d = g1.real, g1.imag, g2.real, g2.imag
+    return a * a + b * b, c * c + d * d, a * c + b * d, b * c - a * d
+
+
+def _haar_bloch(u) -> np.ndarray:
+    """``_bloch`` of the Haar-random amplitudes of ``_haar_amplitudes(u)``, an
+    ``(n, 4)`` array made straight from the draws: ``F0 = u0``, ``F1 = 1 - u0``
+    and ``F2 + i F3 = sqrt(u0 F1) e^{2 pi i (u1 - u2)}``.  For draws on the
+    2**-53 grid ``1 - u0`` is exact, so ``F0 + F1 == 1``.
+    """
+    f = np.empty((4, len(u)))
+    f[0] = u[:, 0]
+    np.subtract(1.0, f[0], out=f[1])
+    r = np.sqrt(f[0] * f[1])
+    phase = np.subtract(u[:, 1], u[:, 2]) * (2 * np.pi)
+    np.multiply(r, np.cos(phase), out=f[2])
+    np.multiply(r, np.sin(phase), out=f[3])
+    # F is finite only if 0 <= u0 <= 1, and then F0 + F1, the squared norm, is
+    # 1 to one rounding; a NaN or infinite draw or a u0 outside [0, 1] puts a
+    # NaN into F
+    if not math.isfinite(f.sum()):
+        _haar_amplitudes(u)  # raises _require_unit_amplitudes's error for these draws
+        raise ValueError("spin amplitudes must be finite")
+    return f.T
 
 
 @dataclass(frozen=True)
@@ -552,43 +582,40 @@ def default_backend() -> str:
     return "numpy"
 
 
-def _indicator(blocks) -> np.ndarray:
-    """0/1 matrix summing ``|psi @ np.hstack(blocks)|^2`` block by block, with
-    a row per real and imaginary part, as in a complex array's float64 view."""
-    col = np.repeat(np.arange(len(blocks)), [2 * b.shape[1] for b in blocks])
-    return (col[:, None] == np.arange(len(blocks))).astype(np.float64)
+def _bloch_forms(a) -> np.ndarray:
+    """The complex forms ``w``, stacked on a new first axis of four, with
+    ``F @ w = sum_ij q_ij a[i, j]`` for ``q = g g^dag`` and its real
+    coordinates ``F = (q00, q11, Re q01, Im q01)`` (see :func:`_bloch`)."""
+    return np.stack([a[0, 0], a[1, 1], a[0, 1] + a[1, 0], 1j * (a[0, 1] - a[1, 0])])
 
 
-def _block_diagonal(*blocks) -> np.ndarray:
-    """The matrices ``blocks`` along the diagonal of one zero matrix."""
-    rows, cols = (np.cumsum([0] + [b.shape[axis] for b in blocks]) for axis in (0, 1))
-    out = np.zeros((rows[-1], cols[-1]), dtype=np.result_type(*blocks))
-    for b, r, c in zip(blocks, rows, cols):
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-    return out
+def _gram_form(b) -> np.ndarray:
+    """The real form ``f`` with ``F @ f = |g @ b|^2`` for the ``(2, k)`` rows ``b``."""
+    return _bloch_forms(b @ b.conj().T).real
 
 
 def _folded(rows) -> dict:
-    """Stacked matrices of the engine for the states ``x @ rows``.
+    """Forms of the engine for the states ``g @ rows``, as functions of ``F``.
 
-    The bases are the cached ones of :mod:`edgeteleport.measure`, stacked side
-    by side.  Alice's gates and the ``(k, 64)`` array ``rows`` are folded into
-    her columns, so the engine's state rows are ``(m, k)`` arrays of
-    coordinates ``x``.  Bob's amplitudes in a branch are ``x @ [up | sign * dn]``
-    and his overlap with ``g`` is ``(conj(g) (x) x) @ [up; sign * dn]``: their
-    squared norms need only the Gram matrices, so the setup keeps triangular
-    factors with the same Gram matrices, by branch in ``BRANCHES`` order.
+    ``rows`` is a ``(2, 64)`` array.  Alice's gates are folded into her
+    sector bases, the cached ones of :mod:`edgeteleport.measure`, so the
+    sector coordinates of ``g @ rows`` after her gates are ``g @ blocks[s]``
+    and its sector probabilities are linear forms of ``F``
+    (:func:`_gram_form`).  Bob's amplitudes in a branch are
+    ``g @ [up | sign * dn]``: his trace is a linear form too, and his overlap
+    with ``g`` is ``sum_ij conj(g_i) g_j v[i, j] = sum_ij q_ji v[i, j]`` per
+    amplitude, for ``v = [up, sign * dn]``, a complex linear form ``w`` of
+    ``F``.  So his overlap is ``|F @ [Re w | Im w]|^2``: the setup keeps that
+    real factor's nonzero columns, by branch in ``BRANCHES`` order.
 
-    All three sit in one block-diagonal ``factor``, which takes the rows
-    ``z = [conj(g) (x) x | x]`` to Bob's overlap coordinates, then Alice's
-    sector coordinates and Bob's trace coordinates.  The 0/1 ``sums``
-    (:func:`_indicator`, block by block) add their squares into Bob's four
-    overlaps, Alice's sector probabilities and Bob's four traces.
+    ``forms`` holds Bob's overlap factors, Alice's sector forms and Bob's
+    four trace forms side by side, and the 0/1 ``sums`` add the squared
+    overlap coordinates into Bob's four overlaps.
     """
     modes = TELEPORT_MODES
     sectors = spin_sector_bases(modes, ALICE_WIRES)
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
-    # x @ blocks[s] = sector-s coordinates of x @ rows after Alice's two gates
+    # g @ blocks[s] = sector-s coordinates of g @ rows after Alice's two gates
     blocks = [rows @ (u_alice.T @ basis.conj()) for _, _, basis in sectors]
     n_up, n_dn, signs = _b_reduction_indices(modes)
     branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
@@ -601,17 +628,14 @@ def _folded(rows) -> dict:
         for spec in bob_correction(j, m):
             corrected = gate_unitary(spec, modes) @ corrected
         up, dn = blocks[s] @ corrected[n_up].T, blocks[s] @ (signs[:, None] * corrected[n_dn]).T
-        # R^dag of M^dag = QR has the Gram matrix M M^dag of M
-        trace[b] = np.linalg.qr(np.hstack([up, dn]).conj().T, mode="r").conj().T
-        overlap[b] = np.linalg.qr(np.vstack([up, dn]).conj().T, mode="r").conj().T
-    alice = np.hstack(blocks)
-    used = np.any(alice != 0, axis=0)  # 8 of 64 columns for the two inputs
+        trace[b] = _gram_form(np.hstack([up, dn]))
+        w = _bloch_forms(np.stack([up, dn]).transpose(1, 0, 2))  # a[i, j] = v[j, i]
+        factor = np.hstack([w.real, w.imag])
+        overlap[b] = factor[:, np.any(factor != 0, axis=0)]
+    branch_cols = np.repeat(np.arange(len(BRANCHES)), [f.shape[1] for f in overlap])
     return {
-        # Fortran order, as the QR factors come: the one-row product then keeps their bits
-        "factor": np.asfortranarray(_block_diagonal(np.hstack(overlap),
-                                                    np.hstack([alice[:, used], *trace]))),
-        "sums": _block_diagonal(_indicator(overlap), _indicator(blocks)[np.repeat(used, 2)],
-                                _indicator(trace)),
+        "forms": np.column_stack([*overlap, *map(_gram_form, blocks), *trace]),
+        "sums": (branch_cols[:, None] == np.arange(len(BRANCHES))).astype(np.float64),
         "branch_of_sector": branch_of_sector,
         "sector_labels": tuple((j, m) for j, m, _ in sectors),
     }
@@ -667,7 +691,8 @@ def _kernel_setup(variant: str) -> dict:
     trials fold their integer-class parts, ``integer_part``: once
     :func:`_certify_relaxation` has shown that every miss relaxes back to the
     initial state, a trial stops, whatever its round, in the state
-    ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``.
+    ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``, the
+    linear form ``F @ class_form``.
     """
     t0 = time.perf_counter()
     inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
@@ -677,7 +702,7 @@ def _kernel_setup(variant: str) -> dict:
     else:
         integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
         _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
-        setup = {**_folded(integer_part), "integer_part": integer_part}
+        setup = {**_folded(integer_part), "class_form": _gram_form(integer_part)}
     # a DEBUG line reaches a handler only if the program imported logging to
     # set one up; the package does not import it (4 ms and 0.5 MiB)
     if "logging" in sys.modules:
@@ -689,24 +714,26 @@ def _kernel_setup(variant: str) -> dict:
 def _run_trials_batched(g, variant, n, seed, max_rounds):
     """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
 
-    The engine gets the distinct inputs of a chunk and each trial's row among
-    them: one row shared by every trial for a fixed ``g``, one row per trial
-    for Haar-random inputs.
+    The engine gets the distinct inputs of a chunk, as rows ``F`` of
+    :func:`_bloch`, and each trial's row among them: one row shared by every
+    trial for a fixed ``g``, one row per trial for Haar-random inputs.
     """
     setup = _kernel_setup(variant)
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
+    if g is not None:
+        F = np.array([_bloch(g.g1, g.g2)])
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            g_rows, of = _haar_amplitudes(draws.u[:, :3]).T, np.arange(size)
+            F, of = _haar_bloch(draws.u), np.arange(size)
         else:
-            g_rows, of = np.array([[g.g1, g.g2]]), np.zeros(size, dtype=np.int64)
+            of = np.zeros(size, dtype=np.int64)
         if variant == "electronic":
-            branches, fids = _kernels.electronic_batch(setup, g_rows, of, draws.u[:, first])
+            branches, fids = _kernels.electronic_batch(setup, F, of, draws.u[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
             continue
-        yield _kernels.coldatom_batch(setup, g_rows, of, draws.upto, first, max_rounds)
+        yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
 
 
 def _integer(value, name: str) -> int:

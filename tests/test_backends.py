@@ -7,12 +7,15 @@ round decisions agree exactly and fidelities agree to rounding.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import edgeteleport
 import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import (
@@ -42,6 +45,11 @@ from edgeteleport.protocol import (
     trial_rng,
 )
 from edgeteleport.relax import relax_to_ground
+
+
+def _bloch_row(g):
+    """The engine's one-row ``F`` of the fixed input ``g``."""
+    return np.array([protocol._bloch(g.g1, g.g2)])
 
 
 def _oracle(g, variant, n, seed):
@@ -105,7 +113,7 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
         return draws.upto(stop)
 
     _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
-                                          np.array([[g.g1, g.g2]]), np.zeros(n, dtype=np.int64),
+                                          _bloch_row(g), np.zeros(n, dtype=np.int64),
                                           upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
@@ -140,14 +148,29 @@ def test_threads_running_at_once_give_the_sequential_reports():
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
 def test_no_fidelity_exceeds_one(variant):
-    # rounding puts Bob's overlap above his trace on about one Haar trial in
-    # 15; capped, no per-trial fidelity and so no report exceeds 1
+    # rounding puts Bob's overlap above his trace in about one electronic
+    # Haar row and branch in 27; capped, no per-trial fidelity and so no
+    # report exceeds 1
     chunks = protocol._run_trials_batched(None, variant, 3000, 5, protocol.DEFAULT_MAX_ROUNDS)
     assert max(float(fids.max()) for _, _, fids in chunks) <= 1.0
     assert _oracle(None, variant, 300, 5)[2].max() <= 1.0
     for seed in (0, 7, 2**64 - 1):
         report = run_trials(None, variant, 1, seed=seed)
         assert report.min_fidelity <= 1.0 and report.mean_fidelity <= 1.0
+
+
+def test_overlap_above_the_trace_is_capped():
+    # above the trace by more than rounding, Bob's overlap still gives
+    # fidelity 1: the protocol's own overlaps exceed it by too little for
+    # sqrt to show, so this checks the cap itself
+    setup = dict(protocol._kernel_setup("electronic"))
+    forms = setup["forms"].copy()
+    forms[:, :len(setup["sums"])] *= 1.0 + 1e-9
+    setup["forms"] = forms
+    n = 400
+    _, fids = kernels.electronic_batch(setup, _bloch_row(SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)),
+                                       np.zeros(n, dtype=np.int64), np.random.default_rng(3).random(n))
+    assert fids.max() == 1.0
 
 
 def test_report_statistics_match_oracle():
@@ -212,7 +235,7 @@ def test_certified_relaxation_restores_every_input_in_the_library(seed):
         relaxed = relax_to_ground(_miss(g), h).amps
         initial = prepare_initial(g, "coldatom").amps
         assert abs(abs(np.vdot(initial, relaxed)) - 1.0) <= 1e-12
-        p = kernels._norm2(gi[None, :] @ setup["integer_part"])[0]
+        p = np.array(protocol._bloch(*gi)) @ setup["class_form"]
         assert abs(p - np.linalg.norm(integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
                                       @ relaxed) ** 2) <= 1e-12
 
@@ -246,15 +269,15 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     shapes = []
     real = kernels._measure_and_correct
 
-    def spy(setup, x, g_rows, of, u):
-        shapes.append((x.shape, len(of)))
-        return real(setup, x, g_rows, of, u)
+    def spy(setup, F, of, u, p=None):
+        shapes.append((F.shape, len(of)))
+        return real(setup, F, of, u, p)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
     chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
     rows = [1, 1] if g is not None else [protocol._CHUNK, 37]
-    assert shapes == [((m, 2), k) for m, k in zip(rows, [protocol._CHUNK, 37])]
+    assert shapes == [((m, 4), k) for m, k in zip(rows, [protocol._CHUNK, 37])]
     assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
 
@@ -296,7 +319,7 @@ def test_run_trials_over_many_chunks_matches_the_array_path(variant, monkeypatch
                          ids=["up", "fixed"])
 def test_one_shared_row_gives_the_per_trial_rows_results(g):
     n = 400
-    row = np.array([[g.g1, g.g2]])
+    row = _bloch_row(g)
     shared = (row, np.zeros(n, dtype=np.int64))
     per_trial = (np.repeat(row, n, axis=0), np.arange(n))
     u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
@@ -320,9 +343,9 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
 def test_outcome_outside_the_branches_raises_naming_it():
     # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates
     lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
-    setup = protocol._folded(lone[None, :])
+    setup = protocol._folded(np.outer([1.0, 0.0], lone))  # the input (1, 0) folds to lone
     with pytest.raises(RuntimeError, match=r"Alice measured \(J, Jz\) = \(0\.5, -?0\.5\)"):
-        kernels._measure_and_correct(setup, np.ones((1, 1), dtype=complex), np.array([[1.0, 0.0]]),
+        kernels._measure_and_correct(setup, np.array([[1.0, 0.0, 0.0, 0.0]]),
                                      np.zeros(3, dtype=np.int64), np.array([0.1, 0.5, 0.9]))
 
 
@@ -348,11 +371,9 @@ def _step_by_step_fidelity(x, g, u):
     return bob_fidelity(psi, SpinAmplitudes(*g))
 
 
-@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
-def test_bob_step_with_every_trial_in_one_branch(branch):
-    # generic states inside one branch sector: Bob's fidelity depends on
-    # which branch's correction the engine applies, and no trial reads the
-    # other three branches' fidelities
+def _one_branch_states(branch):
+    """40 generic unit states whose rows Alice's gates take into one branch
+    sector, their inputs ``g``, and 1024 trials' rows and branch draws."""
     sectors = spin_sector_bases(TELEPORT_MODES, protocol.ALICE_WIRES)
     basis = next(b for j, m, b in sectors if (j, m) == protocol.BRANCHES[branch])
     u_alice = (gate_unitary(hadamard("c"), TELEPORT_MODES)
@@ -364,13 +385,53 @@ def test_bob_step_with_every_trial_in_one_branch(branch):
     x /= np.linalg.norm(x, axis=1)[:, None]
     g = np.stack(protocol._haar_amplitudes(rng.random((m, 3))), axis=1)
     of, u = rng.integers(0, m, n), rng.random(n)
-    # the engine's setup folded on the states themselves: row k is the kth state
-    branches, fids = kernels._measure_and_correct(protocol._folded(x), np.eye(m, dtype=complex),
-                                                  g, of, u)
+    return x, g, of, u
+
+
+@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
+def test_bob_step_with_every_trial_in_one_branch(branch):
+    # generic states inside one branch sector: Bob's fidelity depends on
+    # which branch's correction the engine applies, and no trial reads the
+    # other three branches' fidelities
+    x, g, of, u = _one_branch_states(branch)
+    branches, fids = np.empty(len(of), dtype=np.int64), np.empty(len(of))
+    for k, (xk, gk) in enumerate(zip(x, g)):
+        # a rank-one fold per state: the input gk folds to gk @ rows = xk
+        setup = protocol._folded(np.outer(gk.conj(), xk))
+        trials = np.flatnonzero(of == k)
+        branches[trials], fids[trials] = kernels._measure_and_correct(
+            setup, np.array([protocol._bloch(*gk)]), np.zeros(len(trials), dtype=np.int64),
+            u[trials])
     assert set(branches.tolist()) == {branch}
     expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
     assert np.abs(fids - expected).max() <= 1e-15
     assert np.ptp(fids) > 0.1  # generic fidelities, not the protocol's 1
+
+
+@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
+def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_half(branch):
+    # the cold-atom engine folds the integer-class part, of squared norm
+    # p = F @ class_form; its sector probabilities are divided by p, while
+    # val / tr must not be: dividing F by p doubles val here, and only a
+    # generic fidelity below 1 shows it, since the cap val <= tr hides it at 1
+    x, g, of, u = _one_branch_states(branch)
+    branches, rounds = np.empty(len(of), dtype=np.int64), np.empty(len(of), dtype=np.int64)
+    fids = np.empty(len(of))
+    for k, (xk, gk) in enumerate(zip(x, g)):
+        rows = np.outer(gk.conj(), xk) / np.sqrt(2.0)  # gk @ rows = xk / sqrt(2)
+        setup = {**protocol._folded(rows), "class_form": protocol._gram_form(rows)}
+        trials = np.flatnonzero(of == k)
+        # class draws 0.75, then 0.25: every trial stops in round 2 and reads
+        # its branch draw from column 2; the table holds max_rounds + 1 columns
+        table = np.zeros((len(trials), protocol.DEFAULT_MAX_ROUNDS + 1))
+        table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, u[trials]
+        branches[trials], rounds[trials], fids[trials] = kernels.coldatom_batch(
+            setup, np.array([protocol._bloch(*gk)]), np.zeros(len(trials), dtype=np.int64),
+            lambda stop: table, 0, protocol.DEFAULT_MAX_ROUNDS)
+    assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
+    expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
+    assert np.abs(fids - expected).max() <= 1e-15
+    assert np.ptp(fids) > 0.1
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -378,7 +439,7 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
     n = protocol._CHUNK
     u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
-    setup, row, of = protocol._kernel_setup(variant), np.array([[g.g1, g.g2]]), np.zeros(n, dtype=int)
+    setup, row, of = protocol._kernel_setup(variant), _bloch_row(g), np.zeros(n, dtype=int)
     if variant == "electronic":
         branches, fids = kernels.electronic_batch(setup, row, of, u[:, 0])
     else:
@@ -387,6 +448,21 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
     assert np.abs(fids - expected).max() <= 1e-15
+
+
+def test_setup_forms_certify_the_papers_probabilities():
+    # the forms hold for every input at once: each of Alice's four branches
+    # has probability 1/4 and the half-odd sectors none, and each cold-atom
+    # round succeeds with probability F @ class_form = 1/2
+    quarter, half = np.array([0.25, 0.25, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
+    for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
+        setup = protocol._kernel_setup(variant)
+        alice = setup["forms"][:, len(setup["sums"]):-4]
+        assert alice.shape == (4, len(setup["sector_labels"])) == (4, 6)
+        for form, (j, m) in zip(alice.T, setup["sector_labels"]):
+            expected = quarter if (j, m) in protocol.BRANCHES else np.zeros(4)
+            assert np.abs(form - scale * expected).max() <= 1e-12, (variant, j, m)
+    assert np.abs(protocol._kernel_setup("coldatom")["class_form"] - half).max() <= 1e-12
 
 
 # Exact report bytes: a change to any of them must be deliberate.
@@ -416,7 +492,7 @@ _GOLDEN = {
     "1": 300
   },
   "mean_rounds": 1.0,
-  "min_fidelity": 0.9999999999999998,
+  "min_fidelity": 0.9999999999999999,
   "mean_fidelity": 0.9999999999999998
 }
 """,
@@ -439,7 +515,7 @@ _GOLDEN = {
     "1": 300
   },
   "mean_rounds": 1.0,
-  "min_fidelity": 0.9999999999999998,
+  "min_fidelity": 0.9999999999999999,
   "mean_fidelity": 1.0
 }
 """,
@@ -476,8 +552,8 @@ _GOLDEN = {
     "11": 1
   },
   "mean_rounds": 1.9766666666666666,
-  "min_fidelity": 0.9999999999999998,
-  "mean_fidelity": 0.9999999999999998
+  "min_fidelity": 0.9999999999999999,
+  "mean_fidelity": 1.0
 }
 """,
 }
@@ -494,30 +570,30 @@ def test_golden_report_bytes(variant, g_kind, seed):
 # SHA-256 of the report JSON over both engine variants, fixed and Haar inputs,
 # one trial, part of a chunk and past a chunk, a small and the largest seed.
 _DIGESTS = {
-    ("electronic", "fixed", 1, 5): "3c1a2f8836419d03dbd877a21af4e53f784181ffa11ab51c74777da34f020657",
-    ("electronic", "fixed", 1, 2**64 - 1): "00384edc937e5d00c376d8041c192321f9db21d8c6f07d0ee443ddcaa1b7d7f2",
-    ("electronic", "fixed", 50, 5): "e074693dea8453c10063f84c56ed224dfdac8999482cb2c9da8ddf29932c6584",
-    ("electronic", "fixed", 50, 2**64 - 1): "5b171d17c7e4799ea80a16e6e6357ce877882b1d65f34f8311a63bddf299d84f",
-    ("electronic", "fixed", 1025, 5): "f582e245be12b52ac2d1695cdbd496435bab84fa725d964152299938e8258026",
-    ("electronic", "fixed", 1025, 2**64 - 1): "ec6fa13cc40ec2a7568beabb42e6a004796e70cc907c8db13953c71002a55c4d",
-    ("electronic", "haar", 1, 5): "0408bd8db34b3ddda90cef2a57efee8dff60843baa07426b77aa2743c055f24e",
+    ("electronic", "fixed", 1, 5): "ffc5de87e36277046e7f78f925c4b91acf937b10da5e5fb19e04932cd59b3ade",
+    ("electronic", "fixed", 1, 2**64 - 1): "63465b74b15a342dd506f87d61228eb269ed9ab103a730cd028511130652519b",
+    ("electronic", "fixed", 50, 5): "8fd2cfc409efaa3c9355a1b7f80d96fa848c23df0f83cf204e700f10c58d1b7b",
+    ("electronic", "fixed", 50, 2**64 - 1): "d4ae1177d30ef345f4ff46af246794da300ce3a222764be8233fac2254aa2ab3",
+    ("electronic", "fixed", 1025, 5): "a2d7ac56f8325dfb6ed3736f91aae72ab7ccec7c766970c1df94659ef22176bf",
+    ("electronic", "fixed", 1025, 2**64 - 1): "6813c773467db3fa5532d34fdbdabe9ed21c828e6ec60bb1f2abcdfcea1bf597",
+    ("electronic", "haar", 1, 5): "a4d2dd15922aa0214379b911c95eb163978de8ee8bf3309c3046f1053390a64c",
     ("electronic", "haar", 1, 2**64 - 1): "4d305905a50f4106fce809a5f6015f72a19b59636a7f9503e41a515cb5febbf8",
     ("electronic", "haar", 50, 5): "c0ca6b441815de53ad6df2398830b43796c4fe877eec00c142e8ba9cc45f0fd6",
-    ("electronic", "haar", 50, 2**64 - 1): "595609328b5fea49819c3d1c16490cec5a380ee2e8ed2e7b1052e4fb9564637a",
-    ("electronic", "haar", 1025, 5): "e7d30d2faca96df8f17bb258f81d296a255f28b88e83e0da687d72d364ca03a2",
-    ("electronic", "haar", 1025, 2**64 - 1): "e1bc9e195e2772c9a3213ee6282b3e2d500da1f474744f467a3747e46cf3dd66",
-    ("coldatom", "fixed", 1, 5): "62c9b280df5d314665e210d8b0929626c2336122ee520cf6be1c2eb136ee7eca",
+    ("electronic", "haar", 50, 2**64 - 1): "0a56a050e5e89337dd9714740f80f510467ce1ca56667b2389753a6d35f23e19",
+    ("electronic", "haar", 1025, 5): "7159ab0ff8e31f3499d7b5ed290ccfb7b4cba03d6f0f57a2c9bfb7e0c9426c34",
+    ("electronic", "haar", 1025, 2**64 - 1): "bd8122599dca7b6c07d7412ba071f739ea7d69d0674b22142f02edf76fdc565a",
+    ("coldatom", "fixed", 1, 5): "5a40d6b4897d2845a99dcad2bfbba63526024a5c866b2d008719d91b01c819d9",
     ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",
-    ("coldatom", "fixed", 50, 5): "a1f763cc9fe3f64a016192803e50b529ade05606ba6f129191f2125a16bbc8fc",
-    ("coldatom", "fixed", 50, 2**64 - 1): "89694a5f86a806e1c7b145fa5eb311e3c15b9f5a74e27bf259f4eea881957193",
-    ("coldatom", "fixed", 1025, 5): "cd23a6a66b6d08955b1c9072f55c7f327ddaf0053d0a7dcbe61a4cbdd07df66e",
-    ("coldatom", "fixed", 1025, 2**64 - 1): "697e24a3c93837eeb3209d1eb1719260aceacaa24d1733cf5b1bef78281db951",
-    ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
-    ("coldatom", "haar", 1, 2**64 - 1): "37f580ebcfaf600288cffc45e73a8073fe7234afa7c131bf8934c7c6d689bdd1",
-    ("coldatom", "haar", 50, 5): "033912be3bb7e9ae78da5a3ad0975df1a71d3041ddad19dd33401d2982d2dc81",
-    ("coldatom", "haar", 50, 2**64 - 1): "38ac64556d425d60d233558dbf3e160e435cb8d4e796bcce316451193e5c96f7",
-    ("coldatom", "haar", 1025, 5): "e0fd3614e66bfe2191112d3b0ce50a3bdf0d24ae0534d61df853a38f4cc09696",
-    ("coldatom", "haar", 1025, 2**64 - 1): "63e6149312afb4458fa30fef11e90f74ad301c3e855b2cf89b8a5f26efce598d",
+    ("coldatom", "fixed", 50, 5): "cb2cfd2f27bfe396d097d703674727ac5c778547cb955a0251815bff25626cd2",
+    ("coldatom", "fixed", 50, 2**64 - 1): "1bc30fad04dd465be2b002968dde1738858e05303f6db3afe1c06e8e2847ebb5",
+    ("coldatom", "fixed", 1025, 5): "31eb7f9063d0f8cb03bcc51b981b0fabe1115aafbda6adc1bc1d4c0ae1d128e0",
+    ("coldatom", "fixed", 1025, 2**64 - 1): "68529263224fbffbad263f86918f888389131873d1e1f9da946a4bbd7ead72b1",
+    ("coldatom", "haar", 1, 5): "a151386e8156e1df0dd30e5e9885f2e106ae5aea4ddc2dec43572a3616ebc09c",
+    ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
+    ("coldatom", "haar", 50, 5): "575d5592c0d9fa5fc807cf6a64925c827ef8bfcf569276fa5b1a20bb1fcbdd9a",
+    ("coldatom", "haar", 50, 2**64 - 1): "4e57796f11df6f8ff775827c71e3522a119d62c9e21d00eab1d46e7956f2f73a",
+    ("coldatom", "haar", 1025, 5): "03d130e8f4fa814ee0ea6f853e416da12e49c1891f69dbf001714fb554a446d8",
+    ("coldatom", "haar", 1025, 2**64 - 1): "36294955a818756458cb7417261f38ca5d80eace5bae0f32f2d3e13238785379",
 }
 
 
@@ -528,3 +604,37 @@ def test_report_digest(variant, g_kind, n, seed):
     text = report.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[variant, g_kind, n, seed]
     assert text == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+#: numpy's dispatch targets above its x86-64 baseline: disabled, numpy runs its baseline loops.
+_SIMD_FEATURES = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_report_digests_do_not_depend_on_numpys_simd_level(tmp_path):
+    # the engine's arithmetic is real: no numpy complex loop, whose rounding
+    # follows the SIMD level, enters a report
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not all(__cpu_features__.get(f) for f in _SIMD_FEATURES.split()):
+        pytest.skip(f"numpy finds not all of {_SIMD_FEATURES} on this CPU")
+    script = tmp_path / "digests.py"
+    script.write_text(f"""
+import hashlib, json
+from numpy._core._multiarray_umath import __cpu_features__
+from edgeteleport.protocol import SpinAmplitudes, run_trials
+assert not any(__cpu_features__[f] for f in {_SIMD_FEATURES.split()!r})
+keys = {list(_DIGESTS)!r}
+digests = []
+for variant, g_kind, n, seed in keys:
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
+    text = run_trials(g, variant, n, seed=seed).to_json()
+    digests.append(hashlib.sha256(text.encode()).hexdigest())
+print(json.dumps(digests))
+""")
+    src = os.path.dirname(os.path.dirname(edgeteleport.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _SIMD_FEATURES,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert dict(zip(_DIGESTS, json.loads(run.stdout))) == _DIGESTS

@@ -8,6 +8,7 @@ call, and ``trial_rng`` reads one trial's blocks in order.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,27 @@ def test_haar_scalar_and_batch_amplitudes_are_bit_identical():
     for t in (0, 1, 7, 8, 63, 511, n - 1):
         g = SpinAmplitudes.haar(trial_rng(17, t))
         assert (g.g1, g.g2) == (g1s[t], g2s[t])
+
+
+def test_engine_haar_rows_are_the_bloch_vectors_of_the_oracles_amplitudes():
+    u = protocol._Draws(17, 0, protocol._CHUNK).u
+    F = protocol._haar_bloch(u)
+    expected = np.stack(protocol._bloch(*protocol._haar_amplitudes(u[:, :3])), axis=1)
+    assert F.shape == (protocol._CHUNK, 4)
+    assert np.abs(F - expected).max() <= 1e-15
+    # u0 is a multiple of 2**-53, so 1 - u0 is exact and so is the unit norm
+    assert np.all(u[:, 0] * 2.0**53 == np.floor(u[:, 0] * 2.0**53))
+    assert np.all(F[:, 0] + F[:, 1] == 1.0)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_engine_haar_rows_refuse_non_finite_draws(column, bad):
+    # the engine's guard raises the amplitudes' own error
+    u = protocol._Draws(17, 0, 8).u.copy()
+    u[5, column] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
+        protocol._haar_bloch(u)
 
 
 def test_streams_read_alternately_match_streams_read_in_turn():
