@@ -12,8 +12,9 @@ density matrix ``q = g g^dag``, four real numbers
 ``F`` and the engine's arithmetic is real.  ``protocol._kernel_setup`` folds
 Alice's gates, her sector bases and Bob's corrected branch bases onto the two
 inputs (for cold-atom trials, onto their integer-class parts) and keeps one
-real ``(4, K)`` matrix of forms.  Alice's sector probabilities and Bob's four
-traces are linear in ``F``, one column each; Bob's four overlaps with ``g``
+real ``(4, K)`` matrix of forms.  Alice's four branch probabilities and Bob's
+four traces are linear in ``F``, one column each in ``protocol.BRANCHES``
+order, so Born sampling returns the branch; Bob's four overlaps with ``g``
 are quadratic, ``|F @ R|^2`` summed over each branch's columns of a real
 factor ``R``.  So a batch takes one product ``F @ forms``, one square and
 one product with a 0/1 matrix, and every row gets its fidelity in all four
@@ -46,9 +47,9 @@ def _measure_and_correct(setup, F, of, u, p=None):
     """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
 
     ``F`` holds the distinct inputs as ``(m, 4)`` real rows (see the module
-    docstring); trial ``i`` is in row ``of[i]`` and draws its sector with
+    docstring); trial ``i`` is in row ``of[i]`` and draws its branch with
     ``u[i]``.  A state folded with norm ``sqrt(p)`` passes its rows' ``p``:
-    the sector probabilities are divided by it, while Bob's ``val / tr`` does
+    the branch probabilities are divided by it, while Bob's ``val / tr`` does
     not depend on the scale.  Returns each trial's index into
     ``protocol.BRANCHES`` and Bob's fidelity, read from its row's fidelities
     in all four branches.
@@ -56,16 +57,11 @@ def _measure_and_correct(setup, F, of, u, p=None):
     lin = F @ setup["forms"]
     k = len(setup["sums"])  # Bob's overlap coordinates, then the linear forms
     val = np.square(lin[:, :k]) @ setup["sums"]
-    # one probability per sector, four traces: one per branch
+    # four probabilities, four traces: one per branch
     probs, tr = lin[:, k:-4], lin[:, -4:]
     if p is not None:
         probs = probs / p[:, None]
-    sector = born_index(probs.take(of, axis=0), u)
-    branch = setup["branch_of_sector"][sector]
-    if branch.min() < 0:
-        j, m = setup["sector_labels"][sector[np.argmax(branch < 0)]]
-        raise RuntimeError(f"Alice measured (J, Jz) = ({j:g}, {m:g}), "
-                           "which has no correction for Bob")
+    branch = born_index(probs.take(of, axis=0), u)
     # val <= tr up to rounding: capped, val / tr and its root stay <= 1; a
     # zero trace caps val at 0 too, and the divisor _TINY then gives 0
     fid = np.sqrt(np.minimum(val, tr) / np.maximum(tr, _TINY))
@@ -93,7 +89,7 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
     input scaled by ``1 / sqrt(p)``.  Rounds are counted over the block rows
     drawn so far; one more is drawn only while some trial has no hit and
     fewer than ``max_rounds`` class draws exist.  Hitting ``max_rounds``
-    raises, as in the step-by-step path.
+    raises, as in the step-by-step path; so does an ``upto`` that stops growing.
     """
     p = F @ setup["class_form"]
     p_of = p[of, None]
@@ -107,7 +103,10 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
                 f"no integer-spin outcome after {max_rounds} restarts; "
                 "statistically unreachable, check the setup"
             )
-        u = upto(u.shape[1] + 1)
+        stop = u.shape[1] + 1
+        u = upto(stop)
+        if u.shape[1] < stop:
+            raise RuntimeError(f"upto({stop}) returned {u.shape[1]} draws per trial")
     rounds = hit.argmax(axis=1) + 1
     u = upto(first + int(rounds.max()) + 1)
     branch, fid = _measure_and_correct(setup, F, of, u[np.arange(len(of)), first + rounds], p)

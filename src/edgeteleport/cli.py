@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 
-from .protocol import SpinAmplitudes, _json_text, run_trials
+from .protocol import SpinAmplitudes, _json_text, _modulus, run_trials
 from .hubbard import CouplingParams, hubbard_report
 from .ssh_lattice import WireParams, spectrum_csv, zeromode_density_csv
 
@@ -82,7 +82,8 @@ def _parse_complex(parser, text: str, name: str) -> complex:
 def _cmd_teleport(parser, args) -> int:
     g1 = _parse_complex(parser, args.g1, "--g1")
     g2 = _parse_complex(parser, args.g2, "--g2")
-    norm = abs(g1) * abs(g1) + abs(g2) * abs(g2)  # inf, not OverflowError, when huge
+    a1, a2 = _modulus(g1), _modulus(g2)
+    norm = a1 * a1 + a2 * a2  # inf, not OverflowError, when huge
     if abs(norm - 1.0) > 1e-6:
         parser.error(f"|g1|^2 + |g2|^2 = {norm:.6g}; amplitudes must be normalized")
     try:

@@ -112,13 +112,21 @@ _CHUNK = 1024
 _RNG_SCHEME = "philox4x64-10/v2"
 
 
+def _modulus(z):
+    """``abs(z)``, but inf where a Python complex's ``abs`` raises ``OverflowError``."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _require_unit_amplitudes(g1, g2):
     """Raise unless every (g1, g2) pair is finite with unit norm to 1e-12.
 
     Takes complex scalars or arrays; a NaN or infinite amplitude fails the
     norm test too, and is then reported as such.
     """
-    a1, a2 = abs(g1), abs(g2)
+    a1, a2 = _modulus(g1), _modulus(g2)
     # products, not ** 2: a float power raises OverflowError above ~1e154
     if np.all(abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12):
         return
@@ -216,7 +224,7 @@ class SpinAmplitudes:
         g1, g2 = complex(self.g1), complex(self.g2)
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
-        a1, a2 = abs(g1), abs(g2)
+        a1, a2 = _modulus(g1), _modulus(g2)
         if not abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12:  # plain floats: no numpy call
             _require_unit_amplitudes(g1, g2)
 
@@ -224,10 +232,7 @@ class SpinAmplitudes:
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
         # Python floats and products: a numpy scalar power warns on overflow,
         # a float product gives inf silently
-        try:
-            a1, a2 = abs(complex(g1)), abs(complex(g2))
-        except OverflowError:  # a modulus above the float range
-            a1 = a2 = math.inf
+        a1, a2 = _modulus(complex(g1)), _modulus(complex(g2))
         n = math.sqrt(a1 * a1 + a2 * a2)
         if not math.isfinite(n):
             raise ValueError("|g1|^2 + |g2|^2 is not finite")
@@ -261,22 +266,15 @@ def prepare_initial(g: SpinAmplitudes, variant: str) -> StateVector:
     return g.g1 * create(resource, "c", "up") + g.g2 * create(resource, "c", "dn")
 
 
-_CORRECTION_TABLE = {
-    (2, 2): (iy(BOB_WIRE),),
-    (2, 0): (hadamard(BOB_WIRE), iy(BOB_WIRE)),
-    (2, -2): (),
-    (0, 0): (hadamard(BOB_WIRE),),
-}
+#: Bob's gates for each branch, in ``BRANCHES`` order; applied left to right.
+_CORRECTIONS = ((iy(BOB_WIRE),), (hadamard(BOB_WIRE), iy(BOB_WIRE)), (), (hadamard(BOB_WIRE),))
 
 
 def bob_correction(j: float, m: float) -> list[GateSpec]:
-    """Bob's gate list for a reported (J, Jz); applied left to right."""
-    if abs(2 * j - round(2 * j)) > 1e-9 or abs(2 * m - round(2 * m)) > 1e-9:
-        raise ValueError(f"non half-integer branch ({j}, {m})")
-    key = (int(round(2 * j)), int(round(2 * m)))
+    """Bob's gate list for a (J, Jz) that is one of ``BRANCHES``; applied left to right."""
     try:
-        return list(_CORRECTION_TABLE[key])
-    except KeyError:
+        return list(_CORRECTIONS[BRANCHES.index((j, m))])
+    except ValueError:
         raise ValueError(f"no correction for branch ({j}, {m})") from None
 
 
@@ -570,13 +568,6 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
     )
 
 
-def _branch_index(j: float, m: float) -> int:
-    for k, (jj, mm) in enumerate(BRANCHES):
-        if abs(j - jj) < 1e-9 and abs(m - mm) < 1e-9:
-            return k
-    raise ValueError(f"unexpected branch ({j}, {m})")
-
-
 def default_backend() -> str:
     """Name of the trial engine, recorded in every report's ``backend`` field."""
     return "numpy"
@@ -599,45 +590,45 @@ def _folded(rows) -> dict:
 
     ``rows`` is a ``(2, 64)`` array.  Alice's gates are folded into her
     sector bases, the cached ones of :mod:`edgeteleport.measure`, so the
-    sector coordinates of ``g @ rows`` after her gates are ``g @ blocks[s]``
-    and its sector probabilities are linear forms of ``F``
-    (:func:`_gram_form`).  Bob's amplitudes in a branch are
-    ``g @ [up | sign * dn]``: his trace is a linear form too, and his overlap
-    with ``g`` is ``sum_ij conj(g_i) g_j v[i, j] = sum_ij q_ji v[i, j]`` per
-    amplitude, for ``v = [up, sign * dn]``, a complex linear form ``w`` of
-    ``F``.  So his overlap is ``|F @ [Re w | Im w]|^2``: the setup keeps that
-    real factor's nonzero columns, by branch in ``BRANCHES`` order.
+    sector coordinates of ``g @ rows`` after her gates are ``g @ block`` and
+    its sector probabilities are linear forms of ``F`` (:func:`_gram_form`).
+    A sector outside ``BRANCHES`` has no correction for Bob: a form of one
+    above 1e-12 of the fold's weight raises.  Bob's amplitudes in a branch
+    are ``g @ [up | sign * dn]``: his trace is a linear form too, and his
+    overlap with ``g`` is ``sum_ij conj(g_i) g_j v[i, j] = sum_ij q_ji v[i, j]``
+    per amplitude, for ``v = [up, sign * dn]``, a complex linear form ``w``
+    of ``F``.  So his overlap is ``|F @ [Re w | Im w]|^2``: the setup keeps
+    that real factor's nonzero columns.
 
-    ``forms`` holds Bob's overlap factors, Alice's sector forms and Bob's
-    four trace forms side by side, and the 0/1 ``sums`` add the squared
-    overlap coordinates into Bob's four overlaps.
+    ``forms`` holds Bob's overlap factors, Alice's four branch forms and Bob's
+    four trace forms side by side, each in ``BRANCHES`` order, and the 0/1
+    ``sums`` add the squared overlap coordinates into Bob's four overlaps.
     """
     modes = TELEPORT_MODES
-    sectors = spin_sector_bases(modes, ALICE_WIRES)
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
-    # g @ blocks[s] = sector-s coordinates of g @ rows after Alice's two gates
-    blocks = [rows @ (u_alice.T @ basis.conj()) for _, _, basis in sectors]
+    bases = {(j, m): basis for j, m, basis in spin_sector_bases(modes, ALICE_WIRES)}
+    # g @ blocks[(j, m)] = sector coordinates of g @ rows after Alice's two gates
+    blocks = {s: rows @ (u_alice.T @ basis.conj()) for s, basis in bases.items()}
+    weight = np.abs(_gram_form(rows)).max()
+    for (j, m), block in blocks.items():
+        if (j, m) not in BRANCHES and np.abs(_gram_form(block)).max() > 1e-12 * weight:
+            raise RuntimeError(f"Alice can measure (J, Jz) = ({j:g}, {m:g}), "
+                               "which has no correction for Bob")
     n_up, n_dn, signs = _b_reduction_indices(modes)
-    branch_of_sector = np.full(len(sectors), -1, dtype=np.int64)
-    trace, overlap = [None] * len(BRANCHES), [None] * len(BRANCHES)
-    for s, (j, m, basis) in enumerate(sectors):
-        if (j, m) not in BRANCHES:
-            continue
-        b = branch_of_sector[s] = BRANCHES.index((j, m))
-        corrected = basis
-        for spec in bob_correction(j, m):
+    trace, overlap = [], []
+    for branch, specs in zip(BRANCHES, _CORRECTIONS):
+        corrected, block = bases[branch], blocks[branch]
+        for spec in specs:
             corrected = gate_unitary(spec, modes) @ corrected
-        up, dn = blocks[s] @ corrected[n_up].T, blocks[s] @ (signs[:, None] * corrected[n_dn]).T
-        trace[b] = _gram_form(np.hstack([up, dn]))
+        up, dn = block @ corrected[n_up].T, block @ (signs[:, None] * corrected[n_dn]).T
+        trace.append(_gram_form(np.hstack([up, dn])))
         w = _bloch_forms(np.stack([up, dn]).transpose(1, 0, 2))  # a[i, j] = v[j, i]
         factor = np.hstack([w.real, w.imag])
-        overlap[b] = factor[:, np.any(factor != 0, axis=0)]
+        overlap.append(factor[:, np.any(factor != 0, axis=0)])
     branch_cols = np.repeat(np.arange(len(BRANCHES)), [f.shape[1] for f in overlap])
     return {
-        "forms": np.column_stack([*overlap, *map(_gram_form, blocks), *trace]),
+        "forms": np.column_stack([*overlap, *(_gram_form(blocks[b]) for b in BRANCHES), *trace]),
         "sums": (branch_cols[:, None] == np.arange(len(BRANCHES))).astype(np.float64),
-        "branch_of_sector": branch_of_sector,
-        "sector_labels": tuple((j, m) for j, m, _ in sectors),
     }
 
 
@@ -736,6 +727,21 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
 
 
+def _run_trials_mixed(g, resource, n, seed, max_rounds):
+    """Yield ``(branches, rounds, fidelities)`` of :func:`run_teleport_mixed`
+    runs, one chunk at a time; ``resource=None`` is the a-b singlet."""
+    if resource is None:
+        resource = DensityMatrix.from_state(singlet_state(AB_MODES))
+    for start in range(0, n, _CHUNK):
+        results = []
+        for i in range(start, min(start + _CHUNK, n)):
+            rng = trial_rng(seed, i)
+            res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng),
+                                     resource, rng, max_rounds)
+            results.append((BRANCHES.index(res.branch), res.rounds, res.fidelity))
+        yield tuple(map(np.array, zip(*results)))
+
+
 def _integer(value, name: str) -> int:
     """``value`` as a Python int: a numpy integer becomes the equal int, and a
     float or bool, which would run some other integer's trials, raises."""
@@ -781,17 +787,8 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
     if seed >= 2**64:
         raise ValueError("seed must be < 2**64: it is one 64-bit word of the stream key")
 
-    if variant != "mixed":
-        return _assemble_report(variant, seed, g,
-                                _run_trials_batched(g, variant, n, seed, max_rounds))
-
-    # Density-matrix path; not batched (cold spot, runs are few).
-    if resource is None:
-        resource = DensityMatrix.from_state(singlet_state(AB_MODES))
-    results = []
-    for i in range(n):
-        rng = trial_rng(seed, i)
-        res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng),
-                                 resource, rng, max_rounds)
-        results.append((_branch_index(*res.branch), res.rounds, res.fidelity))
-    return _assemble_report(variant, seed, g, [tuple(map(np.array, zip(*results)))])
+    if variant == "mixed":  # density matrices, one trial at a time (cold spot, runs are few)
+        chunks = _run_trials_mixed(g, resource, n, seed, max_rounds)
+    else:
+        chunks = _run_trials_batched(g, variant, n, seed, max_rounds)
+    return _assemble_report(variant, seed, g, chunks)

@@ -58,7 +58,7 @@ def _oracle(g, variant, n, seed):
         rng = trial_rng(seed, i)
         gi = g if g is not None else SpinAmplitudes.haar(rng)
         res = run_teleport_once(gi, variant, rng)
-        branches.append(protocol._branch_index(*res.branch))
+        branches.append(protocol.BRANCHES.index(res.branch))
         rounds.append(res.rounds)
         fids.append(res.fidelity)
     return np.array(branches), np.array(rounds), np.array(fids)
@@ -117,6 +117,24 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
                                           upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
+
+
+def test_restart_loop_refuses_a_draw_table_that_does_not_grow():
+    # no class draw of 0.9 hits p = 1/2, and an upto that returns the same 8
+    # columns would make the loop ask for a ninth for ever; the assert in
+    # upto fails the test, instead of hanging it, if the engine asks again
+    table, stops = np.full((3, 8), 0.9), []
+
+    def upto(stop):
+        stops.append(stop)
+        assert len(stops) < 100, "the restart loop kept asking for draws"
+        return table
+
+    with pytest.raises(RuntimeError, match=r"upto\(9\) returned 8 draws per trial"):
+        kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
+                               _bloch_row(SpinAmplitudes(1.0, 0.0)),
+                               np.zeros(3, dtype=np.int64), upto, 0, 64)
+    assert stops == [1, 9]
 
 
 def test_threads_running_at_once_give_the_sequential_reports():
@@ -341,12 +359,29 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
 
 
 def test_outcome_outside_the_branches_raises_naming_it():
-    # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates
+    # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates,
+    # and the setup refuses the fold before any trial runs on it
     lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
-    setup = protocol._folded(np.outer([1.0, 0.0], lone))  # the input (1, 0) folds to lone
-    with pytest.raises(RuntimeError, match=r"Alice measured \(J, Jz\) = \(0\.5, -?0\.5\)"):
-        kernels._measure_and_correct(setup, np.array([[1.0, 0.0, 0.0, 0.0]]),
-                                     np.zeros(3, dtype=np.int64), np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(RuntimeError, match=r"Alice can measure \(J, Jz\) = \(0\.5, -?0\.5\)"):
+        protocol._folded(np.outer([1.0, 0.0], lone))  # the input (1, 0) folds to lone
+
+
+def test_setup_ignores_outside_sectors_below_its_threshold():
+    # a fold whose half-odd weight is 1e-13 of the whole still builds, and its
+    # branch forms are those of the branch state alone; 1e-11 raises
+    x = _one_branch_states(0)[0][0]
+    lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
+    for eps, refused in ((1e-13, False), (1e-11, True)):
+        rows = np.outer([1.0, 0.0], np.sqrt(1 - eps) * x + np.sqrt(eps) * lone)
+        if refused:
+            with pytest.raises(RuntimeError, match="no correction for Bob"):
+                protocol._folded(rows)
+            continue
+        setup = protocol._folded(rows)
+        alice = setup["forms"][:, len(setup["sums"]):-4]
+        expected = np.zeros((4, 4))
+        expected[0, 0] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing elsewhere
+        assert np.abs(alice - expected).max() <= 1e-12
 
 
 class _Uniforms:
@@ -452,16 +487,16 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
 
 def test_setup_forms_certify_the_papers_probabilities():
     # the forms hold for every input at once: each of Alice's four branches
-    # has probability 1/4 and the half-odd sectors none, and each cold-atom
-    # round succeeds with probability F @ class_form = 1/2
+    # has probability 1/4, and each cold-atom round succeeds with probability
+    # F @ class_form = 1/2; the half-odd sectors have none, or the setup
+    # would have raised (test_outcome_outside_the_branches_raises_naming_it)
     quarter, half = np.array([0.25, 0.25, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
         setup = protocol._kernel_setup(variant)
         alice = setup["forms"][:, len(setup["sums"]):-4]
-        assert alice.shape == (4, len(setup["sector_labels"])) == (4, 6)
-        for form, (j, m) in zip(alice.T, setup["sector_labels"]):
-            expected = quarter if (j, m) in protocol.BRANCHES else np.zeros(4)
-            assert np.abs(form - scale * expected).max() <= 1e-12, (variant, j, m)
+        assert alice.shape == (4, len(protocol.BRANCHES)) == (4, 4)
+        for form, (j, m) in zip(alice.T, protocol.BRANCHES):
+            assert np.abs(form - scale * quarter).max() <= 1e-12, (variant, j, m)
     assert np.abs(protocol._kernel_setup("coldatom")["class_form"] - half).max() <= 1e-12
 
 

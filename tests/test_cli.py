@@ -369,6 +369,8 @@ _PINNED_RUNS = [
      _error("|g1|^2 + |g2|^2 = 2; amplitudes must be normalized")),
     (["teleport", "--g1", "nan,0", "--out", "{out}"], 2, "",
      _error("--g1/--g2: |g1|^2 + |g2|^2 is not finite")),
+    (["teleport", "--g2=1.7e308,1.7e308", "--out", "{out}"], 2, "",
+     _error("|g1|^2 + |g2|^2 = inf; amplitudes must be normalized")),
     (["hubbard", "--e2", "1", "--lambda", "1.7e308"], 2, "",
      _error("e2=1.0, lambda=1.7e+308 give no finite report: no ground state at e2=1.0, "
             "lam=1.7e+308: Hamiltonian block of sector (0, None, None) is not finite")),

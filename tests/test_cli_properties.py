@@ -86,6 +86,7 @@ def _run(argv):
 @example(["teleport", "--variant=coldatom", "--trials=5", "--out={out}/missing/x.json"])
 @example(["bogus"])
 @example(["teleport", "--trials=5", "--out={out}", "extra"])
+@example(["teleport", "--g2=1.7e308,1.7e308", "--out={out}"])
 def test_every_argv_exits_0_or_2_with_a_message(argv):
     with tempfile.TemporaryDirectory() as d:
         code, err = _run([a.format(out=os.path.join(d, "out")) for a in argv])

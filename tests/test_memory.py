@@ -1,0 +1,75 @@
+"""Memory stays bounded: one engine chunk has a small peak, and a run's peak
+does not grow with its trial count, because every variant folds its trials
+into the report one chunk at a time.
+
+Peaks are ``tracemalloc``'s, which counts numpy's array buffers too.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import edgeteleport._kernels as kernels
+import edgeteleport.protocol as protocol
+from edgeteleport.protocol import run_trials
+
+
+def _peak(call):
+    """The ``tracemalloc`` peak of ``call()`` in bytes, setup caches built first."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_haar_chunk_peaks_under_half_a_mebibyte():
+    setup = protocol._kernel_setup("electronic")
+    draws = protocol._Draws(1, 0, protocol._CHUNK)
+    F, of = protocol._haar_bloch(draws.u), np.arange(protocol._CHUNK)
+    u = draws.u[:, 3].copy()
+    assert _peak(lambda: kernels.electronic_batch(setup, F, of, u)) <= 512 * 1024
+
+
+@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
+def test_run_peak_does_not_grow_with_the_trial_count(variant):
+    # 10 and 100 chunks of Haar trials; keeping each trial's results would
+    # add 24 bytes a trial, over 2 MiB at the larger count.  The cold-atom
+    # peak follows the longest restart run of a chunk, which grows slowly
+    # with the chunk count
+    small, large = (_peak(lambda: run_trials(None, variant, k * protocol._CHUNK, seed=3))
+                    for k in (10, 100))
+    assert large <= 1.25 * small, (small, large)
+
+
+def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
+    whole = run_trials(None, "mixed", 10, seed=4)
+    runs, seen = [], []
+    real_run, real_assemble = protocol.run_teleport_mixed, protocol._assemble_report
+
+    def counted_run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    def watched_assemble(variant, seed, g, chunks):
+        def watched():
+            for chunk in chunks:
+                seen.append((len(chunk[0]), len(runs)))
+                yield chunk
+        return real_assemble(variant, seed, g, watched())
+
+    monkeypatch.setattr(protocol, "_CHUNK", 4)
+    monkeypatch.setattr(protocol, "run_teleport_mixed", counted_run)
+    monkeypatch.setattr(protocol, "_assemble_report", watched_assemble)
+    chunked = run_trials(None, "mixed", 10, seed=4)
+    # each chunk reaches the report before the next chunk's trials run
+    assert seen == [(4, 4), (4, 8), (2, 10)]
+    # the same trials: only the fidelity sum's order differs
+    a, b = whole.to_dict(), chunked.to_dict()
+    assert abs(a.pop("mean_fidelity") - b.pop("mean_fidelity")) <= 1e-15
+    assert a == b
+

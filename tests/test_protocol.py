@@ -64,6 +64,7 @@ def test_spin_amplitudes_validation():
 
 _NAN, _INF = float("nan"), float("inf")
 _HUGE = complex(1e308, 1e308)  # finite, with an infinite modulus
+_OVER = complex(1.7e308, 1.7e308)  # finite, and abs() of it raises OverflowError
 
 
 @pytest.mark.parametrize("g1, g2, message", [
@@ -79,9 +80,13 @@ _HUGE = complex(1e308, 1e308)  # finite, with an infinite modulus
     (1, 1, "|g1|^2 + |g2|^2 must equal 1"),
     (np.complex64(1), np.complex64(1), "|g1|^2 + |g2|^2 must equal 1"),
     (1 + 1e-11, 0, "|g1|^2 + |g2|^2 must equal 1"),
+    (_OVER, 0, "|g1|^2 + |g2|^2 must equal 1"),
+    (0, _OVER, "|g1|^2 + |g2|^2 must equal 1"),
+    (np.complex128(_OVER), 0, "|g1|^2 + |g2|^2 must equal 1"),
 ])
 def test_spin_amplitudes_rejects_each_bad_pair_with_its_message(g1, g2, message):
-    with pytest.raises(ValueError) as exc:
+    with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
+        warnings.simplefilter("error")
         SpinAmplitudes(g1, g2)
     assert type(exc.value) is ValueError and str(exc.value) == message
 
@@ -155,8 +160,9 @@ def test_bob_correction_table():
     assert [g.kind for g in bob_correction(0, 0)] == [HADAMARD]
     assert [g.kind for g in bob_correction(1, 1)] == [IY]
     assert [g.kind for g in bob_correction(1, 0)] == [HADAMARD, IY]
-    for bad in ((2, 0), (0.5, 0.5), (1, 2)):
-        with pytest.raises(ValueError):
+    # a branch is one of BRANCHES exactly, not a float near one
+    for bad in ((2, 0), (0.5, 0.5), (1, 2), (1.0 + 1e-12, 1.0), (0.0, 1e-300)):
+        with pytest.raises(ValueError, match="no correction for branch"):
             bob_correction(*bad)
 
 
