@@ -20,6 +20,10 @@ simplest and the fastest option.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -214,35 +218,69 @@ def basis_state(modes: ModeSet, occupied: Sequence[int] | int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
+# Arrays built once and shared
+# ---------------------------------------------------------------------------
+
+def _read_only(x):
+    """``x`` with every array it holds marked read-only, through tuples, lists,
+    dict values and dataclass fields: every caller of a cache shares them."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            _read_only(item)
+    elif isinstance(x, dict):
+        _read_only(list(x.values()))
+    elif dataclasses.is_dataclass(x):
+        _read_only([getattr(x, f.name) for f in dataclasses.fields(x)])
+    return x
+
+
+def _built_once(key=lambda *args: args):
+    """Decorator: build the result once per ``key(*args, **kwargs)`` (by default
+    the positional arguments), mark its arrays read-only and return that shared
+    object on every later call; a build that raises stores nothing.  In a program
+    that imports ``logging``, each build logs one DEBUG line on its module's
+    logger with the key and build time; the package never imports ``logging``."""
+    def decorate(build):
+        cache = {}
+
+        @functools.wraps(build)
+        def built_once(*args, **kwargs):
+            k = key(*args, **kwargs)
+            if k in cache:
+                return cache[k]
+            t0 = time.perf_counter()
+            value = _read_only(build(*args, **kwargs))
+            seconds = time.perf_counter() - t0
+            if "logging" in sys.modules:  # %.200r: a key may hold a matrix's bytes
+                sys.modules["logging"].getLogger(build.__module__).debug(
+                    "built %s for key %.200r in %.6f s", build.__qualname__, k, seconds)
+            return cache.setdefault(k, value)
+
+        return built_once
+
+    return decorate
+
+
+# ---------------------------------------------------------------------------
 # Ladder operators
 # ---------------------------------------------------------------------------
 
-_LADDER_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` marked read-only: every caller of a cache shares its arrays."""
-    a.flags.writeable = False
-    return a
-
-
+@_built_once(key=lambda modes, mode: (modes.n_modes, mode))
 def creation_matrix(modes: ModeSet, mode: int) -> np.ndarray:
     """Dense matrix of f_mode^dag (real, signed half-permutation)."""
     if not 0 <= mode < modes.n_modes:
         raise IndexError(f"mode index {mode} out of range")
-    key = (modes.n_modes, mode)
-    cached = _LADDER_CACHE.get(key)
-    if cached is None:
-        dim = 1 << modes.n_modes
-        n = np.arange(dim, dtype=np.int64)
-        empty = (n >> mode) & 1 == 0
-        src = n[empty]
-        dst = src | (1 << mode)
-        signs = np.where(_popcount(src & ((1 << mode) - 1)) % 2 == 0, 1.0, -1.0)
-        mat = np.zeros((dim, dim))
-        mat[dst, src] = signs
-        cached = _LADDER_CACHE.setdefault(key, _read_only(mat))
-    return cached
+    dim = 1 << modes.n_modes
+    n = np.arange(dim, dtype=np.int64)
+    empty = (n >> mode) & 1 == 0
+    src = n[empty]
+    dst = src | (1 << mode)
+    signs = np.where(_popcount(src & ((1 << mode) - 1)) % 2 == 0, 1.0, -1.0)
+    mat = np.zeros((dim, dim))
+    mat[dst, src] = signs
+    return mat
 
 
 def annihilation_matrix(modes: ModeSet, mode: int) -> np.ndarray:
@@ -289,10 +327,6 @@ def expectation(op: HermitianOperator, state: StateVector) -> float:
 # Symmetry observables
 # ---------------------------------------------------------------------------
 
-_OBS_CACHE: dict[tuple, np.ndarray] = {}
-_DIAG_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _wire_mask(modes: ModeSet, wires: Iterable[str]) -> int:
     mask = 0
     for w in wires:
@@ -323,33 +357,29 @@ def _resolve_wires(modes: ModeSet, wires) -> tuple[str, ...]:
     return wires
 
 
+@_built_once(key=lambda modes, kind, wires=None: (modes, kind, _resolve_wires(modes, wires)))
 def _observable_diagonal(modes: ModeSet, kind: str, wires=None) -> np.ndarray:
     """Real diagonal of a diagonal observable of :func:`build_observable`.
 
-    Cached as a read-only length-``2^M`` vector per (modes, kind, wires); the
-    gates, sector labels and charging term read these labels, so no dense
-    matrix is kept for them.
+    Built once per (modes, kind, wires) as a shared read-only length-``2^M``
+    vector; the gates, sector labels and charging term read these labels, so
+    no dense matrix is kept for them.
     """
     wires_t = _resolve_wires(modes, wires)
-    key = (modes, kind, wires_t)
-    diag = _DIAG_CACHE.get(key)
-    if diag is None:
-        if kind == "number":
-            diag = _number_diag(modes, _wire_mask(modes, wires_t))
-        elif kind == "charge":
-            diag = _number_diag(modes, _wire_mask(modes, wires_t)) - len(wires_t)
-        elif kind == "parity":
-            n = np.arange(modes.dim, dtype=np.int64)
-            diag = np.where(_popcount(n) % 2 == 0, 1.0, -1.0)
-        elif kind == "spin_z":
-            diag = 0.5 * (_number_diag(modes, _mask_bits(modes, wires_t, SPIN_UP))
-                          - _number_diag(modes, _mask_bits(modes, wires_t, SPIN_DN)))
-        else:
-            raise ValueError(f"unknown observable kind {kind!r}")
-        diag = _DIAG_CACHE.setdefault(key, _read_only(diag))
-    return diag
+    if kind == "number":
+        return _number_diag(modes, _wire_mask(modes, wires_t))
+    if kind == "charge":
+        return _number_diag(modes, _wire_mask(modes, wires_t)) - len(wires_t)
+    if kind == "parity":
+        n = np.arange(modes.dim, dtype=np.int64)
+        return np.where(_popcount(n) % 2 == 0, 1.0, -1.0)
+    if kind == "spin_z":
+        return 0.5 * (_number_diag(modes, _mask_bits(modes, wires_t, SPIN_UP))
+                      - _number_diag(modes, _mask_bits(modes, wires_t, SPIN_DN)))
+    raise ValueError(f"unknown observable kind {kind!r}")
 
 
+@_built_once()
 def _spin_squared_matrix(modes: ModeSet, wires: tuple[str, ...]) -> np.ndarray:
     """J^2 = Jz^2 + (J+ J- + J- J+)/2 summed over the given wires."""
     dim = modes.dim
@@ -371,10 +401,7 @@ def build_observable(modes: ModeSet, kind: str, wires=None) -> HermitianOperator
     """
     wires_t = _resolve_wires(modes, wires)
     if kind == "spin_squared":
-        key = (modes, kind, wires_t)
-        mat = _OBS_CACHE.get(key)
-        if mat is None:
-            mat = _OBS_CACHE.setdefault(key, _read_only(_spin_squared_matrix(modes, wires_t)))
+        mat = _spin_squared_matrix(modes, wires_t)
     else:
         mat = np.diag(_observable_diagonal(modes, kind, wires_t)).astype(np.complex128)
     return HermitianOperator(modes, mat, label=f"{kind}({','.join(wires_t)})")

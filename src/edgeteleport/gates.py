@@ -37,8 +37,8 @@ import numpy as np
 from .fock import (
     ModeSet,
     StateVector,
+    _built_once,
     _observable_diagonal,
-    _read_only,
     annihilation_matrix,
     creation_matrix,
 )
@@ -109,26 +109,18 @@ def _cnot_unitary(modes: ModeSet, control: str, target: str) -> np.ndarray:
     return np.where(sz == -0.5, flip, np.eye(modes.dim))
 
 
-_GATE_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@_built_once(key=lambda spec, modes: (modes, spec.kind, spec.control, spec.target,
+                                      None if spec.matrix is None else spec.matrix.tobytes()))
 def gate_unitary(spec: GateSpec, modes: ModeSet) -> np.ndarray:
     """The full 2^M unitary matrix of a gate."""
     modes.check_wires([w for w in (spec.control, spec.target) if w is not None])
-    mat_key = spec.matrix.tobytes() if spec.matrix is not None else None
-    key = (modes, spec.kind, spec.control, spec.target, mat_key)
-    mat = _GATE_CACHE.get(key)
-    if mat is None:
-        if spec.kind == CNOT:
-            mat = _cnot_unitary(modes, spec.control, spec.target)
-        elif spec.kind == HADAMARD:
-            mat = _rotation_unitary(modes, spec.target, HADAMARD_2X2.astype(np.complex128))
-        elif spec.kind == IY:
-            mat = _rotation_unitary(modes, spec.target, IY_2X2.astype(np.complex128))
-        else:
-            mat = _rotation_unitary(modes, spec.target, spec.matrix)
-        mat = _GATE_CACHE.setdefault(key, _read_only(mat))
-    return mat
+    if spec.kind == CNOT:
+        return _cnot_unitary(modes, spec.control, spec.target)
+    if spec.kind == HADAMARD:
+        return _rotation_unitary(modes, spec.target, HADAMARD_2X2.astype(np.complex128))
+    if spec.kind == IY:
+        return _rotation_unitary(modes, spec.target, IY_2X2.astype(np.complex128))
+    return _rotation_unitary(modes, spec.target, spec.matrix)
 
 
 def apply_gate(spec: GateSpec, state: StateVector) -> StateVector:

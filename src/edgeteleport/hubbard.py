@@ -163,14 +163,8 @@ class PerturbativeCheck:
     deviation: float
 
 
-def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
-    """Exact neutral-sector ground energy against -4 lam^2 / e2.
-
-    The residual scales as lam^4 / e2^3 (closed form above); sweeping lam and
-    fitting the quartic coefficient is left to callers, this returns one data
-    point.  Requires e2 > 0 and a finite -4 lam^2 / e2; otherwise raises
-    ``ValueError`` naming the coupling.
-    """
+def _perturbative_energy(params: CouplingParams) -> float:
+    """-4 lam^2 / e2, checked; ``stacklevel=3`` warns at the public function's caller."""
     if params.e2 <= 0:
         raise ValueError("perturbative comparison requires e2 > 0")
     try:
@@ -183,8 +177,20 @@ def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
         warnings.warn(
             "lam/e2 > 0.1: outside the strong-Coulomb regime, the quadratic "
             "formula for the ground energy degrades",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return e0_pert
+
+
+def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
+    """Exact neutral-sector ground energy against -4 lam^2 / e2.
+
+    The residual scales as lam^4 / e2^3 (closed form above); sweeping lam and
+    fitting the quartic coefficient is left to callers, this returns one data
+    point.  Requires e2 > 0 and a finite -4 lam^2 / e2; otherwise raises
+    ``ValueError`` naming the coupling.
+    """
+    e0_pert = _perturbative_energy(params)
     h = build_h_int(params, AB_MODES)
     e0 = ground_state(h, sector=(0, None, None)).energy
     return PerturbativeCheck(e0, e0_pert, abs(e0 - e0_pert))
@@ -215,16 +221,11 @@ def hubbard_report(params: CouplingParams) -> dict:
     # a single overlap.
     proj = sum(abs(inner_product(s, singlet)) ** 2 for s in neutral.states)
     singlet_overlap = float(np.sqrt(proj))
-    if params.e2 > 0:
-        chk = perturbative_check(params)
-        e0_pert = chk.e0_perturbative
-    else:
-        e0_pert = None
     return {
         "e2": params.e2,
         "lambda": params.lam,
         "E0_exact": neutral.energy,
-        "E0_perturbative": e0_pert,
+        "E0_perturbative": _perturbative_energy(params) if params.e2 > 0 else None,
         "singlet_overlap": singlet_overlap,
         "triplet_gap": triplet.energy - neutral.energy,
     }

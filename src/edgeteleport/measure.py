@@ -2,11 +2,11 @@
 
 Joint eigenspaces of total spin (J^2) and its z component (Jz) over the chosen
 wires are found once per (mode set, wires) pair by simultaneous
-diagonalization and cached.  Both operators commute with the wire charge, so
-basis states are first grouped by the diagonal (charge, Jz) labels and J^2 is
-diagonalized inside each block; its eigenvalues are snapped to j(j+1) on the
-half-integer ladder.  A snap failure signals an operator-construction bug and
-raises immediately.
+diagonalization and shared read-only (``fock._built_once``).  Both operators
+commute with the wire charge, so basis states are first grouped by the
+diagonal (charge, Jz) labels and J^2 is diagonalized inside each block; its
+eigenvalues are snapped to j(j+1) on the half-integer ladder.  A snap failure
+signals an operator-construction bug and raises immediately.
 
 Sampling follows the Born rule.  Generators are the caller's responsibility
 (pass a seeded ``numpy.random.Generator``); a measurement consumes exactly one
@@ -23,8 +23,8 @@ from .fock import (
     DensityMatrix,
     ModeSet,
     StateVector,
+    _built_once,
     _observable_diagonal,
-    _read_only,
     _resolve_wires,
     build_observable,
 )
@@ -60,11 +60,6 @@ class MeasurementOutcome:
     post_state: StateVector
 
 
-_SECTOR_CACHE: dict[tuple, tuple[Sector, ...]] = {}
-_SPIN_SECTOR_CACHE: dict[tuple, tuple[tuple[float, float, np.ndarray], ...]] = {}
-_CLASS_PROJ_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _snap_j(x: float) -> float:
     raw = 0.5 * (np.sqrt(max(0.0, 1.0 + 4.0 * x)) - 1.0)
     j = round(2.0 * raw) / 2.0
@@ -75,6 +70,11 @@ def _snap_j(x: float) -> float:
     return j
 
 
+def _wires_key(modes: ModeSet, wires=None) -> tuple:
+    return modes, _resolve_wires(modes, wires)  # one entry for every spelling of the wires
+
+
+@_built_once(key=_wires_key)
 def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
     """All (charge, j, m) sectors of the given wires, canonically ordered.
 
@@ -82,11 +82,6 @@ def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
     bases are orthonormal and jointly complete.
     """
     wires_t = _resolve_wires(modes, wires)
-    key = (modes, wires_t)
-    cached = _SECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     dim = modes.dim
     n = np.arange(dim, dtype=np.int64)
     q = _observable_diagonal(modes, "charge", wires_t).astype(np.int64)
@@ -107,42 +102,33 @@ def symmetry_sectors(modes: ModeSet, wires=None) -> tuple[Sector, ...]:
             collected.setdefault((qv, j, tm / 2.0), []).append(vec)
 
     sectors = [
-        Sector(qv, j, m, _read_only(np.column_stack(vecs)))
+        Sector(qv, j, m, np.column_stack(vecs))
         for (qv, j, m), vecs in collected.items()
     ]
     sectors.sort(key=lambda s: (-s.j, -s.m, s.charge))
-    return _SECTOR_CACHE.setdefault(key, tuple(sectors))
+    return tuple(sectors)
 
 
+@_built_once(key=_wires_key)
 def spin_sector_bases(modes: ModeSet, wires=None) -> tuple[tuple[float, float, np.ndarray], ...]:
     """(j, m, basis) eigenspaces of (J^2, Jz), merged over charge."""
-    wires_t = _resolve_wires(modes, wires)
-    key = (modes, wires_t)
-    cached = _SPIN_SECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
     merged: dict[tuple[float, float], list[np.ndarray]] = {}
-    for s in symmetry_sectors(modes, wires_t):
+    for s in symmetry_sectors(modes, wires):
         merged.setdefault((s.j, s.m), []).append(s.basis)
-    out = tuple(
-        (j, m, _read_only(np.column_stack(bases)))
+    return tuple(
+        (j, m, np.column_stack(bases))
         for (j, m), bases in sorted(merged.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
     )
-    return _SPIN_SECTOR_CACHE.setdefault(key, out)
 
 
+@_built_once(key=_wires_key)
 def integer_class_projector(modes: ModeSet, wires=None) -> np.ndarray:
     """Dense projector onto the union of integer-j eigenspaces."""
-    wires_t = _resolve_wires(modes, wires)
-    key = (modes, wires_t)
-    cached = _CLASS_PROJ_CACHE.get(key)
-    if cached is None:
-        p = np.zeros((modes.dim, modes.dim), dtype=np.complex128)
-        for j, _, basis in spin_sector_bases(modes, wires_t):
-            if round(2 * j) % 2 == 0:
-                p += basis @ basis.conj().T
-        cached = _CLASS_PROJ_CACHE.setdefault(key, _read_only(p))
-    return cached
+    p = np.zeros((modes.dim, modes.dim), dtype=np.complex128)
+    for j, _, basis in spin_sector_bases(modes, wires):
+        if round(2 * j) % 2 == 0:
+            p += basis @ basis.conj().T
+    return p
 
 
 def spin_sectors(state: StateVector, wires=None) -> list[MeasurementOutcome]:

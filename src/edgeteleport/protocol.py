@@ -46,12 +46,9 @@ make the same decisions in every trial.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
-import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -63,6 +60,7 @@ from .fock import (
     TELEPORT_MODES,
     DensityMatrix,
     StateVector,
+    _built_once,
     _read_only,
     annihilation_matrix,
     basis_state,
@@ -282,13 +280,13 @@ def bob_correction(j: float, m: float) -> list[GateSpec]:
 # Bob's reduced spin state and fidelity
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@_built_once()
 def _b_reduction_indices(modes):
     """(n_up, n_dn, sign) with b_dn^dag b_up |n_up> = sign |n_dn>, by n_up."""
     iu, idn = modes.wire_indices(BOB_WIRE)
     flip = (creation_matrix(modes, idn) @ annihilation_matrix(modes, iu)).T
     n_up, n_dn = np.nonzero(flip)
-    return _read_only(n_up), _read_only(n_dn), _read_only(flip[n_up, n_dn])
+    return n_up, n_dn, flip[n_up, n_dn]
 
 
 def bob_reduced_spin(state) -> np.ndarray:
@@ -331,13 +329,11 @@ class TeleportResult:
     bob_state: StateVector | DensityMatrix = field(repr=False)
 
 
-@functools.lru_cache(maxsize=None)
+@_built_once()
 def _relax_hamiltonian():
     """Hopping Hamiltonian used as the relaxation target (scale is irrelevant:
     the sector ground spaces do not depend on lam > 0)."""
-    h = build_h_lambda(1.0, TELEPORT_MODES)
-    _read_only(h.mat)
-    return h
+    return build_h_lambda(1.0, TELEPORT_MODES)
 
 
 def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
@@ -367,6 +363,7 @@ def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
     return TeleportResult((outcome.j, outcome.m), rounds, bob_fidelity(psi, g), psi)
 
 
+@_built_once(key=lambda modes=AB_MODES: modes)
 def neutral_spin_zero_basis(modes=AB_MODES) -> np.ndarray:
     """Columns spanning {a doublon, b doublon, a-b singlet} (charge 0, J = 0)."""
     iu_a, idn_a = modes.wire_indices("a")
@@ -392,7 +389,7 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
     r3 = span.conj().T @ resource.mat @ span
     if np.abs(span @ r3 @ span.conj().T - resource.mat).max() > 1e-10:
         raise ValueError("resource has support outside the neutral spin-zero span")
-    singlet = singlet_state(AB_MODES).amps
+    singlet = span[:, 2]
     p_singlet = float(np.vdot(singlet, resource.mat @ singlet).real)
     if p_singlet <= 1e-12:
         raise ValueError("resource has zero singlet weight and cannot teleport")
@@ -409,7 +406,10 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
         if cls == INTEGER:
             break
         if rounds >= max_rounds:
-            raise RuntimeError(f"no integer-spin outcome after {max_rounds} restarts")
+            raise RuntimeError(
+                f"no integer-spin outcome after {max_rounds} restarts; "
+                "statistically unreachable, check the setup"
+            )
         rho = relax_to_ground_dm(rho, _relax_hamiltonian())
 
     for spec in (cnot("c", "a"), hadamard("c")):
@@ -674,9 +674,9 @@ def _certify_relaxation(h, inputs, integer_part):
         )
 
 
-@functools.lru_cache(maxsize=None)
+@_built_once()
 def _kernel_setup(variant: str) -> dict:
-    """Stacked arrays consumed by the batch engine, built once per variant.
+    """The batch engine's stacked arrays, built once per variant (``fock._built_once``).
 
     Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
     trials fold their integer-class parts, ``integer_part``: once
@@ -685,21 +685,13 @@ def _kernel_setup(variant: str) -> dict:
     ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``, the
     linear form ``F @ class_form``.
     """
-    t0 = time.perf_counter()
     inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
                        prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
     if variant == "electronic":
-        setup = _folded(inputs)
-    else:
-        integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-        _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
-        setup = {**_folded(integer_part), "class_form": _gram_form(integer_part)}
-    # a DEBUG line reaches a handler only if the program imported logging to
-    # set one up; the package does not import it (4 ms and 0.5 MiB)
-    if "logging" in sys.modules:
-        sys.modules["logging"].getLogger(__name__).debug(
-            "built the %s kernel setup in %.6f s", variant, time.perf_counter() - t0)
-    return {k: _read_only(v) if isinstance(v, np.ndarray) else v for k, v in setup.items()}
+        return _folded(inputs)
+    integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
+    _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
+    return {**_folded(integer_part), "class_form": _gram_form(integer_part)}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds):

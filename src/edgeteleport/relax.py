@@ -22,12 +22,10 @@ from .fock import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
-    _read_only,
+    _built_once,
     creation_matrix,
 )
 from .measure import symmetry_sectors
-
-_GROUND_CACHE: dict[tuple, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
 
 WIRES = AB_MODES.wires  # a and b relax; every other mode is a spectator
 
@@ -51,16 +49,13 @@ def _check_support(h: HermitianOperator) -> None:
             )
 
 
+@_built_once(key=lambda h: (h.modes, h.mat.tobytes()))
 def sector_ground_spaces(h: HermitianOperator):
     """Per-sector (sector basis, ground-space basis) pairs for ``h``.
 
-    Cached on the Hamiltonian's matrix content; the protocol re-relaxes with
-    the same Hamiltonian every restart round.
+    Built once per Hamiltonian matrix content and shared read-only; the
+    protocol re-relaxes with the same Hamiltonian every restart round.
     """
-    key = (h.modes, h.mat.tobytes())
-    cached = _GROUND_CACHE.get(key)
-    if cached is not None:
-        return cached
     _check_support(h)
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(h.mat)).max()))
     pairs = []
@@ -68,8 +63,8 @@ def sector_ground_spaces(h: HermitianOperator):
         block = s.basis.conj().T @ h.mat @ s.basis
         evals, evecs = np.linalg.eigh(block)
         keep = evals <= evals[0] + 1e-9 * scale
-        pairs.append((s.basis, _read_only(s.basis @ evecs[:, keep])))
-    return _GROUND_CACHE.setdefault(key, tuple(pairs))
+        pairs.append((s.basis, s.basis @ evecs[:, keep]))
+    return tuple(pairs)
 
 
 def relax_to_ground(state: StateVector, h: HermitianOperator) -> StateVector:

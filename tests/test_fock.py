@@ -143,8 +143,10 @@ def test_diagonal_observables_are_cached_vectors():
     with pytest.raises(ValueError):
         fock._observable_diagonal(modes, "spin_squared")
     # only the non-diagonal J^2 is kept as a dense matrix
-    build_observable(modes, "spin_z", ("a",))
-    assert all(kind == "spin_squared" for _, kind, _ in fock._OBS_CACHE)
+    spin_z = [build_observable(modes, "spin_z", ("a",)).mat for _ in range(2)]
+    assert spin_z[0] is not spin_z[1] and spin_z[0].flags.writeable
+    j2 = [build_observable(modes, "spin_squared", ("a",)).mat for _ in range(2)]
+    assert j2[0] is j2[1] and not j2[0].flags.writeable
 
 
 def test_state_vector_takes_strided_amplitudes():

@@ -140,8 +140,11 @@ def test_quartic_coefficient_rejects_undefined_ratio(e2, lam):
 
 
 def test_perturbative_regime_warning():
-    with pytest.warns(UserWarning):
-        perturbative_check(CouplingParams(1.0, 0.5))
+    # the warning names the caller's line, not one inside the library
+    for fn in (perturbative_check, hubbard_report):
+        with pytest.warns(UserWarning, match=r"lam/e2 > 0\.1") as record:
+            fn(CouplingParams(1.0, 0.5))
+        assert [w.filename for w in record] == [__file__], fn.__name__
 
 
 def test_deviation_scales_as_lambda_fourth():

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+import edgeteleport.fock as fock
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
     DensityMatrix,
+    ModeSet,
     annihilation_matrix,
     basis_state,
     build_observable,
@@ -317,6 +319,16 @@ def test_mixed_half_singlet_resource():
     assert min(rounds) == 1 and max(rounds) > 1
 
 
+def test_mixed_restart_cap_raises_like_the_other_paths():
+    class Misses:  # every class measurement draws the half-odd outcome
+        def random(self):
+            return 1.0 - 2.0**-53
+
+    with pytest.raises(RuntimeError, match=r"after 3 restarts; statistically unreachable, "
+                                           r"check the setup$"):
+        run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(1.0, 0.0, 0.0), Misses(), max_rounds=3)
+
+
 def test_mixed_rejects_useless_resource():
     with pytest.raises(ValueError):
         run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(0.0, 1.0, 0.0),
@@ -433,15 +445,20 @@ def test_run_trials_refuses_more_trials_than_stream_counters(monkeypatch):
 
 
 def test_kernel_setup_logs_its_build(caplog):
-    protocol._kernel_setup("coldatom")  # cached before the capture: the run below logs nothing
+    for variant in ("electronic", "coldatom"):
+        protocol._kernel_setup(variant)  # cached before the capture: the run below logs nothing
+    # the same builder behind a second decorator, whose cache is empty
+    fresh = fock._built_once()(protocol._kernel_setup.__wrapped__)
     with caplog.at_level(logging.DEBUG, logger="edgeteleport.protocol"):
         for variant in ("electronic", "coldatom"):
-            protocol._kernel_setup.__wrapped__(variant)
+            fresh(variant)
+            fresh(variant)  # a hit: no second line
         report = run_trials(None, "coldatom", 30, seed=4)
     lines = [r.getMessage() for r in caplog.records if r.name == "edgeteleport.protocol"]
     assert len(lines) == 2
     for variant, line in zip(("electronic", "coldatom"), lines):
-        assert re.fullmatch(rf"built the {variant} kernel setup in \d+\.\d{{6}} s", line)
+        assert re.fullmatch(rf"built _kernel_setup for key \('{variant}',\) in \d+\.\d{{6}} s",
+                            line)
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     # logging leaves the report alone
     assert report.to_json() == run_trials(None, "coldatom", 30, seed=4).to_json()
@@ -533,6 +550,8 @@ _CACHED = {
     "relax_hamiltonian": lambda: protocol._relax_hamiltonian().mat,
     "b_reduction_indices": lambda: protocol._b_reduction_indices(MODES)[2],
     "kernel_setup": lambda: protocol._kernel_setup("coldatom")["forms"],
+    "observable_diagonal": lambda: fock._observable_diagonal(MODES, "spin_z", ("b",)),
+    "neutral_spin_zero_basis": lambda: protocol.neutral_spin_zero_basis(),
 }
 
 
@@ -544,3 +563,33 @@ def test_cached_arrays_refuse_in_place_writes(name):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
     assert run_teleport_once(g, "coldatom", np.random.default_rng(3)).fidelity >= 1 - 1e-12
     assert run_trials(g, "coldatom", 20, seed=3).min_fidelity >= 1 - 1e-12
+
+
+def test_a_build_that_raises_stores_nothing():
+    # the checks run inside the build, so every call repeats them
+    for _ in range(2):
+        with pytest.raises(IndexError, match="out of range"):
+            creation_matrix(MODES, 99)
+        with pytest.raises(KeyError, match="unknown wire"):
+            gate_unitary(hadamard("z"), MODES)
+
+
+@pytest.mark.parametrize("build", [symmetry_sectors, spin_sector_bases, integer_class_projector])
+def test_every_spelling_of_the_wires_shares_one_entry(build):
+    every = build(MODES)
+    for same in (build(MODES, None), build(MODES, list(MODES.wires)),
+                 build(MODES, tuple(MODES.wires)), build(modes=MODES, wires=MODES.wires)):
+        assert same is every
+    b = build(MODES, "b")
+    assert build(MODES, ["b"]) is b and build(MODES, wires=("b",)) is b and b is not every
+
+
+def test_a_sector_build_logs_on_the_measure_logger(caplog):
+    modes = ModeSet((("logged", "up"), ("logged", "dn")))  # a key no other test builds
+    with caplog.at_level(logging.DEBUG, logger="edgeteleport.measure"):
+        sectors = symmetry_sectors(modes)
+        assert symmetry_sectors(modes, "logged") is sectors
+    lines = [r.getMessage() for r in caplog.records if r.name == "edgeteleport.measure"]
+    assert len(lines) == 1
+    assert re.fullmatch(r"built symmetry_sectors for key \(ModeSet\(.*\), \('logged',\)\) "
+                        r"in \d+\.\d{6} s", lines[0])
