@@ -54,6 +54,15 @@ class ModeSet:
         for wire, spin in self.modes:
             if spin not in _SPINS:
                 raise ValueError(f"spin must be one of {_SPINS}, got {spin!r}")
+        # cache keys hash a ModeSet on every hit; the nested tuple is hashed once
+        object.__setattr__(self, "_hash", hash(self.modes))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a string's hash differs between processes
+        return ModeSet, (self.modes,)
 
     @property
     def n_modes(self) -> int:
@@ -63,7 +72,7 @@ class ModeSet:
     def dim(self) -> int:
         return 1 << self.n_modes
 
-    @property
+    @functools.cached_property
     def wires(self) -> tuple[str, ...]:
         seen: list[str] = []
         for wire, _ in self.modes:

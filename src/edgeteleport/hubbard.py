@@ -163,8 +163,8 @@ class PerturbativeCheck:
     deviation: float
 
 
-def _perturbative_energy(params: CouplingParams) -> float:
-    """-4 lam^2 / e2, checked; ``stacklevel=3`` warns at the public function's caller."""
+def _perturbative_energy(params: CouplingParams, stacklevel: int = 3) -> float:
+    """-4 lam^2 / e2, checked; the default ``stacklevel`` warns at the caller of its caller."""
     if params.e2 <= 0:
         raise ValueError("perturbative comparison requires e2 > 0")
     try:
@@ -177,7 +177,7 @@ def _perturbative_energy(params: CouplingParams) -> float:
         warnings.warn(
             "lam/e2 > 0.1: outside the strong-Coulomb regime, the quadratic "
             "formula for the ground energy degrades",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return e0_pert
 
@@ -190,7 +190,12 @@ def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
     point.  Requires e2 > 0 and a finite -4 lam^2 / e2; otherwise raises
     ``ValueError`` naming the coupling.
     """
-    e0_pert = _perturbative_energy(params)
+    return _perturbative_check(params)
+
+
+def _perturbative_check(params: CouplingParams) -> PerturbativeCheck:
+    """``perturbative_check``'s body; its regime warning names the caller of its caller."""
+    e0_pert = _perturbative_energy(params, stacklevel=4)
     h = build_h_int(params, AB_MODES)
     e0 = ground_state(h, sector=(0, None, None)).energy
     return PerturbativeCheck(e0, e0_pert, abs(e0 - e0_pert))
@@ -200,7 +205,7 @@ def quartic_coefficient(e2: float, lams) -> float:
     """Fit C in deviation = C * lam^4 / e2^3 over a lam sweep (max over points)."""
     cs = []
     for lam in lams:
-        chk = perturbative_check(CouplingParams(e2, lam))
+        chk = _perturbative_check(CouplingParams(e2, lam))
         try:
             cs.append(chk.deviation * e2**3 / lam**4)
         except (OverflowError, ZeroDivisionError):

@@ -25,6 +25,7 @@ documentation.
 
 from __future__ import annotations
 
+import ctypes
 import operator
 from dataclasses import dataclass, field
 
@@ -68,18 +69,36 @@ class SingleParticleLevel:
     delocalized: bool = False
 
 
-#: Largest dense chain: it and its eigensolve take about 16 n^2 bytes (256 MiB at 4001).
+#: Largest chain ``build_hamiltonian`` builds and ``numerical_spectrum`` solves: the
+#: dense matrix and the fallback eigensolve take about 16 n^2 bytes (256 MiB at 4001).
 MAX_DENSE_SITES = 4001
+
+# LAPACK's tridiagonal eigenvalue solver from the scipy-openblas64 library that
+# numpy wheels bundle (64-bit integers); None under any other LAPACK.  Only this
+# one name is tried: a guessed integer width would corrupt memory.
+try:
+    _DSTERF = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dsterf_64_
+except (OSError, AttributeError):
+    _DSTERF = None
+
+
+def _check_dense_cap(n: int):
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"{n} sites exceed the dense chain's cap of {MAX_DENSE_SITES} sites")
+
+
+def _bonds(params: WireParams) -> np.ndarray:
+    """The n - 1 hoppings along the chain, as a fresh contiguous float64 array."""
+    hop = np.empty(params.num_sites - 1)
+    hop[0::2] = params.t_prime  # bonds (2m-1, 2m), 1-based
+    hop[1::2] = params.t        # bonds (2m, 2m+1)
+    return hop
 
 
 def build_hamiltonian(params: WireParams) -> np.ndarray:
     """Real symmetric tridiagonal hopping matrix (spinless; degeneracy 2)."""
-    n = params.num_sites
-    if n > MAX_DENSE_SITES:
-        raise ValueError(f"{n} sites exceed the dense chain's cap of {MAX_DENSE_SITES} sites")
-    hop = np.empty(n - 1)
-    hop[0::2] = params.t_prime  # bonds (2m-1, 2m), 1-based
-    hop[1::2] = params.t        # bonds (2m, 2m+1)
+    _check_dense_cap(params.num_sites)
+    hop = _bonds(params)
     return np.diag(hop, 1) + np.diag(hop, -1)
 
 
@@ -102,8 +121,28 @@ def analytic_spectrum(params: WireParams) -> np.ndarray:
 
 
 def numerical_spectrum(params: WireParams) -> np.ndarray:
-    """Eigenvalues of the hopping matrix; oracle for the closed form."""
-    return np.linalg.eigvalsh(build_hamiltonian(params))
+    """Eigenvalues of the hopping matrix, ascending; oracle for the closed form.
+
+    ``np.linalg.eigvalsh`` runs LAPACK ``dsyevd``: an O(n^3) reduction to
+    tridiagonal form, which leaves this already tridiagonal matrix as it is,
+    then ``dsterf``.  Here ``dsterf`` runs directly on the zero diagonal and
+    the bonds, in O(n^2) time and O(n) memory, and gives the same bits except
+    where ``dsyevd`` first rescales a matrix whose largest bond lies outside
+    about [1e-146, 1e146].  Where numpy's LAPACK has no such symbol, the
+    dense ``eigvalsh`` runs instead.  Raises ``LinAlgError`` (a
+    ``ValueError``) if the levels do not converge.
+    """
+    n = params.num_sites
+    _check_dense_cap(n)
+    if _DSTERF is None:
+        return np.linalg.eigvalsh(build_hamiltonian(params))
+    d, e = np.zeros(n), _bonds(params)  # dsterf overwrites both
+    info = ctypes.c_int64(0)
+    _DSTERF(ctypes.byref(ctypes.c_int64(n)), ctypes.c_void_p(d.ctypes.data),
+            ctypes.c_void_p(e.ctypes.data), ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return d
 
 
 def zero_mode(params: WireParams) -> SingleParticleLevel:
@@ -134,10 +173,10 @@ def band_gap(params: WireParams) -> float:
 def spectrum_csv(params: WireParams) -> str:
     """`index,energy_analytic,energy_numeric,abs_diff` rows, 15 significant digits."""
     numeric = numerical_spectrum(params)  # first: it enforces the size cap
-    lines = ["index,energy_analytic,energy_numeric,abs_diff"]
-    for i, (ea, en) in enumerate(zip(analytic_spectrum(params), numeric)):
-        lines.append(f"{i},{ea:.15g},{en:.15g},{abs(ea - en):.15g}")
-    return "\n".join(lines) + "\n"
+    exact = analytic_spectrum(params)
+    rows = map("{},{:.15g},{:.15g},{:.15g}".format, range(len(exact)), exact.tolist(),
+               numeric.tolist(), np.abs(exact - numeric).tolist())
+    return "index,energy_analytic,energy_numeric,abs_diff\n" + "\n".join(rows) + "\n"
 
 
 #: Longest chain ``zeromode_density_csv`` writes: its text is built in memory,
@@ -151,8 +190,6 @@ def zeromode_density_csv(params: WireParams) -> str:
     if n > MAX_DENSITY_CSV_SITES:
         raise ValueError(
             f"{n} sites exceed the zero-mode CSV's cap of {MAX_DENSITY_CSV_SITES} sites")
-    level = zero_mode(params)
-    lines = ["site,density"]
-    for site, a in enumerate(level.amplitudes, start=1):
-        lines.append(f"{site},{a * a:.15g}")
-    return "\n".join(lines) + "\n"
+    density = np.square(zero_mode(params).amplitudes).tolist()
+    rows = map("{},{:.15g}".format, range(1, n + 1), density)
+    return "site,density\n" + "\n".join(rows) + "\n"

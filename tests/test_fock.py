@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def test_mode_set_validation():
     assert TELEPORT_MODES.index("b", "dn") == 5
     with pytest.raises(KeyError):
         TELEPORT_MODES.index("z", "up")
+
+
+def test_mode_set_keys_are_cached_without_changing_identity():
+    m = ModeSet(TELEPORT_MODES.modes)
+    assert m.wires is m.wires == ("c", "a", "b")
+    assert m == TELEPORT_MODES and hash(m) == hash(TELEPORT_MODES) and m != AB_MODES
+    assert repr(m) == f"ModeSet(modes={TELEPORT_MODES.modes!r})"
+    # the stored hash is not carried across a pickle: string hashes differ between processes
+    object.__setattr__(m, "_hash", 0)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and hash(copy) == hash(m.modes)
 
 
 def test_mode_set_rejects_more_modes_than_dense_operators_hold(monkeypatch):

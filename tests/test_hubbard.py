@@ -141,10 +141,13 @@ def test_quartic_coefficient_rejects_undefined_ratio(e2, lam):
 
 def test_perturbative_regime_warning():
     # the warning names the caller's line, not one inside the library
-    for fn in (perturbative_check, hubbard_report):
+    calls = {"perturbative_check": lambda: perturbative_check(CouplingParams(1.0, 0.5)),
+             "hubbard_report": lambda: hubbard_report(CouplingParams(1.0, 0.5)),
+             "quartic_coefficient": lambda: quartic_coefficient(1.0, [0.5])}
+    for name, call in calls.items():
         with pytest.warns(UserWarning, match=r"lam/e2 > 0\.1") as record:
-            fn(CouplingParams(1.0, 0.5))
-        assert [w.filename for w in record] == [__file__], fn.__name__
+            call()
+        assert [w.filename for w in record] == [__file__], name
 
 
 def test_deviation_scales_as_lambda_fourth():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,22 @@ def test_band_gap_values():
     assert gaps[0] > gaps[1] > gaps[2] > 0.5
 
 
+def test_csv_text_is_pinned():
+    p = WireParams(7, 1.0, 0.5)
+    assert spectrum_csv(p) == (
+        "index,energy_analytic,energy_numeric,abs_diff\n"
+        "0,-1.39896632596591,-1.39896632596591,2.22044604925031e-16\n"
+        "1,-1.11803398874989,-1.11803398874989,0\n"
+        "2,-0.73681287910395,-0.73681287910395,0\n"
+        "3,0,-4.42400070226827e-17,4.42400070226827e-17\n"
+        "4,0.73681287910395,0.73681287910395,1.11022302462516e-16\n"
+        "5,1.11803398874989,1.1180339887499,4.44089209850063e-16\n"
+        "6,1.39896632596591,1.39896632596591,4.44089209850063e-16\n")
+    assert zeromode_density_csv(p) == (
+        "site,density\n1,0.752941176470588\n2,0\n3,0.188235294117647\n4,0\n"
+        "5,0.0470588235294118\n6,0\n7,0.0117647058823529\n")
+
+
 def test_csv_outputs():
     p = WireParams(5, 1.0, 0.5)
     spec = spectrum_csv(p)
@@ -184,8 +202,11 @@ def test_csv_outputs():
     assert float(rows[1][1]) == 0.0 and float(rows[3][1]) == 0.0
 
 
-@pytest.mark.parametrize("n, t, tp", [(3, 1e200, 0.5), (5, 1e300, 1e300), (5, 1e-300, 1e-300),
-                                      (7, 1.0, 1e300), (7, 8e307, 8e307)])
+_EXTREME_BONDS = [(3, 1e200, 0.5), (5, 1e300, 1e300), (5, 1e-300, 1e-300),
+                  (7, 1.0, 1e300), (7, 8e307, 8e307)]
+
+
+@pytest.mark.parametrize("n, t, tp", _EXTREME_BONDS)
 def test_closed_form_survives_extreme_bonds(n, t, tp):
     # the squares of t and t' would overflow or underflow; the levels do not
     p = WireParams(n, t, tp)
@@ -235,3 +256,61 @@ def test_closed_forms_are_not_capped():
     assert len(analytic_spectrum(p)) == p.num_sites
     assert len(zero_mode(p).amplitudes) == p.num_sites
     assert 0.5 < band_gap(p) < 0.501
+
+
+def _dense_levels(p):
+    return np.linalg.eigvalsh(build_hamiltonian(p))
+
+
+@pytest.fixture(params=["dsterf", "dense"])
+def solver_path(request, monkeypatch):
+    if request.param == "dense":
+        monkeypatch.setattr(ssh_lattice, "_DSTERF", None)
+    return request.param
+
+
+def test_solver_gives_the_dense_eigensolve_bits(solver_path):
+    rng = np.random.default_rng(19)
+    for n in [*range(3, 260, 2), 1001, 2001]:
+        p = WireParams(n, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 2.0)))
+        assert np.array_equal(numerical_spectrum(p), _dense_levels(p)), p
+
+
+@pytest.mark.parametrize("n, t, tp", _EXTREME_BONDS)
+def test_solver_tracks_the_dense_eigensolve_at_extreme_bonds(solver_path, n, t, tp):
+    # dsyevd rescales such matrices before its own dsterf call, so the last bit may differ
+    p = WireParams(n, t, tp)
+    np.testing.assert_allclose(numerical_spectrum(p), _dense_levels(p), rtol=0,
+                               atol=2e-15 * max(t, tp))
+
+
+def test_solver_is_capped_before_any_allocation(solver_path, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the chain was allocated")
+
+    for name in ("empty", "zeros", "diag"):
+        monkeypatch.setattr(ssh_lattice.np, name, no_allocation)
+    with pytest.raises(ValueError, match="cap of 4001 sites"):
+        numerical_spectrum(WireParams(MAX_DENSE_SITES + 2))
+
+
+def test_scipy_openblas_numpy_takes_the_tridiagonal_path():
+    # a silent fall back to the O(n^3) dense solve must not go unnoticed
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy is built against {lapack}")
+    assert ssh_lattice._DSTERF is not None
+
+
+def test_solver_memory_is_linear_in_the_chain():
+    if ssh_lattice._DSTERF is None:
+        pytest.skip("numpy's LAPACK has no dsterf symbol; the dense fallback runs")
+    p = WireParams(2001, 1.0, 0.5)  # the dense matrix alone is 32 MiB
+    numerical_spectrum(p)
+    tracemalloc.start()
+    try:
+        numerical_spectrum(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
