@@ -82,14 +82,15 @@ except (OSError, AttributeError):
     _DSTERF = None
 
 
-def _check_dense_cap(n: int):
+def _bonds(params: WireParams) -> np.ndarray:
+    """The n - 1 hoppings along the chain, as a fresh contiguous float64 array.
+
+    Raises ``ValueError`` past ``MAX_DENSE_SITES`` before anything is allocated.
+    """
+    n = params.num_sites
     if n > MAX_DENSE_SITES:
         raise ValueError(f"{n} sites exceed the dense chain's cap of {MAX_DENSE_SITES} sites")
-
-
-def _bonds(params: WireParams) -> np.ndarray:
-    """The n - 1 hoppings along the chain, as a fresh contiguous float64 array."""
-    hop = np.empty(params.num_sites - 1)
+    hop = np.empty(n - 1)
     hop[0::2] = params.t_prime  # bonds (2m-1, 2m), 1-based
     hop[1::2] = params.t        # bonds (2m, 2m+1)
     return hop
@@ -97,7 +98,6 @@ def _bonds(params: WireParams) -> np.ndarray:
 
 def build_hamiltonian(params: WireParams) -> np.ndarray:
     """Real symmetric tridiagonal hopping matrix (spinless; degeneracy 2)."""
-    _check_dense_cap(params.num_sites)
     hop = _bonds(params)
     return np.diag(hop, 1) + np.diag(hop, -1)
 
@@ -132,13 +132,12 @@ def numerical_spectrum(params: WireParams) -> np.ndarray:
     dense ``eigvalsh`` runs instead.  Raises ``LinAlgError`` (a
     ``ValueError``) if the levels do not converge.
     """
-    n = params.num_sites
-    _check_dense_cap(n)
     if _DSTERF is None:
         return np.linalg.eigvalsh(build_hamiltonian(params))
-    d, e = np.zeros(n), _bonds(params)  # dsterf overwrites both
+    e = _bonds(params)  # first: it enforces the size cap
+    d = np.zeros(params.num_sites)  # dsterf overwrites both d and e
     info = ctypes.c_int64(0)
-    _DSTERF(ctypes.byref(ctypes.c_int64(n)), ctypes.c_void_p(d.ctypes.data),
+    _DSTERF(ctypes.byref(ctypes.c_int64(len(d))), ctypes.c_void_p(d.ctypes.data),
             ctypes.c_void_p(e.ctypes.data), ctypes.byref(info))
     if info.value != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -294,6 +294,16 @@ def test_solver_is_capped_before_any_allocation(solver_path, monkeypatch):
         numerical_spectrum(WireParams(MAX_DENSE_SITES + 2))
 
 
+def test_solver_reports_no_convergence_as_a_value_error(monkeypatch):
+    def no_convergence(n, d, e, info):
+        info._obj.value = 1  # LAPACK's INFO: one off-diagonal left nonzero
+
+    monkeypatch.setattr(ssh_lattice, "_DSTERF", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge") as exc:
+        numerical_spectrum(WireParams(5))
+    assert isinstance(exc.value, ValueError)
+
+
 def test_scipy_openblas_numpy_takes_the_tridiagonal_path():
     # a silent fall back to the O(n^3) dense solve must not go unnoticed
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
