@@ -187,6 +187,8 @@ class DensityMatrix:
 
     def validate(self, tol: float = 1e-12) -> "DensityMatrix":
         m = self.mat
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix must be finite")
         if np.abs(m - m.conj().T).max() > tol:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
@@ -330,6 +332,36 @@ def normalize(x: StateVector) -> StateVector:
 def expectation(op: HermitianOperator, state: StateVector) -> float:
     _require_same_modes(op, state)
     return float(np.vdot(state.amps, op.mat @ state.amps).real)
+
+
+# ---------------------------------------------------------------------------
+# One step, either kind of state
+# ---------------------------------------------------------------------------
+# A step reads a state through these, on the amplitudes x of a StateVector or
+# the matrix x of a DensityMatrix, and so is written once for both kinds.
+
+def _array(state: StateVector | DensityMatrix) -> np.ndarray:
+    return state.mat if isinstance(state, DensityMatrix) else state.amps
+
+
+def _act(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``op x``, or ``op x op^dag`` for a matrix ``x``."""
+    return op @ x if x.ndim == 1 else op @ x @ op.conj().T
+
+
+def _project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` projected onto the span of the orthonormal columns ``basis``."""
+    return _act(basis, _act(basis.conj().T, x))
+
+
+def _weight(x: np.ndarray) -> float:
+    """Born weight: ``<x|x>``, or the trace of a matrix ``x``."""
+    return float(np.vdot(x, x).real if x.ndim == 1 else np.trace(x).real)
+
+
+def _size(x: np.ndarray) -> float:
+    """What ``x`` is divided by to normalise it: its norm, or a matrix's trace."""
+    return float(np.linalg.norm(x) if x.ndim == 1 else np.trace(x).real)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ import numpy as np
 
 from .fock import (
     ModeSet,
-    StateVector,
+    _act,
+    _array,
     _built_once,
     _observable_diagonal,
     annihilation_matrix,
@@ -123,5 +124,6 @@ def gate_unitary(spec: GateSpec, modes: ModeSet) -> np.ndarray:
     return _rotation_unitary(modes, spec.target, spec.matrix)
 
 
-def apply_gate(spec: GateSpec, state: StateVector) -> StateVector:
-    return StateVector(state.modes, gate_unitary(spec, state.modes) @ state.amps)
+def apply_gate(spec: GateSpec, state):
+    """The gate applied to a state vector or a density matrix."""
+    return type(state)(state.modes, _act(gate_unitary(spec, state.modes), _array(state)))

@@ -11,6 +11,12 @@ signals an operator-construction bug and raises immediately.
 Sampling follows the Born rule.  Generators are the caller's responsibility
 (pass a seeded ``numpy.random.Generator``); a measurement consumes exactly one
 uniform draw, which keeps independently seeded trial streams reproducible.
+
+A measurement takes a state vector or a density matrix and returns the same
+kind: ``P psi`` or ``P rho P`` for the chosen projector ``P``, normalized, so
+a density matrix loses its coherences with the other outcomes.  Weights are
+``<psi|P|psi>`` or ``tr(P rho)``; sector listings drop, and the class
+measurement never picks, an outcome of weight below ``PROB_FLOOR`` (1e-14).
 """
 
 from __future__ import annotations
@@ -23,16 +29,21 @@ from .fock import (
     DensityMatrix,
     ModeSet,
     StateVector,
+    _act,
+    _array,
     _built_once,
     _observable_diagonal,
+    _project,
     _resolve_wires,
+    _size,
+    _weight,
     build_observable,
 )
 
 INTEGER = "integer"
 HALF_ODD_INTEGER = "half-odd-integer"
 
-#: Outcomes with probability below this are dropped from sector listings.
+#: Sector listings drop, and class measurements never pick, outcomes below this weight.
 PROB_FLOOR = 1e-14
 
 _SNAP_TOL = 1e-6
@@ -57,7 +68,7 @@ class MeasurementOutcome:
     j: float
     m: float
     probability: float
-    post_state: StateVector
+    post_state: StateVector | DensityMatrix
 
 
 def _snap_j(x: float) -> float:
@@ -131,7 +142,7 @@ def integer_class_projector(modes: ModeSet, wires=None) -> np.ndarray:
     return p
 
 
-def spin_sectors(state: StateVector, wires=None) -> list[MeasurementOutcome]:
+def spin_sectors(state, wires=None) -> list[MeasurementOutcome]:
     """Decompose a normalized state over joint (j, m) eigenspaces.
 
     Outcomes with probability below ``PROB_FLOOR`` are dropped so the listing
@@ -139,13 +150,11 @@ def spin_sectors(state: StateVector, wires=None) -> list[MeasurementOutcome]:
     """
     outcomes = []
     for j, m, basis in spin_sector_bases(state.modes, wires):
-        comp = basis @ (basis.conj().T @ state.amps)
-        p = float(np.vdot(comp, comp).real)
+        comp = _project(basis, _array(state))
+        p = _weight(comp)
         if p < PROB_FLOOR:
             continue
-        outcomes.append(
-            MeasurementOutcome(j, m, p, StateVector(state.modes, comp / np.sqrt(p)))
-        )
+        outcomes.append(MeasurementOutcome(j, m, p, type(state)(state.modes, comp / _size(comp))))
     return outcomes
 
 
@@ -172,57 +181,44 @@ def born_index(probs, u):
     return chosen
 
 
-def measure_spin(state: StateVector, wires, rng: np.random.Generator) -> MeasurementOutcome:
+def measure_spin(state, wires, rng: np.random.Generator) -> MeasurementOutcome:
     """Sample one (j, m) outcome with its Born probability.
 
     Consumes one uniform draw from ``rng``; the outcome's probability field
     records the Born weight, and the post state is normalized.
     """
     bases = spin_sector_bases(state.modes, wires)
-    comps = [basis @ (basis.conj().T @ state.amps) for _, _, basis in bases]
-    probs = np.array([np.vdot(c, c).real for c in comps])
+    comps = [_project(basis, _array(state)) for _, _, basis in bases]
+    probs = np.array([_weight(c) for c in comps])
     chosen = int(born_index(probs, rng.random()))
     j, m, _ = bases[chosen]
-    p = float(probs[chosen])
-    post = StateVector(state.modes, comps[chosen] / np.sqrt(p))
-    return MeasurementOutcome(j, m, p, post)
+    post = comps[chosen]
+    return MeasurementOutcome(j, m, float(probs[chosen]), type(state)(state.modes, post / _size(post)))
 
 
-def measure_spin_class(state: StateVector, wires, rng: np.random.Generator):
+def measure_spin_class(state, wires, rng: np.random.Generator):
     """Coarse measurement: is the wires' total spin integer or half-odd?
 
     Returns ``(class_label, post_state)`` with the class sampled by the Born
-    rule from one uniform draw.
+    rule from one uniform draw; a class of weight below ``PROB_FLOOR`` is
+    never picked.
     """
     p_int_proj = integer_class_projector(state.modes, wires)
-    x = p_int_proj @ state.amps
-    p_int = float(np.vdot(x, x).real)
-    if rng.random() < p_int:
-        return INTEGER, StateVector(state.modes, x / np.sqrt(p_int))
-    y = state.amps - x
-    p_half = float(np.vdot(y, y).real)
-    return HALF_ODD_INTEGER, StateVector(state.modes, y / np.sqrt(p_half))
+    x = _act(p_int_proj, _array(state))
+    p_int = _weight(x)
+    if rng.random() >= p_int or p_int < PROB_FLOOR:
+        y = _act(np.eye(state.modes.dim) - p_int_proj, _array(state))
+        if p_int < PROB_FLOOR or _weight(y) >= PROB_FLOOR:
+            return HALF_ODD_INTEGER, type(state)(state.modes, y / _size(y))
+    return INTEGER, type(state)(state.modes, x / _size(x))
 
 
 def measure_spin_class_dm(rho: DensityMatrix, wires, rng: np.random.Generator):
-    """Density-matrix version of :func:`measure_spin_class`."""
-    p = integer_class_projector(rho.modes, wires)
-    x = p @ rho.mat @ p
-    p_int = float(np.trace(x).real)
-    if rng.random() < p_int:
-        return INTEGER, DensityMatrix(rho.modes, x / p_int)
-    comp = np.eye(rho.modes.dim) - p
-    y = comp @ rho.mat @ comp
-    return HALF_ODD_INTEGER, DensityMatrix(rho.modes, y / np.trace(y).real)
+    """:func:`measure_spin_class` on a density matrix."""
+    return measure_spin_class(rho, wires, rng)
 
 
 def measure_spin_dm(rho: DensityMatrix, wires, rng: np.random.Generator):
-    """Born-sampled (j, m) measurement on a density matrix."""
-    bases = spin_sector_bases(rho.modes, wires)
-    blocks = [basis @ (basis.conj().T @ rho.mat @ basis) @ basis.conj().T
-              for _, _, basis in bases]
-    probs = np.array([np.trace(b).real for b in blocks])
-    chosen = int(born_index(probs, rng.random()))
-    j, m, _ = bases[chosen]
-    p = float(probs[chosen])
-    return j, m, p, DensityMatrix(rho.modes, blocks[chosen] / p)
+    """:func:`measure_spin` on a density matrix, as ``(j, m, probability, post_state)``."""
+    outcome = measure_spin(rho, wires, rng)
+    return outcome.j, outcome.m, outcome.probability, outcome.post_state

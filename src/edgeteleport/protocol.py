@@ -20,8 +20,9 @@ coldatom
 
 mixed
     The resource is any density matrix on the charge-neutral, spin-zero span
-    of the a-b space with nonzero singlet weight; the class-measure/relax
-    loop runs on density matrices throughout and completes with fidelity 1.
+    of the a-b space with nonzero singlet weight.  The cold-atom steps run on
+    a density matrix, through the same functions, and complete with
+    fidelity 1.
 
 Fidelity compares Bob's reduced one-electron spin state against (g1, g2) and
 ignores global phase, since two of the correction sequences introduce an
@@ -76,17 +77,9 @@ from .measure import (
     integer_class_projector,
     measure_spin,
     measure_spin_class,
-    measure_spin_class_dm,
-    measure_spin_dm,
     spin_sector_bases,
 )
-from .relax import (
-    _ORTHO_TOL,
-    _WEIGHT_FLOOR,
-    relax_to_ground,
-    relax_to_ground_dm,
-    sector_ground_spaces,
-)
+from .relax import _ORTHO_TOL, _WEIGHT_FLOOR, relax_to_ground, sector_ground_spaces
 
 ALICE_WIRES = ("c", "a")
 BOB_WIRE = "b"
@@ -336,31 +329,35 @@ def _relax_hamiltonian():
     return build_h_lambda(1.0, TELEPORT_MODES)
 
 
+def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) -> TeleportResult:
+    """The protocol's steps on a state vector or a density matrix: with
+    ``restarts``, the class measurement, relaxing the a-b pair after each miss;
+    then Alice's gates and (J, Jz) measurement, and Bob's corrections."""
+    rounds = 1
+    while restarts:
+        cls, state = measure_spin_class(state, ALICE_WIRES, rng)
+        if cls == INTEGER:
+            break
+        if rounds >= max_rounds:
+            raise RuntimeError(
+                f"no integer-spin outcome after {max_rounds} restarts; "
+                "statistically unreachable, check the setup"
+            )
+        state = relax_to_ground(state, _relax_hamiltonian())
+        rounds += 1
+    state = apply_gate(cnot("c", "a"), state)
+    state = apply_gate(hadamard("c"), state)
+    outcome = measure_spin(state, ALICE_WIRES, rng)
+    state = outcome.post_state
+    for spec in bob_correction(outcome.j, outcome.m):
+        state = apply_gate(spec, state)
+    return TeleportResult((outcome.j, outcome.m), rounds, bob_fidelity(state, g), state)
+
+
 def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
                       max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportResult:
     """One protocol run through the step-by-step library path."""
-    psi = prepare_initial(g, variant)
-    rounds = 1
-    if variant == "coldatom":
-        rounds = 0
-        while True:
-            rounds += 1
-            cls, psi = measure_spin_class(psi, ALICE_WIRES, rng)
-            if cls == INTEGER:
-                break
-            if rounds >= max_rounds:
-                raise RuntimeError(
-                    f"no integer-spin outcome after {max_rounds} restarts; "
-                    "statistically unreachable, check the setup"
-                )
-            psi = relax_to_ground(psi, _relax_hamiltonian())
-    psi = apply_gate(cnot("c", "a"), psi)
-    psi = apply_gate(hadamard("c"), psi)
-    outcome = measure_spin(psi, ALICE_WIRES, rng)
-    psi = outcome.post_state
-    for spec in bob_correction(outcome.j, outcome.m):
-        psi = apply_gate(spec, psi)
-    return TeleportResult((outcome.j, outcome.m), rounds, bob_fidelity(psi, g), psi)
+    return _teleport(prepare_initial(g, variant), g, rng, max_rounds, restarts=variant == "coldatom")
 
 
 @_built_once(key=lambda modes=AB_MODES: modes)
@@ -377,7 +374,8 @@ def neutral_spin_zero_basis(modes=AB_MODES) -> np.ndarray:
 def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
                        rng: np.random.Generator,
                        max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportResult:
-    """Teleport with a mixed a-b resource, in the density-matrix formalism.
+    """Teleport with a mixed a-b resource: :func:`run_teleport_once`'s
+    cold-atom steps, on a density matrix.
 
     The resource must live on the charge-neutral spin-zero span of the a-b
     space and carry nonzero singlet weight.
@@ -398,28 +396,7 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
     chi[1] = g.g1  # c_up occupied
     chi[2] = g.g2  # c_dn occupied
     rho = DensityMatrix(TELEPORT_MODES, np.kron(resource.mat, np.outer(chi, chi.conj())))
-
-    rounds = 0
-    while True:
-        rounds += 1
-        cls, rho = measure_spin_class_dm(rho, ALICE_WIRES, rng)
-        if cls == INTEGER:
-            break
-        if rounds >= max_rounds:
-            raise RuntimeError(
-                f"no integer-spin outcome after {max_rounds} restarts; "
-                "statistically unreachable, check the setup"
-            )
-        rho = relax_to_ground_dm(rho, _relax_hamiltonian())
-
-    for spec in (cnot("c", "a"), hadamard("c")):
-        u = gate_unitary(spec, TELEPORT_MODES)
-        rho = DensityMatrix(TELEPORT_MODES, u @ rho.mat @ u.conj().T)
-    j, m, _, rho = measure_spin_dm(rho, ALICE_WIRES, rng)
-    for spec in bob_correction(j, m):
-        u = gate_unitary(spec, TELEPORT_MODES)
-        rho = DensityMatrix(TELEPORT_MODES, u @ rho.mat @ u.conj().T)
-    return TeleportResult((j, m), rounds, bob_fidelity(rho, g), rho)
+    return _teleport(rho, g, rng, max_rounds, restarts=True)
 
 
 # ---------------------------------------------------------------------------

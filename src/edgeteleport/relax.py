@@ -9,8 +9,14 @@ along untouched, phases inside each sector are preserved, and every symmetry
 expectation value of the subsystem is conserved exactly because the map is
 sector diagonal.  Energy can only decrease.
 
-A sector component orthogonal to its sector ground space has no well-defined
-relaxation target and raises.
+The channel takes a state vector or a density matrix and returns the same
+kind.  A density matrix has each sector block ``P rho P`` relaxed; its
+coherences between different sectors are discarded, which still conserves
+every sector-diagonal observable.  Thresholds are on weights, ``<x|x>`` or
+``tr x`` of a sector component ``x``: one of weight at most
+``_WEIGHT_FLOOR**2`` (1e-24) is dropped, and one whose ground-space part
+weighs less than ``_ORTHO_TOL**2`` (1e-20) of it is orthogonal to its sector
+ground space, has no well-defined relaxation target and raises.
 """
 
 from __future__ import annotations
@@ -21,16 +27,19 @@ from .fock import (
     AB_MODES,
     DensityMatrix,
     HermitianOperator,
-    StateVector,
+    _array,
     _built_once,
+    _project,
+    _size,
+    _weight,
     creation_matrix,
 )
 from .measure import symmetry_sectors
 
 WIRES = AB_MODES.wires  # a and b relax; every other mode is a spectator
 
-#: Minimum surviving weight fraction before a sector is declared orthogonal
-#: to its ground space.
+#: Norm ratio and norm behind the weight thresholds: the weights are compared
+#: with their squares.
 _ORTHO_TOL = 1e-10
 _WEIGHT_FLOOR = 1e-12
 
@@ -67,54 +76,29 @@ def sector_ground_spaces(h: HermitianOperator):
     return tuple(pairs)
 
 
-def relax_to_ground(state: StateVector, h: HermitianOperator) -> StateVector:
-    """Drive the a-b state into the sector-wise ground space of ``h``."""
+def relax_to_ground(state, h: HermitianOperator):
+    """Drive the a-b state, a state vector or a density matrix, into the
+    sector-wise ground space of ``h``; the result is of the same kind."""
     if state.modes != h.modes:
         raise ValueError("state and Hamiltonian mode sets differ")
-    out = np.zeros_like(state.amps)
+    out = np.zeros_like(_array(state))
     for basis, ground in sector_ground_spaces(h):
-        x = basis @ (basis.conj().T @ state.amps)
-        w = np.linalg.norm(x)
-        if w <= _WEIGHT_FLOOR:
+        x = _project(basis, _array(state))
+        w = _weight(x)
+        if w <= _WEIGHT_FLOOR**2:
             continue
-        y = ground @ (ground.conj().T @ x)
-        wy = np.linalg.norm(y)
-        if wy < _ORTHO_TOL * w:
+        y = _project(ground, x)
+        if _weight(y) < _ORTHO_TOL**2 * w:
             raise RuntimeError(
                 "sector component is orthogonal to its sector ground space; "
                 "relaxation target undefined"
             )
-        out += y * (w / wy)
-    total = np.linalg.norm(out)
-    if total < _WEIGHT_FLOOR:
-        raise RuntimeError("relaxation produced the zero vector")
-    return StateVector(state.modes, out / total)
+        out += y * (_size(x) / _size(y))
+    if _weight(out) < _WEIGHT_FLOOR**2:
+        raise RuntimeError("relaxation produced the zero state")
+    return type(state)(state.modes, out / _size(out))
 
 
 def relax_to_ground_dm(rho: DensityMatrix, h: HermitianOperator) -> DensityMatrix:
-    """Density-matrix relaxation channel.
-
-    Sector blocks are projected onto their ground spaces and rescaled to
-    their original sector weights; coherences between different sectors are
-    discarded, which conserves every sector-diagonal observable.
-    """
-    if rho.modes != h.modes:
-        raise ValueError("state and Hamiltonian mode sets differ")
-    out = np.zeros_like(rho.mat)
-    for basis, ground in sector_ground_spaces(h):
-        x = basis @ (basis.conj().T @ rho.mat @ basis) @ basis.conj().T
-        w = float(np.trace(x).real)
-        if w <= _WEIGHT_FLOOR:
-            continue
-        y = ground @ (ground.conj().T @ x @ ground) @ ground.conj().T
-        wy = float(np.trace(y).real)
-        if wy < _ORTHO_TOL * w:
-            raise RuntimeError(
-                "sector component is orthogonal to its sector ground space; "
-                "relaxation target undefined"
-            )
-        out += y * (w / wy)
-    tr = float(np.trace(out).real)
-    if tr < _WEIGHT_FLOOR:
-        raise RuntimeError("relaxation produced the zero operator")
-    return DensityMatrix(rho.modes, out / tr)
+    """:func:`relax_to_ground` on a density matrix."""
+    return relax_to_ground(rho, h)

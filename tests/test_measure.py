@@ -281,6 +281,20 @@ def test_measurements_never_pick_a_zero_probability_sector():
         assert np.all(np.isfinite(post.mat))
 
 
+def test_class_measurement_never_picks_a_class_of_zero_weight():
+    # the c-a spin of an electronic initial state is integer, but its weight
+    # computes a few ulps below 1 for most inputs: a draw above that weight
+    # must not pick the half-odd class, which holds only rounding noise
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        g = SpinAmplitudes.normalized(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
+        psi = prepare_initial(g, "electronic")
+        for state in (psi, DensityMatrix.from_state(psi)):
+            cls, post = measure_spin_class(state, ("c", "a"), _FixedUniform(1.0 - 2.0**-53))
+            assert cls == INTEGER
+            assert type(post) is type(state)
+
+
 _probs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)
 
 

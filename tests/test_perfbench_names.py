@@ -34,3 +34,12 @@ def test_names_the_workloads_and_provenance_read_resolve():
         assert callable(inspect.getattr_static(owner, attr)), attr
     assert len(protocol.BRANCHES) == 4
     assert fock.AB_MODES.dim == 16
+
+
+def test_no_two_trace_targets_are_one_object(monkeypatch):
+    # the tracer rebinds every module attribute that is a target: two target
+    # names for one function would wrap it twice, and count each call twice
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    targets = importlib.import_module("workloads").trace_targets()
+    objects = [inspect.getattr_static(owner, attr) for _, owner, attr, _ in targets]
+    assert len({id(obj) for obj in objects}) == len(objects)

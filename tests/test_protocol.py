@@ -320,13 +320,13 @@ def test_mixed_half_singlet_resource():
 
 
 def test_mixed_restart_cap_raises_like_the_other_paths():
-    class Misses:  # every class measurement draws the half-odd outcome
+    class Misses:  # every class measurement draws the half-odd outcome, of weight 1/2
         def random(self):
             return 1.0 - 2.0**-53
 
     with pytest.raises(RuntimeError, match=r"after 3 restarts; statistically unreachable, "
                                            r"check the setup$"):
-        run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(1.0, 0.0, 0.0), Misses(), max_rounds=3)
+        run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(0.5, 0.25, 0.25), Misses(), max_rounds=3)
 
 
 def test_mixed_rejects_useless_resource():

@@ -5,6 +5,7 @@ from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
     DensityMatrix,
+    StateVector,
     build_observable,
     create,
     expectation,
@@ -13,7 +14,10 @@ from edgeteleport.fock import (
     vacuum_state,
 )
 from edgeteleport.hubbard import CouplingParams, build_h_int, build_h_lambda
-from edgeteleport.relax import relax_to_ground, relax_to_ground_dm
+from edgeteleport.gates import apply_gate, cnot, hadamard, iy, spin_rotation
+from edgeteleport.measure import measure_spin, measure_spin_class
+from edgeteleport.protocol import SpinAmplitudes, bob_fidelity, prepare_initial, run_trials
+from edgeteleport.relax import relax_to_ground, relax_to_ground_dm, sector_ground_spaces
 
 MODES = TELEPORT_MODES
 
@@ -111,14 +115,93 @@ def test_rejects_hamiltonian_touching_other_wires():
         relax_to_ground(state, h_bad)
 
 
-def test_dm_channel_matches_pure_channel():
-    state = doublon_state(0.8, 0.6)
-    rho = DensityMatrix.from_state(state)
-    out_dm = relax_to_ground_dm(rho, H_HOP)
-    out_pure = relax_to_ground(state, H_HOP)
-    np.testing.assert_allclose(
-        out_dm.mat, np.outer(out_pure.amps, out_pure.amps.conj()), atol=1e-12
-    )
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+G = SpinAmplitudes.normalized(0.6, 0.8j)
+
+
+def _after_alice():
+    psi = prepare_initial(G, "electronic")
+    return apply_gate(hadamard("c"), apply_gate(cnot("c", "a"), psi))
+
+
+# each step maps a state to (labels, probability or fidelity, post state)
+def _measured(u):
+    def step(state):
+        out = measure_spin(state, ("c", "a"), _FixedUniform(u))
+        return (out.j, out.m), out.probability, out.post_state
+    return step
+
+
+def _class_measured(u):
+    def step(state):
+        cls, post = measure_spin_class(state, ("c", "a"), _FixedUniform(u))
+        return cls, None, post
+    return step
+
+
+def _gated(spec):
+    return lambda state: (None, None, apply_gate(spec, state))
+
+
+def _relaxed(state):
+    return None, None, relax_to_ground(state, H_HOP)
+
+
+def _fidelity(state):
+    return None, bob_fidelity(state, G), None
+
+
+_ROTATION = np.array([[np.cos(0.4), -np.exp(-0.3j) * np.sin(0.4)],
+                      [np.exp(0.3j) * np.sin(0.4), np.cos(0.4)]])
+
+_STEPS = [
+    *[(f"measure_spin-{u}", _after_alice, _measured(u)) for u in (0.1, 0.3, 0.6, 0.9)],
+    *[(f"measure_spin_class-{u}", lambda: prepare_initial(G, "coldatom"), _class_measured(u))
+      for u in (0.2, 0.8)],
+    *[(f"apply_gate-{spec.kind}", lambda: prepare_initial(G, "coldatom"), _gated(spec))
+      for spec in (cnot("c", "a"), hadamard("c"), iy("b"), spin_rotation("b", _ROTATION))],
+    ("relax_to_ground-real", lambda: doublon_state(0.8, 0.6), _relaxed),
+    ("relax_to_ground-complex", lambda: doublon_state(0.6, 0.8j), _relaxed),
+    ("bob_fidelity", lambda: _measured(0.1)(_after_alice())[2], _fidelity),
+]
+
+
+@pytest.mark.parametrize("make, step", [pytest.param(m, s, id=i) for i, m, s in _STEPS])
+def test_dm_channel_matches_pure_channel(make, step):
+    # each step on |psi><psi| gives the outer product of its result on psi
+    psi = make()
+    label, number, post = step(psi)
+    label_dm, number_dm, post_dm = step(DensityMatrix.from_state(psi))
+    assert label_dm == label
+    if number is not None:
+        assert number_dm == pytest.approx(number, abs=1e-12)
+    if post is not None:
+        assert isinstance(post_dm, DensityMatrix)
+        np.testing.assert_allclose(post_dm.mat, np.outer(post.amps, post.amps.conj()), atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_tiny_ground_weight_relaxes_as_vector_and_as_density_matrix(eps):
+    # a sector state whose ground-space weight fraction is eps**2, far above
+    # the 1e-20 orthogonality threshold: both kinds relax onto the ground part
+    basis, ground = next((b, g) for b, g in sector_ground_spaces(H_HOP)
+                         if g.shape[1] < b.shape[1])
+    assert (basis.shape[1], ground.shape[1]) == (8, 4)
+    excited = basis - ground @ (ground.conj().T @ basis)
+    v = excited[:, np.argmax(np.linalg.norm(excited, axis=0))]
+    psi = normalize(StateVector(MODES, v / np.linalg.norm(v) + eps * ground[:, 0]))
+    g0 = ground[:, 0]
+    out = relax_to_ground(psi, H_HOP)
+    out_dm = relax_to_ground_dm(DensityMatrix.from_state(psi), H_HOP)
+    assert abs(np.vdot(g0, out.amps)) ** 2 >= 1 - 1e-9
+    assert np.vdot(g0, out_dm.mat @ g0).real >= 1 - 1e-9
 
 
 def test_dm_channel_on_proper_mixture():
@@ -144,3 +227,15 @@ def test_dm_validation_helpers():
     assert float(np.trace(good.mat).real) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         DensityMatrix(AB_MODES, np.eye(16)).validate()  # trace 16
+
+
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 1), np.nan), ((5, 5), np.nan),
+                                          ((5, 5), np.inf), ((0, 0), np.inf)])
+def test_dm_validation_refuses_non_finite_entries(entry, value):
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[5, 5] = 1.0  # a unit-trace state, then one bad entry
+    mat[entry] = value
+    with pytest.raises(ValueError, match="^density matrix must be finite$"):
+        DensityMatrix(AB_MODES, mat).validate()
+    with pytest.raises(ValueError, match="^density matrix must be finite$"):
+        run_trials(None, "mixed", 3, resource=DensityMatrix(AB_MODES, mat))
