@@ -1,0 +1,290 @@
+"""Layer-by-layer timings of edgeteleport, written to one BENCH JSON file.
+
+    python benchmarks/bench.py --out BENCH_<sha>.json [--baseline DIR]
+                               [--baseline-sha SHA] [--rounds N] [--smallest]
+
+Measures the package in this checkout's ``src/`` and, with ``--baseline``, the
+one in ``DIR/src`` (for instance a ``git archive <sha> | tar -x -C DIR``
+export of the parent commit) beside it.  Each round starts fresh processes
+for every tree, alternating which tree goes first, so the host's slow and
+fast spells fall on both sides alike.  Every measuring process runs with one
+BLAS thread (``OPENBLAS_NUM_THREADS=1``).
+
+Layers:
+
+- ``import``: ``import edgeteleport`` in a fresh process, numpy's import
+  included;
+- ``warm_up/<variant>``: the first ``warm_up`` of a fresh process, which
+  builds that variant's kernel setup;
+- ``run_trials/<variant>/<g>/<n>``: ``run_trials`` after ``warm_up``, for a
+  fixed and a Haar-random ``g``; the mixed variant at 10^2 trials;
+- ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
+  writing its report to a temporary file;
+- ``numerical_spectrum/<sites>``: the chain eigensolve.
+
+Each layer records the median and quartiles of its call times in seconds,
+the sample count, the minor page faults per timed call (``ru_minflt``) and
+the ``tracemalloc`` peak of one call.  Peaks come from a separate pass, so no
+timing runs under ``tracemalloc``.  A layer missing from one tree's results
+is recorded as ``null`` for that tree.  ``--smallest`` runs every layer at its smallest size, once, for a
+quick check of the driver itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA = "edgeteleport-bench/1"
+ENV = {"OPENBLAS_NUM_THREADS": "1"}
+
+#: Problem sizes per layer family: the full run, and the driver check.
+SIZES = {
+    False: {"trials": (10**2, 10**4, 10**6), "mixed": (10**2,), "cli": (10**4,),
+            "sites": (59, 1001, 2001, 4001)},
+    True: {"trials": (10**2,), "mixed": (2,), "cli": (10,), "sites": (59,)},
+}
+
+#: Seconds of timed calls per layer and round, after one untimed call.
+BUDGET_S = 0.3
+MAX_CALLS = 2000
+
+
+def _runtime_layers(sizes: dict, out_path: str) -> dict:
+    """Name -> zero-argument call, for every layer timed after ``warm_up``."""
+    from edgeteleport import cli, protocol, ssh_lattice
+
+    fixed = protocol.SpinAmplitudes(0.6, 0.8j)
+    layers = {}
+    for variant in ("electronic", "coldatom"):
+        for name, g in (("fixed", fixed), ("haar", None)):
+            for n in sizes["trials"]:
+                layers[f"run_trials/{variant}/{name}/{n}"] = (
+                    lambda g=g, variant=variant, n=n: protocol.run_trials(g, variant, n, seed=1))
+    for n in sizes["mixed"]:
+        layers[f"run_trials/mixed/haar/{n}"] = (
+            lambda n=n: protocol.run_trials(None, "mixed", n, seed=1))
+    for variant in ("electronic", "coldatom"):
+        for n in sizes["cli"]:
+            argv = ["teleport", "--variant", variant, "--g1", "0.6,0", "--g2", "0,0.8",
+                    "--trials", str(n), "--seed", "1", "--out", out_path]
+            layers[f"cli.main/teleport/{variant}/{n}"] = lambda argv=argv: _exit_0(cli.main(argv))
+    for sites in sizes["sites"]:
+        params = ssh_lattice.WireParams(sites)
+        layers[f"numerical_spectrum/{sites}"] = (
+            lambda params=params: ssh_lattice.numerical_spectrum(params))
+    return layers
+
+
+def _exit_0(code: int) -> None:
+    if code != 0:
+        raise RuntimeError(f"cli.main exited {code}")
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _once(call, trace: bool) -> dict:
+    """One call: its time, or with ``trace`` its ``tracemalloc`` peak."""
+    if trace:
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"peak_kib": peak / 1024}
+    faults, t0 = _minflt(), time.perf_counter()
+    call()
+    return {"samples": [time.perf_counter() - t0], "minflt": _minflt() - faults}
+
+
+def _timed(call, smallest: bool) -> dict:
+    """Call times after one untimed call, within ``BUDGET_S`` (one call with ``smallest``)."""
+    first = time.perf_counter()
+    call()
+    first = time.perf_counter() - first
+    calls = 1 if smallest else max(1, min(MAX_CALLS, int(BUDGET_S / max(first, 1e-9))))
+    samples, faults = [], _minflt()
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - t0)
+    return {"samples": samples, "minflt": (_minflt() - faults) / calls}
+
+
+def child(mode: str, src: str, smallest: bool, trace: bool) -> dict:
+    """One measuring process: ``setup-<variant>`` times the import and that
+    variant's first ``warm_up``; ``runtime`` times every layer after both."""
+    sys.path.insert(0, src)
+    result = {"import": _once(lambda: __import__("edgeteleport"), trace)}
+    import edgeteleport
+    from edgeteleport import protocol
+
+    if not Path(edgeteleport.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError(f"imported {edgeteleport.__file__}, not the package in {src}")
+    result["version"] = edgeteleport.__version__
+    if mode.startswith("setup-"):
+        variant = mode.removeprefix("setup-")
+        result[f"warm_up/{variant}"] = _once(lambda: protocol.warm_up(variant), trace)
+        return result
+    protocol.warm_up("electronic")
+    protocol.warm_up("coldatom")
+    with tempfile.TemporaryDirectory() as tmp:
+        layers = _runtime_layers(SIZES[smallest], os.path.join(tmp, "report.json"))
+        for name, call in layers.items():
+            result[name] = _once(call, True) if trace else _timed(call, smallest)
+    return result
+
+
+def _run_child(mode: str, src: Path, smallest: bool, trace: bool) -> dict:
+    argv = [sys.executable, __file__, "--child", mode, "--src", str(src)]
+    argv += ["--smallest"] * smallest + ["--trace-memory"] * trace
+    out = subprocess.run(argv, check=True, capture_output=True, text=True,
+                         env={**os.environ, **ENV}, cwd=REPO)
+    return json.loads(out.stdout.splitlines()[-1])  # after the CLI's summary lines
+
+
+def _git_sha(tree: Path):
+    """The tree's commit and whether its ``src/`` differs from it, or ``None``
+    for a tree outside git (an archive export)."""
+    if not (tree / ".git").exists():
+        return None
+    git = ["git", "-C", str(tree)]
+    sha = subprocess.run([*git, "rev-parse", "--short", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run([*git, "status", "--porcelain", "--", "src"], check=True,
+                           capture_output=True, text=True).stdout.strip()
+    return {"sha": sha, "src_differs_from_commit": bool(dirty)}
+
+
+def _openblas() -> dict:
+    """OpenBLAS's version and the core type it picked, as numpy's build reports them."""
+    import ctypes
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    info = {"name": blas.get("name"), "version": blas.get("version"), "core": None}
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            info["core"] = corename().decode()
+    return info
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_model": cpu,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas": _openblas(),
+        "numba_present": importlib.util.find_spec("numba") is not None,
+    }
+
+
+def _summary(samples: list[float], minflt: list[float], peak) -> dict:
+    if len(samples) == 1:
+        q1 = median = q3 = samples[0]
+    else:  # the middle quartile is the median
+        q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "n": len(samples),
+            "minflt_per_call": statistics.median(minflt), "tracemalloc_peak_kib": peak}
+
+
+def measure(trees: dict, rounds: int, smallest: bool) -> dict:
+    """Per tree and layer, the summary of ``rounds`` alternating rounds."""
+    modes = ("setup-electronic", "setup-coldatom", "runtime")
+    raw = {label: {} for label in trees}
+    for r in range(rounds):
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for mode in modes:
+            for label in order:
+                for name, rec in _run_child(mode, trees[label]["src"], smallest, False).items():
+                    if name == "version":
+                        trees[label]["version"] = rec
+                        continue
+                    entry = raw[label].setdefault(name, {"samples": [], "minflt": []})
+                    entry["samples"] += rec["samples"]
+                    entry["minflt"].append(rec["minflt"])
+    peaks = {label: {} for label in trees}
+    for label in trees:
+        for mode in modes:
+            rec = _run_child(mode, trees[label]["src"], smallest, True)
+            peaks[label].update({k: v["peak_kib"] for k, v in rec.items() if k != "version"})
+    layers = {}
+    for name in dict.fromkeys(n for label in trees for n in raw[label]):
+        layers[name] = {label: _summary(raw[label][name]["samples"], raw[label][name]["minflt"],
+                                        peaks[label].get(name))
+                        if name in raw[label] else None for label in trees}
+        if all(layers[name].get(k) for k in ("baseline", "current")):
+            layers[name]["current_over_baseline"] = (layers[name]["current"]["median_s"]
+                                                     / layers[name]["baseline"]["median_s"])
+    return layers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="BENCH JSON file to write")
+    parser.add_argument("--baseline", type=Path, help="tree whose src/ to measure beside this one")
+    parser.add_argument("--baseline-sha", help="commit of --baseline, for a tree outside git")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--smallest", action="store_true", help="smallest sizes, one call each")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--src", help=argparse.SUPPRESS)
+    parser.add_argument("--trace-memory", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child, args.src, args.smallest, args.trace_memory)))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    trees = {"current": {"src": REPO / "src", "git": _git_sha(REPO)}}
+    if args.baseline is not None:
+        git = ({"sha": args.baseline_sha, "src_differs_from_commit": None} if args.baseline_sha
+               else _git_sha(args.baseline))
+        trees = {"baseline": {"src": args.baseline / "src", "git": git}, **trees}
+    layers = measure(trees, args.rounds, args.smallest)
+    report = {
+        "schema": SCHEMA,
+        "machine": _machine(),
+        "settings": {"rounds": args.rounds, "smallest": args.smallest, "env": ENV,
+                     "budget_s_per_layer_and_round": BUDGET_S,
+                     "timer": "time.perf_counter", "stat": "median and quartiles of call times"},
+        "trees": {label: {k: v for k, v in tree.items() if k != "src"}
+                  for label, tree in trees.items()},
+        "layers": layers,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,9 +2,10 @@
 
 One call runs a batch of trials; the protocol steps are those of
 :func:`edgeteleport.protocol.run_teleport_once`, the reference the tests
-compare against.  The arithmetic runs on distinct input rows, and each trial
-carries ``of``, the index of its row: a fixed input gives one row for the
-whole batch, Haar-random inputs one row per trial.
+compare against.  The arithmetic runs on distinct input rows: a fixed input
+gives one row for the whole batch, and each trial carries ``of``, the index
+of its row; Haar-random inputs give one row per trial, in trial order, and
+pass ``of=None``.
 
 Every quantity a trial reads depends on its input ``g`` only through the
 density matrix ``q = g g^dag``, four real numbers
@@ -12,14 +13,15 @@ density matrix ``q = g g^dag``, four real numbers
 ``F`` and the engine's arithmetic is real.  ``protocol._kernel_setup`` folds
 Alice's gates, her sector bases and Bob's corrected branch bases onto the two
 inputs (for cold-atom trials, onto their integer-class parts) and keeps one
-real ``(4, K)`` matrix of forms.  Alice's four branch probabilities and Bob's
-four traces are linear in ``F``, one column each in ``protocol.BRANCHES``
-order, so Born sampling returns the branch; Bob's four overlaps with ``g``
-are quadratic, ``|F @ R|^2`` summed over each branch's columns of a real
-factor ``R``.  So a batch takes one product ``F @ forms``, one square and
-one product with a 0/1 matrix, and every row gets its fidelity in all four
-branches at once, with the ``tr > 0`` guard and the square root; each trial
-reads the one of its row and branch.
+real ``(4, K)`` matrix of forms.  The running sums of Alice's four branch
+probabilities and Bob's four traces are linear in ``F``, one column each in
+``protocol.BRANCHES`` order, so Born sampling reads its running sums straight
+from the product and returns the branch; Bob's four overlaps with ``g`` are
+quadratic, ``|F @ R|^2`` summed over each branch's columns of a real factor
+``R``.  So a batch takes one product ``F @ forms``, one square and one
+product with a 0/1 matrix, and every row gets its overlap and trace in all
+four branches at once; each trial reads the two of its row and branch and
+takes its fidelity from them, with the ``tr > 0`` guard and the square root.
 
 A cold-atom miss relaxes the a-b wires back to the initial state, which the
 setup certifies once for every input, so each restart round measures the
@@ -29,8 +31,9 @@ class probability ``p = F @ class_form`` alone, and no state is relaxed here.
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
 identical branch decisions.  The cold-atom engine counts every trial's
-rounds over the block rows of draws taken so far, and takes one more row
-only while some trial has not stopped.
+rounds over the block rows of draws taken so far (the caller draws up front
+the rows a chunk's longest trial almost always needs), and takes one more
+row only while some trial has not stopped.
 """
 
 from __future__ import annotations
@@ -47,25 +50,29 @@ def _measure_and_correct(setup, F, of, u, p=None):
     """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
 
     ``F`` holds the distinct inputs as ``(m, 4)`` real rows (see the module
-    docstring); trial ``i`` is in row ``of[i]`` and draws its branch with
-    ``u[i]``.  A state folded with norm ``sqrt(p)`` passes its rows' ``p``:
-    the branch probabilities are divided by it, while Bob's ``val / tr`` does
-    not depend on the scale.  Returns each trial's index into
-    ``protocol.BRANCHES`` and Bob's fidelity, read from its row's fidelities
-    in all four branches.
+    docstring); trial ``i`` is in row ``of[i]``, or in row ``i`` when ``of``
+    is ``None``, and draws its branch with ``u[i]``.  A state folded with
+    norm ``sqrt(p)`` passes its rows' ``p``: the branch probabilities' running
+    sums are divided by it, while Bob's ``val / tr`` does not depend on the
+    scale.  Returns each trial's index into ``protocol.BRANCHES`` and Bob's
+    fidelity in that branch.
     """
     lin = F @ setup["forms"]
     k = len(setup["sums"])  # Bob's overlap coordinates, then the linear forms
     val = np.square(lin[:, :k]) @ setup["sums"]
-    # four probabilities, four traces: one per branch
-    probs, tr = lin[:, k:-4], lin[:, -4:]
+    # the running sums of Alice's four probabilities, Bob's four traces: one per branch
+    sums, tr = lin[:, k:-4], lin[:, -4:]
     if p is not None:
-        probs = probs / p[:, None]
-    branch = born_index(probs.take(of, axis=0), u)
+        sums = sums / p[:, None]
+    if of is None:
+        of = np.arange(len(F))
+    else:
+        sums = sums.take(of, axis=0)
+    branch = born_index(sums, u)
+    val, tr = val[of, branch], tr[of, branch]
     # val <= tr up to rounding: capped, val / tr and its root stay <= 1; a
     # zero trace caps val at 0 too, and the divisor _TINY then gives 0
-    fid = np.sqrt(np.minimum(val, tr) / np.maximum(tr, _TINY))
-    return branch, fid[of, branch]
+    return branch, np.sqrt(np.minimum(val, tr) / np.maximum(tr, _TINY))
 
 
 def electronic_batch(setup, F, of, u_branch):
@@ -79,26 +86,32 @@ def electronic_batch(setup, F, of, u_branch):
 def coldatom_batch(setup, F, of, upto, first, max_rounds):
     """Branch index, rounds and fidelity of each cold-atom trial.
 
-    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row.
-    ``upto(stop)`` returns the chunk's draw table, a row per trial, grown by
-    whole Philox block rows to at least ``stop`` columns: column
-    ``first + r - 1`` decides class measurement ``r`` and ``first + rounds``
-    the branch.  Every round measures the state of round 1, so a trial stops
-    in the first round ``r`` whose draw falls below its row's class
-    probability ``p = F @ class_form``, in the integer-class part of its
-    input scaled by ``1 / sqrt(p)``.  Rounds are counted over the block rows
-    drawn so far; one more is drawn only while some trial has no hit and
-    fewer than ``max_rounds`` class draws exist.  Hitting ``max_rounds``
-    raises, as in the step-by-step path; so does an ``upto`` that stops growing.
+    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row,
+    or ``None`` for one row per trial.  ``upto(stop)`` returns the chunk's
+    draw table, a row per trial, grown by whole Philox block rows to at least
+    ``stop`` columns: column ``first + r - 1`` decides class measurement
+    ``r`` and ``first + rounds`` the branch.  Every round measures the state
+    of round 1, so a trial stops in the first round ``r`` whose draw falls
+    below its row's class probability ``p = F @ class_form``, in the
+    integer-class part of its input scaled by ``1 / sqrt(p)``.  Rounds are
+    counted over the block rows drawn so far (the caller may draw several up
+    front); one more is drawn only while some trial has no hit and fewer than
+    ``max_rounds`` class draws exist.  Hitting ``max_rounds`` raises, as in
+    the step-by-step path; so does an ``upto`` that stops growing.
     """
     p = F @ setup["class_form"]
-    p_of = p[of, None]
+    p_of = (p if of is None else p[of])[:, None]
     u = upto(first + 1)
     while True:
-        hit = u[:, first:first + max_rounds] < p_of
-        if hit.any(axis=1).all():
+        c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
+        # a True column after them: a trial with no hit gets c + 1 rounds
+        hit = np.ones((len(u), c + 1), dtype=bool)
+        np.less(u[:, first:first + c], p_of, out=hit[:, :c])
+        rounds = hit.argmax(axis=1) + 1
+        longest = int(rounds.max())
+        if longest <= c:
             break
-        if u.shape[1] >= first + max_rounds:
+        if c == max_rounds:
             raise RuntimeError(
                 f"no integer-spin outcome after {max_rounds} restarts; "
                 "statistically unreachable, check the setup"
@@ -107,7 +120,6 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
         u = upto(stop)
         if u.shape[1] < stop:
             raise RuntimeError(f"upto({stop}) returned {u.shape[1]} draws per trial")
-    rounds = hit.argmax(axis=1) + 1
-    u = upto(first + int(rounds.max()) + 1)
-    branch, fid = _measure_and_correct(setup, F, of, u[np.arange(len(of)), first + rounds], p)
+    u = upto(first + longest + 1)
+    branch, fid = _measure_and_correct(setup, F, of, u[np.arange(len(u)), first + rounds], p)
     return branch, rounds, fid

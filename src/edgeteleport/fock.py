@@ -183,6 +183,8 @@ class DensityMatrix:
         m = np.asarray(self.mat, dtype=np.complex128)
         if m.shape != (self.modes.dim, self.modes.dim):
             raise ValueError("density matrix shape does not match mode set")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix must be finite")
         object.__setattr__(self, "mat", m)
 
     def validate(self, tol: float = 1e-12) -> "DensityMatrix":

@@ -158,26 +158,28 @@ def spin_sectors(state, wires=None) -> list[MeasurementOutcome]:
     return outcomes
 
 
-def born_index(probs, u):
+def born_index(sums, u):
     """Born-rule outcome index for the uniform draw ``u``.
 
-    Outcomes lie on the last axis of ``probs``, which holds nonnegative
-    weights; any leading batch axes are shared with ``u``.  Outcome ``k`` is
-    chosen when ``u`` first falls below the running sum ``p_0 + ... + p_k``:
-    one comparison with the running sums and the index of its first hit.
-    When rounding leaves ``u`` at or above the total, the last running sum,
-    no sum is hit and the last outcome with nonzero probability is chosen, so
-    a zero-probability outcome is never returned unless all are zero; only
-    such rows compute it.
+    Outcomes lie on the last axis of ``sums``, which holds the running sums
+    ``p_0 + ... + p_k`` of nonnegative weights; any leading batch axes are
+    shared with ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
+    ``sums[k]``: one comparison and the index of its first hit.  When
+    rounding leaves ``u`` at or above the total, the last running sum, no sum
+    is hit and the last outcome whose running sum rises above the one before
+    it is chosen, so an outcome that adds nothing to the total (probability
+    zero, or below an ulp of the sum) is never returned unless all are zero;
+    only such rows compute it.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    hit = np.asarray(u)[..., None] < probs.cumsum(axis=-1)
+    sums = np.asarray(sums, dtype=np.float64)
+    hit = np.asarray(u)[..., None] < sums
     chosen = hit.argmax(axis=-1)
     if hit[..., -1].all():
         return chosen
     over = ~hit[..., -1]
     chosen = np.array(chosen)  # a 0-d array for one row: writable, unlike a scalar
-    chosen[over] = probs.shape[-1] - 1 - np.argmax(probs[over][..., ::-1] > 0.0, axis=-1)
+    rises = np.diff(sums[over], axis=-1, prepend=0.0) > 0.0
+    chosen[over] = sums.shape[-1] - 1 - np.argmax(rises[..., ::-1], axis=-1)
     return chosen
 
 
@@ -190,7 +192,7 @@ def measure_spin(state, wires, rng: np.random.Generator) -> MeasurementOutcome:
     bases = spin_sector_bases(state.modes, wires)
     comps = [_project(basis, _array(state)) for _, _, basis in bases]
     probs = np.array([_weight(c) for c in comps])
-    chosen = int(born_index(probs, rng.random()))
+    chosen = int(born_index(probs.cumsum(), rng.random()))
     j, m, _ = bases[chosen]
     post = comps[chosen]
     return MeasurementOutcome(j, m, float(probs[chosen]), type(state)(state.modes, post / _size(post)))

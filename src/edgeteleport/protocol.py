@@ -450,9 +450,13 @@ class _Draws:
 
     def upto(self, stop: int) -> np.ndarray:
         """The table ``u``, with at least ``stop`` draws per trial."""
-        while self.u.shape[1] < stop:
-            self._state["state"]["counter"][1] = self.u.shape[1] // 4
-            self.u = np.hstack([self.u, self._block_row(len(self.u))])
+        have = self.u.shape[1] // 4
+        if 4 * have < stop:
+            rows = [self.u]
+            for k in range(have, -(-stop // 4)):
+                self._state["state"]["counter"][1] = k
+                rows.append(self._block_row(len(self.u)))
+            self.u = np.hstack(rows)
         return self.u
 
 
@@ -474,8 +478,12 @@ def trial_rng(seed: int, trial: int) -> _TrialStream:
     """Trial ``trial``'s stream of run seed ``seed``, for the step-by-step path.
 
     Its ``random()`` returns the doubles the batch engine reads for that
-    trial, in order.
+    trial, in order.  Both arguments are integers in ``[0, 2**64)``, as in
+    :func:`run_trials`.
     """
+    seed, trial = _integer(seed, "seed"), _integer(trial, "trial")
+    _require_word(seed, "seed", "key")
+    _require_word(trial, "trial", "counter")
     return _TrialStream(seed, trial)
 
 
@@ -496,7 +504,7 @@ class TeleportReport:
 
     def to_dict(self) -> dict:
         """The fields in order, with JSON-ready ``g1``, ``g2`` and round keys."""
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d = {name: getattr(self, name) for name in _REPORT_FIELDS}
         for key in ("g1", "g2"):
             d[key] = list(d[key]) if d[key] is not None else None
         d["branch_counts"] = dict(self.branch_counts)
@@ -507,14 +515,18 @@ class TeleportReport:
         return _json_text(self.to_dict()) + "\n"
 
 
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(TeleportReport))
+
+
 def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
     """Fold ``(branches, rounds, fidelities)`` chunks into a report in O(chunk)
     memory.  The fidelity sum is pairwise over chunks, from a stack of
     ``(k, sum of 2**k chunks)``; one chunk gives exactly ``np.mean``, and
-    runs no numpy call beyond its two ``bincount``s, ``min`` and ``sum``."""
+    runs no numpy call beyond its two ``bincount``s and two reductions
+    (``np.add.reduce`` is ``ndarray.sum`` without the method's dispatch)."""
     chunks = iter(chunks)
     branches, rounds, fids = next(chunks)
-    n, min_fid, fid_sums = len(branches), fids.min(), [(0, fids.sum())]
+    n, min_fid, fid_sums = len(branches), np.minimum.reduce(fids), [(0, np.add.reduce(fids))]
     per_branch = np.bincount(branches, minlength=len(BRANCHES))
     per_round = np.bincount(rounds)
     for branches, rounds, fids in chunks:
@@ -523,8 +535,8 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
         counts = np.bincount(rounds, minlength=len(per_round))
         counts[:len(per_round)] += per_round
         per_round = counts
-        min_fid = np.minimum(min_fid, fids.min())
-        level, x = 0, fids.sum()
+        min_fid = np.minimum(min_fid, np.minimum.reduce(fids))
+        level, x = 0, np.add.reduce(fids)
         while fid_sums and fid_sums[-1][0] == level:
             level, x = level + 1, fid_sums.pop()[1] + x
         fid_sums.append((level, x))
@@ -577,9 +589,12 @@ def _folded(rows) -> dict:
     of ``F``.  So his overlap is ``|F @ [Re w | Im w]|^2``: the setup keeps
     that real factor's nonzero columns.
 
-    ``forms`` holds Bob's overlap factors, Alice's four branch forms and Bob's
-    four trace forms side by side, each in ``BRANCHES`` order, and the 0/1
-    ``sums`` add the squared overlap coordinates into Bob's four overlaps.
+    ``forms`` holds Bob's overlap factors, the running sums of Alice's four
+    branch forms (so ``F @ forms`` gives Born sampling its running sums) and
+    Bob's four trace forms side by side, each in ``BRANCHES`` order, and the
+    0/1 ``sums`` add the squared overlap coordinates into Bob's four overlaps.
+    ``forms`` is Fortran-ordered: the BLAS kernel behind ``F @ forms``, and
+    with it the last bit of a fidelity, depends on the memory order.
     """
     modes = TELEPORT_MODES
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
@@ -603,8 +618,9 @@ def _folded(rows) -> dict:
         factor = np.hstack([w.real, w.imag])
         overlap.append(factor[:, np.any(factor != 0, axis=0)])
     branch_cols = np.repeat(np.arange(len(BRANCHES)), [f.shape[1] for f in overlap])
+    alice = np.cumsum(np.column_stack([_gram_form(blocks[b]) for b in BRANCHES]), axis=1)
     return {
-        "forms": np.column_stack([*overlap, *(_gram_form(blocks[b]) for b in BRANCHES), *trace]),
+        "forms": np.asfortranarray(np.column_stack([*overlap, alice, *trace])),
         "sums": (branch_cols[:, None] == np.arange(len(BRANCHES))).astype(np.float64),
     }
 
@@ -676,7 +692,10 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
 
     The engine gets the distinct inputs of a chunk, as rows ``F`` of
     :func:`_bloch`, and each trial's row among them: one row shared by every
-    trial for a fixed ``g``, one row per trial for Haar-random inputs.
+    trial for a fixed ``g``, one row per trial (``of=None``) for Haar-random
+    inputs.  A cold-atom chunk draws up front the block rows its longest
+    trial almost always needs: at class probability 1/2 the longest of
+    ``size`` trials takes about ``log2(size)`` rounds.
     """
     setup = _kernel_setup(variant)
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
@@ -686,13 +705,14 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            F, of = _haar_bloch(draws.u), np.arange(size)
+            F, of = _haar_bloch(draws.u), None
         else:
             of = np.zeros(size, dtype=np.int64)
         if variant == "electronic":
             branches, fids = _kernels.electronic_batch(setup, F, of, draws.u[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
             continue
+        draws.upto(first + size.bit_length() + 3)
         yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
 
 
@@ -720,6 +740,14 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
+def _require_word(value: int, name: str, part: str):
+    """Raise unless the int ``value`` fits one 64-bit word of the stream's ``part``."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if value >= 2**64:
+        raise ValueError(f"{name} must be < 2**64: it is one 64-bit word of the stream {part}")
 
 
 def warm_up(variant: str = "electronic"):
@@ -751,10 +779,7 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError(f"a resource state applies to the mixed variant only, not {variant!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    if seed >= 2**64:
-        raise ValueError("seed must be < 2**64: it is one 64-bit word of the stream key")
+    _require_word(seed, "seed", "key")
 
     if variant == "mixed":  # density matrices, one trial at a time (cold spot, runs are few)
         chunks = _run_trials_mixed(g, resource, n, seed, max_rounds)

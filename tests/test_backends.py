@@ -88,17 +88,28 @@ def test_engine_matches_oracle_across_chunks(variant):
     _assert_engine_matches_oracle(None, variant, protocol._CHUNK + 37, 5)
 
 
-@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
-                         ids=["fixed", "haar"])
-def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g):
-    # a chunk draws its first block row (four draws per trial) up front and
-    # later rows when some trial first reads them
-    rounds = _assert_engine_matches_oracle(g, "coldatom", protocol._CHUNK + 37, 8)
-    # a trial's last draw, its branch draw, has index (Haar draws) + rounds;
-    # the case is covered only if both chunks read a third block row
-    first = 0 if g is not None else 3
-    last = first + rounds
-    assert last[:protocol._CHUNK].max() >= 8 and last[protocol._CHUNK:].max() >= 8
+@pytest.mark.parametrize("g, seed", [(SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), 27),
+                                     (None, 22)], ids=["fixed", "haar"])
+def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g, seed, monkeypatch):
+    # a chunk draws up front the block rows its longest trial almost always
+    # needs, and a later row only when some trial still reads it; these seeds
+    # run a chunk that needs such a row (both chunks, for the Haar seed)
+    grew, real = {}, protocol._Draws.upto
+
+    def upto(self, stop):
+        before = self.u.shape[1]
+        u = real(self, stop)
+        grew.setdefault(self, []).append(u.shape[1] > before)
+        return u
+
+    monkeypatch.setattr(protocol._Draws, "upto", upto)
+    n = protocol._CHUNK + 37
+    list(protocol._run_trials_batched(g, "coldatom", n, seed, protocol.DEFAULT_MAX_ROUNDS))
+    monkeypatch.undo()
+    # per chunk: the first call draws the rows up front, later ones on demand
+    on_demand = [any(calls[1:]) for calls in grew.values()]
+    assert on_demand == ([True, False] if g is not None else [True, True])
+    _assert_engine_matches_oracle(g, "coldatom", n, seed)
 
 
 def test_restart_loop_reads_the_draw_table_once_per_block_row():
@@ -288,14 +299,17 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     real = kernels._measure_and_correct
 
     def spy(setup, F, of, u, p=None):
-        shapes.append((F.shape, len(of)))
+        shapes.append((F.shape, None if of is None else len(of)))
         return real(setup, F, of, u, p)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
     chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
-    rows = [1, 1] if g is not None else [protocol._CHUNK, 37]
-    assert shapes == [((m, 4), k) for m, k in zip(rows, [protocol._CHUNK, 37])]
+    # a fixed g is one row for all trials of a chunk; Haar rows are one per
+    # trial, in trial order, so they need no row index
+    sizes = [protocol._CHUNK, 37]
+    expected = [((1, 4), k) for k in sizes] if g is not None else [((k, 4), None) for k in sizes]
+    assert shapes == expected
     assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
 
@@ -378,9 +392,9 @@ def test_setup_ignores_outside_sectors_below_its_threshold():
                 protocol._folded(rows)
             continue
         setup = protocol._folded(rows)
-        alice = setup["forms"][:, len(setup["sums"]):-4]
+        alice = setup["forms"][:, len(setup["sums"]):-4]  # running sums over the branches
         expected = np.zeros((4, 4))
-        expected[0, 0] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing elsewhere
+        expected[0, :] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing added after it
         assert np.abs(alice - expected).max() <= 1e-12
 
 
@@ -489,14 +503,19 @@ def test_setup_forms_certify_the_papers_probabilities():
     # the forms hold for every input at once: each of Alice's four branches
     # has probability 1/4, and each cold-atom round succeeds with probability
     # F @ class_form = 1/2; the half-odd sectors have none, or the setup
-    # would have raised (test_outcome_outside_the_branches_raises_naming_it)
-    quarter, half = np.array([0.25, 0.25, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
+    # would have raised (test_outcome_outside_the_branches_raises_naming_it);
+    # the setup keeps the branch forms' running sums, (1/4, 1/2, 3/4, 1) times
+    # (1, 1, 0, 0) at scale 1
+    ones, half = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
         setup = protocol._kernel_setup(variant)
         alice = setup["forms"][:, len(setup["sums"]):-4]
         assert alice.shape == (4, len(protocol.BRANCHES)) == (4, 4)
-        for form, (j, m) in zip(alice.T, protocol.BRANCHES):
-            assert np.abs(form - scale * quarter).max() <= 1e-12, (variant, j, m)
+        # the BLAS kernel behind F @ forms, and so a fidelity's last bit,
+        # follows the memory order of forms
+        assert setup["forms"].flags.f_contiguous
+        for k, (form, (j, m)) in enumerate(zip(alice.T, protocol.BRANCHES)):
+            assert np.abs(form - scale * (k + 1) / 4 * ones).max() <= 1e-12, (variant, j, m)
     assert np.abs(protocol._kernel_setup("coldatom")["class_form"] - half).max() <= 1e-12
 
 

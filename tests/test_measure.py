@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,24 +224,32 @@ def test_zero_probability_outcomes_dropped():
     assert isinstance(outcomes[0], MeasurementOutcome)
 
 
-def _born_loop(probs, u):
-    """Scalar reference: first running sum above u, else the last nonzero outcome."""
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
+def _born_loop(sums, u):
+    """Scalar reference on running sums: the first sum above u, else the last
+    outcome whose sum rises above the one before it."""
+    for k, total in enumerate(sums):
+        if u < total:
             return k
-    nonzero = [k for k, p in enumerate(probs) if p > 0.0]
-    return nonzero[-1] if nonzero else len(probs) - 1
+    risen = [k for k, total in enumerate(sums) if total > (sums[k - 1] if k else 0.0)]
+    return risen[-1] if risen else len(sums) - 1
 
 
 def test_born_index_falls_back_to_last_nonzero_outcome():
-    probs = [0.25, 0.25, 0.25, 0.25 - 1e-15, 0.0, 0.0]
-    assert born_index(probs, 0.9999999999999999) == 3
-    assert born_index(probs, 0.1) == 0
+    sums = np.cumsum([0.25, 0.25, 0.25, 0.25 - 1e-15, 0.0, 0.0])
+    assert born_index(sums, 0.9999999999999999) == 3
+    assert born_index(sums, 0.1) == 0
     assert born_index([0.0, 0.0], 0.5) == 1
-    batch = np.array([probs, [0.0, 0.5, 0.5, 0.0, 0.0, 0.0]])
+    batch = np.array([sums, np.cumsum([0.0, 0.5, 0.5, 0.0, 0.0, 0.0])])
     np.testing.assert_array_equal(born_index(batch, np.array([0.9999999999999999, 0.6])), [3, 2])
+
+
+def test_born_index_never_picks_a_weight_below_an_ulp_of_the_sum():
+    # 1e-20 is nonzero but does not raise the running sum 1 - 2**-52: the
+    # fallback takes the last outcome whose sum rises, and no draw hits it
+    sums = np.cumsum([0.5, 0.5 - 2.0**-52, 1e-20])
+    assert sums[2] == sums[1]
+    for u in (1.0 - 2.0**-53, 0.75, 0.25):
+        assert born_index(sums, u) == _born_loop(sums, u) == (1 if u > 0.5 else 0)
 
 
 def test_born_index_takes_the_fallback_on_the_over_rows_only():
@@ -251,12 +261,13 @@ def test_born_index_takes_the_fallback_on_the_over_rows_only():
                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                       [0.0, 0.5, 0.0, 0.5 - 1e-15, 0.0, 0.0],
                       [0.3, 0.0, 0.2, 0.0, 0.5 - 1e-15, 0.0]])
+    sums = probs.cumsum(axis=1)
     u = np.array([0.9999999999999999, 0.1, 0.9999999999999999, 0.5, 0.2, 0.45])
-    over = u >= probs.sum(axis=1)
+    over = u >= sums[:, -1]
     assert over.tolist() == [True, False, True, True, False, False]
-    got = born_index(probs, u)
+    got = born_index(sums, u)
     np.testing.assert_array_equal(got, [3, 0, 3, 5, 1, 2])
-    assert got.tolist() == [_born_loop(p, x) for p, x in zip(probs, u)]
+    assert got.tolist() == [_born_loop(s, x) for s, x in zip(sums, u)]
     last_nonzero = [max([k for k, p in enumerate(row) if p > 0.0], default=5) for row in probs]
     assert all((g == last) == o for g, last, o in zip(got, last_nonzero, over))
 
@@ -281,6 +292,17 @@ def test_measurements_never_pick_a_zero_probability_sector():
         assert np.all(np.isfinite(post.mat))
 
 
+def test_a_density_matrix_with_a_nan_is_refused_before_it_is_measured():
+    # the matrix was accepted, and measure_spin then warned "invalid value
+    # encountered in divide" and returned NaN; now its construction raises
+    m = np.eye(TELEPORT_MODES.dim, dtype=np.complex128) / TELEPORT_MODES.dim
+    m[0, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^density matrix must be finite$"):
+            measure_spin(DensityMatrix(TELEPORT_MODES, m), ("c", "a"), _FixedUniform(0.5))
+
+
 def test_class_measurement_never_picks_a_class_of_zero_weight():
     # the c-a spin of an electronic initial state is integer, but its weight
     # computes a few ulps below 1 for most inputs: a draw above that weight
@@ -301,8 +323,8 @@ _probs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_
 @given(st.lists(st.tuples(_probs, st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=6))
 def test_born_index_batch_matches_scalar_loop(rows):
     width = max(len(p) for p, _ in rows)
-    probs = np.array([p + [0.0] * (width - len(p)) for p, _ in rows])
+    sums = np.cumsum([p + [0.0] * (width - len(p)) for p, _ in rows], axis=1)
     u = np.array([u for _, u in rows])
-    expected = [_born_loop(p, x) for p, x in zip(probs, u)]
-    np.testing.assert_array_equal(born_index(probs, u), expected)
-    assert [int(born_index(p, x)) for p, x in zip(probs, u)] == expected
+    expected = [_born_loop(s, x) for s, x in zip(sums, u)]
+    np.testing.assert_array_equal(born_index(sums, u), expected)
+    assert [int(born_index(s, x)) for s, x in zip(sums, u)] == expected

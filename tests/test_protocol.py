@@ -411,6 +411,31 @@ def test_trial_rng_streams_are_stable():
     np.testing.assert_array_equal(protocol._Draws(9, 0, 7).upto(6)[4, :6], seq)
 
 
+@pytest.mark.parametrize("seed, trial, error, message", [
+    (0, 1.5, TypeError, "^trial must be an integer, not float$"),
+    (0, True, TypeError, "^trial must be an integer, not bool$"),
+    (2.0, 0, TypeError, "^seed must be an integer, not float$"),
+    (0, -1, ValueError, "^trial must be >= 0$"),
+    (-1, 0, ValueError, "^seed must be >= 0$"),
+    (2**64, 0, ValueError, r"^seed must be < 2\*\*64: it is one 64-bit word of the stream key$"),
+    (0, 2**64, ValueError,
+     r"^trial must be < 2\*\*64: it is one 64-bit word of the stream counter$"),
+])
+def test_trial_rng_checks_its_arguments_as_run_trials_does(seed, trial, error, message):
+    # a float or bool trial read the stream of another trial; a negative or
+    # too large word raised numpy's OverflowError
+    with pytest.raises(error, match=message):
+        trial_rng(seed, trial)
+
+
+def test_trial_rng_takes_the_largest_words_and_numpy_integers():
+    top = trial_rng(2**64 - 1, 2**64 - 1).random(3)
+    np.testing.assert_array_equal(trial_rng(np.uint64(2**64 - 1), np.uint64(2**64 - 1)).random(3),
+                                  top)
+    np.testing.assert_array_equal(trial_rng(np.int64(9), np.int8(4)).random(6),
+                                  trial_rng(9, 4).random(6))
+
+
 def test_run_trials_rejects_bad_inputs():
     with pytest.raises(ValueError):
         run_trials(SpinAmplitudes(1, 0), "electronic", 0, seed=0)
