@@ -78,7 +78,8 @@ def _measure_and_correct(setup, F, of, u, p=None):
 def electronic_batch(setup, F, of, u_branch):
     """Branch index and fidelity of each electronic trial.
 
-    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row.
+    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row,
+    or ``None`` for one row per trial.
     """
     return _measure_and_correct(setup, F, of, u_branch)
 
