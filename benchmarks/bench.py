@@ -17,10 +17,15 @@ Layers:
 - ``warm_up/<variant>``: the first ``warm_up`` of a fresh process, which
   builds that variant's kernel setup;
 - ``run_trials/<variant>/<g>/<n>``: ``run_trials`` after ``warm_up``, for a
-  fixed and a Haar-random ``g``; the mixed variant at 10^2 trials;
+  fixed and a Haar-random ``g``; the mixed variant, Haar-random only, at
+  10^2 and 10^4 trials, on the a-b singlet (``mixed``) and on the resource
+  ``diag(1/4, 1/4, 1/2)`` over (a doublon, b doublon, singlet)
+  (``mixed-diag``), half of whose trials restart;
 - ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
   writing its report to a temporary file;
-- ``numerical_spectrum/<sites>``: the chain eigensolve.
+- ``numerical_spectrum/<sites>``: the chain eigensolve;
+- ``spectrum_csv/<sites>``: the ``spectrum`` command's CSV text, the
+  eigensolve included.
 
 Each layer records the median and quartiles of its call times in seconds,
 the sample count, the minor page faults per timed call (``ru_minflt``) and
@@ -52,7 +57,7 @@ ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 #: Problem sizes per layer family: the full run, and the driver check.
 SIZES = {
-    False: {"trials": (10**2, 10**4, 10**6), "mixed": (10**2,), "cli": (10**4,),
+    False: {"trials": (10**2, 10**4, 10**6), "mixed": (10**2, 10**4), "cli": (10**4,),
             "sites": (59, 1001, 2001, 4001)},
     True: {"trials": (10**2,), "mixed": (2,), "cli": (10,), "sites": (59,)},
 }
@@ -64,18 +69,24 @@ MAX_CALLS = 2000
 
 def _runtime_layers(sizes: dict, out_path: str) -> dict:
     """Name -> zero-argument call, for every layer timed after ``warm_up``."""
-    from edgeteleport import cli, protocol, ssh_lattice
+    import numpy as np
+    from edgeteleport import cli, fock, protocol, ssh_lattice
 
     fixed = protocol.SpinAmplitudes(0.6, 0.8j)
+    span = protocol.neutral_spin_zero_basis(fock.AB_MODES)
+    resources = {"mixed": None, "mixed-diag": fock.DensityMatrix(
+        fock.AB_MODES, span @ np.diag([0.25, 0.25, 0.5]) @ span.conj().T)}
     layers = {}
     for variant in ("electronic", "coldatom"):
         for name, g in (("fixed", fixed), ("haar", None)):
             for n in sizes["trials"]:
                 layers[f"run_trials/{variant}/{name}/{n}"] = (
                     lambda g=g, variant=variant, n=n: protocol.run_trials(g, variant, n, seed=1))
-    for n in sizes["mixed"]:
-        layers[f"run_trials/mixed/haar/{n}"] = (
-            lambda n=n: protocol.run_trials(None, "mixed", n, seed=1))
+    for label, resource in resources.items():
+        for n in sizes["mixed"]:
+            layers[f"run_trials/{label}/haar/{n}"] = (
+                lambda n=n, resource=resource: protocol.run_trials(None, "mixed", n, seed=1,
+                                                                   resource=resource))
     for variant in ("electronic", "coldatom"):
         for n in sizes["cli"]:
             argv = ["teleport", "--variant", variant, "--g1", "0.6,0", "--g2", "0,0.8",
@@ -85,6 +96,7 @@ def _runtime_layers(sizes: dict, out_path: str) -> dict:
         params = ssh_lattice.WireParams(sites)
         layers[f"numerical_spectrum/{sites}"] = (
             lambda params=params: ssh_lattice.numerical_spectrum(params))
+        layers[f"spectrum_csv/{sites}"] = lambda params=params: ssh_lattice.spectrum_csv(params)
     return layers
 
 

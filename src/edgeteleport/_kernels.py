@@ -1,11 +1,11 @@
-"""Vectorised trial engine for the electronic and cold-atom variants.
+"""Vectorised trial engine for the electronic, cold-atom and mixed variants.
 
 One call runs a batch of trials; the protocol steps are those of
-:func:`edgeteleport.protocol.run_teleport_once`, the reference the tests
-compare against.  The arithmetic runs on distinct input rows: a fixed input
-gives one row for the whole batch, and each trial carries ``of``, the index
-of its row; Haar-random inputs give one row per trial, in trial order, and
-pass ``of=None``.
+``protocol.run_teleport_once`` and ``run_teleport_mixed``, the references
+the tests compare against.  The arithmetic runs on distinct input rows: a
+fixed input gives one row for the whole batch, and each trial carries
+``of``, the index of its row; Haar-random inputs give one row per trial, in
+trial order, and pass ``of=None``.
 
 Every quantity a trial reads depends on its input ``g`` only through the
 density matrix ``q = g g^dag``, four real numbers
@@ -27,6 +27,7 @@ A cold-atom miss relaxes the a-b wires back to the initial state, which the
 setup certifies once for every input, so each restart round measures the
 state of round 1: a trial's round count follows from its draws and its row's
 class probability ``p = F @ class_form`` alone, and no state is relaxed here.
+A mixed trial is one class draw, then an electronic or a cold-atom trial.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure import born_index
+from .measure import PROB_FLOOR, born_index
 
 #: The smallest positive double: ``max(tr, _TINY)`` is ``tr`` for every ``tr > 0``.
 _TINY = np.finfo(np.float64).smallest_subnormal
@@ -123,4 +124,31 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
             raise RuntimeError(f"upto({stop}) returned {u.shape[1]} draws per trial")
     u = upto(first + longest + 1)
     branch, fid = _measure_and_correct(setup, F, of, u[np.arange(len(u)), first + rounds], p)
+    return branch, rounds, fid
+
+
+def mixed_batch(setup, cold_setup, class_forms, F, of, upto, first, max_rounds):
+    """Branch index, rounds and fidelity of each trial on a mixed resource.
+
+    ``F @ class_forms`` gives a row's round-1 weights of the resource's
+    singlet part (integer-class) and doublon part (half-odd).  As in
+    ``measure_spin_class``, a trial misses if its draw in column ``first`` is
+    at or above the first and the second is at least ``PROB_FLOOR``.  Hits
+    are in ``setup``'s electronic state, with branch draw ``first + 1``;
+    misses run :func:`coldatom_batch` on ``cold_setup`` with their round-1
+    class draw set to 1.0, a miss at every class probability.
+    """
+    weights = F @ class_forms if of is None else (F @ class_forms)[of]
+    u = upto(first + 2)
+    miss = (u[:, first] >= weights[:, 0]) & (weights[:, 1] >= PROB_FLOOR)
+    branch, fid = _measure_and_correct(setup, F, of, u[:, first + 1])
+    rounds = np.ones(len(u), dtype=np.int64)
+    if miss.any():
+        def upto_missed(stop):
+            missed = upto(stop)[miss]
+            missed[:, first] = 1.0
+            return missed
+        F_miss, of_miss = (F[miss], None) if of is None else (F, of[miss])
+        branch[miss], rounds[miss], fid[miss] = coldatom_batch(
+            cold_setup, F_miss, of_miss, upto_missed, first, max_rounds)
     return branch, rounds, fid

@@ -32,12 +32,12 @@ def _write_text(parser, path: str, text: str) -> None:
     makes the filesystem free the file's blocks and allocate them again."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode())
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a pipe or a tty
+                fh.truncate()
     except OSError as exc:
         parser.error(f"cannot write --out {path}: {exc.strerror}")
-    with open(fd, "wb") as fh:
-        fh.write(text.encode())
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a pipe or a tty
-            fh.truncate()
 
 
 def _cmd_chain(parser, args) -> int:

@@ -20,9 +20,8 @@ coldatom
 
 mixed
     The resource is any density matrix on the charge-neutral, spin-zero span
-    of the a-b space with nonzero singlet weight.  The cold-atom steps run on
-    a density matrix, through the same functions, and complete with
-    fidelity 1.
+    of the a-b space with nonzero singlet weight.  Round 1 hits with the singlet
+    weight, in the electronic state; a miss relaxes to the cold-atom state.
 
 Fidelity compares Bob's reduced one-electron spin state against (g1, g2) and
 ignores global phase, since two of the correction sequences introduce an
@@ -371,6 +370,20 @@ def neutral_spin_zero_basis(modes=AB_MODES) -> np.ndarray:
     return np.column_stack([da, db, s])
 
 
+def _span_coordinates(resource: DensityMatrix) -> np.ndarray:
+    """The resource's 3x3 matrix on :func:`neutral_spin_zero_basis`, checked."""
+    if resource.modes != AB_MODES:
+        raise ValueError("resource must be given on the a-b mode set")
+    resource.validate(tol=1e-10)
+    span = neutral_spin_zero_basis(AB_MODES)
+    r3 = span.conj().T @ resource.mat @ span
+    if np.abs(span @ r3 @ span.conj().T - resource.mat).max() > 1e-10:
+        raise ValueError("resource has support outside the neutral spin-zero span")
+    if r3[2, 2].real <= 1e-12:
+        raise ValueError("resource has zero singlet weight and cannot teleport")
+    return r3
+
+
 def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
                        rng: np.random.Generator,
                        max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportResult:
@@ -380,18 +393,7 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
     The resource must live on the charge-neutral spin-zero span of the a-b
     space and carry nonzero singlet weight.
     """
-    if resource.modes != AB_MODES:
-        raise ValueError("resource must be given on the a-b mode set")
-    resource.validate(tol=1e-10)
-    span = neutral_spin_zero_basis(AB_MODES)
-    r3 = span.conj().T @ resource.mat @ span
-    if np.abs(span @ r3 @ span.conj().T - resource.mat).max() > 1e-10:
-        raise ValueError("resource has support outside the neutral spin-zero span")
-    singlet = span[:, 2]
-    p_singlet = float(np.vdot(singlet, resource.mat @ singlet).real)
-    if p_singlet <= 1e-12:
-        raise ValueError("resource has zero singlet weight and cannot teleport")
-
+    _span_coordinates(resource)
     chi = np.zeros(4, dtype=np.complex128)
     chi[1] = g.g1  # c_up occupied
     chi[2] = g.g2  # c_dn occupied
@@ -625,46 +627,63 @@ def _folded(rows) -> dict:
     }
 
 
-def _certify_relaxation(h, inputs, integer_part):
-    """Raise unless relaxing a cold-atom miss by ``h`` restores its input.
+def _certify_relaxation(h, inputs, misses):
+    """Raise unless relaxing a round-1 miss by ``h`` restores its input.
 
-    A trial with input ``g`` misses with the state ``g @ y``, where
-    ``y = inputs - integer_part`` is the miss span.  ``relax_to_ground``
-    rescales each a-b sector's ground component by ``w / wy``; if, in every
-    sector the span reaches, the ground-weight form of ``y`` is a constant
-    ``kappa`` times its sector-weight form, then ``w / wy = kappa**-0.5`` for
-    every ``g`` and the relaxation is linear on the span, ``g @ y -> g @ r``.
-    If also ``r = c * inputs``, every miss relaxes, after normalisation, to
-    its initial state up to the global phase of ``c``, so each restart round
-    measures the state of round 1.  Both checks hold to a relative residual
-    of 1e-12, for every input at once; the bounds on ``kappa`` and ``c`` are
-    ``relax_to_ground``'s orthogonality and zero-vector checks.
+    An input ``g`` misses with the mixture of the states ``g @ y`` over the
+    ``(K, 2, 64)`` stack ``misses`` of folds ``y`` (a cold-atom miss is the
+    one fold ``inputs - integer_part``).  ``relax_to_ground`` rescales each
+    a-b sector's ground component by ``w / wy``; if, in every sector the folds
+    reach, their summed ground-weight form is a constant ``kappa`` times
+    their summed sector-weight form, ``w / wy`` is the same for every ``g``
+    and the relaxation is linear, ``g @ y -> g @ r``.  If also every
+    ``r = c * inputs``, every miss relaxes, normalised, to its initial state,
+    which lies in one sector, so each restart round measures round 1's state.
+    Both checks hold to a relative residual of 1e-12, for every input at
+    once; the bounds on ``kappa`` and ``c`` are ``relax_to_ground``'s
+    orthogonality and zero-vector checks.
     """
-    y = inputs - integer_part
-    total = np.vdot(y, y).real
-    r = np.zeros_like(y)
+    total = np.vdot(misses, misses).real
+    r = np.zeros_like(misses)
     for basis, ground in sector_ground_spaces(h):
-        a, b = y @ basis.conj(), y @ ground.conj()  # sector and ground coordinates
-        w, wy = a @ a.conj().T, b @ b.conj().T
+        a, b = misses @ basis.conj(), misses @ ground.conj()  # sector and ground coordinates
+        w, wy = (a @ a.conj().transpose(0, 2, 1)).sum(0), (b @ b.conj().transpose(0, 2, 1)).sum(0)
         if np.trace(w).real <= _WEIGHT_FLOOR**2 * total:
             continue  # below relax_to_ground's weight floor for every input
         kappa = np.trace(wy).real / np.trace(w).real
         residual = np.abs(wy - kappa * w).max() / np.trace(w).real
         if residual > 1e-12 or kappa <= _ORTHO_TOL**2:
+            why = ("; the span is orthogonal to its sector ground space"
+                   if kappa <= _ORTHO_TOL**2 else "")
             raise RuntimeError(
-                "relaxation of the cold-atom miss span is not certified: the "
-                "ground-weight form is not a positive multiple of the sector-weight "
-                f"form (relative residual {residual:.3g}, kappa {kappa:.3g})"
+                "relaxation of the miss span is not certified: the ground-weight form is "
+                "not a positive multiple of the sector-weight form (relative residual "
+                f"{residual:.3g}, kappa {kappa:.3g}{why})"
             )
         r += b @ ground.T / np.sqrt(kappa)
-    c = np.vdot(inputs, r) / len(inputs)  # the inputs are orthonormal rows
-    residual = np.abs(r - c * inputs).max() / max(np.abs(r).max(), _WEIGHT_FLOOR)
-    if residual > 1e-12 or abs(c) <= _WEIGHT_FLOOR:
+    c = np.einsum("ij,kij->k", inputs.conj(), r) / len(inputs)  # orthonormal input rows
+    residual = np.abs(r - c[:, None, None] * inputs).max() / max(np.abs(r).max(), _WEIGHT_FLOOR)
+    if residual > 1e-12 or np.linalg.norm(c) <= _WEIGHT_FLOOR:
         raise RuntimeError(
-            "relaxation of the cold-atom miss span is not certified: the relaxed "
-            f"span is not a multiple of the inputs (relative residual {residual:.3g}, "
-            f"|c| {abs(c):.3g})"
+            "relaxation of the miss span is not certified: the relaxed span is not "
+            f"a multiple of the inputs (relative residual {residual:.3g}, "
+            f"|c| {np.linalg.norm(c):.3g})"
         )
+
+
+def _certify_resource_relaxation(r3):
+    """:func:`_certify_relaxation` for a mixed resource's round-1 misses: its doublon
+    block's weighted eigenvectors times c_up and c_dn, as in ``run_teleport_mixed``."""
+    mu, v = np.linalg.eigh(r3[:2, :2])
+    doublons = neutral_spin_zero_basis(AB_MODES)[:, :2] @ (v * np.sqrt(np.maximum(mu, 0.0)))
+    misses = np.stack([np.kron(d[None], np.eye(4)[1:3]) for d in doublons.T])
+    _certify_relaxation(_relax_hamiltonian(), _inputs("coldatom"), misses)
+
+
+@_built_once()
+def _inputs(variant: str) -> np.ndarray:
+    """The initial states of the inputs ``g = (1, 0)`` and ``(0, 1)``, as rows."""
+    return np.stack([prepare_initial(SpinAmplitudes(*e), variant).amps for e in np.eye(2)])
 
 
 @_built_once()
@@ -678,16 +697,15 @@ def _kernel_setup(variant: str) -> dict:
     ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``, the
     linear form ``F @ class_form``.
     """
-    inputs = np.stack([prepare_initial(SpinAmplitudes(1.0, 0.0), variant).amps,
-                       prepare_initial(SpinAmplitudes(0.0, 1.0), variant).amps])
+    inputs = _inputs(variant)
     if variant == "electronic":
         return _folded(inputs)
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-    _certify_relaxation(_relax_hamiltonian(), inputs, integer_part)
+    _certify_relaxation(_relax_hamiltonian(), inputs, (inputs - integer_part)[None])
     return {**_folded(integer_part), "class_form": _gram_form(integer_part)}
 
 
-def _run_trials_batched(g, variant, n, seed, max_rounds):
+def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
 
     The engine gets the distinct inputs of a chunk, as rows ``F`` of
@@ -695,9 +713,15 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
     trial for a fixed ``g``, one row per trial (``of=None``) for Haar-random
     inputs.  A cold-atom chunk draws up front the block rows its longest
     trial almost always needs: at class probability 1/2 the longest of
-    ``size`` trials takes about ``log2(size)`` rounds.
+    ``size`` trials takes about ``log2(size)`` rounds.  A mixed run checks
+    its resource (``None`` is the a-b singlet) and, at the first chunk with
+    a round-1 miss, certifies that such misses relax to the cold-atom state.
     """
-    setup = _kernel_setup(variant)
+    setup = _kernel_setup("electronic" if variant == "mixed" else variant)
+    if variant == "mixed":
+        r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
+        class_forms = np.outer([1.0, 1.0, 0.0, 0.0], [r3[2, 2].real, np.trace(r3[:2, :2]).real])
+        cold, uncertified = _kernel_setup("coldatom"), True
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
     if g is not None:
         F = np.array([_bloch(g.g1, g.g2)])
@@ -711,24 +735,15 @@ def _run_trials_batched(g, variant, n, seed, max_rounds):
         if variant == "electronic":
             branches, fids = _kernels.electronic_batch(setup, F, of, draws.u[:, first])
             yield branches, np.ones(size, dtype=np.int64), fids
-            continue
-        draws.upto(first + size.bit_length() + 3)
-        yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
-
-
-def _run_trials_mixed(g, resource, n, seed, max_rounds):
-    """Yield ``(branches, rounds, fidelities)`` of :func:`run_teleport_mixed`
-    runs, one chunk at a time; ``resource=None`` is the a-b singlet."""
-    if resource is None:
-        resource = DensityMatrix.from_state(singlet_state(AB_MODES))
-    for start in range(0, n, _CHUNK):
-        results = []
-        for i in range(start, min(start + _CHUNK, n)):
-            rng = trial_rng(seed, i)
-            res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng),
-                                     resource, rng, max_rounds)
-            results.append((BRANCHES.index(res.branch), res.rounds, res.fidelity))
-        yield tuple(map(np.array, zip(*results)))
+        elif variant == "coldatom":
+            draws.upto(first + size.bit_length() + 3)
+            yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
+        else:
+            chunk = _kernels.mixed_batch(setup, cold, class_forms, F, of, draws.upto, first, max_rounds)
+            if uncertified and chunk[1].max() > 1:
+                _certify_resource_relaxation(r3)
+                uncertified = False
+            yield chunk
 
 
 def _integer(value, name: str) -> int:
@@ -761,10 +776,10 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
     """Aggregate ``n`` independent seeded runs into a report.
 
     ``g=None`` draws fresh haar-random spin amplitudes per trial.  Reports are
-    bitwise reproducible for a fixed seed.  The electronic and cold-atom
-    variants run on the vectorised engine, which makes the same branch and
-    round decisions as :func:`run_teleport_once` trial for trial; the mixed
-    variant runs :func:`run_teleport_mixed` once per trial.
+    bitwise reproducible for a fixed seed.  Every variant runs on the
+    vectorised engine, which makes the same branch and round decisions as
+    :func:`run_teleport_once`, or :func:`run_teleport_mixed` on ``resource``
+    (default: the a-b singlet), trial for trial.
     """
     n, seed = _integer(n, "n"), _integer(seed, "seed")
     max_rounds = _integer(max_rounds, "max_rounds")
@@ -781,8 +796,5 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError("max_rounds must be >= 1")
     _require_word(seed, "seed", "key")
 
-    if variant == "mixed":  # density matrices, one trial at a time (cold spot, runs are few)
-        chunks = _run_trials_mixed(g, resource, n, seed, max_rounds)
-    else:
-        chunks = _run_trials_batched(g, variant, n, seed, max_rounds)
+    chunks = _run_trials_batched(g, variant, n, seed, max_rounds, resource)
     return _assemble_report(variant, seed, g, chunks)

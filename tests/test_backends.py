@@ -1,8 +1,9 @@
 """The vectorised batch engine must reproduce the step-by-step path trial by trial.
 
-``run_teleport_once`` on the stream ``trial_rng(seed, i)`` is the reference:
-the engine reads the same uniforms from the vectorised stream, so branch and
-round decisions agree exactly and fidelities agree to rounding.
+``run_teleport_once`` on the stream ``trial_rng(seed, i)`` is the reference,
+and ``run_teleport_mixed`` for mixed resources: the engine reads the same
+uniforms from the vectorised stream, so branch and round decisions agree
+exactly and fidelities agree to rounding.
 """
 
 import hashlib
@@ -19,7 +20,9 @@ import edgeteleport
 import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import (
+    AB_MODES,
     TELEPORT_MODES,
+    DensityMatrix,
     HermitianOperator,
     StateVector,
     annihilation_matrix,
@@ -40,6 +43,7 @@ from edgeteleport.protocol import (
     bob_fidelity,
     default_backend,
     prepare_initial,
+    run_teleport_mixed,
     run_teleport_once,
     run_trials,
     trial_rng,
@@ -692,3 +696,136 @@ print(json.dumps(digests))
                          env=env, cwd=tmp_path, timeout=300)
     assert run.returncode == 0, run.stderr
     assert dict(zip(_DIGESTS, json.loads(run.stdout))) == _DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# mixed resources: round 1 on the resource, then the electronic or the
+# cold-atom engine
+# ---------------------------------------------------------------------------
+
+def _span_resource(r3):
+    """The a-b density matrix with the 3x3 matrix ``r3`` on (a doublon, b doublon, singlet)."""
+    span = protocol.neutral_spin_zero_basis()
+    return DensityMatrix(AB_MODES, span @ np.asarray(r3) @ span.conj().T)
+
+
+def _random_span_matrix(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    r = z @ z.conj().T
+    return r / np.trace(r).real
+
+
+_RNG = np.random.default_rng(2024)
+_NO_A = np.zeros((3, 3), dtype=complex)
+_NO_A[1:, 1:] = _random_span_matrix(_RNG, 2)  # b doublon and singlet, full rank on them
+_MIXED = {
+    "singlet": None,
+    **{f"random{k}": _span_resource(_random_span_matrix(_RNG, 3)) for k in range(5)},
+    "no-a-doublon": _span_resource(_NO_A),
+    "singlet-near-floor": _span_resource(np.diag([0.5, 0.5 - 2e-12, 2e-12])),
+}
+
+#: Trials the oracle checks of a 1025-trial run: the start, and both sides
+#: of the chunk boundary.
+_MIXED_CHECKED = [*range(30), *range(protocol._CHUNK - 20, protocol._CHUNK + 1)]
+
+
+def _mixed_oracle(g, resource, seed, trials, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
+    if resource is None:
+        resource = _span_resource(np.diag([0.0, 0.0, 1.0]))
+    results = []
+    for i in trials:
+        rng = trial_rng(seed, i)
+        res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng), resource,
+                                 rng, max_rounds)
+        results.append((protocol.BRANCHES.index(res.branch), res.rounds, res.fidelity))
+    return map(np.array, zip(*results))
+
+
+def _mixed_engine(g, resource, n, seed, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
+    chunks = protocol._run_trials_batched(g, "mixed", n, seed, max_rounds, resource)
+    return map(np.concatenate, zip(*chunks))
+
+
+@pytest.mark.parametrize("resource", list(_MIXED.values()), ids=list(_MIXED))
+@pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
+                         ids=["fixed", "haar"])
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_mixed_engine_matches_oracle(resource, g, seed):
+    branches, rounds, fids = _mixed_engine(g, resource, protocol._CHUNK + 1, seed)
+    o_branches, o_rounds, o_fids = _mixed_oracle(g, resource, seed, _MIXED_CHECKED)
+    np.testing.assert_array_equal(branches[_MIXED_CHECKED], o_branches)
+    np.testing.assert_array_equal(rounds[_MIXED_CHECKED], o_rounds)
+    assert np.abs(fids[_MIXED_CHECKED] - o_fids).max() <= 1e-15
+    # round 1 hits with the singlet weight
+    assert (rounds == 1).all() if resource is None else 1 < rounds.max() <= 64
+
+
+def _orthogonal_doublons(p_singlet):
+    """``p_singlet`` on the singlet, the rest on ``(da - db) / sqrt(2)``,
+    which is orthogonal to the hopping ground state's doublon part."""
+    d = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+    return _span_resource((1 - p_singlet) * np.outer(d, d) + np.diag([0.0, 0.0, p_singlet]))
+
+
+def test_mixed_miss_orthogonal_to_the_ground_space_raises_as_in_the_oracle():
+    resource = _orthogonal_doublons(0.5)
+    with pytest.raises(RuntimeError, match="orthogonal to its sector ground space"):
+        run_trials(None, "mixed", 20, seed=3, resource=resource)
+    # trial 0 or 1 misses round 1 in the oracle, whose relaxation then raises
+    with pytest.raises(RuntimeError, match="orthogonal to its sector ground space"):
+        list(_mixed_oracle(None, resource, 3, range(2)))
+    # with no miss there is nothing to relax: both complete
+    resource = _orthogonal_doublons(1 - 1e-13)
+    branches, rounds, fids = _mixed_engine(None, resource, protocol._CHUNK + 1, 3)
+    assert (rounds == 1).all() and fids.min() >= 1 - 1e-12
+    o_branches, o_rounds, _ = _mixed_oracle(None, resource, 3, _MIXED_CHECKED)
+    np.testing.assert_array_equal(branches[_MIXED_CHECKED], o_branches)
+    assert (o_rounds == 1).all()
+
+
+def test_mixed_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds():
+    resource = _MIXED["random0"]
+    _, o_rounds, _ = _mixed_oracle(None, resource, 4, range(60))
+    longest = int(o_rounds.max())
+    assert longest >= 2
+    rep = run_trials(None, "mixed", 60, seed=4, resource=resource, max_rounds=longest)
+    assert max(rep.rounds_histogram) == longest
+    for cap in (longest - 1, 1):
+        message = rf"^no integer-spin outcome after {cap} restarts; statistically unreachable"
+        with pytest.raises(RuntimeError, match=message):
+            run_trials(None, "mixed", 60, seed=4, resource=resource, max_rounds=cap)
+    with pytest.raises(RuntimeError, match=r"^no integer-spin outcome after 1 restarts"):
+        list(_mixed_oracle(None, resource, 4, range(60), max_rounds=1))
+
+
+def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
+    # the singlet's doublon weight is 0, below PROB_FLOOR: a class draw at or
+    # above the integer weight, here 1 - 2**-53 >= F0 + F1 = 1 - 4e-13, hits
+    g = SpinAmplitudes(np.sqrt(1 - 4e-13), 0.0)
+    calls, real = [], kernels.mixed_batch
+    monkeypatch.setattr(kernels, "mixed_batch", lambda *args: calls.append(args) or real(*args))
+    run_trials(g, "mixed", 1)
+    setup, cold_setup, class_forms = calls[0][:3]  # the singlet's, as run_trials makes them
+    branch_u = np.random.default_rng(9).random(40)
+    table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
+    branches, rounds, fids = real(setup, cold_setup, class_forms, _bloch_row(g),
+                                  np.zeros(40, dtype=np.int64), lambda stop: table, 0, 64)
+    assert (rounds == 1).all() and fids.min() >= 1 - 1e-12
+    singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
+    for i, u in enumerate(branch_u):
+        res = run_teleport_mixed(g, singlet, _Uniforms([1 - 2.0**-53, u]))
+        assert (protocol.BRANCHES.index(res.branch), res.rounds) == (branches[i], 1)
+
+
+@pytest.mark.parametrize("resource, message", [
+    (DensityMatrix.from_state(vacuum_state(AB_MODES)), "outside the neutral spin-zero span"),
+    (_span_resource(np.diag([0.5, 0.5, 0.0])), "zero singlet weight"),
+    (DensityMatrix(TELEPORT_MODES, np.eye(64) / 64), "on the a-b mode set"),
+    (_span_resource(np.diag([0.5, 0.5, 0.5])), "trace is not 1"),
+])
+def test_mixed_engine_checks_the_resource_as_the_oracle_does(resource, message):
+    with pytest.raises(ValueError, match=message):
+        run_trials(None, "mixed", 3, resource=resource)
+    with pytest.raises(ValueError, match=message):
+        run_teleport_mixed(SpinAmplitudes(1.0, 0.0), resource, trial_rng(0, 0))

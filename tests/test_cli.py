@@ -301,6 +301,17 @@ def test_out_that_cannot_be_opened_exits_2_naming_the_path(tmp_path, capsys, mon
         assert out.read_text() == "kept"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", sorted(_OUT_ARGV))
+def test_out_on_a_full_device_exits_2_naming_the_path(capsys, command):
+    # opening /dev/full succeeds; the bytes fail at the flush on close
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*_OUT_ARGV[command], "--out", "/dev/full"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write --out /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+
 _USAGE = "usage: edgeteleport [-h] {spectrum,zeromode,hubbard,teleport} ...\n"
 _TELEPORT_USAGE = """\
 usage: edgeteleport teleport [-h] [--variant {electronic,coldatom,mixed}]

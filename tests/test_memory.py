@@ -1,6 +1,6 @@
 """Memory stays bounded: one engine chunk has a small peak, and a run's peak
-does not grow with its trial count, because every variant folds its trials
-into the report one chunk at a time.
+does not grow with its trial count, because every variant runs on the
+engine and folds its trials into the report one chunk at a time.
 
 Peaks are ``tracemalloc``'s, which counts numpy's array buffers too.
 """
@@ -12,6 +12,7 @@ import pytest
 
 import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
+from edgeteleport.fock import AB_MODES, DensityMatrix
 from edgeteleport.protocol import run_trials
 
 
@@ -35,41 +36,53 @@ def test_one_haar_chunk_peaks_under_half_a_mebibyte():
     assert _peak(lambda: kernels.electronic_batch(setup, F, of, u)) <= 512 * 1024
 
 
-@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
-def test_run_peak_does_not_grow_with_the_trial_count(variant):
+def _span_resource(weights):
+    """The mixed resource diagonal on (a doublon, b doublon, singlet) with ``weights``."""
+    span = protocol.neutral_spin_zero_basis()
+    return DensityMatrix(AB_MODES, span @ np.diag(weights) @ span.conj().T)
+
+
+@pytest.mark.parametrize("variant, resource", [
+    ("electronic", None), ("coldatom", None), ("mixed", _span_resource([0.25, 0.25, 0.5])),
+], ids=["electronic", "coldatom", "mixed"])
+def test_run_peak_does_not_grow_with_the_trial_count(variant, resource):
     # 10 and 100 chunks of Haar trials; keeping each trial's results would
     # add 24 bytes a trial, over 2 MiB at the larger count.  The cold-atom
     # peak follows the longest restart run of a chunk, which grows slowly
-    # with the chunk count
-    small, large = (_peak(lambda: run_trials(None, variant, k * protocol._CHUNK, seed=3))
+    # with the chunk count; so does the peak of a mixed run's misses
+    small, large = (_peak(lambda: run_trials(None, variant, k * protocol._CHUNK, seed=3,
+                                             resource=resource))
                     for k in (10, 100))
     assert large <= 1.25 * small, (small, large)
 
 
 def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
-    whole = run_trials(None, "mixed", 10, seed=4)
-    runs, seen = [], []
-    real_run, real_assemble = protocol.run_teleport_mixed, protocol._assemble_report
+    resource = _span_resource([0.25, 0.25, 0.5])
+    whole = run_trials(None, "mixed", 10, seed=4, resource=resource)
+    calls, seen = [], []
+    real_batch, real_assemble = kernels.mixed_batch, protocol._assemble_report
 
-    def counted_run(*args):
-        runs.append(args)
-        return real_run(*args)
+    def counted_batch(*args):
+        calls.append(len(args[3]))  # the chunk's Haar rows, one per trial
+        return real_batch(*args)
 
     def watched_assemble(variant, seed, g, chunks):
         def watched():
             for chunk in chunks:
-                seen.append((len(chunk[0]), len(runs)))
+                seen.append((len(chunk[0]), len(calls)))
                 yield chunk
         return real_assemble(variant, seed, g, watched())
 
     monkeypatch.setattr(protocol, "_CHUNK", 4)
-    monkeypatch.setattr(protocol, "run_teleport_mixed", counted_run)
+    monkeypatch.setattr(kernels, "mixed_batch", counted_batch)
     monkeypatch.setattr(protocol, "_assemble_report", watched_assemble)
-    chunked = run_trials(None, "mixed", 10, seed=4)
-    # each chunk reaches the report before the next chunk's trials run
-    assert seen == [(4, 4), (4, 8), (2, 10)]
-    # the same trials: only the fidelity sum's order differs
+    chunked = run_trials(None, "mixed", 10, seed=4, resource=resource)
+    # one engine call per chunk, and each chunk reaches the report before
+    # the next chunk's engine call
+    assert calls == [4, 4, 2]
+    assert seen == [(4, 1), (4, 2), (2, 3)]
+    # the same trials, some of them restarted: only the fidelity sum's order differs
     a, b = whole.to_dict(), chunked.to_dict()
+    assert max(whole.rounds_histogram) > 1
     assert abs(a.pop("mean_fidelity") - b.pop("mean_fidelity")) <= 1e-15
     assert a == b
-
