@@ -17,12 +17,14 @@ Layers:
 - ``warm_up/<variant>``: the first ``warm_up`` of a fresh process, which
   builds that variant's kernel setup;
 - ``run_trials/<variant>/<g>/<n>``: ``run_trials`` after ``warm_up``, for a
-  fixed and a Haar-random ``g``; the mixed variant, Haar-random only, at
+  fixed and a Haar-random ``g``; one trial times the fixed cost of a call
+  alone; the mixed variant, Haar-random only, at
   10^2 and 10^4 trials, on the a-b singlet (``mixed``) and on the resource
   ``diag(1/4, 1/4, 1/2)`` over (a doublon, b doublon, singlet)
   (``mixed-diag``), half of whose trials restart;
 - ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
-  writing its report to a temporary file;
+  writing its report to a temporary file; 50 trials of a fixed ``g`` is the
+  call perfbench's coldatom-scan makes;
 - ``numerical_spectrum/<sites>``: the chain eigensolve;
 - ``spectrum_csv/<sites>``: the ``spectrum`` command's CSV text, the
   eigensolve included.
@@ -31,8 +33,9 @@ Each layer records the median and quartiles of its call times in seconds,
 the sample count, the minor page faults per timed call (``ru_minflt``) and
 the ``tracemalloc`` peak of one call.  Peaks come from a separate pass, so no
 timing runs under ``tracemalloc``.  A layer missing from one tree's results
-is recorded as ``null`` for that tree.  ``--smallest`` runs every layer at its smallest size, once, for a
-quick check of the driver itself.
+is recorded as ``null`` for that tree.  ``--smallest`` runs every layer
+family at small sizes (one and 100 trials for ``run_trials``), once each,
+for a quick check of the driver itself.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 #: Problem sizes per layer family: the full run, and the driver check.
 SIZES = {
-    False: {"trials": (10**2, 10**4, 10**6), "mixed": (10**2, 10**4), "cli": (10**4,),
+    False: {"trials": (1, 10**2, 10**4, 10**6), "mixed": (10**2, 10**4), "cli": (50, 10**4),
             "sites": (59, 1001, 2001, 4001)},
-    True: {"trials": (10**2,), "mixed": (2,), "cli": (10,), "sites": (59,)},
+    True: {"trials": (1, 10**2), "mixed": (2,), "cli": (50,), "sites": (59,)},
 }
 
 #: Seconds of timed calls per layer and round, after one untimed call.

@@ -1,11 +1,10 @@
 """Vectorised trial engine for the electronic, cold-atom and mixed variants.
 
-One call runs a batch of trials; the protocol steps are those of
-``protocol.run_teleport_once`` and ``run_teleport_mixed``, the references
-the tests compare against.  The arithmetic runs on distinct input rows: a
-fixed input gives one row for the whole batch, and each trial carries
-``of``, the index of its row; Haar-random inputs give one row per trial, in
-trial order, and pass ``of=None``.
+One call runs a batch of at most ``_CHUNK`` trials; the protocol steps are
+those of ``protocol.run_teleport_once`` and ``run_teleport_mixed``, the
+references the tests compare against.  A batch's inputs are real rows ``F``:
+a fixed input is one row, which numpy broadcasts over every trial, and
+Haar-random inputs are one row per trial, in trial order.
 
 Every quantity a trial reads depends on its input ``g`` only through the
 density matrix ``q = g g^dag``, four real numbers
@@ -41,22 +40,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fock import _read_only
 from .measure import PROB_FLOOR, born_index
+
+#: Trials per call at most; a call slices its row indices and electronic rounds from these.
+_CHUNK = 1024
+_ROWS, _ONE_ROUND = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64)))
 
 #: The smallest positive double: ``max(tr, _TINY)`` is ``tr`` for every ``tr > 0``.
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _measure_and_correct(setup, F, of, u, p=None):
+def _measure_and_correct(setup, F, u, p=None):
     """Alice's gates and (J, Jz) measurement, Bob's correction and fidelity.
 
-    ``F`` holds the distinct inputs as ``(m, 4)`` real rows (see the module
-    docstring); trial ``i`` is in row ``of[i]``, or in row ``i`` when ``of``
-    is ``None``, and draws its branch with ``u[i]``.  A state folded with
-    norm ``sqrt(p)`` passes its rows' ``p``: the branch probabilities' running
-    sums are divided by it, while Bob's ``val / tr`` does not depend on the
-    scale.  Returns each trial's index into ``protocol.BRANCHES`` and Bob's
-    fidelity in that branch.
+    ``F`` holds one ``(1, 4)`` row shared by every trial, or row ``i`` for
+    trial ``i`` (see the module docstring); trial ``i`` draws its branch with
+    ``u[i]``.  A state folded with norm ``sqrt(p)`` passes its rows' ``p``:
+    the branch probabilities' running sums are divided by it, while Bob's
+    ``val / tr`` does not depend on the scale.  Returns each trial's index
+    into ``protocol.BRANCHES`` and Bob's fidelity in that branch.
     """
     lin = F @ setup["forms"]
     k = len(setup["sums"])  # Bob's overlap coordinates, then the linear forms
@@ -65,36 +68,30 @@ def _measure_and_correct(setup, F, of, u, p=None):
     sums, tr = lin[:, k:-4], lin[:, -4:]
     if p is not None:
         sums = sums / p[:, None]
-    if of is None:
-        of = np.arange(len(F))
-    else:
-        sums = sums.take(of, axis=0)
     branch = born_index(sums, u)
-    val, tr = val[of, branch], tr[of, branch]
+    rows = _ROWS[:len(F)]
+    val, tr = val[rows, branch], tr[rows, branch]
     # val <= tr up to rounding: capped, val / tr and its root stay <= 1; a
     # zero trace caps val at 0 too, and the divisor _TINY then gives 0
     return branch, np.sqrt(np.minimum(val, tr) / np.maximum(tr, _TINY))
 
 
-def electronic_batch(setup, F, of, u_branch):
-    """Branch index and fidelity of each electronic trial.
-
-    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row,
-    or ``None`` for one row per trial.
-    """
-    return _measure_and_correct(setup, F, of, u_branch)
+def electronic_batch(setup, F, u_branch):
+    """Branch index, rounds (all 1) and fidelity of each electronic trial, with
+    ``F`` and the branch draws ``u_branch`` as in :func:`_measure_and_correct`."""
+    branch, fid = _measure_and_correct(setup, F, u_branch)
+    return branch, _ONE_ROUND[:len(branch)], fid
 
 
-def coldatom_batch(setup, F, of, upto, first, max_rounds):
+def coldatom_batch(setup, F, upto, first, max_rounds):
     """Branch index, rounds and fidelity of each cold-atom trial.
 
-    ``F`` holds the ``(m, 4)`` distinct inputs and ``of`` each trial's row,
-    or ``None`` for one row per trial.  ``upto(stop)`` returns the chunk's
-    draw table, a row per trial, grown by whole Philox block rows to at least
-    ``stop`` columns: column ``first + r - 1`` decides class measurement
-    ``r`` and ``first + rounds`` the branch.  Every round measures the state
-    of round 1, so a trial stops in the first round ``r`` whose draw falls
-    below its row's class probability ``p = F @ class_form``, in the
+    ``F`` is as in :func:`_measure_and_correct`.  ``upto(stop)`` returns the
+    chunk's draw table, a row per trial, grown by whole Philox block rows to
+    at least ``stop`` columns: column ``first + r - 1`` decides class
+    measurement ``r`` and ``first + rounds`` the branch.  Every round measures
+    the state of round 1, so a trial stops in the first round ``r`` whose draw
+    falls below its row's class probability ``p = F @ class_form``, in the
     integer-class part of its input scaled by ``1 / sqrt(p)``.  Rounds are
     counted over the block rows drawn so far (the caller may draw several up
     front); one more is drawn only while some trial has no hit and fewer than
@@ -102,13 +99,12 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
     the step-by-step path; so does an ``upto`` that stops growing.
     """
     p = F @ setup["class_form"]
-    p_of = (p if of is None else p[of])[:, None]
     u = upto(first + 1)
     while True:
         c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
         # a True column after them: a trial with no hit gets c + 1 rounds
         hit = np.ones((len(u), c + 1), dtype=bool)
-        np.less(u[:, first:first + c], p_of, out=hit[:, :c])
+        np.less(u[:, first:first + c], p[:, None], out=hit[:, :c])
         rounds = hit.argmax(axis=1) + 1
         longest = int(rounds.max())
         if longest <= c:
@@ -123,32 +119,31 @@ def coldatom_batch(setup, F, of, upto, first, max_rounds):
         if u.shape[1] < stop:
             raise RuntimeError(f"upto({stop}) returned {u.shape[1]} draws per trial")
     u = upto(first + longest + 1)
-    branch, fid = _measure_and_correct(setup, F, of, u[np.arange(len(u)), first + rounds], p)
+    branch, fid = _measure_and_correct(setup, F, u[_ROWS[:len(u)], first + rounds], p)
     return branch, rounds, fid
 
 
-def mixed_batch(setup, cold_setup, class_forms, F, of, upto, first, max_rounds):
+def mixed_batch(setup, cold_setup, class_forms, F, upto, first, max_rounds):
     """Branch index, rounds and fidelity of each trial on a mixed resource.
 
-    ``F @ class_forms`` gives a row's round-1 weights of the resource's
-    singlet part (integer-class) and doublon part (half-odd).  As in
-    ``measure_spin_class``, a trial misses if its draw in column ``first`` is
-    at or above the first and the second is at least ``PROB_FLOOR``.  Hits
-    are in ``setup``'s electronic state, with branch draw ``first + 1``;
-    misses run :func:`coldatom_batch` on ``cold_setup`` with their round-1
-    class draw set to 1.0, a miss at every class probability.
+    ``F`` is as in :func:`_measure_and_correct`; ``F @ class_forms`` gives a row's
+    round-1 weights of the resource's singlet part (integer-class) and
+    doublon part (half-odd).  As in ``measure_spin_class``, a trial misses if
+    its draw in column ``first`` is at or above the first and the second is
+    at least ``PROB_FLOOR``.  Hits are in ``setup``'s electronic state, with
+    branch draw ``first + 1``; misses run :func:`coldatom_batch` on
+    ``cold_setup``, their round-1 class draw set to 1.0 (a certain miss).
     """
-    weights = F @ class_forms if of is None else (F @ class_forms)[of]
+    weights = F @ class_forms
     u = upto(first + 2)
     miss = (u[:, first] >= weights[:, 0]) & (weights[:, 1] >= PROB_FLOOR)
-    branch, fid = _measure_and_correct(setup, F, of, u[:, first + 1])
+    branch, fid = _measure_and_correct(setup, F, u[:, first + 1])
     rounds = np.ones(len(u), dtype=np.int64)
     if miss.any():
         def upto_missed(stop):
             missed = upto(stop)[miss]
             missed[:, first] = 1.0
             return missed
-        F_miss, of_miss = (F[miss], None) if of is None else (F, of[miss])
         branch[miss], rounds[miss], fid[miss] = coldatom_batch(
-            cold_setup, F_miss, of_miss, upto_missed, first, max_rounds)
+            cold_setup, F if len(F) == 1 else F[miss], upto_missed, first, max_rounds)
     return branch, rounds, fid

@@ -162,23 +162,23 @@ def born_index(sums, u):
     """Born-rule outcome index for the uniform draw ``u``.
 
     Outcomes lie on the last axis of ``sums``, which holds the running sums
-    ``p_0 + ... + p_k`` of nonnegative weights; any leading batch axes are
-    shared with ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
+    ``p_0 + ... + p_k`` of nonnegative weights; leading batch axes broadcast
+    against ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
     ``sums[k]``: one comparison and the index of its first hit.  When
     rounding leaves ``u`` at or above the total, the last running sum, no sum
     is hit and the last outcome whose running sum rises above the one before
     it is chosen, so an outcome that adds nothing to the total (probability
     zero, or below an ulp of the sum) is never returned unless all are zero;
-    only such rows compute it.
+    only such draws compute it.
     """
     sums = np.asarray(sums, dtype=np.float64)
     hit = np.asarray(u)[..., None] < sums
     chosen = hit.argmax(axis=-1)
-    if hit[..., -1].all():
+    if np.logical_and.reduce(hit[..., -1], axis=None):
         return chosen
     over = ~hit[..., -1]
     chosen = np.array(chosen)  # a 0-d array for one row: writable, unlike a scalar
-    rises = np.diff(sums[over], axis=-1, prepend=0.0) > 0.0
+    rises = np.diff(np.broadcast_to(sums, hit.shape)[over], axis=-1, prepend=0.0) > 0.0
     chosen[over] = sums.shape[-1] - 1 - np.argmax(rises[..., ::-1], axis=-1)
     return chosen
 

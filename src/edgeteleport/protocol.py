@@ -55,6 +55,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import _kernels
+from ._kernels import _CHUNK
 from .fock import (
     AB_MODES,
     TELEPORT_MODES,
@@ -93,13 +94,10 @@ DEFAULT_MAX_ROUNDS = 64
 
 VARIANTS = ("electronic", "coldatom", "mixed")
 
-#: Trials per engine call: bounds the per-call arrays whatever the total
-#: trial count.
-_CHUNK = 1024
-
 #: Name and version of the per-trial random-stream scheme, recorded in every
-#: report; any change to the draws a trial consumes needs a new version.
-_RNG_SCHEME = "philox4x64-10/v2"
+#: report (any change to the draws a trial consumes needs a new version), and
+#: the trial engine's name, every report's ``backend`` (:func:`default_backend`).
+_RNG_SCHEME, _BACKEND = "philox4x64-10/v2", "numpy"
 
 
 def _modulus(z):
@@ -437,13 +435,9 @@ class _Draws:
 
     def __init__(self, seed: int, start: int, n: int):
         # uint64 words: from a list numpy rounds words above 2**53 through float
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([start, 0, 0, 0], dtype=np.uint64),
-                      "key": np.array([seed, 0], dtype=np.uint64)},
-            "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
+        words = np.array([start, 0, 0, 0, seed, 0], dtype=np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": words[:4], "key": words[4:]},
+                       "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.u = self._block_row(n)
 
     def _block_row(self, n: int) -> np.ndarray:
@@ -522,46 +516,46 @@ _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(TeleportReport))
 
 def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
     """Fold ``(branches, rounds, fidelities)`` chunks into a report in O(chunk)
-    memory.  The fidelity sum is pairwise over chunks, from a stack of
-    ``(k, sum of 2**k chunks)``; one chunk gives exactly ``np.mean``, and
-    runs no numpy call beyond its two ``bincount``s and two reductions
+    memory.  The fidelity sum is pairwise over chunks, from a stack of sums
+    of ``2**b`` chunks each; one chunk gives exactly ``np.mean``, and runs no
+    numpy call beyond its two ``bincount``s and two reductions
     (``np.add.reduce`` is ``ndarray.sum`` without the method's dispatch)."""
     chunks = iter(chunks)
     branches, rounds, fids = next(chunks)
-    n, min_fid, fid_sums = len(branches), np.minimum.reduce(fids), [(0, np.add.reduce(fids))]
+    n, min_fid, fid_sums = len(branches), np.minimum.reduce(fids), [np.add.reduce(fids)]
     per_branch = np.bincount(branches, minlength=len(BRANCHES))
     per_round = np.bincount(rounds)
-    for branches, rounds, fids in chunks:
+    for k, (branches, rounds, fids) in enumerate(chunks, 1):  # k chunks folded so far
         n += len(branches)
         per_branch += np.bincount(branches, minlength=len(BRANCHES))
         counts = np.bincount(rounds, minlength=len(per_round))
         counts[:len(per_round)] += per_round
         per_round = counts
         min_fid = np.minimum(min_fid, np.minimum.reduce(fids))
-        level, x = 0, np.add.reduce(fids)
-        while fid_sums and fid_sums[-1][0] == level:
-            level, x = level + 1, fid_sums.pop()[1] + x
-        fid_sums.append((level, x))
-    histogram = {r: c for r, c in enumerate(per_round.tolist()) if c}
+        x = np.add.reduce(fids)
+        while k & 1:  # a partial sum of 2**b chunks per set bit b of k, the highest first
+            x, k = fid_sums.pop() + x, k >> 1
+        fid_sums.append(x)
+    counts = per_round.tolist()
     return TeleportReport(
         variant=variant,
         trials=n,
         seed=seed,
         g1=(g.g1.real, g.g1.imag) if g is not None else None,
         g2=(g.g2.real, g.g2.imag) if g is not None else None,
-        backend=default_backend(),
+        backend=_BACKEND,
         rng=_RNG_SCHEME,
         branch_counts=dict(zip(_BRANCH_KEYS, per_branch.tolist())),
-        rounds_histogram=histogram,
-        mean_rounds=sum(r * c for r, c in histogram.items()) / n,
+        rounds_histogram=dict(filter(operator.itemgetter(1), enumerate(counts))),
+        mean_rounds=sum(map(operator.mul, range(len(counts)), counts)) / n,
         min_fidelity=float(min_fid),
-        mean_fidelity=float(sum(partial for _, partial in reversed(fid_sums))) / n,
+        mean_fidelity=float(sum(reversed(fid_sums))) / n,
     )
 
 
 def default_backend() -> str:
     """Name of the trial engine, recorded in every report's ``backend`` field."""
-    return "numpy"
+    return _BACKEND
 
 
 def _bloch_forms(a) -> np.ndarray:
@@ -627,8 +621,8 @@ def _folded(rows) -> dict:
     }
 
 
-def _certify_relaxation(h, inputs, misses):
-    """Raise unless relaxing a round-1 miss by ``h`` restores its input.
+def _certify_relaxation(pairs, inputs, misses):
+    """Raise unless relaxing a round-1 miss restores its input.
 
     An input ``g`` misses with the mixture of the states ``g @ y`` over the
     ``(K, 2, 64)`` stack ``misses`` of folds ``y`` (a cold-atom miss is the
@@ -641,12 +635,14 @@ def _certify_relaxation(h, inputs, misses):
     which lies in one sector, so each restart round measures round 1's state.
     Both checks hold to a relative residual of 1e-12, for every input at
     once; the bounds on ``kappa`` and ``c`` are ``relax_to_ground``'s
-    orthogonality and zero-vector checks.
+    orthogonality and zero-vector checks.  The sectors checked are ``pairs``,
+    from ``sector_ground_spaces``; misses with weight outside them raise.
     """
     total = np.vdot(misses, misses).real
-    r = np.zeros_like(misses)
-    for basis, ground in sector_ground_spaces(h):
+    r, outside = np.zeros_like(misses), misses
+    for basis, ground in pairs:
         a, b = misses @ basis.conj(), misses @ ground.conj()  # sector and ground coordinates
+        outside = outside - a @ basis.T
         w, wy = (a @ a.conj().transpose(0, 2, 1)).sum(0), (b @ b.conj().transpose(0, 2, 1)).sum(0)
         if np.trace(w).real <= _WEIGHT_FLOOR**2 * total:
             continue  # below relax_to_ground's weight floor for every input
@@ -661,6 +657,9 @@ def _certify_relaxation(h, inputs, misses):
                 f"{residual:.3g}, kappa {kappa:.3g}{why})"
             )
         r += b @ ground.T / np.sqrt(kappa)
+    if np.vdot(outside, outside).real > _WEIGHT_FLOOR**2 * total:
+        raise RuntimeError("relaxation of the miss span is not certified: the misses reach "
+                           "a sector outside the certified ones")
     c = np.einsum("ij,kij->k", inputs.conj(), r) / len(inputs)  # orthonormal input rows
     residual = np.abs(r - c[:, None, None] * inputs).max() / max(np.abs(r).max(), _WEIGHT_FLOOR)
     if residual > 1e-12 or np.linalg.norm(c) <= _WEIGHT_FLOOR:
@@ -671,13 +670,21 @@ def _certify_relaxation(h, inputs, misses):
         )
 
 
-def _certify_resource_relaxation(r3):
-    """:func:`_certify_relaxation` for a mixed resource's round-1 misses: its doublon
-    block's weighted eigenvectors times c_up and c_dn, as in ``run_teleport_mixed``."""
-    mu, v = np.linalg.eigh(r3[:2, :2])
-    doublons = neutral_spin_zero_basis(AB_MODES)[:, :2] @ (v * np.sqrt(np.maximum(mu, 0.0)))
-    misses = np.stack([np.kron(d[None], np.eye(4)[1:3]) for d in doublons.T])
-    _certify_relaxation(_relax_hamiltonian(), _inputs("coldatom"), misses)
+def _doublon_folds(block) -> np.ndarray:
+    """A mixed resource's ``(K, 2, 64)`` round-1 misses from its 2x2 doublon ``block``:
+    the block's weighted eigenvectors times c_up and c_dn, as in ``run_teleport_mixed``."""
+    mu, v = np.linalg.eigh(block)
+    d = (neutral_spin_zero_basis(AB_MODES)[:, :2] @ (v * np.sqrt(np.maximum(mu, 0.0)))).T
+    return (d[:, None, :, None] * np.eye(4)[None, 1:3, None, :]).reshape(len(d), 2, -1)
+
+
+@_built_once()
+def _doublon_sectors() -> tuple:
+    """The ``sector_ground_spaces`` pairs that the span's doublons reach, and
+    with them every mixed resource's misses (the charge-2, J = 0 sector)."""
+    folds = _doublon_folds(np.eye(2))
+    return tuple((basis, ground) for basis, ground in sector_ground_spaces(_relax_hamiltonian())
+                 if np.abs(folds @ basis.conj()).max() > _WEIGHT_FLOOR)
 
 
 @_built_once()
@@ -701,21 +708,22 @@ def _kernel_setup(variant: str) -> dict:
     if variant == "electronic":
         return _folded(inputs)
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-    _certify_relaxation(_relax_hamiltonian(), inputs, (inputs - integer_part)[None])
+    misses = (inputs - integer_part)[None]
+    _certify_relaxation(sector_ground_spaces(_relax_hamiltonian()), inputs, misses)
     return {**_folded(integer_part), "class_form": _gram_form(integer_part)}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
 
-    The engine gets the distinct inputs of a chunk, as rows ``F`` of
-    :func:`_bloch`, and each trial's row among them: one row shared by every
-    trial for a fixed ``g``, one row per trial (``of=None``) for Haar-random
-    inputs.  A cold-atom chunk draws up front the block rows its longest
-    trial almost always needs: at class probability 1/2 the longest of
-    ``size`` trials takes about ``log2(size)`` rounds.  A mixed run checks
-    its resource (``None`` is the a-b singlet) and, at the first chunk with
-    a round-1 miss, certifies that such misses relax to the cold-atom state.
+    The engine gets a chunk's inputs as rows ``F`` of :func:`_bloch`: one
+    row for a fixed ``g``, broadcast over every trial, and one row per trial,
+    in trial order, for Haar-random inputs.  A cold-atom chunk draws up front
+    the block rows its longest trial almost always needs: at class
+    probability 1/2 the longest of ``size`` trials takes about
+    ``log2(size)`` rounds.  A mixed run checks its resource (``None`` is the
+    a-b singlet) and, at the first chunk with a round-1 miss, certifies on
+    :func:`_doublon_sectors` that such misses relax to the cold-atom state.
     """
     setup = _kernel_setup("electronic" if variant == "mixed" else variant)
     if variant == "mixed":
@@ -729,19 +737,16 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            F, of = _haar_bloch(draws.u), None
-        else:
-            of = np.zeros(size, dtype=np.int64)
+            F = _haar_bloch(draws.u)
         if variant == "electronic":
-            branches, fids = _kernels.electronic_batch(setup, F, of, draws.u[:, first])
-            yield branches, np.ones(size, dtype=np.int64), fids
+            yield _kernels.electronic_batch(setup, F, draws.u[:, first])
         elif variant == "coldatom":
             draws.upto(first + size.bit_length() + 3)
-            yield _kernels.coldatom_batch(setup, F, of, draws.upto, first, max_rounds)
+            yield _kernels.coldatom_batch(setup, F, draws.upto, first, max_rounds)
         else:
-            chunk = _kernels.mixed_batch(setup, cold, class_forms, F, of, draws.upto, first, max_rounds)
+            chunk = _kernels.mixed_batch(setup, cold, class_forms, F, draws.upto, first, max_rounds)
             if uncertified and chunk[1].max() > 1:
-                _certify_resource_relaxation(r3)
+                _certify_relaxation(_doublon_sectors(), _inputs("coldatom"), _doublon_folds(r3[:2, :2]))
                 uncertified = False
             yield chunk
 

@@ -127,8 +127,7 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
         stops.append(stop)
         return draws.upto(stop)
 
-    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
-                                          _bloch_row(g), np.zeros(n, dtype=np.int64),
+    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _bloch_row(g),
                                           upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
@@ -147,8 +146,7 @@ def test_restart_loop_refuses_a_draw_table_that_does_not_grow():
 
     with pytest.raises(RuntimeError, match=r"upto\(9\) returned 8 draws per trial"):
         kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
-                               _bloch_row(SpinAmplitudes(1.0, 0.0)),
-                               np.zeros(3, dtype=np.int64), upto, 0, 64)
+                               _bloch_row(SpinAmplitudes(1.0, 0.0)), upto, 0, 64)
     assert stops == [1, 9]
 
 
@@ -201,8 +199,9 @@ def test_overlap_above_the_trace_is_capped():
     forms[:, :len(setup["sums"])] *= 1.0 + 1e-9
     setup["forms"] = forms
     n = 400
-    _, fids = kernels.electronic_batch(setup, _bloch_row(SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)),
-                                       np.zeros(n, dtype=np.int64), np.random.default_rng(3).random(n))
+    _, _, fids = kernels.electronic_batch(setup,
+                                          _bloch_row(SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)),
+                                          np.random.default_rng(3).random(n))
     assert fids.max() == 1.0
 
 
@@ -302,17 +301,17 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     shapes = []
     real = kernels._measure_and_correct
 
-    def spy(setup, F, of, u, p=None):
-        shapes.append((F.shape, None if of is None else len(of)))
-        return real(setup, F, of, u, p)
+    def spy(setup, F, u, p=None):
+        shapes.append((F.shape, len(u)))
+        return real(setup, F, u, p)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
     chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
-    # a fixed g is one row for all trials of a chunk; Haar rows are one per
-    # trial, in trial order, so they need no row index
+    # a fixed g is one row, broadcast over all trials of a chunk; Haar rows
+    # are one per trial, in trial order
     sizes = [protocol._CHUNK, 37]
-    expected = [((1, 4), k) for k in sizes] if g is not None else [((k, 4), None) for k in sizes]
+    expected = [((1, 4), k) for k in sizes] if g is not None else [((k, 4), k) for k in sizes]
     assert shapes == expected
     assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
@@ -354,21 +353,21 @@ def test_run_trials_over_many_chunks_matches_the_array_path(variant, monkeypatch
                                SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)],
                          ids=["up", "fixed"])
 def test_one_shared_row_gives_the_per_trial_rows_results(g):
+    # one (1, 4) row broadcast over n trials, against the same row repeated n times
     n = 400
-    row = _bloch_row(g)
-    shared = (row, np.zeros(n, dtype=np.int64))
-    per_trial = (np.repeat(row, n, axis=0), np.arange(n))
+    shared = _bloch_row(g)
+    per_trial = np.repeat(shared, n, axis=0)
     u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
 
     setup = protocol._kernel_setup("electronic")
-    (b1, f1), (b2, f2) = (kernels.electronic_batch(setup, *rows, u[:, 0])
-                          for rows in (shared, per_trial))
+    (b1, _, f1), (b2, _, f2) = (kernels.electronic_batch(setup, rows, u[:, 0])
+                                for rows in (shared, per_trial))
     np.testing.assert_array_equal(b1, b2)
     assert np.abs(f1 - f2).max() <= 1e-15
 
     setup = protocol._kernel_setup("coldatom")
     (b1, r1, f1), (b2, r2, f2) = (
-        kernels.coldatom_batch(setup, *rows, lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
+        kernels.coldatom_batch(setup, rows, lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
         for rows in (shared, per_trial))
     np.testing.assert_array_equal(b1, b2)
     np.testing.assert_array_equal(r1, r2)
@@ -453,8 +452,7 @@ def test_bob_step_with_every_trial_in_one_branch(branch):
         setup = protocol._folded(np.outer(gk.conj(), xk))
         trials = np.flatnonzero(of == k)
         branches[trials], fids[trials] = kernels._measure_and_correct(
-            setup, np.array([protocol._bloch(*gk)]), np.zeros(len(trials), dtype=np.int64),
-            u[trials])
+            setup, np.array([protocol._bloch(*gk)]), u[trials])
     assert set(branches.tolist()) == {branch}
     expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
     assert np.abs(fids - expected).max() <= 1e-15
@@ -479,8 +477,8 @@ def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_hal
         table = np.zeros((len(trials), protocol.DEFAULT_MAX_ROUNDS + 1))
         table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, u[trials]
         branches[trials], rounds[trials], fids[trials] = kernels.coldatom_batch(
-            setup, np.array([protocol._bloch(*gk)]), np.zeros(len(trials), dtype=np.int64),
-            lambda stop: table, 0, protocol.DEFAULT_MAX_ROUNDS)
+            setup, np.array([protocol._bloch(*gk)]), lambda stop: table, 0,
+            protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
     expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
     assert np.abs(fids - expected).max() <= 1e-15
@@ -492,11 +490,11 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
     n = protocol._CHUNK
     u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
-    setup, row, of = protocol._kernel_setup(variant), _bloch_row(g), np.zeros(n, dtype=int)
+    setup, row = protocol._kernel_setup(variant), _bloch_row(g)
     if variant == "electronic":
-        branches, fids = kernels.electronic_batch(setup, row, of, u[:, 0])
+        branches, _, fids = kernels.electronic_batch(setup, row, u[:, 0])
     else:
-        branches, _, fids = kernels.coldatom_batch(setup, row, of, lambda stop: u, 0,
+        branches, _, fids = kernels.coldatom_batch(setup, row, lambda stop: u, 0,
                                                    protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
@@ -761,6 +759,40 @@ def test_mixed_engine_matches_oracle(resource, g, seed):
     assert (rounds == 1).all() if resource is None else 1 < rounds.max() <= 64
 
 
+@pytest.mark.parametrize("variant", ["electronic", "coldatom", "mixed"])
+def test_one_haar_trial_matches_the_oracle(variant):
+    # one Haar trial's chunk is one row for one trial: the shape of a fixed
+    # input's broadcast row, taken here as a row per trial
+    rounds = []
+    for seed in [*range(12), 2**64 - 1]:
+        if variant == "mixed":
+            resource = _MIXED["random0"]
+            branches, r, fids = _mixed_engine(None, resource, 1, seed)
+            o_branches, o_rounds, o_fids = _mixed_oracle(None, resource, seed, [0])
+            np.testing.assert_array_equal(branches, o_branches)
+            np.testing.assert_array_equal(r, o_rounds)
+            assert np.abs(fids - o_fids).max() <= 1e-15
+        else:
+            r = _assert_engine_matches_oracle(None, variant, 1, seed)
+        rounds += r.tolist()
+    # some of the cold-atom and mixed trials restart
+    assert (max(rounds) > 1) == (variant != "electronic")
+
+
+def test_resource_certificate_covers_the_doublon_sector_and_refuses_misses_outside_it():
+    # a mixed resource's misses are folds of the span's two doublons, which
+    # reach one a-b sector (charge 2, J = 0, times c's two spin states); a
+    # fold outside it is refused, not passed unchecked
+    pairs = protocol._doublon_sectors()
+    assert [basis.shape[1] for basis, _ in pairs] == [12]
+    inputs = protocol._inputs("coldatom")
+    folds = protocol._doublon_folds(np.eye(2))
+    protocol._certify_relaxation(pairs, inputs, folds)
+    outside = np.kron(vacuum_state(AB_MODES).amps[None], np.eye(4)[1:3])[None]
+    with pytest.raises(RuntimeError, match="reach a sector outside the certified ones"):
+        protocol._certify_relaxation(pairs, inputs, np.concatenate([folds, outside]))
+
+
 def _orthogonal_doublons(p_singlet):
     """``p_singlet`` on the singlet, the rest on ``(da - db) / sqrt(2)``,
     which is orthogonal to the hopping ground state's doublon part."""
@@ -810,7 +842,7 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     branch_u = np.random.default_rng(9).random(40)
     table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
     branches, rounds, fids = real(setup, cold_setup, class_forms, _bloch_row(g),
-                                  np.zeros(40, dtype=np.int64), lambda stop: table, 0, 64)
+                                  lambda stop: table, 0, 64)
     assert (rounds == 1).all() and fids.min() >= 1 - 1e-12
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):

@@ -33,9 +33,10 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
     layers = report["layers"]
     assert set(layers) == {
         "import", "warm_up/electronic", "warm_up/coldatom",
-        *(f"run_trials/{v}/{g}/100" for v in ("electronic", "coldatom") for g in ("fixed", "haar")),
+        *(f"run_trials/{v}/{g}/{n}" for v in ("electronic", "coldatom") for g in ("fixed", "haar")
+          for n in (1, 100)),
         "run_trials/mixed/haar/2", "run_trials/mixed-diag/haar/2",
-        "cli.main/teleport/electronic/10", "cli.main/teleport/coldatom/10",
+        "cli.main/teleport/electronic/50", "cli.main/teleport/coldatom/50",
         "numerical_spectrum/59", "spectrum_csv/59",
     }
     for name, layer in layers.items():

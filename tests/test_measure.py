@@ -272,6 +272,18 @@ def test_born_index_takes_the_fallback_on_the_over_rows_only():
     assert all((g == last) == o for g, last, o in zip(got, last_nonzero, over))
 
 
+def test_born_index_broadcasts_one_row_of_sums_over_many_draws():
+    # a fixed input's one (1, 4) row of running sums serves every trial's
+    # draw; draws at or above the total take the fallback, the last outcome
+    # whose sum rises (2 here, not the weightless 3), and the others their first hit
+    sums = np.cumsum([[0.25, 0.5, 0.25 - 1e-15, 0.0]], axis=1)
+    u = np.array([0.1, 0.25, 0.8, 1.0 - 2.0**-53, sums[0, -1], 0.5])
+    assert (u >= sums[0, -1]).tolist() == [False, False, False, True, True, False]
+    got = born_index(sums, u)
+    assert got.tolist() == [_born_loop(sums[0], x) for x in u] == [0, 1, 2, 2, 2, 1]
+    np.testing.assert_array_equal(got, born_index(np.repeat(sums, len(u), axis=0), u))
+
+
 class _FixedUniform:
     def __init__(self, u):
         self.u = u

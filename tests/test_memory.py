@@ -31,9 +31,9 @@ def _peak(call):
 def test_one_haar_chunk_peaks_under_half_a_mebibyte():
     setup = protocol._kernel_setup("electronic")
     draws = protocol._Draws(1, 0, protocol._CHUNK)
-    F, of = protocol._haar_bloch(draws.u), np.arange(protocol._CHUNK)
+    F = protocol._haar_bloch(draws.u)
     u = draws.u[:, 3].copy()
-    assert _peak(lambda: kernels.electronic_batch(setup, F, of, u)) <= 512 * 1024
+    assert _peak(lambda: kernels.electronic_batch(setup, F, u)) <= 512 * 1024
 
 
 def _span_resource(weights):
