@@ -18,10 +18,10 @@ Layers:
   builds that variant's kernel setup;
 - ``run_trials/<variant>/<g>/<n>``: ``run_trials`` after ``warm_up``, for a
   fixed and a Haar-random ``g``; one trial times the fixed cost of a call
-  alone; the mixed variant, Haar-random only, at
-  10^2 and 10^4 trials, on the a-b singlet (``mixed``) and on the resource
-  ``diag(1/4, 1/4, 1/2)`` over (a doublon, b doublon, singlet)
-  (``mixed-diag``), half of whose trials restart;
+  alone; the mixed variant, Haar-random only, at 10^2 and 10^4 trials, on
+  the a-b singlet (``mixed``) and on the resource ``diag(1/4, 1/4, 1/2)``
+  over (a doublon, b doublon, singlet) (``mixed-diag``), half of whose
+  trials restart;
 - ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
   writing its report to a temporary file; 50 trials of a fixed ``g`` is the
   call perfbench's coldatom-scan makes;
