@@ -26,14 +26,14 @@ A cold-atom miss relaxes the a-b wires back to the initial state, which the
 setup certifies once for every input, so each restart round measures the
 state of round 1: a trial's round count follows from its draws and its row's
 class probability ``p = F @ class_form`` alone, and no state is relaxed here.
-A mixed trial is one class draw, then an electronic or a cold-atom trial.
 
 Randomness never enters here: callers supply each trial's uniforms from the
 counter-based streams the step-by-step path draws from, so both make
-identical branch decisions.  The cold-atom engine counts every trial's
-rounds over the block rows of draws taken so far (the caller draws up front
-the rows a chunk's longest trial almost always needs), and takes one more
-row only while some trial has not stopped.
+identical branch decisions.  The restart loop counts every trial's rounds
+over the block rows of draws taken so far, and takes one more row only
+while some trial has not stopped.  Mixed trials run on it too, with round 1
+at the resource's singlet weight: a hit lands in the electronic state, a
+cold-atom hit's normalised state, and a miss relaxes to the cold-atom state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import _read_only
-from .measure import PROB_FLOOR, born_index
+from .measure import born_index
 
 #: Trials per call at most; a call slices its row indices and electronic rounds from these.
 _CHUNK = 1024
@@ -83,8 +83,8 @@ def electronic_batch(setup, F, u_branch):
     return branch, _ONE_ROUND[:len(branch)], fid
 
 
-def coldatom_batch(setup, F, upto, first, max_rounds):
-    """Branch index, rounds and fidelity of each cold-atom trial.
+def coldatom_batch(setup, F, upto, first, max_rounds, p1=None):
+    """Branch index, rounds and fidelity of each cold-atom or mixed trial.
 
     ``F`` is as in :func:`_measure_and_correct`.  ``upto(stop)`` returns the
     chunk's draw table, a row per trial, grown by whole Philox block rows to
@@ -92,11 +92,12 @@ def coldatom_batch(setup, F, upto, first, max_rounds):
     measurement ``r`` and ``first + rounds`` the branch.  Every round measures
     the state of round 1, so a trial stops in the first round ``r`` whose draw
     falls below its row's class probability ``p = F @ class_form``, in the
-    integer-class part of its input scaled by ``1 / sqrt(p)``.  Rounds are
-    counted over the block rows drawn so far (the caller may draw several up
-    front); one more is drawn only while some trial has no hit and fewer than
-    ``max_rounds`` class draws exist.  Hitting ``max_rounds`` raises, as in
-    the step-by-step path; so does an ``upto`` that stops growing.
+    integer-class part of its input scaled by ``1 / sqrt(p)``; round 1 uses
+    ``p1`` instead if given (a mixed trial's).  Rounds are counted over the
+    block rows drawn so far (the caller may draw several up front); one more
+    is drawn only while some trial has no hit and fewer than ``max_rounds``
+    class draws exist.  Hitting ``max_rounds`` raises, as in the step-by-step
+    path; so does an ``upto`` that stops growing.
     """
     p = F @ setup["class_form"]
     u = upto(first + 1)
@@ -105,6 +106,8 @@ def coldatom_batch(setup, F, upto, first, max_rounds):
         # a True column after them: a trial with no hit gets c + 1 rounds
         hit = np.ones((len(u), c + 1), dtype=bool)
         np.less(u[:, first:first + c], p[:, None], out=hit[:, :c])
+        if p1 is not None:
+            np.less(u[:, first], p1, out=hit[:, 0])
         rounds = hit.argmax(axis=1) + 1
         longest = int(rounds.max())
         if longest <= c:
@@ -122,28 +125,3 @@ def coldatom_batch(setup, F, upto, first, max_rounds):
     branch, fid = _measure_and_correct(setup, F, u[_ROWS[:len(u)], first + rounds], p)
     return branch, rounds, fid
 
-
-def mixed_batch(setup, cold_setup, class_forms, F, upto, first, max_rounds):
-    """Branch index, rounds and fidelity of each trial on a mixed resource.
-
-    ``F`` is as in :func:`_measure_and_correct`; ``F @ class_forms`` gives a row's
-    round-1 weights of the resource's singlet part (integer-class) and
-    doublon part (half-odd).  As in ``measure_spin_class``, a trial misses if
-    its draw in column ``first`` is at or above the first and the second is
-    at least ``PROB_FLOOR``.  Hits are in ``setup``'s electronic state, with
-    branch draw ``first + 1``; misses run :func:`coldatom_batch` on
-    ``cold_setup``, their round-1 class draw set to 1.0 (a certain miss).
-    """
-    weights = F @ class_forms
-    u = upto(first + 2)
-    miss = (u[:, first] >= weights[:, 0]) & (weights[:, 1] >= PROB_FLOOR)
-    branch, fid = _measure_and_correct(setup, F, u[:, first + 1])
-    rounds = np.ones(len(u), dtype=np.int64)
-    if miss.any():
-        def upto_missed(stop):
-            missed = upto(stop)[miss]
-            missed[:, first] = 1.0
-            return missed
-        branch[miss], rounds[miss], fid[miss] = coldatom_batch(
-            cold_setup, F if len(F) == 1 else F[miss], upto_missed, first, max_rounds)
-    return branch, rounds, fid

@@ -74,6 +74,7 @@ from .gates import GateSpec, apply_gate, cnot, gate_unitary, hadamard, iy
 from .hubbard import build_h_lambda
 from .measure import (
     INTEGER,
+    PROB_FLOOR,
     integer_class_projector,
     measure_spin,
     measure_spin_class,
@@ -464,8 +465,8 @@ class _TrialStream:
 
     def random(self, size=None):
         """The next draw as a float, or the next ``prod(size)`` draws shaped ``size``."""
-        first = self._used
-        self._used += 1 if size is None else int(np.prod(size))
+        first = self._used  # np.empty refuses a bad size as Generator.random does, before a draw
+        self._used += 1 if size is None else np.empty(size, dtype=bool).size
         u = self._draws.upto(self._used)[0, first:self._used]
         return float(u[0]) if size is None else u.reshape(size)
 
@@ -722,14 +723,17 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     the block rows its longest trial almost always needs: at class
     probability 1/2 the longest of ``size`` trials takes about
     ``log2(size)`` rounds.  A mixed run checks its resource (``None`` is the
-    a-b singlet) and, at the first chunk with a round-1 miss, certifies on
-    :func:`_doublon_sectors` that such misses relax to the cold-atom state.
+    a-b singlet) and runs on the cold-atom engine, round 1 at the singlet
+    weight ``p1`` under ``measure_spin_class``'s floor (2.0, a certain hit,
+    where the doublon weight is below ``PROB_FLOOR``).  At the first chunk
+    with a round-1 miss it certifies on :func:`_doublon_sectors` that such
+    misses relax to the cold-atom state.
     """
-    setup = _kernel_setup("electronic" if variant == "mixed" else variant)
+    setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
-        class_forms = np.outer([1.0, 1.0, 0.0, 0.0], [r3[2, 2].real, np.trace(r3[:2, :2]).real])
-        cold, uncertified = _kernel_setup("coldatom"), True
+        ss_form, dd_form = np.outer([r3[2, 2].real, np.trace(r3[:2, :2]).real], [1.0, 1.0, 0.0, 0.0])
+        uncertified = True
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
     if g is not None:
         F = np.array([_bloch(g.g1, g.g2)])
@@ -744,7 +748,8 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
             draws.upto(first + size.bit_length() + 3)
             yield _kernels.coldatom_batch(setup, F, draws.upto, first, max_rounds)
         else:
-            chunk = _kernels.mixed_batch(setup, cold, class_forms, F, draws.upto, first, max_rounds)
+            p1 = np.where(F @ dd_form >= PROB_FLOOR, F @ ss_form, 2.0)
+            chunk = _kernels.coldatom_batch(setup, F, draws.upto, first, max_rounds, p1)
             if uncertified and chunk[1].max() > 1:
                 _certify_relaxation(_doublon_sectors(), _inputs("coldatom"), _doublon_folds(r3[:2, :2]))
                 uncertified = False
@@ -771,8 +776,10 @@ def _require_word(value: int, name: str, part: str):
 
 
 def warm_up(variant: str = "electronic"):
-    """Build the engine's cached matrices ahead of timing-sensitive runs."""
+    """Build the cached matrices a ``variant`` run reads, ahead of timing-sensitive runs."""
     run_trials(SpinAmplitudes(1.0, 0.0), variant, 2, seed=0)
+    if variant == "mixed":
+        _doublon_sectors()  # builds neutral_spin_zero_basis(AB_MODES) too
 
 
 def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,

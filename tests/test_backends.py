@@ -374,6 +374,24 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     assert np.abs(f1 - f2).max() <= 1e-15
     assert r1.max() >= 5  # the shared row went through several restarts
 
+    # a round-1 class probability p1 equal to p changes nothing; p1 = 2.0, a
+    # certain hit, stops every trial in round 1, even at the largest draw
+    for rows, without in ((shared, (b1, r1, f1)), (per_trial, (b2, r2, f2))):
+        same = kernels.coldatom_batch(setup, rows, lambda stop: u, 0,
+                                      protocol.DEFAULT_MAX_ROUNDS, rows @ setup["class_form"])
+        for a, b in zip(same, without):
+            np.testing.assert_array_equal(a, b)
+    p = shared @ setup["class_form"]
+    top = u.copy()
+    top[:, 0] = 1 - 2.0**-53
+    for p1 in (np.array([2.0]), np.full(n, 2.0)):
+        branches, rounds, fids = kernels.coldatom_batch(
+            setup, shared, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, p1)
+        assert (rounds == 1).all()
+        expected = kernels._measure_and_correct(setup, shared, top[:, 1], p)
+        np.testing.assert_array_equal(branches, expected[0])
+        np.testing.assert_array_equal(fids, expected[1])
+
 
 def test_outcome_outside_the_branches_raises_naming_it():
     # one electron on c and none on a: Alice's c-a spin is 1/2 after her gates,
@@ -697,8 +715,8 @@ print(json.dumps(digests))
 
 
 # ---------------------------------------------------------------------------
-# mixed resources: round 1 on the resource, then the electronic or the
-# cold-atom engine
+# mixed resources: the cold-atom engine, with round 1 hitting at the
+# resource's singlet weight
 # ---------------------------------------------------------------------------
 
 def _span_resource(r3):
@@ -835,14 +853,14 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     # the singlet's doublon weight is 0, below PROB_FLOOR: a class draw at or
     # above the integer weight, here 1 - 2**-53 >= F0 + F1 = 1 - 4e-13, hits
     g = SpinAmplitudes(np.sqrt(1 - 4e-13), 0.0)
-    calls, real = [], kernels.mixed_batch
-    monkeypatch.setattr(kernels, "mixed_batch", lambda *args: calls.append(args) or real(*args))
+    calls, real = [], kernels.coldatom_batch
+    monkeypatch.setattr(kernels, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
     run_trials(g, "mixed", 1)
-    setup, cold_setup, class_forms = calls[0][:3]  # the singlet's, as run_trials makes them
+    setup, p1 = calls[0][0], calls[0][5]  # the singlet's, as run_trials makes them
+    assert setup is protocol._kernel_setup("coldatom")
     branch_u = np.random.default_rng(9).random(40)
     table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
-    branches, rounds, fids = real(setup, cold_setup, class_forms, _bloch_row(g),
-                                  lambda stop: table, 0, 64)
+    branches, rounds, fids = real(setup, _bloch_row(g), lambda stop: table, 0, 64, p1)
     assert (rounds == 1).all() and fids.min() >= 1 - 1e-12
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):

@@ -60,10 +60,10 @@ def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
     resource = _span_resource([0.25, 0.25, 0.5])
     whole = run_trials(None, "mixed", 10, seed=4, resource=resource)
     calls, seen = [], []
-    real_batch, real_assemble = kernels.mixed_batch, protocol._assemble_report
+    real_batch, real_assemble = kernels.coldatom_batch, protocol._assemble_report
 
     def counted_batch(*args):
-        calls.append(len(args[3]))  # the chunk's Haar rows, one per trial
+        calls.append(len(args[1]))  # the chunk's Haar rows, one per trial
         return real_batch(*args)
 
     def watched_assemble(variant, seed, g, chunks):
@@ -74,7 +74,7 @@ def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
         return real_assemble(variant, seed, g, watched())
 
     monkeypatch.setattr(protocol, "_CHUNK", 4)
-    monkeypatch.setattr(kernels, "mixed_batch", counted_batch)
+    monkeypatch.setattr(kernels, "coldatom_batch", counted_batch)
     monkeypatch.setattr(protocol, "_assemble_report", watched_assemble)
     chunked = run_trials(None, "mixed", 10, seed=4, resource=resource)
     # one engine call per chunk, and each chunk reaches the report before

@@ -489,6 +489,31 @@ def test_kernel_setup_logs_its_build(caplog):
     assert report.to_json() == run_trials(None, "coldatom", 30, seed=4).to_json()
 
 
+def test_mixed_warm_up_builds_what_a_run_on_a_resource_reads(monkeypatch, caplog):
+    # the builders such a run reaches, behind second decorators whose caches
+    # are empty (other tests have filled the real ones)
+    asked, setup = [], fock._built_once()(protocol._kernel_setup.__wrapped__)
+    monkeypatch.setattr(protocol, "_kernel_setup", lambda v: asked.append(v) or setup(v))
+    monkeypatch.setattr(protocol, "_doublon_sectors",
+                        fock._built_once()(protocol._doublon_sectors.__wrapped__))
+    monkeypatch.setattr(protocol, "neutral_spin_zero_basis", fock._built_once(
+        key=lambda modes=AB_MODES: modes)(protocol.neutral_spin_zero_basis.__wrapped__))
+    with caplog.at_level(logging.DEBUG, logger="edgeteleport"):
+        protocol.warm_up("mixed")
+        built = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        span = protocol.neutral_spin_zero_basis(AB_MODES)
+        resource = DensityMatrix(AB_MODES, span @ np.diag([0.25, 0.25, 0.5]) @ span.conj().T)
+        report = run_trials(None, "mixed", 10, resource=resource)
+    assert [r.getMessage() for r in caplog.records if r.name.startswith("edgeteleport")] == []
+    assert max(report.rounds_histogram) > 1  # a round-1 miss: the run certified its resource
+    for name in ("_kernel_setup for key ('coldatom',)", "_doublon_sectors",
+                 "neutral_spin_zero_basis"):
+        assert sum(line.startswith(f"built {name} ") for line in built) == 1, (name, built)
+    # a mixed run builds and reads the cold-atom setup alone
+    assert set(asked) == {"coldatom"}
+
+
 def _report(**fields):
     """A hand-built report with edge-case values, ``fields`` replacing some."""
     values = dict(variant="coldatom", trials=10**6, seed=2**64 - 1, g1=None, g2=None,

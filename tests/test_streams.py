@@ -7,6 +7,8 @@ oracle.  The engine draws a block row of a whole chunk with one generator
 call, and ``trial_rng`` reads one trial's blocks in order.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -140,3 +142,16 @@ def test_streams_read_alternately_match_streams_read_in_turn():
         np.testing.assert_array_equal(np.concatenate(got), want)
         n_blocks = len(want) // 4 + 1
         np.testing.assert_array_equal(want, _oracle_rows(seed, [t], n_blocks)[0, :len(want)])
+
+
+@pytest.mark.parametrize("size, error", [(-1, ValueError), ((2, -1), ValueError),
+                                         (2.5, TypeError), ((2, 2.5), TypeError)])
+def test_a_refused_size_consumes_no_draw(size, error):
+    # numpy's Generator.random refuses these sizes with the same errors; the
+    # stream stays where it was, so the next draws are draws 0 and 1
+    stream = trial_rng(3, 5)
+    with pytest.raises(error) as numpys:
+        np.random.default_rng(0).random(size)
+    with pytest.raises(error, match=re.escape(str(numpys.value))):
+        stream.random(size)
+    assert [stream.random(), stream.random()] == trial_rng(3, 5).random(2).tolist()
