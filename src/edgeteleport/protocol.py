@@ -152,10 +152,6 @@ def _json_text(v, newline="\n"):
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-#: ``|g1|^2 = u0`` and ``|g2|^2 = 1 - u0`` as ``u0 * _HAAR_SIGNS + _HAAR_OFFSETS``.
-_HAAR_SIGNS, _HAAR_OFFSETS = _read_only(np.array([1.0, -1.0])), _read_only(np.array([0.0, 1.0]))
-
-
 def _haar_amplitudes(u):
     """Exact Haar-random amplitudes from three uniforms per row of ``u``, as
     the ``(2, n)`` rows ``g1`` and ``g2`` (the transpose of a C-ordered
@@ -166,12 +162,8 @@ def _haar_amplitudes(u):
     rejection) are needed: ``g1 = sqrt(u0) e^{2 pi i u1}``,
     ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.
     """
-    g = np.sqrt(u[:, :1] * _HAAR_SIGNS + _HAAR_OFFSETS) * np.exp(u[:, 1:3] * (2j * np.pi))
-    r = g.view(np.float64)
-    d = np.einsum("ij,ij->i", r, r) - 1.0
-    # sum d^2 <= 1e-24 implies every |d| <= 1e-12; False for a NaN too
-    if not d @ d <= 1e-24:
-        _require_unit_amplitudes(g[:, 0], g[:, 1])
+    g = np.sqrt(np.stack([u[:, 0], 1.0 - u[:, 0]], axis=1)) * np.exp(u[:, 1:3] * (2j * np.pi))
+    _require_unit_amplitudes(g[:, 0], g[:, 1])
     return g.T
 
 
@@ -182,26 +174,17 @@ def _bloch(g1, g2):
     return a * a + b * b, c * c + d * d, a * c + b * d, b * c - a * d
 
 
-def _haar_bloch(u) -> np.ndarray:
-    """``_bloch`` of the Haar-random amplitudes of ``_haar_amplitudes(u)``, an
-    ``(n, 4)`` array made straight from the draws: ``F0 = u0``, ``F1 = 1 - u0``
-    and ``F2 + i F3 = sqrt(u0 F1) e^{2 pi i (u1 - u2)}``.  For draws on the
-    2**-53 grid ``1 - u0`` is exact, so ``F0 + F1 == 1``.
-    """
-    f = np.empty((4, len(u)))
-    f[0] = u[:, 0]
-    np.subtract(1.0, f[0], out=f[1])
-    r = np.sqrt(f[0] * f[1])
-    phase = np.subtract(u[:, 1], u[:, 2]) * (2 * np.pi)
-    np.multiply(r, np.cos(phase), out=f[2])
-    np.multiply(r, np.sin(phase), out=f[3])
-    # F is finite only if 0 <= u0 <= 1, and then F0 + F1, the squared norm, is
-    # 1 to one rounding; a NaN or infinite draw or a u0 outside [0, 1] puts a
-    # NaN into F
-    if not math.isfinite(f.sum()):
-        _haar_amplitudes(u)  # raises _require_unit_amplitudes's error for these draws
+def _haar_norms(u) -> np.ndarray:
+    """The squared norms ``u0 + (1 - u0)`` of ``_haar_amplitudes(u)``'s rows,
+    each 1, as ``1 - u0`` is exact on the 2**-53 grid; draws that would make
+    those amplitudes NaN or infinite raise their error."""
+    u0 = u[:, 0]
+    f1 = 1.0 - u0
+    # a NaN or infinite u0 fails the first test too
+    if not (np.minimum.reduce(np.minimum(u0, f1)) >= 0.0
+            and np.logical_and.reduce(np.isfinite(u[:, 1:3]), axis=None)):
         raise ValueError("spin amplitudes must be finite")
-    return f.T
+    return u0 + f1
 
 
 @dataclass(frozen=True)
@@ -572,26 +555,18 @@ def _gram_form(b) -> np.ndarray:
 
 
 def _folded(rows) -> dict:
-    """Forms of the engine for the states ``g @ rows``, as functions of ``F``.
+    """Forms, in ``F``, of what a trial of the states ``g @ rows`` reads.
 
-    ``rows`` is a ``(2, 64)`` array.  Alice's gates are folded into her
-    sector bases, the cached ones of :mod:`edgeteleport.measure`, so the
-    sector coordinates of ``g @ rows`` after her gates are ``g @ block`` and
-    its sector probabilities are linear forms of ``F`` (:func:`_gram_form`).
-    A sector outside ``BRANCHES`` has no correction for Bob: a form of one
-    above 1e-12 of the fold's weight raises.  Bob's amplitudes in a branch
-    are ``g @ [up | sign * dn]``: his trace is a linear form too, and his
-    overlap with ``g`` is ``sum_ij conj(g_i) g_j v[i, j] = sum_ij q_ji v[i, j]``
-    per amplitude, for ``v = [up, sign * dn]``, a complex linear form ``w``
-    of ``F``.  So his overlap is ``|F @ [Re w | Im w]|^2``: the setup keeps
-    that real factor's nonzero columns.
-
-    ``forms`` holds Bob's overlap factors, the running sums of Alice's four
-    branch forms (so ``F @ forms`` gives Born sampling its running sums) and
-    Bob's four trace forms side by side, each in ``BRANCHES`` order, and the
-    0/1 ``sums`` add the squared overlap coordinates into Bob's four overlaps.
-    ``forms`` is Fortran-ordered: the BLAS kernel behind ``F @ forms``, and
-    with it the last bit of a fidelity, depends on the memory order.
+    ``rows`` is ``(2, 64)``.  After Alice's gates, folded into her cached
+    sector bases, ``g @ block`` are a sector's coordinates, whose weight is a
+    linear form (:func:`_gram_form`); a sector outside ``BRANCHES`` above
+    1e-12 of the fold's weight raises.  Bob's amplitudes in a branch are
+    ``g @ v`` for ``v = [up, sign * dn]``: his trace is a linear form, and
+    his overlap with ``g``, ``sum_ij q_ji v[i, j]`` per amplitude, is
+    ``|F @ [Re w | Im w]|^2`` for a complex linear form ``w``.  Returns the
+    running sums of Alice's branch forms (``branch``), Bob's ``trace`` forms
+    and his ``overlap`` factors, ``(4, 4, k)``: coefficients first, then one
+    column per branch in ``BRANCHES`` order.
     """
     modes = TELEPORT_MODES
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
@@ -612,14 +587,69 @@ def _folded(rows) -> dict:
         up, dn = block @ corrected[n_up].T, block @ (signs[:, None] * corrected[n_dn]).T
         trace.append(_gram_form(np.hstack([up, dn])))
         w = _bloch_forms(np.stack([up, dn]).transpose(1, 0, 2))  # a[i, j] = v[j, i]
-        factor = np.hstack([w.real, w.imag])
-        overlap.append(factor[:, np.any(factor != 0, axis=0)])
-    branch_cols = np.repeat(np.arange(len(BRANCHES)), [f.shape[1] for f in overlap])
-    alice = np.cumsum(np.column_stack([_gram_form(blocks[b]) for b in BRANCHES]), axis=1)
+        overlap.append(np.hstack([w.real, w.imag]))
     return {
-        "forms": np.asfortranarray(np.column_stack([*overlap, alice, *trace])),
-        "sums": (branch_cols[:, None] == np.arange(len(BRANCHES))).astype(np.float64),
+        "branch": np.cumsum(np.column_stack([_gram_form(blocks[b]) for b in BRANCHES]), axis=1),
+        "trace": np.column_stack(trace),
+        "overlap": np.stack(overlap, axis=1),
     }
+
+
+#: Absolute tolerance of the law's certificate, on a form's rows and on its constant's snap.
+_LAW_TOL = 1e-12
+
+
+def _refuse(why):
+    raise RuntimeError(f"ideal teleportation is not certified: {why}")
+
+
+def _snap(name, c):
+    """``(m, k)`` with ``|c - m sqrt(2)**k / 8| <= _LAW_TOL`` for ``k`` 0 or 1, or raise."""
+    for k, unit in ((0, 0.125), (1, math.sqrt(2) / 8)):
+        if abs(c - round(c / unit) * unit) <= _LAW_TOL:
+            return round(c / unit), k
+    _refuse(f"a {name} constant, {c!r}, is off the grids m / 8 and m sqrt(2) / 8")
+
+
+def _certify_law(forms: dict) -> dict:
+    """Raise, naming the first check that fails, unless ``forms`` state ideal
+    teleportation; return the constants the engine reads.
+
+    ``forms`` are :func:`_folded`'s, with a cold-atom fold's ``class_form``.
+    Each must be ``n * c`` for ``n = F0 + F1`` (rows 2-3 zero, rows 0 and 1
+    equal) with ``c`` on the grid ``m / 8`` or ``m sqrt(2) / 8``, to
+    ``_LAW_TOL``.  Then, in the grid's integers: the class constant is 1/2,
+    the branch running sums are (1/4, 1/2, 3/4, 1) times the hit constant
+    (1, or the class constant), and in each branch the squared overlap
+    constants sum to the trace constant, which is positive, so Bob's overlap
+    is ``n`` times his trace.
+    """
+    snapped = {}
+    for name, form in forms.items():
+        form = form.reshape(4, -1)
+        for gap, rows in ((np.abs(form[2:]).max(), "rows 2-3 (Re and Im of g1 conj(g2)) reach"),
+                          (np.abs(form[0] - form[1]).max(),
+                           "rows 0 and 1 (|g1|^2 and |g2|^2) differ by")):
+            if gap > _LAW_TOL:
+                _refuse(f"the {name} forms are not isotropic: their {rows} {gap:.3g}")
+        snapped[name] = [_snap(name, c) for c in form[0].tolist()]
+    # each constant in eighths; None on the sqrt(2) grid
+    eighths = {name: [m if k == 0 else None for m, k in pairs] for name, pairs in snapped.items()}
+    hit = eighths.get("class_form", [8])[0]
+    if "class_form" in forms and hit != 4:
+        _refuse(f"a round's class constant is {float(forms['class_form'][0])!r}, not 1/2")
+    sums = eighths["branch"]
+    if any(m is None or 4 * m != (k + 1) * hit for k, m in enumerate(sums)):
+        _refuse(f"the branch running sums {forms['branch'][0].tolist()} are not "
+                f"(1/4, 1/2, 3/4, 1) times {hit / 8}")
+    overlap = np.reshape(snapped["overlap"], (len(BRANCHES), -1, 2)).tolist()
+    for b, (pairs, t) in enumerate(zip(overlap, eighths["trace"])):
+        squares = sum(m * m << k for m, k in pairs)  # in 64ths
+        if t is None or t <= 0 or squares != 8 * t:
+            _refuse(f"Bob's overlap/trace in branch {BRANCHES[b]} is {squares / 64!r} / "
+                    f"{float(forms['trace'][0, b])!r}, not 1")
+    law = {"quarters": np.array(sums[:3], dtype=np.float64)[:, None] / sums[3]}
+    return {**law, "class_p": hit / 8} if "class_form" in forms else law
 
 
 def _certify_relaxation(pairs, inputs, misses):
@@ -696,60 +726,64 @@ def _inputs(variant: str) -> np.ndarray:
 
 @_built_once()
 def _kernel_setup(variant: str) -> dict:
-    """The batch engine's stacked arrays, built once per variant (``fock._built_once``).
+    """The batch engine's setup, built once per variant (``fock._built_once``):
+    the folded forms, certified by :func:`_certify_law`, and the constants
+    the engine reads.
 
     Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
     trials fold their integer-class parts, ``integer_part``: once
     :func:`_certify_relaxation` has shown that every miss relaxes back to the
     initial state, a trial stops, whatever its round, in the state
-    ``g @ integer_part / sqrt(p)`` with ``p = |g @ integer_part|^2``, the
-    linear form ``F @ class_form``.
+    ``g @ integer_part / sqrt(p)``, with ``p = F @ class_form``.
     """
     inputs = _inputs(variant)
     if variant == "electronic":
-        return _folded(inputs)
+        forms = _folded(inputs)
+        return {**forms, **_certify_law(forms)}
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
+    forms = {**_folded(integer_part), "class_form": _gram_form(integer_part)}
+    law = _certify_law(forms)
     misses = (inputs - integer_part)[None]
     _certify_relaxation(sector_ground_spaces(_relax_hamiltonian()), inputs, misses)
-    return {**_folded(integer_part), "class_form": _gram_form(integer_part)}
+    return {**forms, **law}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
 
-    The engine gets a chunk's inputs as rows ``F`` of :func:`_bloch`: one
-    row for a fixed ``g``, broadcast over every trial, and one row per trial,
-    in trial order, for Haar-random inputs.  A cold-atom chunk draws up front
-    the block rows its longest trial almost always needs: at class
-    probability 1/2 the longest of ``size`` trials takes about
-    ``log2(size)`` rounds.  A mixed run checks its resource (``None`` is the
-    a-b singlet) and runs on the cold-atom engine, round 1 at the singlet
-    weight ``p1`` under ``measure_spin_class``'s floor (2.0, a certain hit,
-    where the doublon weight is below ``PROB_FLOOR``).  At the first chunk
-    with a round-1 miss it certifies on :func:`_doublon_sectors` that such
-    misses relax to the cold-atom state.
+    The engine gets a chunk's inputs as their squared norms: one for a fixed
+    ``g``, broadcast over every trial, and one per Haar-random trial.  A
+    cold-atom chunk draws up front the block rows its longest trial almost
+    always needs: at class probability 1/2 the longest of ``size`` trials
+    takes about ``log2(size)`` rounds.  A mixed run checks its resource
+    (``None`` is the a-b singlet) and runs on the cold-atom engine, round 1
+    at the singlet weight ``p1`` under ``measure_spin_class``'s floor (2.0, a
+    certain hit, where the doublon weight is below ``PROB_FLOOR``).  At the
+    first chunk with a round-1 miss it certifies on :func:`_doublon_sectors`
+    that such misses relax to the cold-atom state.
     """
     setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
-        ss_form, dd_form = np.outer([r3[2, 2].real, np.trace(r3[:2, :2]).real], [1.0, 1.0, 0.0, 0.0])
+        singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real
         uncertified = True
     first = 0 if g is not None else 3  # a Haar trial's first three draws make g
     if g is not None:
-        F = np.array([_bloch(g.g1, g.g2)])
+        f = _bloch(g.g1, g.g2)
+        norms = np.array([f[0] + f[1]])
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            F = _haar_bloch(draws.u)
+            norms = _haar_norms(draws.u)
         if variant == "electronic":
-            yield _kernels.electronic_batch(setup, F, draws.u[:, first])
+            yield _kernels.electronic_batch(setup, norms, draws.u[:, first])
         elif variant == "coldatom":
             draws.upto(first + size.bit_length() + 3)
-            yield _kernels.coldatom_batch(setup, F, draws.upto, first, max_rounds)
+            yield _kernels.coldatom_batch(setup, norms, draws.upto, first, max_rounds)
         else:
-            p1 = np.where(F @ dd_form >= PROB_FLOOR, F @ ss_form, 2.0)
-            chunk = _kernels.coldatom_batch(setup, F, draws.upto, first, max_rounds, p1)
+            p1 = np.where(doublons * norms >= PROB_FLOOR, singlet * norms, 2.0)
+            chunk = _kernels.coldatom_batch(setup, norms, draws.upto, first, max_rounds, p1)
             if uncertified and chunk[1].max() > 1:
                 _certify_relaxation(_doublon_sectors(), _inputs("coldatom"), _doublon_folds(r3[:2, :2]))
                 uncertified = False

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -52,8 +53,9 @@ from edgeteleport.relax import relax_to_ground
 
 
 def _bloch_row(g):
-    """The engine's one-row ``F`` of the fixed input ``g``."""
-    return np.array([protocol._bloch(g.g1, g.g2)])
+    """The engine's one input row of the fixed input ``g``: its squared norm ``F0 + F1``."""
+    f = protocol._bloch(g.g1, g.g2)
+    return np.array([f[0] + f[1]])
 
 
 def _oracle(g, variant, n, seed):
@@ -191,18 +193,13 @@ def test_no_fidelity_exceeds_one(variant):
 
 
 def test_overlap_above_the_trace_is_capped():
-    # above the trace by more than rounding, Bob's overlap still gives
-    # fidelity 1: the protocol's own overlaps exceed it by too little for
-    # sqrt to show, so this checks the cap itself
-    setup = dict(protocol._kernel_setup("electronic"))
-    forms = setup["forms"].copy()
-    forms[:, :len(setup["sums"])] *= 1.0 + 1e-9
-    setup["forms"] = forms
-    n = 400
-    _, _, fids = kernels.electronic_batch(setup,
-                                          _bloch_row(SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)),
-                                          np.random.default_rng(3).random(n))
-    assert fids.max() == 1.0
+    # Bob's overlap over his trace is the squared norm n: above 1 by more
+    # than rounding, it still gives fidelity 1; the protocol's own norms
+    # exceed 1 by too little for sqrt to show, so this checks the cap itself
+    setup, n = protocol._kernel_setup("electronic"), 400
+    for norms in (np.array([1.0 + 1e-9]), np.full(n, 1.0 + 1e-9)):
+        _, _, fids = kernels.electronic_batch(setup, norms, np.random.default_rng(3).random(n))
+        assert fids.shape == (n,) and (fids == 1.0).all()
 
 
 def test_report_statistics_match_oracle():
@@ -301,17 +298,17 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     shapes = []
     real = kernels._measure_and_correct
 
-    def spy(setup, F, u, p=None):
-        shapes.append((F.shape, len(u)))
-        return real(setup, F, u, p)
+    def spy(setup, n, u, s):
+        shapes.append((n.shape, len(u)))
+        return real(setup, n, u, s)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
     chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
-    # a fixed g is one row, broadcast over all trials of a chunk; Haar rows
-    # are one per trial, in trial order
+    # a fixed g is one squared norm, broadcast over all trials of a chunk;
+    # Haar inputs have one per trial, in trial order
     sizes = [protocol._CHUNK, 37]
-    expected = [((1, 4), k) for k in sizes] if g is not None else [((k, 4), k) for k in sizes]
+    expected = [((1,), k) for k in sizes] if g is not None else [((k,), k) for k in sizes]
     assert shapes == expected
     assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
@@ -353,10 +350,10 @@ def test_run_trials_over_many_chunks_matches_the_array_path(variant, monkeypatch
                                SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)],
                          ids=["up", "fixed"])
 def test_one_shared_row_gives_the_per_trial_rows_results(g):
-    # one (1, 4) row broadcast over n trials, against the same row repeated n times
+    # one squared norm broadcast over n trials, against the same norm repeated n times
     n = 400
     shared = _bloch_row(g)
-    per_trial = np.repeat(shared, n, axis=0)
+    per_trial = np.repeat(shared, n)
     u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
 
     setup = protocol._kernel_setup("electronic")
@@ -378,17 +375,16 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     # certain hit, stops every trial in round 1, even at the largest draw
     for rows, without in ((shared, (b1, r1, f1)), (per_trial, (b2, r2, f2))):
         same = kernels.coldatom_batch(setup, rows, lambda stop: u, 0,
-                                      protocol.DEFAULT_MAX_ROUNDS, rows @ setup["class_form"])
+                                      protocol.DEFAULT_MAX_ROUNDS, setup["class_p"] * rows)
         for a, b in zip(same, without):
             np.testing.assert_array_equal(a, b)
-    p = shared @ setup["class_form"]
     top = u.copy()
     top[:, 0] = 1 - 2.0**-53
     for p1 in (np.array([2.0]), np.full(n, 2.0)):
         branches, rounds, fids = kernels.coldatom_batch(
             setup, shared, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, p1)
         assert (rounds == 1).all()
-        expected = kernels._measure_and_correct(setup, shared, top[:, 1], p)
+        expected = kernels._measure_and_correct(setup, shared, top[:, 1], 1.0)
         np.testing.assert_array_equal(branches, expected[0])
         np.testing.assert_array_equal(fids, expected[1])
 
@@ -404,7 +400,7 @@ def test_outcome_outside_the_branches_raises_naming_it():
 def test_setup_ignores_outside_sectors_below_its_threshold():
     # a fold whose half-odd weight is 1e-13 of the whole still builds, and its
     # branch forms are those of the branch state alone; 1e-11 raises
-    x = _one_branch_states(0)[0][0]
+    x = _one_branch_states(0)[0]
     lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
     for eps, refused in ((1e-13, False), (1e-11, True)):
         rows = np.outer([1.0, 0.0], np.sqrt(1 - eps) * x + np.sqrt(eps) * lone)
@@ -412,8 +408,7 @@ def test_setup_ignores_outside_sectors_below_its_threshold():
             with pytest.raises(RuntimeError, match="no correction for Bob"):
                 protocol._folded(rows)
             continue
-        setup = protocol._folded(rows)
-        alice = setup["forms"][:, len(setup["sums"]):-4]  # running sums over the branches
+        alice = protocol._folded(rows)["branch"]  # running sums over the branches
         expected = np.zeros((4, 4))
         expected[0, :] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing added after it
         assert np.abs(alice - expected).max() <= 1e-12
@@ -430,76 +425,76 @@ class _Uniforms:
         return next(self.u)
 
 
-def _step_by_step_fidelity(x, g, u):
-    """Alice's gates and measurement on the state ``x`` with the uniform
-    ``u``, Bob's correction, then ``bob_fidelity`` against ``g``."""
-    psi = apply_gate(hadamard("c"), apply_gate(cnot("c", "a"), StateVector(TELEPORT_MODES, x)))
-    outcome = measure_spin(psi, protocol.ALICE_WIRES, _Uniforms([u]))
-    psi = outcome.post_state
-    for spec in bob_correction(outcome.j, outcome.m):
-        psi = apply_gate(spec, psi)
-    return bob_fidelity(psi, SpinAmplitudes(*g))
+def _step_by_step(g, variant, draws):
+    """Branch index and fidelity of the step-by-step path on the input ``g``
+    (anything with ``g1`` and ``g2``) and the uniforms ``draws``."""
+    res = protocol._teleport(prepare_initial(g, variant), g, _Uniforms(draws),
+                             protocol.DEFAULT_MAX_ROUNDS, restarts=variant == "coldatom")
+    return protocol.BRANCHES.index(res.branch), res.rounds, res.fidelity
 
 
 def _one_branch_states(branch):
-    """40 generic unit states whose rows Alice's gates take into one branch
-    sector, their inputs ``g``, and 1024 trials' rows and branch draws."""
+    """40 generic unit states whose rows Alice's gates take into one branch sector."""
     sectors = spin_sector_bases(TELEPORT_MODES, protocol.ALICE_WIRES)
     basis = next(b for j, m, b in sectors if (j, m) == protocol.BRANCHES[branch])
     u_alice = (gate_unitary(hadamard("c"), TELEPORT_MODES)
                @ gate_unitary(cnot("c", "a"), TELEPORT_MODES))
     rng = np.random.default_rng(41 + branch)
-    m, n = 40, protocol._CHUNK
-    c = rng.normal(size=(basis.shape[1], m)) + 1j * rng.normal(size=(basis.shape[1], m))
+    c = rng.normal(size=(basis.shape[1], 40)) + 1j * rng.normal(size=(basis.shape[1], 40))
     x = c.T @ basis.T @ u_alice.conj()  # Alice's gates take each row into the sector
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    g = np.stack(protocol._haar_amplitudes(rng.random((m, 3))), axis=1)
-    of, u = rng.integers(0, m, n), rng.random(n)
-    return x, g, of, u
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _short_inputs(seed, low, trials=256):
+    """40 Haar-random inputs scaled by factors in [low, 1), with their squared
+    norms ``n``, and ``trials`` trials' input indices and positions in [0.01, 0.99].
+
+    ``SpinAmplitudes`` refuses such inputs, so they are plain objects with
+    ``g1`` and ``g2``; the step-by-step path's arithmetic takes them, and
+    their fidelities ``sqrt(n)`` are generic, not the protocol's 1.
+    """
+    rng = np.random.default_rng(seed)
+    g = np.stack(protocol._haar_amplitudes(rng.random((40, 3))), axis=1)
+    g *= rng.uniform(low, 1.0, (40, 1))
+    inputs = [types.SimpleNamespace(g1=g1, g2=g2) for g1, g2 in g]
+    norms = np.concatenate([_bloch_row(gk) for gk in inputs])
+    return inputs, norms, rng.integers(0, 40, trials), rng.uniform(0.01, 0.99, trials)
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
 def test_bob_step_with_every_trial_in_one_branch(branch):
-    # generic states inside one branch sector: Bob's fidelity depends on
-    # which branch's correction the engine applies, and no trial reads the
-    # other three branches' fidelities
-    x, g, of, u = _one_branch_states(branch)
-    branches, fids = np.empty(len(of), dtype=np.int64), np.empty(len(of))
-    for k, (xk, gk) in enumerate(zip(x, g)):
-        # a rank-one fold per state: the input gk folds to gk @ rows = xk
-        setup = protocol._folded(np.outer(gk.conj(), xk))
-        trials = np.flatnonzero(of == k)
-        branches[trials], fids[trials] = kernels._measure_and_correct(
-            setup, np.array([protocol._bloch(*gk)]), u[trials])
+    # an electronic branch draw compares with the running sums
+    # (1/4, 1/2, 3/4) * n, and Bob's overlap over his trace is n: draws in one
+    # quarter of n put every trial in that branch, at fidelity sqrt(n), on
+    # the engine as on the step-by-step path
+    inputs, norms, of, r = _short_inputs(41 + branch, 0.5)
+    u = (branch + r) / 4 * norms[of]
+    branches, _, fids = kernels.electronic_batch(protocol._kernel_setup("electronic"), norms[of], u)
     assert set(branches.tolist()) == {branch}
-    expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
-    assert np.abs(fids - expected).max() <= 1e-15
+    expected = np.array([_step_by_step(inputs[k], "electronic", [x]) for k, x in zip(of, u)])
+    np.testing.assert_array_equal(branches, expected[:, 0])
+    assert np.abs(fids - expected[:, 2]).max() <= 1e-15
     assert np.ptp(fids) > 0.1  # generic fidelities, not the protocol's 1
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
 def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_half(branch):
-    # the cold-atom engine folds the integer-class part, of squared norm
-    # p = F @ class_form; its sector probabilities are divided by p, while
-    # val / tr must not be: dividing F by p doubles val here, and only a
-    # generic fidelity below 1 shows it, since the cap val <= tr hides it at 1
-    x, g, of, u = _one_branch_states(branch)
-    branches, rounds = np.empty(len(of), dtype=np.int64), np.empty(len(of), dtype=np.int64)
-    fids = np.empty(len(of))
-    for k, (xk, gk) in enumerate(zip(x, g)):
-        rows = np.outer(gk.conj(), xk) / np.sqrt(2.0)  # gk @ rows = xk / sqrt(2)
-        setup = {**protocol._folded(rows), "class_form": protocol._gram_form(rows)}
-        trials = np.flatnonzero(of == k)
-        # class draws 0.75, then 0.25: every trial stops in round 2 and reads
-        # its branch draw from column 2; the table holds max_rounds + 1 columns
-        table = np.zeros((len(trials), protocol.DEFAULT_MAX_ROUNDS + 1))
-        table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, u[trials]
-        branches[trials], rounds[trials], fids[trials] = kernels.coldatom_batch(
-            setup, np.array([protocol._bloch(*gk)]), lambda stop: table, 0,
-            protocol.DEFAULT_MAX_ROUNDS)
+    # a cold-atom round hits with p = n / 2, and a hit's state is scaled by
+    # 1 / sqrt(p): its branch draw compares with (1/4, 1/2, 3/4), not times n,
+    # while Bob's overlap over his trace stays n.  Class draws 0.75 (a miss,
+    # p <= 1/2) and then 0.25 (a hit, p >= 0.28) stop every trial in round 2;
+    # the step-by-step path relaxes its miss to the normalised initial state
+    inputs, norms, of, r = _short_inputs(45 + branch, 0.75)
+    table = np.zeros((len(of), protocol.DEFAULT_MAX_ROUNDS + 1))
+    table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, (branch + r) / 4
+    branches, rounds, fids = kernels.coldatom_batch(
+        protocol._kernel_setup("coldatom"), norms[of], lambda stop: table, 0,
+        protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
-    expected = [_step_by_step_fidelity(x[row], g[row], u[i]) for i, row in enumerate(of)]
-    assert np.abs(fids - expected).max() <= 1e-15
+    expected = np.array([_step_by_step(inputs[k], "coldatom", row[:3]) for k, row in zip(of, table)])
+    np.testing.assert_array_equal(branches, expected[:, 0])
+    np.testing.assert_array_equal(rounds, expected[:, 1])
+    assert np.abs(fids - expected[:, 2]).max() <= 1e-15
     assert np.ptp(fids) > 0.1
 
 
@@ -525,18 +520,106 @@ def test_setup_forms_certify_the_papers_probabilities():
     # F @ class_form = 1/2; the half-odd sectors have none, or the setup
     # would have raised (test_outcome_outside_the_branches_raises_naming_it);
     # the setup keeps the branch forms' running sums, (1/4, 1/2, 3/4, 1) times
-    # (1, 1, 0, 0) at scale 1
+    # (1, 1, 0, 0) at scale 1, and the engine's constants, exactly
     ones, half = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
         setup = protocol._kernel_setup(variant)
-        alice = setup["forms"][:, len(setup["sums"]):-4]
+        alice = setup["branch"]
         assert alice.shape == (4, len(protocol.BRANCHES)) == (4, 4)
-        # the BLAS kernel behind F @ forms, and so a fidelity's last bit,
-        # follows the memory order of forms
-        assert setup["forms"].flags.f_contiguous
         for k, (form, (j, m)) in enumerate(zip(alice.T, protocol.BRANCHES)):
             assert np.abs(form - scale * (k + 1) / 4 * ones).max() <= 1e-12, (variant, j, m)
+        assert setup["quarters"].tolist() == [[0.25], [0.5], [0.75]]
     assert np.abs(protocol._kernel_setup("coldatom")["class_form"] - half).max() <= 1e-12
+    assert protocol._kernel_setup("coldatom")["class_p"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the setup's certificate of ideal teleportation: a fold that breaks it raises
+# at setup, naming the check, before any trial runs on it
+# ---------------------------------------------------------------------------
+
+def _electronic_setup_of(rows, monkeypatch):
+    """A fresh electronic setup that folds ``rows`` in place of the two initial states."""
+    monkeypatch.setattr(protocol, "_inputs", lambda variant: rows)
+    return protocol._kernel_setup.__wrapped__("electronic")
+
+
+_INITIAL = protocol._inputs("electronic")
+
+
+def test_certificate_refuses_forms_with_coherence_rows(monkeypatch):
+    # the second input's state overlaps the first's: each branch probability
+    # picks up Re g1 conj(g2), row 2 of its form
+    rows = np.stack([_INITIAL[0], (_INITIAL[0] + _INITIAL[1]) / np.sqrt(2)])
+    with pytest.raises(RuntimeError, match=r"^ideal teleportation is not certified: the branch "
+                                           r"forms are not isotropic: their rows 2-3 .* reach 1\.41"):
+        _electronic_setup_of(rows, monkeypatch)
+
+
+@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
+def test_certificate_refuses_generic_states_in_one_branch(branch, monkeypatch):
+    # generic states inside one branch sector: Alice's branch forms would put
+    # every trial in it, but they depend on the coherence of g
+    x = _one_branch_states(branch)
+    with pytest.raises(RuntimeError, match=r"not certified: the branch forms are not isotropic"):
+        _electronic_setup_of(x[:2], monkeypatch)
+
+
+def test_certificate_refuses_forms_with_unequal_diagonal_rows(monkeypatch):
+    # the second input's state at half the amplitude: the probabilities add
+    # up to |g1|^2 + |g2|^2 / 4
+    rows = _INITIAL * np.array([[1.0], [0.5]])
+    with pytest.raises(RuntimeError, match=r"not certified: the branch forms are not isotropic: "
+                                           r"their rows 0 and 1 .* differ by 0\.75"):
+        _electronic_setup_of(rows, monkeypatch)
+
+
+def test_certificate_refuses_a_constant_off_the_grid(monkeypatch):
+    # isotropic, but 0.81 / 4 is neither m / 8 nor m sqrt(2) / 8
+    with pytest.raises(RuntimeError, match=r"not certified: a branch constant, 0\.202\d*, is off "
+                                           r"the grids m / 8 and m sqrt\(2\) / 8"):
+        _electronic_setup_of(0.9 * _INITIAL, monkeypatch)
+
+
+def test_certificate_refuses_branch_sums_that_are_not_quarters(monkeypatch):
+    # on the grid, but an electronic trial's branches would add up to 2
+    with pytest.raises(RuntimeError, match=r"not certified: the branch running sums \[0\.49\d*, "
+                                           r"0\.99\d*, 1\.49\d*, 1\.99\d*\] are not \(1/4, 1/2, "
+                                           r"3/4, 1\) times 1\.0"):
+        _electronic_setup_of(np.sqrt(2) * _INITIAL, monkeypatch)
+
+
+def test_certificate_refuses_a_class_probability_other_than_one_half(monkeypatch):
+    # an integer-class part of twice the weight: the branch sums still follow
+    # the class constant, 1, but a round no longer hits with probability 1/2
+    real = protocol.integer_class_projector
+    monkeypatch.setattr(protocol, "integer_class_projector",
+                        lambda modes, wires: np.sqrt(2) * real(modes, wires))
+    with pytest.raises(RuntimeError, match=r"not certified: a round's class constant is 1\.0\d*, "
+                                           r"not 1/2"):
+        protocol._kernel_setup.__wrapped__("coldatom")
+
+
+@pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
+def test_certificate_refuses_a_wrong_correction_for_bob(branch, monkeypatch):
+    # the next branch's gates in this branch leave Bob's spin rotated: his
+    # overlap with g depends on more than its norm
+    wrong = list(protocol._CORRECTIONS)
+    wrong[branch] = protocol._CORRECTIONS[(branch + 1) % len(wrong)]
+    monkeypatch.setattr(protocol, "_CORRECTIONS", tuple(wrong))
+    with pytest.raises(RuntimeError, match=r"not certified: the overlap forms are not isotropic"):
+        protocol._kernel_setup.__wrapped__("electronic")
+
+
+def test_certificate_refuses_an_overlap_that_is_not_the_trace(monkeypatch):
+    # isotropic forms on the grid, with Bob's overlap twice his trace: a
+    # fidelity sqrt(2 n) would not be the protocol's
+    real = protocol._folded
+    monkeypatch.setattr(protocol, "_folded",
+                        lambda rows: {**real(rows), "overlap": np.sqrt(2) * real(rows)["overlap"]})
+    with pytest.raises(RuntimeError, match=r"not certified: Bob's overlap/trace in branch "
+                                           r"\(1\.0, 1\.0\) is 0\.5 / 0\.2\d*, not 1"):
+        protocol._kernel_setup.__wrapped__("electronic")
 
 
 # Exact report bytes: a change to any of them must be deliberate.
@@ -589,7 +672,7 @@ _GOLDEN = {
     "1": 300
   },
   "mean_rounds": 1.0,
-  "min_fidelity": 0.9999999999999999,
+  "min_fidelity": 1.0,
   "mean_fidelity": 1.0
 }
 """,
@@ -627,10 +710,20 @@ _GOLDEN = {
   },
   "mean_rounds": 1.9766666666666666,
   "min_fidelity": 0.9999999999999999,
-  "mean_fidelity": 1.0
+  "mean_fidelity": 0.9999999999999998
 }
 """,
 }
+
+
+def _report_json(variant, g_kind, n, seed):
+    """The report JSON of a pinned run: ``variant`` may name a mixed resource
+    after a slash, ``mixed/diag`` for diag(1/4, 1/4, 1/2) over (a doublon,
+    b doublon, singlet); plain ``mixed`` runs on the a-b singlet."""
+    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
+    variant, _, resource = variant.partition("/")
+    resource = _span_resource(np.diag([0.25, 0.25, 0.5])) if resource == "diag" else None
+    return run_trials(g, variant, n, seed=seed, resource=resource).to_json()
 
 
 @pytest.mark.parametrize("variant, g_kind, seed", list(_GOLDEN))
@@ -641,8 +734,9 @@ def test_golden_report_bytes(variant, g_kind, seed):
     assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
-# SHA-256 of the report JSON over both engine variants, fixed and Haar inputs,
-# one trial, part of a chunk and past a chunk, a small and the largest seed.
+# SHA-256 of the report JSON over every variant, mixed on two resources,
+# fixed and Haar inputs, one trial, part of a chunk and past a chunk, a
+# small and the largest seed.
 _DIGESTS = {
     ("electronic", "fixed", 1, 5): "ffc5de87e36277046e7f78f925c4b91acf937b10da5e5fb19e04932cd59b3ade",
     ("electronic", "fixed", 1, 2**64 - 1): "63465b74b15a342dd506f87d61228eb269ed9ab103a730cd028511130652519b",
@@ -652,36 +746,96 @@ _DIGESTS = {
     ("electronic", "fixed", 1025, 2**64 - 1): "6813c773467db3fa5532d34fdbdabe9ed21c828e6ec60bb1f2abcdfcea1bf597",
     ("electronic", "haar", 1, 5): "a4d2dd15922aa0214379b911c95eb163978de8ee8bf3309c3046f1053390a64c",
     ("electronic", "haar", 1, 2**64 - 1): "4d305905a50f4106fce809a5f6015f72a19b59636a7f9503e41a515cb5febbf8",
-    ("electronic", "haar", 50, 5): "c0ca6b441815de53ad6df2398830b43796c4fe877eec00c142e8ba9cc45f0fd6",
-    ("electronic", "haar", 50, 2**64 - 1): "0a56a050e5e89337dd9714740f80f510467ce1ca56667b2389753a6d35f23e19",
-    ("electronic", "haar", 1025, 5): "7159ab0ff8e31f3499d7b5ed290ccfb7b4cba03d6f0f57a2c9bfb7e0c9426c34",
-    ("electronic", "haar", 1025, 2**64 - 1): "bd8122599dca7b6c07d7412ba071f739ea7d69d0674b22142f02edf76fdc565a",
-    ("coldatom", "fixed", 1, 5): "5a40d6b4897d2845a99dcad2bfbba63526024a5c866b2d008719d91b01c819d9",
+    ("electronic", "haar", 50, 5): "88e5db1ad2c5f44b3309114a5730237c7ebcd9191e67d851d1a9911473a400ea",
+    ("electronic", "haar", 50, 2**64 - 1): "7eaae9bd14f413b67b31e077ae06ca5072abc731622653a0dc42665077d2186a",
+    ("electronic", "haar", 1025, 5): "e57e59905cdeee4d750eaca9f0e7505afb7e64665e929e63cde48a14c30e7053",
+    ("electronic", "haar", 1025, 2**64 - 1): "4a1440647636f3946e5ee4d571839bc7ff45b45289a1bad5bd7f8bc82096bba7",
+    ("coldatom", "fixed", 1, 5): "62c9b280df5d314665e210d8b0929626c2336122ee520cf6be1c2eb136ee7eca",
     ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",
-    ("coldatom", "fixed", 50, 5): "cb2cfd2f27bfe396d097d703674727ac5c778547cb955a0251815bff25626cd2",
-    ("coldatom", "fixed", 50, 2**64 - 1): "1bc30fad04dd465be2b002968dde1738858e05303f6db3afe1c06e8e2847ebb5",
-    ("coldatom", "fixed", 1025, 5): "31eb7f9063d0f8cb03bcc51b981b0fabe1115aafbda6adc1bc1d4c0ae1d128e0",
-    ("coldatom", "fixed", 1025, 2**64 - 1): "68529263224fbffbad263f86918f888389131873d1e1f9da946a4bbd7ead72b1",
-    ("coldatom", "haar", 1, 5): "a151386e8156e1df0dd30e5e9885f2e106ae5aea4ddc2dec43572a3616ebc09c",
+    ("coldatom", "fixed", 50, 5): "28a95033ffaf01c4a658d08d23bf4cc2d49f5809b836b0369cf60a31d8135a78",
+    ("coldatom", "fixed", 50, 2**64 - 1): "9d31836e1e98d8be879e52c0e582ddb8566744d0f00ef234af0f63d815208e7b",
+    ("coldatom", "fixed", 1025, 5): "b01101c2a6b030f910391d278d211dca15664cfdc528f1882a8b0d9310a35714",
+    ("coldatom", "fixed", 1025, 2**64 - 1): "ceb6c24b1d842c2ee305be1aaa8fbca3f47e930d2299c4f2db3918d4f48b57e8",
+    ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
     ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
     ("coldatom", "haar", 50, 5): "575d5592c0d9fa5fc807cf6a64925c827ef8bfcf569276fa5b1a20bb1fcbdd9a",
     ("coldatom", "haar", 50, 2**64 - 1): "4e57796f11df6f8ff775827c71e3522a119d62c9e21d00eab1d46e7956f2f73a",
     ("coldatom", "haar", 1025, 5): "03d130e8f4fa814ee0ea6f853e416da12e49c1891f69dbf001714fb554a446d8",
     ("coldatom", "haar", 1025, 2**64 - 1): "36294955a818756458cb7417261f38ca5d80eace5bae0f32f2d3e13238785379",
+    ("mixed", "fixed", 1, 5): "1adad2157dbff9c7b5947403f4c9a1e54403d94d26d88b7a421c9c849b9bca8a",
+    ("mixed", "fixed", 1, 2**64 - 1): "7af6397f8c881de3581eae15046ded7b6ae79d651a76e32a1e2c6299fe588492",
+    ("mixed", "fixed", 50, 5): "9a18b36a2434366cdad424525b44ad963a304ff2e986937e3c487ece5973aa51",
+    ("mixed", "fixed", 50, 2**64 - 1): "75b4bfccffada2adc7a615035fa6bdf8fff8f615e0b27f3d284de5c533e1d063",
+    ("mixed", "fixed", 1025, 5): "4555c8c5598593d8e41be11a7429a34175a14738be8288bb8080ab211d907ff5",
+    ("mixed", "fixed", 1025, 2**64 - 1): "3d14dfc651b2462cb0f758d44559fa4c2601c6869ee763b7d4a9263fc213be15",
+    ("mixed", "haar", 1, 5): "1884f309716b233135fa58e2a2e76be692ae029094c04b6952ba5d802c2a21b4",
+    ("mixed", "haar", 1, 2**64 - 1): "52393dedf8fc36d35597688314d4926747d6fe14097d07cc869f9238c84149ed",
+    ("mixed", "haar", 50, 5): "21bdbb4f7bed4b038099cabab31296ab3d18420e1cabc018b8517884e21aec03",
+    ("mixed", "haar", 50, 2**64 - 1): "3ba0ff033d94befb7f532b87bc876685e22aeae89d22a512538958cc4a6db82f",
+    ("mixed", "haar", 1025, 5): "e59954175b475c9c07da4542f243d016fb4ad5e0e74e5fcd34626780f111fb00",
+    ("mixed", "haar", 1025, 2**64 - 1): "92f44485badd4eb9227274650fbc9027565d779f888117b1680129bb09a08fab",
+    ("mixed/diag", "fixed", 1, 5): "e2e4ce805617e691ee89dd5687cba313e905ec4b866f0bbe7514825c13a3fce6",
+    ("mixed/diag", "fixed", 1, 2**64 - 1): "7af6397f8c881de3581eae15046ded7b6ae79d651a76e32a1e2c6299fe588492",
+    ("mixed/diag", "fixed", 50, 5): "75fac7169f23c9aa80222bc4ecbad51a9fe63ade1e6966608f7c1759174a09f0",
+    ("mixed/diag", "fixed", 50, 2**64 - 1): "02cb543355361ecfb1ae1d6e2fb594d319c990fff3c843ade5654bf82af8b14a",
+    ("mixed/diag", "fixed", 1025, 5): "ecf83ff8b2ec2029414437c90446723c6702b7b75185375a1d38227361234926",
+    ("mixed/diag", "fixed", 1025, 2**64 - 1): "e1dca1c184d8d0d5a4c9a8a2314c764db7443344ec6262fd7d88a4152af21f15",
+    ("mixed/diag", "haar", 1, 5): "1884f309716b233135fa58e2a2e76be692ae029094c04b6952ba5d802c2a21b4",
+    ("mixed/diag", "haar", 1, 2**64 - 1): "f0964058700d7d395539fed5e9bd1900e9ff604b0869f002b0b25bfe31fdaeb1",
+    ("mixed/diag", "haar", 50, 5): "209efa4e598febdf97f14ebbe80455d33e4008d72cabb5af674743d5a07a9a8d",
+    ("mixed/diag", "haar", 50, 2**64 - 1): "1d9ca1e3e2adeabdb1841cab9be5a811c65c4492ee0b260cd8979f5eb608d668",
+    ("mixed/diag", "haar", 1025, 5): "aab4e2ef8d608bb842643eb1a3adfa3bde179ca1cdfb6fb2534dad199124ea04",
+    ("mixed/diag", "haar", 1025, 2**64 - 1): "556cfaf674ca7bdd4904ea4a38de542c83d84edebff6838c834917dee7dc77b5",
 }
 
 
 @pytest.mark.parametrize("variant, g_kind, n, seed", list(_DIGESTS))
 def test_report_digest(variant, g_kind, n, seed):
-    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
-    report = run_trials(g, variant, n, seed=seed)
-    text = report.to_json()
+    text = _report_json(variant, g_kind, n, seed)
     assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[variant, g_kind, n, seed]
-    assert text == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 #: numpy's dispatch targets above its x86-64 baseline: disabled, numpy runs its baseline loops.
 _SIMD_FEATURES = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+#: The core type OpenBLAS reports, or None where numpy's BLAS is not scipy-openblas.
+_OPENBLAS_CORE = """
+import ctypes, pathlib
+import numpy as np
+libs = sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+corename = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is not None:
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+core = corename().decode() if corename is not None else None
+"""
+
+
+def _child_reports(tmp_path, env, check=""):
+    """The pinned reports' digests and golden texts, and OpenBLAS's core type,
+    from a child process whose environment adds ``env``, after ``check``."""
+    script = tmp_path / "reports.py"
+    script.write_text(f"""
+import hashlib, json, sys
+{check}
+{_OPENBLAS_CORE}
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+from test_backends import _DIGESTS, _GOLDEN, _report_json
+print(json.dumps({{
+    "core": core,
+    "digests": [hashlib.sha256(_report_json(*key).encode()).hexdigest() for key in _DIGESTS],
+    "golden": [_report_json(variant, g_kind, 300, seed) for variant, g_kind, seed in _GOLDEN],
+}}))
+""")
+    src = os.path.dirname(os.path.dirname(edgeteleport.__file__))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert dict(zip(_DIGESTS, got["digests"])) == _DIGESTS
+    assert dict(zip(_GOLDEN, got["golden"])) == _GOLDEN
+    return got["core"]
 
 
 def test_report_digests_do_not_depend_on_numpys_simd_level(tmp_path):
@@ -691,27 +845,20 @@ def test_report_digests_do_not_depend_on_numpys_simd_level(tmp_path):
 
     if not all(__cpu_features__.get(f) for f in _SIMD_FEATURES.split()):
         pytest.skip(f"numpy finds not all of {_SIMD_FEATURES} on this CPU")
-    script = tmp_path / "digests.py"
-    script.write_text(f"""
-import hashlib, json
+    _child_reports(tmp_path, {"NPY_DISABLE_CPU_FEATURES": _SIMD_FEATURES}, check=f"""
 from numpy._core._multiarray_umath import __cpu_features__
-from edgeteleport.protocol import SpinAmplitudes, run_trials
-assert not any(__cpu_features__[f] for f in {_SIMD_FEATURES.split()!r})
-keys = {list(_DIGESTS)!r}
-digests = []
-for variant, g_kind, n, seed in keys:
-    g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5) if g_kind == "fixed" else None
-    text = run_trials(g, variant, n, seed=seed).to_json()
-    digests.append(hashlib.sha256(text.encode()).hexdigest())
-print(json.dumps(digests))
-""")
-    src = os.path.dirname(os.path.dirname(edgeteleport.__file__))
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _SIMD_FEATURES,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                         env=env, cwd=tmp_path, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert dict(zip(_DIGESTS, json.loads(run.stdout))) == _DIGESTS
+assert not any(__cpu_features__[f] for f in {_SIMD_FEATURES.split()!r})""")
+
+
+@pytest.mark.parametrize("core", ["Sandybridge", "Prescott"])
+def test_report_bytes_do_not_depend_on_the_blas_kernel(core, tmp_path):
+    # the engine calls no BLAS routine: FMA and non-FMA kernels, which sum a
+    # product's terms in other orders, give the same reports
+    native = {}
+    exec(_OPENBLAS_CORE, native)
+    picked = _child_reports(tmp_path, {"OPENBLAS_CORETYPE": core})
+    # the setting took: the child left the kernel this process picked
+    assert picked is None or picked != native["core"] or picked == core, (picked, core)
 
 
 # ---------------------------------------------------------------------------

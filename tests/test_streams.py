@@ -108,25 +108,37 @@ def test_haar_scalar_and_batch_amplitudes_are_bit_identical():
         assert (g.g1, g.g2) == (g1s[t], g2s[t])
 
 
-def test_engine_haar_rows_are_the_bloch_vectors_of_the_oracles_amplitudes():
+def test_engine_haar_norms_are_those_of_the_oracles_amplitudes():
     u = protocol._Draws(17, 0, protocol._CHUNK).u
-    F = protocol._haar_bloch(u)
-    expected = np.stack(protocol._bloch(*protocol._haar_amplitudes(u[:, :3])), axis=1)
-    assert F.shape == (protocol._CHUNK, 4)
-    assert np.abs(F - expected).max() <= 1e-15
+    n = protocol._haar_norms(u)
+    g1, g2 = protocol._haar_amplitudes(u[:, :3])
+    assert n.shape == (protocol._CHUNK,)
+    assert np.abs(n - (np.abs(g1) ** 2 + np.abs(g2) ** 2)).max() <= 1e-15
     # u0 is a multiple of 2**-53, so 1 - u0 is exact and so is the unit norm
     assert np.all(u[:, 0] * 2.0**53 == np.floor(u[:, 0] * 2.0**53))
-    assert np.all(F[:, 0] + F[:, 1] == 1.0)
+    assert np.all(n == 1.0)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_engine_haar_rows_refuse_non_finite_draws(column, bad):
-    # the engine's guard raises the amplitudes' own error
+    # the engine's guard raises the amplitudes' own error, for the phase
+    # draws too, which the squared norms do not read
     u = protocol._Draws(17, 0, 8).u.copy()
     u[5, column] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
-        protocol._haar_bloch(u)
+        protocol._haar_norms(u)
+
+
+@pytest.mark.parametrize("u0", [-2.0**-53, 1.0 + 2.0**-52, 3.0])
+def test_engine_haar_norms_refuse_a_first_draw_outside_the_unit_interval(u0):
+    # the norm u0 + (1 - u0) is 1 for every finite u0; the guard still
+    # refuses, as _haar_amplitudes does, whose sqrt(u0) or sqrt(1 - u0) is NaN
+    u = protocol._Draws(17, 0, 8).u.copy()
+    u[2, 0] = u0
+    for make in (protocol._haar_norms, lambda u: protocol._haar_amplitudes(u[:, :3])):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
+            make(u)
 
 
 def test_streams_read_alternately_match_streams_read_in_turn():
