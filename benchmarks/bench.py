@@ -25,6 +25,9 @@ Layers:
 - ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
   writing its report to a temporary file; 50 trials of a fixed ``g`` is the
   call perfbench's coldatom-scan makes;
+- ``cli.main/hubbard`` and ``cli.main/spectrum/59``: the ``hubbard`` JSON
+  printed to stdout and the 59-site ``spectrum`` CSV written to a temporary
+  file, end to end, two of the calls perfbench's chain-sweep makes;
 - ``numerical_spectrum/<sites>``: the chain eigensolve;
 - ``spectrum_csv/<sites>``: the ``spectrum`` command's CSV text, the
   eigensolve included.
@@ -70,8 +73,9 @@ BUDGET_S = 0.3
 MAX_CALLS = 2000
 
 
-def _runtime_layers(sizes: dict, out_path: str) -> dict:
-    """Name -> zero-argument call, for every layer timed after ``warm_up``."""
+def _runtime_layers(sizes: dict, tmp: str) -> dict:
+    """Name -> zero-argument call, for every layer timed after ``warm_up``;
+    CLI layers write into the directory ``tmp``."""
     import numpy as np
     from edgeteleport import cli, fock, protocol, ssh_lattice
 
@@ -93,8 +97,13 @@ def _runtime_layers(sizes: dict, out_path: str) -> dict:
     for variant in ("electronic", "coldatom"):
         for n in sizes["cli"]:
             argv = ["teleport", "--variant", variant, "--g1", "0.6,0", "--g2", "0,0.8",
-                    "--trials", str(n), "--seed", "1", "--out", out_path]
+                    "--trials", str(n), "--seed", "1", "--out", os.path.join(tmp, "report.json")]
             layers[f"cli.main/teleport/{variant}/{n}"] = lambda argv=argv: _exit_0(cli.main(argv))
+    for name, argv in (
+            ("cli.main/hubbard", ["hubbard", "--e2", "1.0", "--lambda", "0.05"]),
+            ("cli.main/spectrum/59", ["spectrum", "--sites", "59", "--t", "1.0", "--tprime", "0.5",
+                                      "--out", os.path.join(tmp, "spectrum.csv")])):
+        layers[name] = lambda argv=argv: _exit_0(cli.main(argv))
     for sites in sizes["sites"]:
         params = ssh_lattice.WireParams(sites)
         layers[f"numerical_spectrum/{sites}"] = (
@@ -157,7 +166,7 @@ def child(mode: str, src: str, smallest: bool, trace: bool) -> dict:
     protocol.warm_up("electronic")
     protocol.warm_up("coldatom")
     with tempfile.TemporaryDirectory() as tmp:
-        layers = _runtime_layers(SIZES[smallest], os.path.join(tmp, "report.json"))
+        layers = _runtime_layers(SIZES[smallest], tmp)
         for name, call in layers.items():
             result[name] = _once(call, True) if trace else _timed(call, smallest)
     return result

@@ -37,6 +37,7 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
           for n in (1, 100)),
         "run_trials/mixed/haar/2", "run_trials/mixed-diag/haar/2",
         "cli.main/teleport/electronic/50", "cli.main/teleport/coldatom/50",
+        "cli.main/hubbard", "cli.main/spectrum/59",
         "numerical_spectrum/59", "spectrum_csv/59",
     }
     for name, layer in layers.items():

@@ -366,6 +366,8 @@ _PINNED_RUNS = [
      _error("unrecognized arguments: -- x")),
     (["zeromode", "--sites=--", "--out", "{out}"], 2, "",
      _error("an option is missing its value")),
+    (["teleport", "--g1=--", "--out", "{out}"], 2, "", _error("an option is missing its value")),
+    (["teleport", "--trials", "5", "--out=--"], 2, "", _error("an option is missing its value")),
     (["teleport", "--trials", "5"], 2, "",
      _error("the following arguments are required: --out", _TELEPORT_USAGE,
             "edgeteleport teleport")),
