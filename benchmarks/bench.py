@@ -36,9 +36,23 @@ Each layer records the median and quartiles of its call times in seconds,
 the sample count, the minor page faults per timed call (``ru_minflt``) and
 the ``tracemalloc`` peak of one call.  Peaks come from a separate pass, so no
 timing runs under ``tracemalloc``.  A layer missing from one tree's results
-is recorded as ``null`` for that tree.  ``--smallest`` runs every layer
-family at small sizes (one and 100 trials for ``run_trials``), once each,
-for a quick check of the driver itself.
+is recorded as ``null`` for that tree.
+
+A pooled median folds in the host's slow and fast spells, and one tree's
+child can run inside a spell the other's missed.  So a layer measured in both
+trees also records the ratio taken per round: ``round_ratios`` holds each
+round's current/baseline ratio of the two trees' per-round medians (their
+children ran back to back), ``ratio_median`` their median, and ``ratio_ci95``
+the order statistics that bracket that median with probability at least 0.95
+for any distribution of the ratios (Kalibera & Jones, "Rigorous Benchmarking
+in Reasonable Time", ISMM 2013), at the exact binomial coverage
+``ratio_ci95_coverage``.  Fewer than six rounds cannot reach 0.95; their
+interval is the whole range.  ``verdict`` is ``faster`` or ``slower`` when
+the interval reaches 0.95 and lies below or above 1, and ``not resolved``
+otherwise.
+
+``--smallest`` runs every layer family at small sizes (one and 100 trials
+for ``run_trials``), once each, for a quick check of the driver itself.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import platform
 import resource
@@ -241,8 +256,31 @@ def _summary(samples: list[float], minflt: list[float], peak) -> dict:
             "minflt_per_call": statistics.median(minflt), "tracemalloc_peak_kib": peak}
 
 
+def _median_interval(ratios: list[float]) -> tuple[float, float, float]:
+    """The order statistics ``x[j] <= x[n - 1 - j]`` of the sorted ``ratios``
+    that bracket their population median with probability at least 0.95, at
+    the largest such ``j``, and that probability, ``1 - 2 P(Bin(n, 1/2) <= j)``;
+    the whole range and its probability when no ``j`` reaches 0.95."""
+    x, n = sorted(ratios), len(ratios)
+    coverage = [1 - 2 * sum(math.comb(n, i) for i in range(j + 1)) / 2**n for j in range(n // 2)]
+    j = max((j for j, c in enumerate(coverage) if c >= 0.95), default=0)
+    return x[j], x[n - 1 - j], coverage[j] if coverage else 0.0
+
+
+def _round_ratios(baseline: dict, current: dict) -> dict:
+    """Per-round ratios of the per-round medians, from each tree's ``{round: samples}``."""
+    ratios = [statistics.median(current[r]) / statistics.median(baseline[r])
+              for r in sorted(baseline) if r in current]
+    lo, hi, coverage = _median_interval(ratios)
+    resolved = coverage >= 0.95 and not lo <= 1.0 <= hi
+    return {"round_ratios": ratios, "ratio_median": statistics.median(ratios),
+            "ratio_ci95": [lo, hi], "ratio_ci95_coverage": coverage,
+            "verdict": ("faster" if hi < 1.0 else "slower") if resolved else "not resolved"}
+
+
 def measure(trees: dict, rounds: int, smallest: bool) -> dict:
-    """Per tree and layer, the summary of ``rounds`` alternating rounds."""
+    """Per tree and layer, the summary of ``rounds`` alternating rounds, and
+    with two trees each layer's per-round ratios (:func:`_round_ratios`)."""
     modes = ("setup-electronic", "setup-coldatom", "runtime")
     raw = {label: {} for label in trees}
     for r in range(rounds):
@@ -253,9 +291,10 @@ def measure(trees: dict, rounds: int, smallest: bool) -> dict:
                     if name == "version":
                         trees[label]["version"] = rec
                         continue
-                    entry = raw[label].setdefault(name, {"samples": [], "minflt": []})
+                    entry = raw[label].setdefault(name, {"samples": [], "minflt": [], "rounds": {}})
                     entry["samples"] += rec["samples"]
                     entry["minflt"].append(rec["minflt"])
+                    entry["rounds"].setdefault(r, []).extend(rec["samples"])
     peaks = {label: {} for label in trees}
     for label in trees:
         for mode in modes:
@@ -269,6 +308,8 @@ def measure(trees: dict, rounds: int, smallest: bool) -> dict:
         if all(layers[name].get(k) for k in ("baseline", "current")):
             layers[name]["current_over_baseline"] = (layers[name]["current"]["median_s"]
                                                      / layers[name]["baseline"]["median_s"])
+            layers[name].update(_round_ratios(raw["baseline"][name]["rounds"],
+                                              raw["current"][name]["rounds"]))
     return layers
 
 
@@ -301,7 +342,9 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "settings": {"rounds": args.rounds, "smallest": args.smallest, "env": ENV,
                      "budget_s_per_layer_and_round": BUDGET_S,
-                     "timer": "time.perf_counter", "stat": "median and quartiles of call times"},
+                     "timer": "time.perf_counter",
+                     "stat": "median and quartiles of call times; per-round ratios of medians, "
+                             "their median, order-statistic 95% interval and verdict"},
         "trees": {label: {k: v for k, v in tree.items() if k != "src"}
                   for label, tree in trees.items()},
         "layers": layers,

@@ -3,63 +3,59 @@
 One call runs a batch of at most ``_CHUNK`` trials, with the steps of
 ``protocol.run_teleport_once`` and ``run_teleport_mixed``, the references the
 tests compare against.  It runs the law ``protocol._kernel_setup`` certifies,
-ideal teleportation (Bennett et al., PRL 70, 1895 (1993)): every form a trial
-reads is ``n * c`` for the squared norm ``n = |g1|^2 + |g2|^2``, each of
-Alice's branches has probability ``n / 4``, a cold-atom round hits with
-``p = n / 2``, and Bob's overlap with ``g`` is ``n`` times his trace.  So a
-batch's inputs are their squared norms, one broadcast over every trial for a
-fixed input or one per trial for Haar-random inputs, and the engine works
-elementwise on them, with no matrix product.  The setup also certifies that
-a cold-atom miss relaxes back to the initial state, so no state is relaxed
-here.  Callers supply each trial's uniforms from the counter-based streams
-the step-by-step path draws from, so both make identical branch decisions.
+ideal teleportation (Bennett et al., PRL 70, 1895 (1993)), for the squared
+norm ``n = |g1|^2 + |g2|^2``: each of Alice's branches has probability
+``n / 4``, a cold-atom round hits with ``p = n / 2``, and Bob's overlap with
+``g`` is ``n`` times his trace, so his fidelity is ``sqrt(min(n, 1))``.  A run
+has one ``n``, a float, so a batch compares its draws with scalars and
+returns one fidelity.  No state is relaxed here: the setup certifies that a
+cold-atom miss relaxes back to the initial state.  Callers supply each trial's
+uniforms from the streams the step-by-step path reads, so both make identical
+branch decisions.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .fock import _read_only
 
-#: Trials per call at most; a call slices its row indices, electronic rounds and caps from these.
+#: Trials per call at most; a call slices its row indices and electronic rounds from these.
 _CHUNK = 1024
-_ROWS, _ONE_ROUND, _ONES = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64),
-                                       np.ones(_CHUNK)))
+_ROWS, _ONE_ROUND = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64)))
 
 
 def _measure_and_correct(setup, n, u, s):
-    """Each trial's index into ``protocol.BRANCHES`` and Bob's fidelity there.
-
-    Trial ``i`` has the squared norm ``n[i]``, or ``n[0]`` for a shared input,
-    and takes the branch of the running sums ``quarters * s`` that its draw
-    ``u[i]`` falls in: ``s = n`` for an electronic trial, ``s = 1`` once a
-    class hit has scaled the state by ``1 / sqrt(p)``.  Its fidelity is
-    ``sqrt(overlap / trace) = sqrt(n)``, capped at 1 against rounding.
-    """
+    """Each trial's index into ``protocol.BRANCHES``, the running sum
+    ``quarters * s`` its draw ``u[i]`` falls in (``s = n`` for an electronic
+    trial, 1 once a class hit has scaled the state by ``1 / sqrt(p)``), and
+    Bob's fidelity ``sqrt(overlap / trace) = sqrt(n)``, capped at 1 against rounding."""
     branch = np.add.reduce(u >= s * setup["quarters"], axis=0, dtype=np.intp)
-    fid = np.minimum(n, _ONES[:len(u)])
-    return branch, np.sqrt(fid, out=fid)
+    return branch, math.sqrt(min(n, 1.0))
 
 
 def electronic_batch(setup, n, u_branch):
-    """Branch index, rounds (all 1) and fidelity of each electronic trial, with
-    ``n`` and the branch draws ``u_branch`` as in :func:`_measure_and_correct`."""
+    """Branch index and rounds (all 1) of each electronic trial, and their
+    fidelity, for ``n`` and branch draws ``u_branch`` (:func:`_measure_and_correct`)."""
     branch, fid = _measure_and_correct(setup, n, u_branch, n)
     return branch, _ONE_ROUND[:len(branch)], fid
 
 
 def coldatom_batch(setup, n, upto, first, max_rounds, p1=None):
-    """Branch index, rounds and fidelity of each cold-atom or mixed trial.
+    """Branch index and rounds of each cold-atom or mixed trial, and their one fidelity.
 
     ``n`` is as in :func:`_measure_and_correct`.  ``upto(stop)`` returns the
     chunk's draw table, a row per trial, grown by whole Philox block rows to
     at least ``stop`` columns: column ``first + r - 1`` decides class
     measurement ``r`` and ``first + rounds`` the branch.  A trial stops in
-    the first round whose draw falls below ``p = class_p * n``, or ``p1`` in
-    round 1 if given (a mixed trial's).  Rounds are counted over the block
-    rows drawn so far, and one more is drawn only while some trial has no hit
-    and fewer than ``max_rounds`` class draws exist.  Hitting ``max_rounds``
-    raises, as in the step-by-step path; so does an ``upto`` that stops growing.
+    the first round whose draw falls below the float ``p = class_p * n``, or
+    ``p1`` in round 1 if given (a mixed run's).  Rounds are counted over the
+    block rows drawn so far, and one more is drawn only while some trial has
+    no hit and fewer than ``max_rounds`` class draws exist.  Hitting
+    ``max_rounds`` raises, as in the step-by-step path; so does an ``upto``
+    that stops growing.
     """
     p = setup["class_p"] * n
     u = upto(first + 1)
@@ -67,7 +63,7 @@ def coldatom_batch(setup, n, upto, first, max_rounds, p1=None):
         c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
         # a True column after them: a trial with no hit gets c + 1 rounds
         hit = np.ones((len(u), c + 1), dtype=bool)
-        np.less(u[:, first:first + c], p[:, None], out=hit[:, :c])
+        np.less(u[:, first:first + c], p, out=hit[:, :c])
         if p1 is not None:
             np.less(u[:, first], p1, out=hit[:, 0])
         rounds = hit.argmax(axis=1) + 1

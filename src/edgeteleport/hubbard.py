@@ -33,6 +33,7 @@ from .fock import (
     HermitianOperator,
     ModeSet,
     StateVector,
+    _built_once,
     _observable_diagonal,
     annihilation_matrix,
     creation_matrix,
@@ -61,27 +62,31 @@ class CouplingParams:
         return "cold-atom" if self.e2 == 0 else "electronic"
 
 
-def build_h_lambda(lam: float, modes: ModeSet, wire1: str = "a", wire2: str = "b") -> HermitianOperator:
-    """Spin-conserving hopping between the two edge wires."""
+@_built_once()
+def _unit_terms(modes: ModeSet, wire1: str, wire2: str) -> tuple:
+    """The hopping at lam = 1 (entries 0 and +-1) and each wire's charge squared, built once."""
     modes.check_wires((wire1, wire2))
-    dim = modes.dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    hop = np.zeros((modes.dim, modes.dim))
     for spin in ("up", "dn"):
-        i = modes.index(wire1, spin)
-        j = modes.index(wire2, spin)
-        hop = creation_matrix(modes, i) @ annihilation_matrix(modes, j)
-        mat += lam * (hop + hop.T)
-    return HermitianOperator(modes, mat, label=f"H_hop({wire1},{wire2})")
+        i, j = modes.index(wire1, spin), modes.index(wire2, spin)
+        term = creation_matrix(modes, i) @ annihilation_matrix(modes, j)
+        hop += term + term.T
+    return hop, [_observable_diagonal(modes, "charge", (wire,)) ** 2 for wire in (wire1, wire2)]
+
+
+def build_h_lambda(lam: float, modes: ModeSet, wire1: str = "a", wire2: str = "b") -> HermitianOperator:
+    """Spin-conserving hopping between the two edge wires: every entry is +-lam
+    or +0.0 (``+ 0.0`` turns ``0 * -1`` into the +0.0 that a sum of terms gives)."""
+    return HermitianOperator(modes, lam * _unit_terms(modes, wire1, wire2)[0] + 0.0,
+                             label=f"H_hop({wire1},{wire2})")
 
 
 def build_h_int(params: CouplingParams, modes: ModeSet,
                 wire1: str = "a", wire2: str = "b") -> HermitianOperator:
     """Coulomb charging terms on both wires plus the hopping."""
-    modes.check_wires((wire1, wire2))
     mat = build_h_lambda(params.lam, modes, wire1, wire2).mat.copy()
-    for wire in (wire1, wire2):
-        q = _observable_diagonal(modes, "charge", (wire,))
-        mat += np.diag(0.5 * params.e2 * q ** 2)
+    q1, q2 = _unit_terms(modes, wire1, wire2)[1]
+    np.fill_diagonal(mat, mat.diagonal() + 0.5 * params.e2 * q1 + 0.5 * params.e2 * q2)
     return HermitianOperator(modes, mat, label=f"H_int({wire1},{wire2})")
 
 

@@ -159,17 +159,15 @@ def _bloch(g1, g2):
     return a * a + b * b, c * c + d * d, a * c + b * d, b * c - a * d
 
 
-def _haar_norms(u) -> np.ndarray:
-    """The squared norms ``u0 + (1 - u0)`` of ``_haar_amplitudes(u)``'s rows,
-    each 1, as ``1 - u0`` is exact on the 2**-53 grid; draws that would make
-    those amplitudes NaN or infinite raise their error."""
+def _require_haar_draws(u):
+    """Raise the amplitudes' own error for draws that make ``_haar_amplitudes(u)``
+    NaN or infinite: a NaN or infinite draw in any of the three columns, or a
+    ``u0`` outside [0, 1].  For every other ``u0``, ``u0 + (1 - u0)`` rounds to 1."""
     u0 = u[:, 0]
-    f1 = 1.0 - u0
     # a NaN or infinite u0 fails the first test too
-    if not (np.minimum.reduce(np.minimum(u0, f1)) >= 0.0
+    if not (np.minimum.reduce(u0) >= 0.0 and np.maximum.reduce(u0) <= 1.0
             and np.logical_and.reduce(np.isfinite(u[:, 1:3]), axis=None)):
         raise ValueError("spin amplitudes must be finite")
-    return u0 + f1
 
 
 @dataclass(frozen=True)
@@ -502,24 +500,23 @@ _REPORT_JSON = "{\n" + ",\n".join(f"  {_json_str(name)}: %s" for name in _REPORT
 
 
 def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
-    """Fold ``(branches, rounds, fidelities)`` chunks into a report in O(chunk)
-    memory.  The fidelity sum is pairwise over chunks, from a stack of sums
-    of ``2**b`` chunks each; one chunk gives exactly ``np.mean``, and runs no
-    numpy call beyond its two ``bincount``s and two reductions
-    (``np.add.reduce`` is ``ndarray.sum`` without the method's dispatch)."""
+    """Fold ``(branches, rounds, fidelity)`` chunks, one fidelity for all of a
+    chunk's trials, into a report in O(chunk) memory.  The fidelity sum is
+    pairwise over chunks, from a stack of sums of ``2**b`` chunks each, so one
+    chunk gives exactly ``np.mean`` of its trials' fidelities."""
     chunks = iter(chunks)
-    branches, rounds, fids = next(chunks)
-    n, min_fid, fid_sums = len(branches), np.minimum.reduce(fids), [np.add.reduce(fids)]
+    branches, rounds, min_fid = next(chunks)
+    n, fid_sums = len(branches), [_chunk_sum(min_fid, len(branches))]
     per_branch = np.bincount(branches, minlength=len(BRANCHES))
     per_round = np.bincount(rounds)
-    for k, (branches, rounds, fids) in enumerate(chunks, 1):  # k chunks folded so far
+    for k, (branches, rounds, fid) in enumerate(chunks, 1):  # k chunks folded so far
         n += len(branches)
         per_branch += np.bincount(branches, minlength=len(BRANCHES))
         counts = np.bincount(rounds, minlength=len(per_round))
         counts[:len(per_round)] += per_round
         per_round = counts
-        min_fid = np.minimum(min_fid, np.minimum.reduce(fids))
-        x = np.add.reduce(fids)
+        min_fid = min(min_fid, fid)
+        x = _chunk_sum(fid, len(branches))
         while k & 1:  # a partial sum of 2**b chunks per set bit b of k, the highest first
             x, k = fid_sums.pop() + x, k >> 1
         fid_sums.append(x)
@@ -538,6 +535,11 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
         min_fidelity=float(min_fid),
         mean_fidelity=float(sum(reversed(fid_sums))) / n,
     )
+
+
+def _chunk_sum(fid, size):
+    """``np.add.reduce(np.full(size, fid))``, which is ``size`` at ``fid = 1``."""
+    return float(size) if fid == 1.0 else np.add.reduce(np.full(size, fid))
 
 
 def default_backend() -> str:
@@ -752,41 +754,38 @@ def _kernel_setup(variant: str) -> dict:
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
-    """Yield ``(branches, rounds, fidelities)`` arrays, one chunk at a time.
+    """Yield ``(branches, rounds, fidelity)`` chunks: two arrays and a float.
 
-    The engine gets a chunk's inputs as their squared norms: one for a fixed
-    ``g``, broadcast over every trial, and one per Haar-random trial.  A
-    cold-atom chunk draws up front the block rows its longest trial almost
-    always needs: at class probability 1/2 the longest of ``size`` trials
-    takes about ``log2(size)`` rounds.  A mixed run checks its resource
-    (``None`` is the a-b singlet) and runs on the cold-atom engine, round 1
-    at the singlet weight ``p1`` under ``measure_spin_class``'s floor (2.0, a
-    certain hit, where the doublon weight is below ``PROB_FLOOR``).  At the
-    first chunk with a round-1 miss it certifies on :func:`_doublon_sectors`
+    The engine gets the run's one squared norm: ``F0 + F1`` of a fixed ``g``, or 1,
+    and a Haar chunk only checks its draws.  A cold-atom chunk draws up front the
+    block rows its longest trial almost always needs: at class probability 1/2 the
+    longest of ``size`` trials takes about ``log2(size)`` rounds.  A mixed run
+    checks its resource (``None`` is the a-b singlet) and runs on the cold-atom
+    engine, round 1 at the singlet weight ``p1`` under ``measure_spin_class``'s
+    floor (2.0, a certain hit, where the doublon weight is below ``PROB_FLOOR``).
+    At the first chunk with a round-1 miss it certifies on :func:`_doublon_sectors`
     that such misses relax to the cold-atom state.
     """
     setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
+    # a Haar trial's first three draws make g, and its squared norm is 1
+    first, norm = (3, 1.0) if g is None else (0, sum(_bloch(g.g1, g.g2)[:2]))
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
         singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real
+        p1 = singlet * norm if doublons * norm >= PROB_FLOOR else 2.0
         uncertified = True
-    first = 0 if g is not None else 3  # a Haar trial's first three draws make g
-    if g is not None:
-        f = _bloch(g.g1, g.g2)
-        norms = np.array([f[0] + f[1]])
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
         if g is None:
-            norms = _haar_norms(draws.u)
+            _require_haar_draws(draws.u)
         if variant == "electronic":
-            yield _kernels.electronic_batch(setup, norms, draws.u[:, first])
+            yield _kernels.electronic_batch(setup, norm, draws.u[:, first])
         elif variant == "coldatom":
             draws.upto(first + size.bit_length() + 3)
-            yield _kernels.coldatom_batch(setup, norms, draws.upto, first, max_rounds)
+            yield _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds)
         else:
-            p1 = np.where(doublons * norms >= PROB_FLOOR, singlet * norms, 2.0)
-            chunk = _kernels.coldatom_batch(setup, norms, draws.upto, first, max_rounds, p1)
+            chunk = _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds, p1)
             if uncertified and chunk[1].max() > 1:
                 _certify_relaxation(_doublon_sectors(), _inputs("coldatom"), _doublon_folds(r3[:2, :2]))
                 uncertified = False

@@ -8,6 +8,7 @@ exactly and fidelities agree to rounding.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,10 +53,19 @@ from edgeteleport.protocol import (
 from edgeteleport.relax import relax_to_ground
 
 
-def _bloch_row(g):
-    """The engine's one input row of the fixed input ``g``: its squared norm ``F0 + F1``."""
+def _norm(g):
+    """The engine's input for the fixed input ``g``: its squared norm ``F0 + F1``, a float."""
     f = protocol._bloch(g.g1, g.g2)
-    return np.array([f[0] + f[1]])
+    return f[0] + f[1]
+
+
+def _per_trial(chunks):
+    """A run's ``(branches, rounds, fidelity)`` chunks as three per-trial
+    arrays, each chunk's one fidelity repeated over its trials."""
+    branches, rounds, fids = zip(*chunks)
+    assert all(type(f) is float for f in fids)  # one Python float per chunk
+    return (np.concatenate(branches), np.concatenate(rounds),
+            np.concatenate([np.full(len(b), f) for b, f in zip(branches, fids)]))
 
 
 def _oracle(g, variant, n, seed):
@@ -72,7 +82,7 @@ def _oracle(g, variant, n, seed):
 
 def _assert_engine_matches_oracle(g, variant, n, seed):
     chunks = protocol._run_trials_batched(g, variant, n, seed, protocol.DEFAULT_MAX_ROUNDS)
-    branches, rounds, fids = map(np.concatenate, zip(*chunks))
+    branches, rounds, fids = _per_trial(chunks)
     o_branches, o_rounds, o_fids = _oracle(g, variant, n, seed)
     np.testing.assert_array_equal(branches, o_branches)
     np.testing.assert_array_equal(rounds, o_rounds)
@@ -129,7 +139,7 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
         stops.append(stop)
         return draws.upto(stop)
 
-    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _bloch_row(g),
+    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _norm(g),
                                           upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
@@ -148,7 +158,7 @@ def test_restart_loop_refuses_a_draw_table_that_does_not_grow():
 
     with pytest.raises(RuntimeError, match=r"upto\(9\) returned 8 draws per trial"):
         kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
-                               _bloch_row(SpinAmplitudes(1.0, 0.0)), upto, 0, 64)
+                               _norm(SpinAmplitudes(1.0, 0.0)), upto, 0, 64)
     assert stops == [1, 9]
 
 
@@ -181,11 +191,10 @@ def test_threads_running_at_once_give_the_sequential_reports():
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
 def test_no_fidelity_exceeds_one(variant):
-    # rounding puts Bob's overlap above his trace in about one electronic
-    # Haar row and branch in 27; capped, no per-trial fidelity and so no
-    # report exceeds 1
+    # rounding can put Bob's overlap above his trace; capped, no fidelity of
+    # the step-by-step path or of a chunk, and so no report, exceeds 1
     chunks = protocol._run_trials_batched(None, variant, 3000, 5, protocol.DEFAULT_MAX_ROUNDS)
-    assert max(float(fids.max()) for _, _, fids in chunks) <= 1.0
+    assert max(fid for _, _, fid in chunks) <= 1.0
     assert _oracle(None, variant, 300, 5)[2].max() <= 1.0
     for seed in (0, 7, 2**64 - 1):
         report = run_trials(None, variant, 1, seed=seed)
@@ -196,10 +205,14 @@ def test_overlap_above_the_trace_is_capped():
     # Bob's overlap over his trace is the squared norm n: above 1 by more
     # than rounding, it still gives fidelity 1; the protocol's own norms
     # exceed 1 by too little for sqrt to show, so this checks the cap itself
-    setup, n = protocol._kernel_setup("electronic"), 400
-    for norms in (np.array([1.0 + 1e-9]), np.full(n, 1.0 + 1e-9)):
-        _, _, fids = kernels.electronic_batch(setup, norms, np.random.default_rng(3).random(n))
-        assert fids.shape == (n,) and (fids == 1.0).all()
+    n, u = 400, np.random.default_rng(3).random((400, protocol.DEFAULT_MAX_ROUNDS + 1))
+    for norm in (1.0 + 1e-9, 1.0 + 2.0**-52, 4.0):
+        _, _, fid = kernels.electronic_batch(protocol._kernel_setup("electronic"), norm, u[:, 0])
+        assert fid == 1.0 and type(fid) is float
+        _, _, fid = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), norm,
+                                           lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
+        assert fid == 1.0 and type(fid) is float
+    assert math.sqrt(1.0 + 1e-9) > 1.0  # uncapped, the first would exceed 1
 
 
 def test_report_statistics_match_oracle():
@@ -299,27 +312,31 @@ def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     real = kernels._measure_and_correct
 
     def spy(setup, n, u, s):
-        shapes.append((n.shape, len(u)))
+        shapes.append((n, type(n), len(u)))
         return real(setup, n, u, s)
 
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
     n = protocol._CHUNK + 37
     chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
-    # a fixed g is one squared norm, broadcast over all trials of a chunk;
-    # Haar inputs have one per trial, in trial order
-    sizes = [protocol._CHUNK, 37]
-    expected = [((1,), k) for k in sizes] if g is not None else [((k,), k) for k in sizes]
-    assert shapes == expected
+    # a run has one squared norm, a float shared by every trial: F0 + F1 of
+    # a fixed g, and 1 for Haar inputs, whose u0 + (1 - u0) rounds to 1
+    norm = _norm(g) if g is not None else 1.0
+    assert shapes == [(norm, float, k) for k in (protocol._CHUNK, 37)]
     assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
 
 
 def test_report_aggregates_chunks_as_the_array_path_does():
     rng = np.random.default_rng(17)
     sizes = rng.integers(1, 60, size=37)
-    chunks = [(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k), rng.random(k))
-              for k in sizes]
-    for part in (chunks[:1], chunks):
-        b, r, f = map(np.concatenate, zip(*part))
+    # a chunk has one fidelity for all its trials; a third of them below 1
+    chunks = [(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k),
+               float(rng.uniform(0.5, 1.0)) if i % 3 == 0 else 1.0) for i, k in enumerate(sizes)]
+    # a run's fidelity below 1 over three full chunks and a partial last one,
+    # generic and dyadic (whose every partial sum is exact)
+    runs = [[(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k), fid)
+             for k in (protocol._CHUNK,) * 3 + (37,)] for fid in (math.sqrt(1 - 4e-13), 0.75)]
+    for part in (chunks[:1], chunks, *runs):
+        b, r, f = _per_trial(part)
         rep = protocol._assemble_report("coldatom", 0, None, iter(part))
         assert rep.trials == len(b)
         assert list(rep.branch_counts.values()) == np.bincount(b, minlength=4).tolist()
@@ -328,9 +345,13 @@ def test_report_aggregates_chunks_as_the_array_path_does():
         assert rep.mean_rounds == float(np.mean(r))
         assert rep.min_fidelity == float(np.min(f))
         assert abs(rep.mean_fidelity - float(np.mean(f))) <= 1e-15
-    # one chunk is summed exactly as np.mean sums the array
-    assert protocol._assemble_report("coldatom", 0, None, chunks[:1]).mean_fidelity == \
-        float(np.mean(chunks[0][2]))
+    assert protocol._assemble_report("coldatom", 0, None, runs[1]).mean_fidelity == \
+        float(np.mean(_per_trial(runs[1])[2])) == 0.75
+    # one chunk is summed exactly as np.mean sums its trials' array, at
+    # fidelity 1 and below it, full or partial
+    for chunk in (chunks[0], chunks[1], runs[0][0], runs[0][-1]):
+        assert protocol._assemble_report("coldatom", 0, None, [chunk]).mean_fidelity == \
+            float(np.mean(_per_trial([chunk])[2]))
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -350,43 +371,40 @@ def test_run_trials_over_many_chunks_matches_the_array_path(variant, monkeypatch
                                SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)],
                          ids=["up", "fixed"])
 def test_one_shared_row_gives_the_per_trial_rows_results(g):
-    # one squared norm broadcast over n trials, against the same norm repeated n times
-    n = 400
-    shared = _bloch_row(g)
-    per_trial = np.repeat(shared, n)
+    # one squared norm shared by n trials gives each trial the step-by-step
+    # path's branch, rounds and fidelity
+    n, norm = 400, _norm(g)
     u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
 
     setup = protocol._kernel_setup("electronic")
-    (b1, _, f1), (b2, _, f2) = (kernels.electronic_batch(setup, rows, u[:, 0])
-                                for rows in (shared, per_trial))
-    np.testing.assert_array_equal(b1, b2)
-    assert np.abs(f1 - f2).max() <= 1e-15
+    b1, _, f1 = kernels.electronic_batch(setup, norm, u[:, 0])
+    expected = np.array([_step_by_step(g, "electronic", row[:1]) for row in u])
+    np.testing.assert_array_equal(b1, expected[:, 0])
+    assert np.abs(f1 - expected[:, 2]).max() <= 1e-15
 
     setup = protocol._kernel_setup("coldatom")
-    (b1, r1, f1), (b2, r2, f2) = (
-        kernels.coldatom_batch(setup, rows, lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
-        for rows in (shared, per_trial))
-    np.testing.assert_array_equal(b1, b2)
-    np.testing.assert_array_equal(r1, r2)
-    assert np.abs(f1 - f2).max() <= 1e-15
-    assert r1.max() >= 5  # the shared row went through several restarts
+    b1, r1, f1 = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
+                                        protocol.DEFAULT_MAX_ROUNDS)
+    expected = np.array([_step_by_step(g, "coldatom", row) for row in u])
+    np.testing.assert_array_equal(b1, expected[:, 0])
+    np.testing.assert_array_equal(r1, expected[:, 1])
+    assert np.abs(f1 - expected[:, 2]).max() <= 1e-15
+    assert r1.max() >= 5  # the shared norm went through several restarts
 
     # a round-1 class probability p1 equal to p changes nothing; p1 = 2.0, a
     # certain hit, stops every trial in round 1, even at the largest draw
-    for rows, without in ((shared, (b1, r1, f1)), (per_trial, (b2, r2, f2))):
-        same = kernels.coldatom_batch(setup, rows, lambda stop: u, 0,
-                                      protocol.DEFAULT_MAX_ROUNDS, setup["class_p"] * rows)
-        for a, b in zip(same, without):
-            np.testing.assert_array_equal(a, b)
+    same = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
+                                  protocol.DEFAULT_MAX_ROUNDS, setup["class_p"] * norm)
+    for a, b in zip(same, (b1, r1, f1)):
+        np.testing.assert_array_equal(a, b)
     top = u.copy()
     top[:, 0] = 1 - 2.0**-53
-    for p1 in (np.array([2.0]), np.full(n, 2.0)):
-        branches, rounds, fids = kernels.coldatom_batch(
-            setup, shared, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, p1)
-        assert (rounds == 1).all()
-        expected = kernels._measure_and_correct(setup, shared, top[:, 1], 1.0)
-        np.testing.assert_array_equal(branches, expected[0])
-        np.testing.assert_array_equal(fids, expected[1])
+    branches, rounds, fid = kernels.coldatom_batch(
+        setup, norm, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, 2.0)
+    assert (rounds == 1).all()
+    expected = kernels._measure_and_correct(setup, norm, top[:, 1], 1.0)
+    np.testing.assert_array_equal(branches, expected[0])
+    assert fid == expected[1]
 
 
 def test_outcome_outside_the_branches_raises_naming_it():
@@ -457,8 +475,19 @@ def _short_inputs(seed, low, trials=256):
     g = np.stack(protocol._haar_amplitudes(rng.random((40, 3))), axis=1)
     g *= rng.uniform(low, 1.0, (40, 1))
     inputs = [types.SimpleNamespace(g1=g1, g2=g2) for g1, g2 in g]
-    norms = np.concatenate([_bloch_row(gk) for gk in inputs])
+    norms = [float(_norm(gk)) for gk in inputs]
     return inputs, norms, rng.integers(0, 40, trials), rng.uniform(0.01, 0.99, trials)
+
+
+def _one_call_per_input(norms, of, call):
+    """``call(n, rows)`` once per input, on the trials ``rows`` of that input
+    (``of == k``) at its squared norm ``n``, as a run has one norm; the
+    results in trial order, each call's fidelity repeated over its trials."""
+    branches, rounds, fids = (np.zeros(len(of), dtype) for dtype in (np.intp, np.int64, float))
+    for k in np.unique(of):
+        rows = np.flatnonzero(of == k)
+        branches[rows], rounds[rows], fids[rows] = call(norms[k], rows)
+    return branches, rounds, fids
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
@@ -468,8 +497,10 @@ def test_bob_step_with_every_trial_in_one_branch(branch):
     # quarter of n put every trial in that branch, at fidelity sqrt(n), on
     # the engine as on the step-by-step path
     inputs, norms, of, r = _short_inputs(41 + branch, 0.5)
-    u = (branch + r) / 4 * norms[of]
-    branches, _, fids = kernels.electronic_batch(protocol._kernel_setup("electronic"), norms[of], u)
+    u = (branch + r) / 4 * np.take(norms, of)
+    setup = protocol._kernel_setup("electronic")
+    branches, _, fids = _one_call_per_input(
+        norms, of, lambda n, rows: kernels.electronic_batch(setup, n, u[rows]))
     assert set(branches.tolist()) == {branch}
     expected = np.array([_step_by_step(inputs[k], "electronic", [x]) for k, x in zip(of, u)])
     np.testing.assert_array_equal(branches, expected[:, 0])
@@ -487,9 +518,9 @@ def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_hal
     inputs, norms, of, r = _short_inputs(45 + branch, 0.75)
     table = np.zeros((len(of), protocol.DEFAULT_MAX_ROUNDS + 1))
     table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, (branch + r) / 4
-    branches, rounds, fids = kernels.coldatom_batch(
-        protocol._kernel_setup("coldatom"), norms[of], lambda stop: table, 0,
-        protocol.DEFAULT_MAX_ROUNDS)
+    setup = protocol._kernel_setup("coldatom")
+    branches, rounds, fids = _one_call_per_input(norms, of, lambda n, rows: kernels.coldatom_batch(
+        setup, n, lambda stop: table[rows], 0, protocol.DEFAULT_MAX_ROUNDS))
     assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
     expected = np.array([_step_by_step(inputs[k], "coldatom", row[:3]) for k, row in zip(of, table)])
     np.testing.assert_array_equal(branches, expected[:, 0])
@@ -503,15 +534,15 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
     n = protocol._CHUNK
     u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
-    setup, row = protocol._kernel_setup(variant), _bloch_row(g)
+    setup, norm = protocol._kernel_setup(variant), _norm(g)
     if variant == "electronic":
-        branches, _, fids = kernels.electronic_batch(setup, row, u[:, 0])
+        branches, _, fid = kernels.electronic_batch(setup, norm, u[:, 0])
     else:
-        branches, _, fids = kernels.coldatom_batch(setup, row, lambda stop: u, 0,
-                                                   protocol.DEFAULT_MAX_ROUNDS)
+        branches, _, fid = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
+                                                  protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
-    assert np.abs(fids - expected).max() <= 1e-15
+    assert np.abs(fid - np.array(expected)).max() <= 1e-15
 
 
 def test_setup_forms_certify_the_papers_probabilities():
@@ -907,7 +938,7 @@ def _mixed_oracle(g, resource, seed, trials, max_rounds=protocol.DEFAULT_MAX_ROU
 
 def _mixed_engine(g, resource, n, seed, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
     chunks = protocol._run_trials_batched(g, "mixed", n, seed, max_rounds, resource)
-    return map(np.concatenate, zip(*chunks))
+    return _per_trial(chunks)
 
 
 @pytest.mark.parametrize("resource", list(_MIXED.values()), ids=list(_MIXED))
@@ -1004,11 +1035,11 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     monkeypatch.setattr(kernels, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
     run_trials(g, "mixed", 1)
     setup, p1 = calls[0][0], calls[0][5]  # the singlet's, as run_trials makes them
-    assert setup is protocol._kernel_setup("coldatom")
+    assert setup is protocol._kernel_setup("coldatom") and p1 == 2.0
     branch_u = np.random.default_rng(9).random(40)
     table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
-    branches, rounds, fids = real(setup, _bloch_row(g), lambda stop: table, 0, 64, p1)
-    assert (rounds == 1).all() and fids.min() >= 1 - 1e-12
+    branches, rounds, fid = real(setup, _norm(g), lambda stop: table, 0, 64, p1)
+    assert (rounds == 1).all() and fid >= 1 - 1e-12
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):
         res = run_teleport_mixed(g, singlet, _Uniforms([1 - 2.0**-53, u]))

@@ -29,11 +29,16 @@ def _peak(call):
 
 
 def test_one_haar_chunk_peaks_under_half_a_mebibyte():
+    # a Haar chunk checks its draws and runs the engine at the squared norm 1
     setup = protocol._kernel_setup("electronic")
     draws = protocol._Draws(1, 0, protocol._CHUNK)
-    n = protocol._haar_norms(draws.u)
     u = draws.u[:, 3].copy()
-    assert _peak(lambda: kernels.electronic_batch(setup, n, u)) <= 512 * 1024
+
+    def chunk():
+        protocol._require_haar_draws(draws.u)
+        return kernels.electronic_batch(setup, 1.0, u)
+
+    assert _peak(chunk) <= 512 * 1024
 
 
 def _span_resource(weights):
@@ -63,7 +68,7 @@ def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
     real_batch, real_assemble = kernels.coldatom_batch, protocol._assemble_report
 
     def counted_batch(*args):
-        calls.append(len(args[1]))  # the chunk's Haar squared norms, one per trial
+        calls.append(len(args[2](1)))  # the chunk's trials: the rows of its draw table
         return real_batch(*args)
 
     def watched_assemble(variant, seed, g, chunks):
