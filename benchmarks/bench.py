@@ -25,12 +25,15 @@ Layers:
 - ``cli.main/teleport/<variant>/<n>``: ``edgeteleport teleport`` end to end,
   writing its report to a temporary file; 50 trials of a fixed ``g`` is the
   call perfbench's coldatom-scan makes;
-- ``cli.main/hubbard`` and ``cli.main/spectrum/59``: the ``hubbard`` JSON
-  printed to stdout and the 59-site ``spectrum`` CSV written to a temporary
-  file, end to end, two of the calls perfbench's chain-sweep makes;
+- ``cli.main/hubbard``, ``cli.main/spectrum/59`` and
+  ``cli.main/zeromode/515``: the ``hubbard`` JSON printed to stdout and the
+  59-site ``spectrum`` and 515-site ``zeromode`` CSVs written to a temporary
+  file, end to end, three of the calls perfbench's chain-sweep makes (515
+  sites is about its median call);
 - ``numerical_spectrum/<sites>``: the chain eigensolve;
 - ``spectrum_csv/<sites>``: the ``spectrum`` command's CSV text, the
-  eigensolve included.
+  eigensolve included;
+- ``zeromode_density_csv/1001``: the ``zeromode`` command's CSV text.
 
 Each layer records the median and quartiles of its call times in seconds,
 the sample count, the minor page faults per timed call (``ru_minflt``) and
@@ -50,6 +53,16 @@ in Reasonable Time", ISMM 2013), at the exact binomial coverage
 interval is the whole range.  ``verdict`` is ``faster`` or ``slower`` when
 the interval reaches 0.95 and lies below or above 1, and ``not resolved``
 otherwise.
+
+Each measuring process also times ``reference_s()`` of
+``perfbench/calibrate.py`` (imported from this checkout, read-only), a fixed
+load that never calls the package: after its layers, and in the runtime
+process also before them (a setup process times only after, so that its
+layers stay the first work of a fresh process).  ``reference`` records these
+times per tree, round and process, and their median per tree;
+``median_ref_units`` is a layer's median over its tree's median reference
+time.  A file thus states the spell it was measured in, and two files compare
+in reference units.
 
 ``--smallest`` runs every layer family at small sizes (one and 100 trials
 for ``run_trials``), once each, for a quick check of the driver itself.
@@ -114,16 +127,19 @@ def _runtime_layers(sizes: dict, tmp: str) -> dict:
             argv = ["teleport", "--variant", variant, "--g1", "0.6,0", "--g2", "0,0.8",
                     "--trials", str(n), "--seed", "1", "--out", os.path.join(tmp, "report.json")]
             layers[f"cli.main/teleport/{variant}/{n}"] = lambda argv=argv: _exit_0(cli.main(argv))
+    chain = ["--t", "1.0", "--tprime", "0.5", "--out", os.path.join(tmp, "chain.csv")]
     for name, argv in (
             ("cli.main/hubbard", ["hubbard", "--e2", "1.0", "--lambda", "0.05"]),
-            ("cli.main/spectrum/59", ["spectrum", "--sites", "59", "--t", "1.0", "--tprime", "0.5",
-                                      "--out", os.path.join(tmp, "spectrum.csv")])):
+            ("cli.main/spectrum/59", ["spectrum", "--sites", "59", *chain]),
+            ("cli.main/zeromode/515", ["zeromode", "--sites", "515", *chain])):
         layers[name] = lambda argv=argv: _exit_0(cli.main(argv))
     for sites in sizes["sites"]:
         params = ssh_lattice.WireParams(sites)
         layers[f"numerical_spectrum/{sites}"] = (
             lambda params=params: ssh_lattice.numerical_spectrum(params))
         layers[f"spectrum_csv/{sites}"] = lambda params=params: ssh_lattice.spectrum_csv(params)
+    params = ssh_lattice.WireParams(1001)
+    layers["zeromode_density_csv/1001"] = lambda: ssh_lattice.zeromode_density_csv(params)
     return layers
 
 
@@ -163,9 +179,20 @@ def _timed(call, smallest: bool) -> dict:
     return {"samples": samples, "minflt": (_minflt() - faults) / calls}
 
 
+def _reference_time() -> float:
+    """``reference_s()`` of this checkout's ``perfbench/calibrate.py``, loaded
+    from its file, so both trees' processes time the same reference load."""
+    spec = importlib.util.spec_from_file_location("calibrate", REPO / "perfbench" / "calibrate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_s()
+
+
 def child(mode: str, src: str, smallest: bool, trace: bool) -> dict:
     """One measuring process: ``setup-<variant>`` times the import and that
-    variant's first ``warm_up``; ``runtime`` times every layer after both."""
+    variant's first ``warm_up``; ``runtime`` times every layer after both.
+    Without ``trace``, ``reference_s`` holds the reference load's time after
+    the layers, and in the runtime process before them (``None`` otherwise)."""
     sys.path.insert(0, src)
     result = {"import": _once(lambda: __import__("edgeteleport"), trace)}
     import edgeteleport
@@ -174,16 +201,20 @@ def child(mode: str, src: str, smallest: bool, trace: bool) -> dict:
     if not Path(edgeteleport.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise RuntimeError(f"imported {edgeteleport.__file__}, not the package in {src}")
     result["version"] = edgeteleport.__version__
+    before = None
     if mode.startswith("setup-"):
         variant = mode.removeprefix("setup-")
         result[f"warm_up/{variant}"] = _once(lambda: protocol.warm_up(variant), trace)
-        return result
-    protocol.warm_up("electronic")
-    protocol.warm_up("coldatom")
-    with tempfile.TemporaryDirectory() as tmp:
-        layers = _runtime_layers(SIZES[smallest], tmp)
-        for name, call in layers.items():
-            result[name] = _once(call, True) if trace else _timed(call, smallest)
+    else:
+        protocol.warm_up("electronic")
+        protocol.warm_up("coldatom")
+        before = None if trace else _reference_time()
+        with tempfile.TemporaryDirectory() as tmp:
+            layers = _runtime_layers(SIZES[smallest], tmp)
+            for name, call in layers.items():
+                result[name] = _once(call, True) if trace else _timed(call, smallest)
+    if not trace:
+        result["reference_s"] = {"before": before, "after": _reference_time()}
     return result
 
 
@@ -247,12 +278,13 @@ def _machine() -> dict:
     }
 
 
-def _summary(samples: list[float], minflt: list[float], peak) -> dict:
+def _summary(samples: list[float], minflt: list[float], peak, reference_s: float) -> dict:
     if len(samples) == 1:
         q1 = median = q3 = samples[0]
     else:  # the middle quartile is the median
         q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "n": len(samples),
+            "median_ref_units": median / reference_s,
             "minflt_per_call": statistics.median(minflt), "tracemalloc_peak_kib": peak}
 
 
@@ -278,11 +310,13 @@ def _round_ratios(baseline: dict, current: dict) -> dict:
             "verdict": ("faster" if hi < 1.0 else "slower") if resolved else "not resolved"}
 
 
-def measure(trees: dict, rounds: int, smallest: bool) -> dict:
+def measure(trees: dict, rounds: int, smallest: bool) -> tuple[dict, dict]:
     """Per tree and layer, the summary of ``rounds`` alternating rounds, and
-    with two trees each layer's per-round ratios (:func:`_round_ratios`)."""
+    with two trees each layer's per-round ratios (:func:`_round_ratios`); and
+    per tree, the reference load's times by round and process, and their median."""
     modes = ("setup-electronic", "setup-coldatom", "runtime")
     raw = {label: {} for label in trees}
+    reference = {label: {"rounds": [{} for _ in range(rounds)]} for label in trees}
     for r in range(rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for mode in modes:
@@ -290,6 +324,9 @@ def measure(trees: dict, rounds: int, smallest: bool) -> dict:
                 for name, rec in _run_child(mode, trees[label]["src"], smallest, False).items():
                     if name == "version":
                         trees[label]["version"] = rec
+                        continue
+                    if name == "reference_s":
+                        reference[label]["rounds"][r][mode] = rec
                         continue
                     entry = raw[label].setdefault(name, {"samples": [], "minflt": [], "rounds": {}})
                     entry["samples"] += rec["samples"]
@@ -300,17 +337,21 @@ def measure(trees: dict, rounds: int, smallest: bool) -> dict:
         for mode in modes:
             rec = _run_child(mode, trees[label]["src"], smallest, True)
             peaks[label].update({k: v["peak_kib"] for k, v in rec.items() if k != "version"})
+    for tree in reference.values():
+        tree["median_s"] = statistics.median(
+            t for by_mode in tree["rounds"] for rec in by_mode.values()
+            for t in rec.values() if t is not None)
     layers = {}
     for name in dict.fromkeys(n for label in trees for n in raw[label]):
         layers[name] = {label: _summary(raw[label][name]["samples"], raw[label][name]["minflt"],
-                                        peaks[label].get(name))
+                                        peaks[label].get(name), reference[label]["median_s"])
                         if name in raw[label] else None for label in trees}
         if all(layers[name].get(k) for k in ("baseline", "current")):
             layers[name]["current_over_baseline"] = (layers[name]["current"]["median_s"]
                                                      / layers[name]["baseline"]["median_s"])
             layers[name].update(_round_ratios(raw["baseline"][name]["rounds"],
                                               raw["current"][name]["rounds"]))
-    return layers
+    return layers, reference
 
 
 def main(argv=None) -> int:
@@ -336,7 +377,7 @@ def main(argv=None) -> int:
         git = ({"sha": args.baseline_sha, "src_differs_from_commit": None} if args.baseline_sha
                else _git_sha(args.baseline))
         trees = {"baseline": {"src": args.baseline / "src", "git": git}, **trees}
-    layers = measure(trees, args.rounds, args.smallest)
+    layers, reference = measure(trees, args.rounds, args.smallest)
     report = {
         "schema": SCHEMA,
         "machine": _machine(),
@@ -347,6 +388,7 @@ def main(argv=None) -> int:
                              "their median, order-statistic 95% interval and verdict"},
         "trees": {label: {k: v for k, v in tree.items() if k != "src"}
                   for label, tree in trees.items()},
+        "reference": {"load": "perfbench/calibrate.py reference_s()", "trees": reference},
         "layers": layers,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -83,9 +83,15 @@ def build_h_lambda(lam: float, modes: ModeSet, wire1: str = "a", wire2: str = "b
 
 def build_h_int(params: CouplingParams, modes: ModeSet,
                 wire1: str = "a", wire2: str = "b") -> HermitianOperator:
-    """Coulomb charging terms on both wires plus the hopping."""
-    mat = build_h_lambda(params.lam, modes, wire1, wire2).mat.copy()
-    q1, q2 = _unit_terms(modes, wire1, wire2)[1]
+    """Coulomb charging terms on both wires plus ``build_h_lambda``'s hopping.
+
+    Both come from ``_unit_terms``, built once per wire pair, and only the sum
+    takes ``HermitianOperator``'s check; its entries have the bits, signed
+    zeros included, of the charging terms added to the hopping operator's
+    diagonal.
+    """
+    hop, (q1, q2) = _unit_terms(modes, wire1, wire2)
+    mat = params.lam * hop + 0.0  # build_h_lambda's entries
     np.fill_diagonal(mat, mat.diagonal() + 0.5 * params.e2 * q1 + 0.5 * params.e2 * q2)
     return HermitianOperator(modes, mat, label=f"H_int({wire1},{wire2})")
 
@@ -121,11 +127,27 @@ def _matching_sectors(sectors, sector) -> list[Sector]:
     return out
 
 
+@_built_once()
+def _sector_span(modes: ModeSet, q, j, m) -> tuple | None:
+    """``(basis, basis^dag, basis basis^dag)`` of the a-b sectors matching
+    ``(q, j, m)``, built once per mode set and sector; ``None`` when none match."""
+    matching = _matching_sectors(symmetry_sectors(modes, AB_MODES.wires), (q, j, m))
+    if not matching:
+        return None
+    basis = np.column_stack([s.basis for s in matching])
+    adjoint = basis.conj().T
+    return basis, adjoint, basis @ adjoint
+
+
 def ground_state(h: HermitianOperator, sector=None) -> GroundState:
     """Lowest eigenpair of ``h``, optionally restricted to a symmetry sector.
 
     ``sector`` is a ``(charge, j, m)`` triple of the a-b wires; entries may
-    be ``None`` to leave that quantum number unrestricted.  When the lowest
+    be ``None`` to leave that quantum number unrestricted.  The sector's basis
+    and projector are built once per mode set and sector (``_sector_span``)
+    and shared read-only; every call still checks that the projector commutes
+    with ``h`` (to 1e-10 of its largest entry), as ``h`` can be any operator,
+    and raises ``ValueError`` for a sector that matches none.  When the lowest
     level is degenerate (within ``DEGENERACY_TOL`` times the spectral scale)
     an orthonormal basis of the ground space is returned with the flag set.
     Each returned vector has its largest-magnitude amplitude rotated to the
@@ -135,16 +157,16 @@ def ground_state(h: HermitianOperator, sector=None) -> GroundState:
         basis = None
         block = h.mat
     else:
-        matching = _matching_sectors(symmetry_sectors(h.modes, AB_MODES.wires), sector)
-        if not matching:
+        q, j, m = sector
+        span = _sector_span(h.modes, q, j, m)
+        if span is None:
             raise ValueError(f"empty sector {sector!r}")
-        basis = np.column_stack([s.basis for s in matching])
-        proj = basis @ basis.conj().T
+        basis, adjoint, proj = span
         scale = max(1.0, float(np.abs(h.mat).max()))
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             if np.abs(h.mat @ proj - proj @ h.mat).max() > 1e-10 * scale:
                 raise ValueError("sector projector does not commute with the Hamiltonian")
-            block = basis.conj().T @ h.mat @ basis
+            block = adjoint @ h.mat @ basis
     if not np.all(np.isfinite(block)):
         raise ValueError(f"Hamiltonian block of sector {sector!r} is not finite")
     evals, evecs = np.linalg.eigh(block)
@@ -218,15 +240,27 @@ def quartic_coefficient(e2: float, lams) -> float:
     return float(max(cs))
 
 
+@_built_once()
+def _ab_singlet() -> StateVector:
+    """``singlet_state(AB_MODES)``, built once and shared read-only."""
+    return singlet_state(AB_MODES)
+
+
 def hubbard_report(params: CouplingParams) -> dict:
-    """Summary used by the CLI: exact vs perturbative energy, overlaps, gap."""
+    """Summary used by the CLI: exact vs perturbative energy, overlaps, gap.
+
+    The neutral and triplet ground states come from ``ground_state`` on the
+    sectors' built-once bases, and the overlap is taken with the a-b singlet
+    built once (``_ab_singlet``); only ``H_int`` and its two sector
+    eigenproblems are computed per call.
+    """
     h = build_h_int(params, AB_MODES)
     try:
         neutral = ground_state(h, sector=(0, None, None))
         triplet = ground_state(h, sector=(0, 1.0, 1.0))
     except ValueError as exc:  # LinAlgError is one too
         raise ValueError(f"no ground state at e2={params.e2!r}, lam={params.lam!r}: {exc}") from None
-    singlet = singlet_state(AB_MODES)
+    singlet = _ab_singlet()
     # Under degeneracy report the norm of the singlet's projection instead of
     # a single overlap.
     proj = sum(abs(inner_product(s, singlet)) ** 2 for s in neutral.states)

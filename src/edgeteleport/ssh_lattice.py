@@ -144,12 +144,11 @@ def numerical_spectrum(params: WireParams) -> np.ndarray:
     return d
 
 
-def zero_mode(params: WireParams) -> SingleParticleLevel:
-    """The mid-gap zero-energy level, localized at site 1 when t_prime < t.
-
-    At t_prime = t the gap closes and the state delocalizes (uniform weight on
-    odd sites); the returned level then carries ``delocalized=True``.
-    """
+def _odd_site_amplitudes(params: WireParams) -> np.ndarray:
+    """The zero mode's normalised amplitudes on sites 1, 3, ..., 2L+1; its even
+    sites hold exactly 0.  The norm is taken over all 2L+1 sites, the zeros
+    included: BLAS groups the terms of a sum by position, so the odd sites
+    alone can give a norm an ulp away."""
     L = params.half_length
     r = params.t_prime / params.t
     n = np.arange(L + 1)
@@ -159,7 +158,19 @@ def zero_mode(params: WireParams) -> SingleParticleLevel:
     else:
         # same ray rescaled by r^-L so long chains cannot overflow
         amps[0::2] = (-1.0) ** n * (1.0 / r) ** (L - n)
-    amps /= np.linalg.norm(amps)
+    return amps[0::2] / np.linalg.norm(amps)
+
+
+def zero_mode(params: WireParams) -> SingleParticleLevel:
+    """The mid-gap zero-energy level, localized at site 1 when t_prime < t.
+
+    Its amplitudes are ``_odd_site_amplitudes`` on the odd sites and 0 on the
+    even ones.  At t_prime = t the gap closes and the state delocalizes
+    (uniform weight on odd sites); the returned level then carries
+    ``delocalized=True``.
+    """
+    amps = np.zeros(params.num_sites)
+    amps[0::2] = _odd_site_amplitudes(params)
     gap_closed = abs(params.t - params.t_prime) < 1e-12 * params.t
     return SingleParticleLevel(0.0, amps, delocalized=gap_closed)
 
@@ -184,11 +195,21 @@ MAX_DENSITY_CSV_SITES = 1_000_001
 
 
 def zeromode_density_csv(params: WireParams) -> str:
-    """`site,density` rows (1-based sites) of the zero-mode probability density."""
+    """`site,density` rows (1-based sites) of the zero-mode probability density.
+
+    Only the odd sites' densities are formatted (``%.15g``); each even site,
+    whose density is exactly 0, is written as ``k,0``.  The text is the same
+    as formatting every site's density with ``"{},{:.15g}".format``.
+    """
     n = params.num_sites
     if n > MAX_DENSITY_CSV_SITES:
         raise ValueError(
             f"{n} sites exceed the zero-mode CSV's cap of {MAX_DENSITY_CSV_SITES} sites")
-    density = np.square(zero_mode(params).amplitudes).tolist()
-    rows = map("{},{:.15g}".format, range(1, n + 1), density)
-    return "site,density\n" + "\n".join(rows) + "\n"
+    density = np.square(_odd_site_amplitudes(params)).tolist()
+    # one %-template of L (odd, even) row pairs and the last odd row, filled
+    # from the site numbers and densities in row order
+    values = [0] * (n + len(density))
+    values[0::3] = range(1, n + 1, 2)
+    values[1::3] = density
+    values[2::3] = range(2, n, 2)
+    return ("site,density\n" + "%d,%.15g\n%d,0\n" * (n // 2) + "%d,%.15g\n") % tuple(values)

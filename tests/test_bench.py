@@ -11,7 +11,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-_STATS = {"median_s", "q1_s", "q3_s", "n", "minflt_per_call", "tracemalloc_peak_kib"}
+_STATS = {"median_s", "q1_s", "q3_s", "n", "median_ref_units", "minflt_per_call",
+          "tracemalloc_peak_kib"}
 _RATIOS = {"round_ratios", "ratio_median", "ratio_ci95", "ratio_ci95_coverage", "verdict"}
 
 
@@ -29,7 +30,7 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
                     "--rounds", "1", "--baseline", str(REPO), "--baseline-sha", "abc1234",
                     "--out", str(out)], check=True, timeout=300, capture_output=True)
     report = json.loads(out.read_text())
-    assert list(report) == ["schema", "machine", "settings", "trees", "layers"]
+    assert list(report) == ["schema", "machine", "settings", "trees", "reference", "layers"]
     assert report["schema"] == "edgeteleport-bench/1"
     machine = report["machine"]
     assert set(machine) == {"platform", "machine", "cpu_model", "cpu_count", "python", "numpy",
@@ -41,6 +42,16 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
     assert report["trees"]["baseline"]["git"] == {"sha": "abc1234",
                                                   "src_differs_from_commit": None}
     assert all(tree["version"] for tree in report["trees"].values())
+    # the reference load, timed in every measuring process of each tree and round
+    assert report["reference"]["load"] == "perfbench/calibrate.py reference_s()"
+    assert list(report["reference"]["trees"]) == ["baseline", "current"]
+    for tree in report["reference"]["trees"].values():
+        (by_process,) = tree["rounds"]
+        assert list(by_process) == ["setup-electronic", "setup-coldatom", "runtime"]
+        for process, times in by_process.items():
+            assert set(times) == {"before", "after"} and times["after"] > 0
+            assert (times["before"] is None) == process.startswith("setup-")
+        assert tree["median_s"] > 0
     layers = report["layers"]
     assert set(layers) == {
         "import", "warm_up/electronic", "warm_up/coldatom",
@@ -48,14 +59,16 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
           for n in (1, 100)),
         "run_trials/mixed/haar/2", "run_trials/mixed-diag/haar/2",
         "cli.main/teleport/electronic/50", "cli.main/teleport/coldatom/50",
-        "cli.main/hubbard", "cli.main/spectrum/59",
-        "numerical_spectrum/59", "spectrum_csv/59",
+        "cli.main/hubbard", "cli.main/spectrum/59", "cli.main/zeromode/515",
+        "numerical_spectrum/59", "spectrum_csv/59", "zeromode_density_csv/1001",
     }
     for name, layer in layers.items():
         assert set(layer) == {"baseline", "current", "current_over_baseline", *_RATIOS}, name
         for side in ("baseline", "current"):
             assert set(layer[side]) == _STATS, (name, side)
             assert layer[side]["n"] >= 1 and layer[side]["tracemalloc_peak_kib"] > 0
+            assert layer[side]["median_ref_units"] == (
+                layer[side]["median_s"] / report["reference"]["trees"][side]["median_s"])
         # one round: one ratio, which is its own median and interval, and no verdict
         (ratio,) = layer["round_ratios"]
         assert layer["ratio_median"] == ratio and layer["ratio_ci95"] == [ratio, ratio]

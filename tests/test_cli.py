@@ -422,9 +422,25 @@ def test_console_entry_point_reads_sys_argv(tmp_path, capsys):
         2, "", _error("unrecognized arguments: extra"))
 
 
+# lambda = 0 (a degenerate neutral ground space) and a subnormal lambda give a
+# report; at 1e308 the eigenvalues overflow and at 1.7e308 the sector block does
+_HUBBARD_EDGES = [(e2, lam, int(lam > 1)) for lam in (0.0, 5e-324, 1e308, 1.7e308)
+                  for e2 in (1.0, 1e-300, 1.7e308)]
+
+
+@pytest.mark.filterwarnings("ignore:lam/e2 > 0.1")
 def test_hubbard_prints_the_bytes_of_json_dumps(capsys):
     # lambda = 0.1 (i + 1) / 33 at e2 = 1: the couplings of a chain-sweep benchmark pass
-    for lam in [0.1 * (i + 1) / 33 for i in range(33)]:
-        assert run_cli(["hubbard", "--e2", "1.0", "--lambda", repr(lam)]) == 0
-        report = hubbard_report(CouplingParams(1.0, lam))
-        assert capsys.readouterr().out == json.dumps(report, indent=2, allow_nan=False) + "\n"
+    couplings = [(1.0, 0.1 * (i + 1) / 33, 0) for i in range(33)] + _HUBBARD_EDGES
+    for e2, lam, fails in couplings:
+        try:
+            report = json.dumps(hubbard_report(CouplingParams(e2, lam)), indent=2, allow_nan=False)
+            expected = (0, report + "\n", "")
+        except ValueError as exc:
+            expected = (2, "", _error(f"e2={e2!r}, lambda={lam!r} give no finite report: {exc}"))
+        assert expected[0] == 2 * fails, (e2, lam)
+        try:
+            code = run_cli(["hubbard", "--e2", repr(e2), "--lambda", repr(lam)])
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, *capsys.readouterr()) == expected, (e2, lam)

@@ -1,15 +1,21 @@
+import logging
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+from edgeteleport import hubbard
 from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
+    HermitianOperator,
+    ModeSet,
+    annihilation_matrix,
     basis_state,
     build_observable,
     create,
+    creation_matrix,
     inner_product,
     singlet_state,
     vacuum_state,
@@ -197,8 +203,39 @@ def test_triplet_sector_ground_is_degenerate_across_m():
 
 def test_empty_sector_raises():
     h = build_h_int(CouplingParams(1.0, 0.02), AB_MODES)
-    with pytest.raises(ValueError):
-        ground_state(h, sector=(0, 3.0, 0.0))
+    for _ in range(2):  # the refusal is built once and raised on every call
+        with pytest.raises(ValueError, match=re.escape("empty sector (0, 3.0, 0.0)")):
+            ground_state(h, sector=(0, 3.0, 0.0))
+
+
+def _sector_builds(caplog):
+    return [r for r in caplog.records
+            if r.name == "edgeteleport.hubbard" and "_sector_span" in r.getMessage()]
+
+
+def test_charge_breaking_hamiltonian_is_refused_on_a_cold_and_a_warm_sector_cache(caplog):
+    # f + f^dag of one a-b mode is Hermitian but changes the charge, so no
+    # charge sector's projector commutes with it; the mode order (b before a)
+    # is this test's own, so its sector cache starts cold
+    modes = ModeSet((("b", "up"), ("b", "dn"), ("a", "up"), ("a", "dn")))
+    h = HermitianOperator(modes, creation_matrix(modes, 2) + annihilation_matrix(modes, 2))
+    with caplog.at_level(logging.DEBUG, logger="edgeteleport.hubbard"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sector projector does not commute"):
+                ground_state(h, sector=(0, None, None))
+            assert len(_sector_builds(caplog)) == 1  # built by the first call only
+    # a charge-conserving operator on the same, now warm, sector still solves
+    gs = ground_state(build_h_int(CouplingParams(1.0, 0.02), modes), sector=(0, None, None))
+    assert gs.energy == pytest.approx(exact_neutral_ground_energy(1.0, 0.02), abs=1e-14)
+
+
+def test_cached_sector_data_and_singlet_are_read_only():
+    basis, adjoint, proj = hubbard._sector_span(AB_MODES, 0, None, None)
+    for array in (basis, adjoint, proj, hubbard._ab_singlet().amps):
+        assert not array.flags.writeable
+    np.testing.assert_array_equal(adjoint, basis.conj().T)
+    np.testing.assert_array_equal(proj, basis @ basis.conj().T)
+    np.testing.assert_array_equal(hubbard._ab_singlet().amps, singlet_state(AB_MODES).amps)
 
 
 @pytest.mark.parametrize("lam", [1.7e308, 1e308])

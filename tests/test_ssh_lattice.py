@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeteleport import ssh_lattice
 from edgeteleport.ssh_lattice import (
@@ -200,6 +202,37 @@ def test_csv_outputs():
     total = sum(float(r[1]) for r in rows)
     assert abs(total - 1.0) < 1e-12
     assert float(rows[1][1]) == 0.0 and float(rows[3][1]) == 0.0
+
+
+def _reference_density_csv(p):
+    """The zero-mode CSV as it was first written: the amplitudes on all sites,
+    normalised over all sites, and one ``"{},{:.15g}".format`` row per site."""
+    L, r = p.half_length, p.t_prime / p.t
+    n = np.arange(L + 1)
+    amps = np.zeros(p.num_sites)
+    if r <= 1.0:
+        amps[0::2] = (-r) ** n
+    else:
+        amps[0::2] = (-1.0) ** n * (1.0 / r) ** (L - n)
+    amps /= np.linalg.norm(amps)
+    rows = map("{},{:.15g}".format, range(1, p.num_sites + 1), np.square(amps).tolist())
+    return "site,density\n" + "\n".join(rows) + "\n"
+
+
+# t' = 1e-300: the odd sites past the first underflow to 0; t' = t: the gap closes
+_TPRIMES = [0.0, 1e-300, 0.3, 0.55, 0.8, 1.0, 1.7, 1e10]
+
+
+@settings(max_examples=120, deadline=None)
+@given(sites=st.integers(1, 100).map(lambda k: 2 * k + 1) | st.sampled_from([1001, 2001]))
+@example(sites=3)
+@example(sites=1001)
+@example(sites=2001)
+def test_zero_mode_csv_has_the_bytes_of_one_format_call_per_site(sites):
+    # only the odd sites' densities are formatted; each even site is written "k,0"
+    for tprime in _TPRIMES:
+        p = WireParams(sites, 1.0, tprime)
+        assert zeromode_density_csv(p) == _reference_density_csv(p), tprime
 
 
 _EXTREME_BONDS = [(3, 1e200, 0.5), (5, 1e300, 1e300), (5, 1e-300, 1e-300),
