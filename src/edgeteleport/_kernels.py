@@ -8,10 +8,11 @@ norm ``n = |g1|^2 + |g2|^2``: each of Alice's branches has probability
 ``n / 4``, a cold-atom round hits with ``p = n / 2``, and Bob's overlap with
 ``g`` is ``n`` times his trace, so his fidelity is ``sqrt(min(n, 1))``.  A run
 has one ``n``, a float, so a batch compares its draws with scalars and
-returns one fidelity.  No state is relaxed here: the setup certifies that a
-cold-atom miss relaxes back to the initial state.  Callers supply each trial's
-uniforms from the streams the step-by-step path reads, so both make identical
-branch decisions.
+returns one fidelity.  No state is relaxed here: the cold-atom setup certifies
+that every doublon miss, cold-atom or mixed, relaxes back to the initial state
+(a mixed run checks only its resource's weight on the setup's doublon law).
+Callers supply each trial's uniforms from the streams the step-by-step path
+reads, so both make identical branch decisions.
 """
 
 from __future__ import annotations

@@ -657,46 +657,54 @@ def _certify_law(forms: dict) -> dict:
     return {**law, "class_p": hit / 8} if "class_form" in forms else law
 
 
-def _certify_relaxation(pairs, inputs, misses):
-    """Raise unless relaxing a round-1 miss restores its input.
+def _require_kappa(kappa, residual=0.0):
+    """Raise unless a miss's ground weight is ``kappa > _ORTHO_TOL**2`` times its
+    sector weight, the ground-weight form that multiple to a relative ``residual``."""
+    orthogonal = kappa <= _ORTHO_TOL**2
+    if residual > 1e-12 or orthogonal:
+        why = "; the span is orthogonal to its sector ground space" if orthogonal else ""
+        raise RuntimeError(
+            "relaxation of the miss span is not certified: the ground-weight form is "
+            "not a positive multiple of the sector-weight form (relative residual "
+            f"{residual:.3g}, kappa {kappa:.3g}{why})"
+        )
 
-    An input ``g`` misses with the mixture of the states ``g @ y`` over the
-    ``(K, 2, 64)`` stack ``misses`` of folds ``y`` (a cold-atom miss is the
-    one fold ``inputs - integer_part``).  ``relax_to_ground`` rescales each
-    a-b sector's ground component by ``w / wy``; if, in every sector the folds
-    reach, their summed ground-weight form is a constant ``kappa`` times
-    their summed sector-weight form, ``w / wy`` is the same for every ``g``
-    and the relaxation is linear, ``g @ y -> g @ r``.  If also every
-    ``r = c * inputs``, every miss relaxes, normalised, to its initial state,
-    which lies in one sector, so each restart round measures round 1's state.
-    Both checks hold to a relative residual of 1e-12, for every input at
-    once; the bounds on ``kappa`` and ``c`` are ``relax_to_ground``'s
-    orthogonality and zero-vector checks.  The sectors checked are ``pairs``,
-    from ``sector_ground_spaces``; misses with weight outside them raise.
+
+def _certify_relaxation(inputs, miss, doublons) -> np.ndarray:
+    """Raise unless relaxing a round-1 miss restores its input; return the doublon law ``G``.
+
+    A miss leaves the a-b pair on the orthonormal columns ``doublons``.  Doublon
+    ``k`` times c_up and c_dn is the unit fold ``y_k``: a doublon block ``rho``
+    misses with ``sum_kl rho_kl (g @ y_k)(g @ y_l)^dag``, and the cold-atom
+    ``miss`` (``inputs - integer_part``) is the fold ``v @ y``, the block
+    ``v v^dag``.  In the one a-b sector the folds reach, ``relax_to_ground``
+    rescales the ground part by ``w / wy``.  There the folds' Gram matrices over
+    (fold, input) are ``I (x) I`` for the sector weight and must be ``G (x) I``
+    for the ground weight: then ``wy / w = tr(G rho) / tr rho`` for every input,
+    the ``kappa`` that :func:`_require_kappa` bounds, here for the cold-atom
+    block.  If also each fold relaxes to ``c_k * inputs``, every miss relaxes
+    to its initial state, so each restart round measures round 1's state.
+    Residuals are relative, to 1e-12; weight of the folds off their sector, or
+    of ``miss`` off the folds, above ``_WEIGHT_FLOOR**2`` of theirs raises, as
+    does ``relax_to_ground``'s zero vector.  ``G`` is snapped to the grid ``m / 8``.
     """
-    total = np.vdot(misses, misses).real
-    r, outside = np.zeros_like(misses), misses
-    for basis, ground in pairs:
-        a, b = misses @ basis.conj(), misses @ ground.conj()  # sector and ground coordinates
-        outside = outside - a @ basis.T
-        w, wy = (a @ a.conj().transpose(0, 2, 1)).sum(0), (b @ b.conj().transpose(0, 2, 1)).sum(0)
-        if np.trace(w).real <= _WEIGHT_FLOOR**2 * total:
-            continue  # below relax_to_ground's weight floor for every input
-        kappa = np.trace(wy).real / np.trace(w).real
-        residual = np.abs(wy - kappa * w).max() / np.trace(w).real
-        if residual > 1e-12 or kappa <= _ORTHO_TOL**2:
-            why = ("; the span is orthogonal to its sector ground space"
-                   if kappa <= _ORTHO_TOL**2 else "")
-            raise RuntimeError(
-                "relaxation of the miss span is not certified: the ground-weight form is "
-                "not a positive multiple of the sector-weight form (relative residual "
-                f"{residual:.3g}, kappa {kappa:.3g}{why})"
-            )
-        r += b @ ground.T / np.sqrt(kappa)
-    if np.vdot(outside, outside).real > _WEIGHT_FLOOR**2 * total:
+    k = doublons.shape[1]
+    folds = np.einsum("ak,ic->kiac", doublons, np.eye(4)[1:3]).reshape(k, 2, -1)
+    basis, ground = max(sector_ground_spaces(_relax_hamiltonian()),
+                        key=lambda pair: np.linalg.norm(folds @ pair[0].conj()))
+    b = (folds @ ground.conj()).reshape(2 * k, -1)  # ground coordinates, per (fold, input)
+    gram = b.conj() @ b.T
+    law = np.trace(gram.reshape(k, 2, k, 2), axis1=1, axis2=3) / 2
+    v = np.einsum("kia,ia->k", folds.conj(), miss) / 2  # on orthonormal input rows
+    kappa = np.vdot(v, law @ v).real / np.vdot(v, v).real
+    _require_kappa(kappa, np.abs(gram - np.kron(law, np.eye(2))).max())
+    outside = [folds - (folds @ basis.conj()) @ basis.T, miss - np.tensordot(v, folds, 1)]
+    total = 2 * k + np.vdot(miss, miss).real
+    if sum(np.vdot(x, x).real for x in outside) > _WEIGHT_FLOOR**2 * total:
         raise RuntimeError("relaxation of the miss span is not certified: the misses reach "
                            "a sector outside the certified ones")
-    c = np.einsum("ij,kij->k", inputs.conj(), r) / len(inputs)  # orthonormal input rows
+    r = b.reshape(k, 2, -1) @ ground.T  # each fold's ground part
+    c = np.einsum("ij,kij->k", inputs.conj(), r) / len(inputs)
     residual = np.abs(r - c[:, None, None] * inputs).max() / max(np.abs(r).max(), _WEIGHT_FLOOR)
     if residual > 1e-12 or np.linalg.norm(c) <= _WEIGHT_FLOOR:
         raise RuntimeError(
@@ -704,23 +712,10 @@ def _certify_relaxation(pairs, inputs, misses):
             f"a multiple of the inputs (relative residual {residual:.3g}, "
             f"|c| {np.linalg.norm(c):.3g})"
         )
-
-
-def _doublon_folds(block) -> np.ndarray:
-    """A mixed resource's ``(K, 2, 64)`` round-1 misses from its 2x2 doublon ``block``:
-    the block's weighted eigenvectors times c_up and c_dn, as in ``run_teleport_mixed``."""
-    mu, v = np.linalg.eigh(block)
-    d = (neutral_spin_zero_basis(AB_MODES)[:, :2] @ (v * np.sqrt(np.maximum(mu, 0.0)))).T
-    return (d[:, None, :, None] * np.eye(4)[None, 1:3, None, :]).reshape(len(d), 2, -1)
-
-
-@_built_once()
-def _doublon_sectors() -> tuple:
-    """The ``sector_ground_spaces`` pairs that the span's doublons reach, and
-    with them every mixed resource's misses (the charge-2, J = 0 sector)."""
-    folds = _doublon_folds(np.eye(2))
-    return tuple((basis, ground) for basis, ground in sector_ground_spaces(_relax_hamiltonian())
-                 if np.abs(folds @ basis.conj()).max() > _WEIGHT_FLOOR)
+    eighths = np.round(8 * law.real)  # exact: an orthogonal block's kappa is then 0
+    if np.abs(law - eighths / 8).max() > _LAW_TOL:
+        _refuse(f"the doublon law {law.tolist()} is off the grid m / 8")
+    return eighths / 8
 
 
 @_built_once()
@@ -739,7 +734,8 @@ def _kernel_setup(variant: str) -> dict:
     trials fold their integer-class parts, ``integer_part``: once
     :func:`_certify_relaxation` has shown that every miss relaxes back to the
     initial state, a trial stops, whatever its round, in the state
-    ``g @ integer_part / sqrt(p)``, with ``p = F @ class_form``.
+    ``g @ integer_part / sqrt(p)``, with ``p = F @ class_form``.  Its doublon
+    law ``G`` (``doublon_law``) is all a mixed run reads of that certificate.
     """
     inputs = _inputs(variant)
     if variant == "electronic":
@@ -748,8 +744,8 @@ def _kernel_setup(variant: str) -> dict:
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
     forms = {**_folded(integer_part), "class_form": _gram_form(integer_part)}
     law = _certify_law(forms)
-    misses = (inputs - integer_part)[None]
-    _certify_relaxation(sector_ground_spaces(_relax_hamiltonian()), inputs, misses)
+    doublons = neutral_spin_zero_basis(AB_MODES)[:, :2]
+    law["doublon_law"] = _certify_relaxation(inputs, inputs - integer_part, doublons)
     return {**forms, **law}
 
 
@@ -763,8 +759,8 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     checks its resource (``None`` is the a-b singlet) and runs on the cold-atom
     engine, round 1 at the singlet weight ``p1`` under ``measure_spin_class``'s
     floor (2.0, a certain hit, where the doublon weight is below ``PROB_FLOOR``).
-    At the first chunk with a round-1 miss it certifies on :func:`_doublon_sectors`
-    that such misses relax to the cold-atom state.
+    Its misses relax to the cold-atom state unless ``tr(G rho_dd) / tr rho_dd`` fails
+    :func:`_require_kappa`; then its first chunk with a round-1 miss raises.
     """
     setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
     # a Haar trial's first three draws make g, and its squared norm is 1
@@ -772,8 +768,10 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
         singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real
-        p1 = singlet * norm if doublons * norm >= PROB_FLOOR else 2.0
-        uncertified = True
+        if doublons * norm >= PROB_FLOOR:
+            p1, kappa = singlet * norm, np.vdot(setup["doublon_law"], r3[:2, :2]).real / doublons
+        else:
+            p1, kappa = 2.0, 1.0  # a certain hit: no miss to relax
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
@@ -786,9 +784,8 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
             yield _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds)
         else:
             chunk = _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds, p1)
-            if uncertified and chunk[1].max() > 1:
-                _certify_relaxation(_doublon_sectors(), _inputs("coldatom"), _doublon_folds(r3[:2, :2]))
-                uncertified = False
+            if kappa <= _ORTHO_TOL**2 and chunk[1].max() > 1:
+                _require_kappa(kappa)
             yield chunk
 
 
@@ -812,10 +809,9 @@ def _require_word(value: int, name: str, part: str):
 
 
 def warm_up(variant: str = "electronic"):
-    """Build the cached matrices a ``variant`` run reads, ahead of timing-sensitive runs."""
+    """Build the cached matrices a ``variant`` run reads, ahead of timing-sensitive
+    runs; a mixed run, on any resource, reads the cold-atom ones."""
     run_trials(SpinAmplitudes(1.0, 0.0), variant, 2, seed=0)
-    if variant == "mixed":
-        _doublon_sectors()  # builds neutral_spin_zero_basis(AB_MODES) too
 
 
 def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,

@@ -17,6 +17,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import edgeteleport
 import edgeteleport._kernels as kernels
@@ -50,7 +52,7 @@ from edgeteleport.protocol import (
     run_trials,
     trial_rng,
 )
-from edgeteleport.relax import relax_to_ground
+from edgeteleport.relax import relax_to_ground, sector_ground_spaces
 
 
 def _norm(g):
@@ -977,16 +979,23 @@ def test_one_haar_trial_matches_the_oracle(variant):
 
 def test_resource_certificate_covers_the_doublon_sector_and_refuses_misses_outside_it():
     # a mixed resource's misses are folds of the span's two doublons, which
-    # reach one a-b sector (charge 2, J = 0, times c's two spin states); a
-    # fold outside it is refused, not passed unchecked
-    pairs = protocol._doublon_sectors()
-    assert [basis.shape[1] for basis, _ in pairs] == [12]
+    # reach one a-b sector (charge 2, J = 0, times c's two spin states); the
+    # setup certifies the doublon law there, and a fold outside it, or a miss
+    # off the folds, is refused, not passed unchecked
+    doublons = protocol.neutral_spin_zero_basis()[:, :2]
+    folds = np.kron(doublons.T[:, None], np.eye(4)[1:3])  # doublon k times c_up and c_dn
+    reached = [basis.shape[1] for basis, _ in sector_ground_spaces(protocol._relax_hamiltonian())
+               if np.abs(folds @ basis.conj()).max() > 1e-12]
+    assert reached == [12]
     inputs = protocol._inputs("coldatom")
-    folds = protocol._doublon_folds(np.eye(2))
-    protocol._certify_relaxation(pairs, inputs, folds)
-    outside = np.kron(vacuum_state(AB_MODES).amps[None], np.eye(4)[1:3])[None]
-    with pytest.raises(RuntimeError, match="reach a sector outside the certified ones"):
-        protocol._certify_relaxation(pairs, inputs, np.concatenate([folds, outside]))
+    miss = inputs - inputs @ integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES).T
+    law = protocol._certify_relaxation(inputs, miss, doublons)
+    assert np.abs(law - 0.25).max() <= 1e-15
+    np.testing.assert_array_equal(law, protocol._kernel_setup("coldatom")["doublon_law"])
+    outside = np.column_stack([doublons, vacuum_state(AB_MODES).amps])
+    for args in [(inputs, miss, outside), (inputs, inputs, doublons)]:
+        with pytest.raises(RuntimeError, match="reach a sector outside the certified ones"):
+            protocol._certify_relaxation(*args)
 
 
 def _orthogonal_doublons(p_singlet):
@@ -1010,6 +1019,83 @@ def test_mixed_miss_orthogonal_to_the_ground_space_raises_as_in_the_oracle():
     o_branches, o_rounds, _ = _mixed_oracle(None, resource, 3, _MIXED_CHECKED)
     np.testing.assert_array_equal(branches[_MIXED_CHECKED], o_branches)
     assert (o_rounds == 1).all()
+
+
+def test_a_late_first_miss_raises_there_as_in_the_oracle():
+    # nearly all singlet: the first round-1 miss onto the orthogonal doublons
+    # falls in the second chunk, and only a run that reaches it raises
+    resource, seed = _orthogonal_doublons(0.999), 26
+    message = "orthogonal to its sector ground space"
+    first = next(i for i in range(2**12) if trial_rng(seed, i).random(4)[3] >= 0.999)
+    assert first > protocol._CHUNK
+    report = run_trials(None, "mixed", first, seed=seed, resource=resource)
+    assert report.rounds_histogram == {1: first}
+    with pytest.raises(RuntimeError, match=message):
+        run_trials(None, "mixed", first + 1, seed=seed, resource=resource)
+    list(_mixed_oracle(None, resource, seed, [first - 1]))
+    with pytest.raises(RuntimeError, match=message):
+        list(_mixed_oracle(None, resource, seed, [first]))
+
+
+def _gram(x):
+    """``x x^dag`` of the complex 2x2 (or 2-vector) with real parts ``x[0]``, imaginary ``x[1]``."""
+    z = np.asarray(x[0]) + 1j * np.asarray(x[1])
+    return z @ z.conj().T if z.ndim == 2 else np.outer(z, z.conj())
+
+
+def _a_minus_b(eps):
+    """The a-b doublon, orthogonal to the doublon law, with ``eps`` added to its b amplitude."""
+    return np.outer([1.0, eps - 1.0], [1.0, eps - 1.0])
+
+
+# small integer entries: a block is exactly orthogonal to G or clear of the
+# threshold kappa <= 1e-20, which lies below the rounding of both kappas
+_INTS = st.integers(-3, 3)
+_DOUBLON_BLOCKS = st.one_of(
+    st.lists(st.lists(st.lists(_INTS, min_size=2, max_size=2), min_size=2, max_size=2),
+             min_size=2, max_size=2).map(_gram),  # random
+    st.lists(st.lists(_INTS, min_size=2, max_size=2), min_size=2, max_size=2).map(_gram),  # rank 1
+    st.sampled_from([-1e-6, 0.0, 1e-6]).map(_a_minus_b),
+).filter(lambda block: np.trace(block).real > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@example(block=_a_minus_b(0.0), u=[0.5, 0.25, 0.75])  # the oracle raises
+@example(block=_a_minus_b(1e-6), u=[0.5, 0.25, 0.75])  # and here does not
+@given(block=_DOUBLON_BLOCKS, u=st.lists(st.floats(0, 1, exclude_max=True), min_size=3, max_size=3))
+def test_mixed_misses_relax_by_the_doublon_law(block, u):
+    # the oracle relaxes a round-1 miss with ground/total weight
+    # kappa = tr(G rho) / tr rho and back to the cold-atom state; the engine
+    # reads only kappa, so it raises exactly where the oracle's relaxation does
+    g = SpinAmplitudes(*protocol._haar_amplitudes(np.array([u]))[:, 0])
+    r3 = np.zeros((3, 3), dtype=complex)
+    r3[:2, :2], r3[2, 2] = block / (2 * np.trace(block).real), 0.5
+    resource = _span_resource(r3)
+    chi = np.array([0.0, g.g1, g.g2, 0.0])
+    rho = DensityMatrix(TELEPORT_MODES, np.kron(resource.mat, np.outer(chi, chi.conj())))
+    miss = measure_spin_class(rho, protocol.ALICE_WIRES, _Uniforms([1.0]))[1]
+    h = protocol._relax_hamiltonian()
+    w, wy = np.sum([[np.trace(x.conj().T @ miss.mat @ x).real for x in pair]
+                    for pair in sector_ground_spaces(h)], axis=0)
+    law = protocol._kernel_setup("coldatom")["doublon_law"]
+    kappa = np.vdot(law, r3[:2, :2]).real / np.trace(r3[:2, :2]).real
+    assert abs(wy / w - kappa) <= 1e-15
+    message = "orthogonal to its sector ground space"
+    try:
+        relaxed = relax_to_ground(miss, h)
+    except RuntimeError as e:
+        assert message in str(e)
+        with pytest.raises(RuntimeError, match=message):
+            run_teleport_mixed(g, resource, _Uniforms([1.0, 0.0, 0.5]))
+        with pytest.raises(RuntimeError, match=message):
+            run_trials(g, "mixed", 20, seed=3, resource=resource)
+        return
+    initial = DensityMatrix.from_state(prepare_initial(g, "coldatom"))
+    # relaxing divides the ground part, rounded to ~1e-16, by its weight kappa:
+    # an a-b doublon 1e-6 off orthogonal (kappa ~ 1e-13) keeps ~1e-16 / kappa
+    assert np.abs(relaxed.mat - initial.mat).max() <= max(1e-12, 1e-15 / kappa)
+    assert run_teleport_mixed(g, resource, _Uniforms([1.0, 0.0, 0.5])).rounds == 2
+    assert max(run_trials(g, "mixed", 20, seed=3, resource=resource).rounds_histogram) > 1
 
 
 def test_mixed_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds():

@@ -494,8 +494,6 @@ def test_mixed_warm_up_builds_what_a_run_on_a_resource_reads(monkeypatch, caplog
     # are empty (other tests have filled the real ones)
     asked, setup = [], fock._built_once()(protocol._kernel_setup.__wrapped__)
     monkeypatch.setattr(protocol, "_kernel_setup", lambda v: asked.append(v) or setup(v))
-    monkeypatch.setattr(protocol, "_doublon_sectors",
-                        fock._built_once()(protocol._doublon_sectors.__wrapped__))
     monkeypatch.setattr(protocol, "neutral_spin_zero_basis", fock._built_once(
         key=lambda modes=AB_MODES: modes)(protocol.neutral_spin_zero_basis.__wrapped__))
     with caplog.at_level(logging.DEBUG, logger="edgeteleport"):
@@ -506,9 +504,8 @@ def test_mixed_warm_up_builds_what_a_run_on_a_resource_reads(monkeypatch, caplog
         resource = DensityMatrix(AB_MODES, span @ np.diag([0.25, 0.25, 0.5]) @ span.conj().T)
         report = run_trials(None, "mixed", 10, resource=resource)
     assert [r.getMessage() for r in caplog.records if r.name.startswith("edgeteleport")] == []
-    assert max(report.rounds_histogram) > 1  # a round-1 miss: the run certified its resource
-    for name in ("_kernel_setup for key ('coldatom',)", "_doublon_sectors",
-                 "neutral_spin_zero_basis"):
+    assert max(report.rounds_histogram) > 1  # a round-1 miss: the run checked its resource
+    for name in ("_kernel_setup for key ('coldatom',)", "neutral_spin_zero_basis"):
         assert sum(line.startswith(f"built {name} ") for line in built) == 1, (name, built)
     # a mixed run builds and reads the cold-atom setup alone
     assert set(asked) == {"coldatom"}
