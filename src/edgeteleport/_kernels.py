@@ -2,15 +2,17 @@
 
 One call runs a batch of at most ``_CHUNK`` trials, with the steps of
 ``protocol.run_teleport_once`` and ``run_teleport_mixed``, the references the
-tests compare against.  It runs the law ``protocol._kernel_setup`` certifies,
-ideal teleportation (Bennett et al., PRL 70, 1895 (1993)), for the squared
-norm ``n = |g1|^2 + |g2|^2``: each of Alice's branches has probability
-``n / 4``, a cold-atom round hits with ``p = n / 2``, and Bob's overlap with
-``g`` is ``n`` times his trace, so his fidelity is ``sqrt(min(n, 1))``.  A run
-has one ``n``, a float, so a batch compares its draws with scalars and
-returns one fidelity.  No state is relaxed here: the cold-atom setup certifies
-that every doublon miss, cold-atom or mixed, relaxes back to the initial state
-(a mixed run checks only its resource's weight on the setup's doublon law).
+tests compare against.  It runs the law ``protocol._kernel_setup`` certifies
+as Gram matrices over the two inputs, ideal teleportation (Bennett et al.,
+PRL 70, 1895 (1993)).  For the squared norm ``n = |g1|^2 + |g2|^2``, each of
+Alice's branches has weight ``g (I2 / 4) g^dag = n / 4``, a cold-atom round
+hits with ``p = g (I2 / 2) g^dag = n / 2``, and Bob holds ``c g g^dag`` for a
+``c > 0``, so his overlap with ``g`` is ``n`` times his trace and his fidelity
+is ``sqrt(min(n, 1))``.  A run has one ``n``, a float, so a batch compares
+its draws with scalars and returns one fidelity.  No state is relaxed here:
+the cold-atom setup certifies that every doublon miss, cold-atom or mixed,
+relaxes back to the initial state (a mixed run checks only its resource's
+weight on the setup's doublon law).
 Callers supply each trial's uniforms from the streams the step-by-step path
 reads, so both make identical branch decisions.
 """

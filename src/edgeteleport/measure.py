@@ -158,29 +158,22 @@ def spin_sectors(state, wires=None) -> list[MeasurementOutcome]:
     return outcomes
 
 
-def born_index(sums, u):
-    """Born-rule outcome index for the uniform draw ``u``.
+def born_index(sums, u) -> int:
+    """Born-rule outcome index for the uniform draw ``u``, from the running
+    sums ``sums``, ``p_0 + ... + p_k``, of nonnegative weights.
 
-    Outcomes lie on the last axis of ``sums``, which holds the running sums
-    ``p_0 + ... + p_k`` of nonnegative weights; leading batch axes broadcast
-    against ``u``.  Outcome ``k`` is chosen when ``u`` first falls below
-    ``sums[k]``: one comparison and the index of its first hit.  When
-    rounding leaves ``u`` at or above the total, the last running sum, no sum
-    is hit and the last outcome whose running sum rises above the one before
-    it is chosen, so an outcome that adds nothing to the total (probability
-    zero, or below an ulp of the sum) is never returned unless all are zero;
-    only such draws compute it.
+    Outcome ``k`` is chosen when ``u`` first falls below ``sums[k]``.  When
+    rounding leaves ``u`` at or above the total, the last running sum, the
+    last outcome whose running sum rises above the one before it is chosen,
+    so an outcome that adds nothing to the total (probability zero, or below
+    an ulp of the sum) is never returned unless all are zero.
     """
     sums = np.asarray(sums, dtype=np.float64)
-    hit = np.asarray(u)[..., None] < sums
-    chosen = hit.argmax(axis=-1)
-    if np.logical_and.reduce(hit[..., -1], axis=None):
-        return chosen
-    over = ~hit[..., -1]
-    chosen = np.array(chosen)  # a 0-d array for one row: writable, unlike a scalar
-    rises = np.diff(np.broadcast_to(sums, hit.shape)[over], axis=-1, prepend=0.0) > 0.0
-    chosen[over] = sums.shape[-1] - 1 - np.argmax(rises[..., ::-1], axis=-1)
-    return chosen
+    hit = u < sums
+    if hit.any():
+        return int(hit.argmax())
+    rises = np.flatnonzero(np.diff(sums, prepend=0.0) > 0.0)
+    return int(rises[-1]) if len(rises) else len(sums) - 1
 
 
 def measure_spin(state, wires, rng: np.random.Generator) -> MeasurementOutcome:
@@ -192,7 +185,7 @@ def measure_spin(state, wires, rng: np.random.Generator) -> MeasurementOutcome:
     bases = spin_sector_bases(state.modes, wires)
     comps = [_project(basis, _array(state)) for _, _, basis in bases]
     probs = np.array([_weight(c) for c in comps])
-    chosen = int(born_index(probs.cumsum(), rng.random()))
+    chosen = born_index(probs.cumsum(), rng.random())
     j, m, _ = bases[chosen]
     post = comps[chosen]
     return MeasurementOutcome(j, m, float(probs[chosen]), type(state)(state.modes, post / _size(post)))

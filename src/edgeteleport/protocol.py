@@ -152,13 +152,6 @@ def _haar_amplitudes(u):
     return g.T
 
 
-def _bloch(g1, g2):
-    """The real coordinates ``F = (|g1|^2, |g2|^2, Re g1 conj(g2), Im g1 conj(g2))``
-    of ``q = g g^dag``, as a tuple, for complex scalars or arrays."""
-    a, b, c, d = g1.real, g1.imag, g2.real, g2.imag
-    return a * a + b * b, c * c + d * d, a * c + b * d, b * c - a * d
-
-
 def _require_haar_draws(u):
     """Raise the amplitudes' own error for draws that make ``_haar_amplitudes(u)``
     NaN or infinite: a NaN or infinite draw in any of the three columns, or a
@@ -547,60 +540,43 @@ def default_backend() -> str:
     return _BACKEND
 
 
-def _bloch_forms(a) -> np.ndarray:
-    """The complex forms ``w``, stacked on a new first axis of four, with
-    ``F @ w = sum_ij q_ij a[i, j]`` for ``q = g g^dag`` and its real
-    coordinates ``F = (q00, q11, Re q01, Im q01)`` (see :func:`_bloch`)."""
-    return np.stack([a[0, 0], a[1, 1], a[0, 1] + a[1, 0], 1j * (a[0, 1] - a[1, 0])])
-
-
-def _gram_form(b) -> np.ndarray:
-    """The real form ``f`` with ``F @ f = |g @ b|^2`` for the ``(2, k)`` rows ``b``."""
-    return _bloch_forms(b @ b.conj().T).real
-
-
 def _folded(rows) -> dict:
-    """Forms, in ``F``, of what a trial of the states ``g @ rows`` reads.
+    """Gram matrices, over the two inputs, of what a trial of the states ``g @ rows`` reads.
 
-    ``rows`` is ``(2, 64)``.  After Alice's gates, folded into her cached
-    sector bases, ``g @ block`` are a sector's coordinates, whose weight is a
-    linear form (:func:`_gram_form`); a sector outside ``BRANCHES`` above
-    1e-12 of the fold's weight raises.  Bob's amplitudes in a branch are
-    ``g @ v`` for ``v = [up, sign * dn]``: his trace is a linear form, and
-    his overlap with ``g``, ``sum_ij q_ji v[i, j]`` per amplitude, is
-    ``|F @ [Re w | Im w]|^2`` for a complex linear form ``w``.  Returns the
-    running sums of Alice's branch forms (``branch``), Bob's ``trace`` forms
-    and his ``overlap`` factors, ``(4, 4, k)``: coefficients first, then one
-    column per branch in ``BRANCHES`` order.
+    ``rows`` is ``(2, 64)``, one row per input ``g = (1, 0)`` and ``(0, 1)``.
+    After Alice's gates, folded into her cached sector bases, ``g @ block``
+    are a sector's coordinates, of weight ``g M g^dag`` for the Gram matrix
+    ``M = block @ block^dag``; a sector outside ``BRANCHES`` above 1e-12 of
+    the fold's weight raises.  Bob's amplitudes in a branch are ``g @ v[s]``
+    for his spin ``s`` (``v = [up, sign * dn]``), so he holds the unnormalised
+    spin state ``sum_ij g_i conj(g_j) R[(i, j), :]`` of the map
+    ``R[(i, j), (s, t)] = sum_k v[s, i, k] conj(v[t, j, k])``.  Returns
+    Alice's branch Gram matrices (``branch``, ``(4, 2, 2)``) and Bob's maps
+    (``bob``, ``(4, 4, 4)``), in ``BRANCHES`` order.
     """
     modes = TELEPORT_MODES
     u_alice = gate_unitary(hadamard("c"), modes) @ gate_unitary(cnot("c", "a"), modes)
     bases = {(j, m): basis for j, m, basis in spin_sector_bases(modes, ALICE_WIRES)}
     # g @ blocks[(j, m)] = sector coordinates of g @ rows after Alice's two gates
     blocks = {s: rows @ (u_alice.T @ basis.conj()) for s, basis in bases.items()}
-    weight = np.abs(_gram_form(rows)).max()
-    for (j, m), block in blocks.items():
-        if (j, m) not in BRANCHES and np.abs(_gram_form(block)).max() > 1e-12 * weight:
+    grams = {s: block @ block.conj().T for s, block in blocks.items()}
+    weight = np.abs(rows @ rows.conj().T).max()
+    for (j, m), gram in grams.items():
+        if (j, m) not in BRANCHES and np.abs(gram).max() > 1e-12 * weight:
             raise RuntimeError(f"Alice can measure (J, Jz) = ({j:g}, {m:g}), "
                                "which has no correction for Bob")
     n_up, n_dn, signs = _b_reduction_indices(modes)
-    trace, overlap = [], []
+    bob = []
     for branch, specs in zip(BRANCHES, _CORRECTIONS):
-        corrected, block = bases[branch], blocks[branch]
+        corrected = bases[branch]
         for spec in specs:
             corrected = gate_unitary(spec, modes) @ corrected
-        up, dn = block @ corrected[n_up].T, block @ (signs[:, None] * corrected[n_dn]).T
-        trace.append(_gram_form(np.hstack([up, dn])))
-        w = _bloch_forms(np.stack([up, dn]).transpose(1, 0, 2))  # a[i, j] = v[j, i]
-        overlap.append(np.hstack([w.real, w.imag]))
-    return {
-        "branch": np.cumsum(np.column_stack([_gram_form(blocks[b]) for b in BRANCHES]), axis=1),
-        "trace": np.column_stack(trace),
-        "overlap": np.stack(overlap, axis=1),
-    }
+        v = blocks[branch] @ np.stack([corrected[n_up].T, (signs[:, None] * corrected[n_dn]).T])
+        bob.append(np.einsum("sik,tjk->ijst", v, v.conj()).reshape(4, 4))
+    return {"branch": np.array([grams[b] for b in BRANCHES]), "bob": np.array(bob)}
 
 
-#: Absolute tolerance of the law's certificate, on a form's rows and on its constant's snap.
+#: Absolute tolerance of the law's certificate, on Gram entries and on a constant's snap.
 _LAW_TOL = 1e-12
 
 
@@ -608,53 +584,51 @@ def _refuse(why):
     raise RuntimeError(f"ideal teleportation is not certified: {why}")
 
 
-def _snap(name, c):
-    """``(m, k)`` with ``|c - m sqrt(2)**k / 8| <= _LAW_TOL`` for ``k`` 0 or 1, or raise."""
-    for k, unit in ((0, 0.125), (1, math.sqrt(2) / 8)):
-        if abs(c - round(c / unit) * unit) <= _LAW_TOL:
-            return round(c / unit), k
-    _refuse(f"a {name} constant, {c!r}, is off the grids m / 8 and m sqrt(2) / 8")
+def _eighths(name, x) -> np.ndarray:
+    """``8 x`` rounded to whole numbers, or raise, naming the first entry of
+    ``x`` farther than ``_LAW_TOL`` from the grid ``m / 8``."""
+    m = np.round(8 * np.real(x))
+    off = np.abs(x - m / 8) > _LAW_TOL
+    if off.any():
+        _refuse(f"a {name} constant, {np.real(x)[off][0].item()!r}, is off the grid m / 8")
+    return m
 
 
-def _certify_law(forms: dict) -> dict:
-    """Raise, naming the first check that fails, unless ``forms`` state ideal
+def _certify_law(grams: dict) -> dict:
+    """Raise, naming the first check that fails, unless ``grams`` state ideal
     teleportation; return the constants the engine reads.
 
-    ``forms`` are :func:`_folded`'s, with a cold-atom fold's ``class_form``.
-    Each must be ``n * c`` for ``n = F0 + F1`` (rows 2-3 zero, rows 0 and 1
-    equal) with ``c`` on the grid ``m / 8`` or ``m sqrt(2) / 8``, to
-    ``_LAW_TOL``.  Then, in the grid's integers: the class constant is 1/2,
-    the branch running sums are (1/4, 1/2, 3/4, 1) times the hit constant
-    (1, or the class constant), and in each branch the squared overlap
-    constants sum to the trace constant, which is positive, so Bob's overlap
+    ``grams`` are :func:`_folded`'s, with a cold-atom fold's class Gram
+    matrix ``class``.  Each of Alice's must be ``c I2`` (no coherence, equal
+    diagonal), a weight ``c n`` for the squared norm ``n = |g1|^2 + |g2|^2``,
+    with ``c`` on the grid ``m / 8``, to ``_LAW_TOL``.  Then, in eighths: the
+    class constant is 1/2, each branch constant is 1/4 of the hit constant
+    (1, or the class constant), and each of Bob's maps is ``c_b I4`` with
+    ``c_b = m / 8 > 0``: he holds ``c_b g g^dag``, so his overlap with ``g``
     is ``n`` times his trace.
     """
-    snapped = {}
-    for name, form in forms.items():
-        form = form.reshape(4, -1)
-        for gap, rows in ((np.abs(form[2:]).max(), "rows 2-3 (Re and Im of g1 conj(g2)) reach"),
-                          (np.abs(form[0] - form[1]).max(),
-                           "rows 0 and 1 (|g1|^2 and |g2|^2) differ by")):
+    eighths = {}
+    for name in [k for k in ("branch", "class") if k in grams]:
+        gram = grams[name].reshape(-1, 2, 2)
+        for gap, why in ((np.abs(gram[:, 0, 1]).max(), "coherence reaches"),
+                         (np.abs(gram[:, 0, 0] - gram[:, 1, 1]).max(), "diagonal entries differ by")):
             if gap > _LAW_TOL:
-                _refuse(f"the {name} forms are not isotropic: their {rows} {gap:.3g}")
-        snapped[name] = [_snap(name, c) for c in form[0].tolist()]
-    # each constant in eighths; None on the sqrt(2) grid
-    eighths = {name: [m if k == 0 else None for m, k in pairs] for name, pairs in snapped.items()}
-    hit = eighths.get("class_form", [8])[0]
-    if "class_form" in forms and hit != 4:
-        _refuse(f"a round's class constant is {float(forms['class_form'][0])!r}, not 1/2")
-    sums = eighths["branch"]
-    if any(m is None or 4 * m != (k + 1) * hit for k, m in enumerate(sums)):
-        _refuse(f"the branch running sums {forms['branch'][0].tolist()} are not "
-                f"(1/4, 1/2, 3/4, 1) times {hit / 8}")
-    overlap = np.reshape(snapped["overlap"], (len(BRANCHES), -1, 2)).tolist()
-    for b, (pairs, t) in enumerate(zip(overlap, eighths["trace"])):
-        squares = sum(m * m << k for m, k in pairs)  # in 64ths
-        if t is None or t <= 0 or squares != 8 * t:
-            _refuse(f"Bob's overlap/trace in branch {BRANCHES[b]} is {squares / 64!r} / "
-                    f"{float(forms['trace'][0, b])!r}, not 1")
-    law = {"quarters": np.array(sums[:3], dtype=np.float64)[:, None] / sums[3]}
-    return {**law, "class_p": hit / 8} if "class_form" in forms else law
+                _refuse(f"the {name} Gram matrices are not multiples of I2: their {why} {gap:.3g}")
+        eighths[name] = _eighths(name, gram[:, 0, 0]).tolist()
+    hit = eighths.get("class", [8.0])[0]
+    if "class" in grams and hit != 4:
+        _refuse(f"a round's class constant is {hit / 8!r}, not 1/2")
+    weights = eighths["branch"]
+    if any(4 * m != hit for m in weights):
+        _refuse(f"the branch weights {[m / 8 for m in weights]} are not 1/4 each of {hit / 8!r}")
+    for branch, r in zip(BRANCHES, grams["bob"]):
+        m = round(2 * np.trace(r).real)  # c_b = tr(R) / 4, in eighths
+        gap = np.abs(r - m / 8 * np.eye(4)).max()
+        if m <= 0 or gap > _LAW_TOL:
+            _refuse(f"Bob's map in branch {branch} is not c I4 with c = m / 8 > 0: it is "
+                    f"{m / 8!r} I4 off by {gap:.3g}")
+    law = {"quarters": np.cumsum(weights)[:3, None] / sum(weights)}
+    return {**law, "class_p": hit / 8} if "class" in grams else law
 
 
 def _require_kappa(kappa, residual=0.0):
@@ -712,10 +686,7 @@ def _certify_relaxation(inputs, miss, doublons) -> np.ndarray:
             f"a multiple of the inputs (relative residual {residual:.3g}, "
             f"|c| {np.linalg.norm(c):.3g})"
         )
-    eighths = np.round(8 * law.real)  # exact: an orthogonal block's kappa is then 0
-    if np.abs(law - eighths / 8).max() > _LAW_TOL:
-        _refuse(f"the doublon law {law.tolist()} is off the grid m / 8")
-    return eighths / 8
+    return _eighths("doublon-law", law) / 8  # exact: an orthogonal block's kappa is then 0
 
 
 @_built_once()
@@ -727,32 +698,33 @@ def _inputs(variant: str) -> np.ndarray:
 @_built_once()
 def _kernel_setup(variant: str) -> dict:
     """The batch engine's setup, built once per variant (``fock._built_once``):
-    the folded forms, certified by :func:`_certify_law`, and the constants
-    the engine reads.
+    the folded Gram matrices, certified by :func:`_certify_law`, and the
+    constants the engine reads.
 
     Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
     trials fold their integer-class parts, ``integer_part``: once
     :func:`_certify_relaxation` has shown that every miss relaxes back to the
     initial state, a trial stops, whatever its round, in the state
-    ``g @ integer_part / sqrt(p)``, with ``p = F @ class_form``.  Its doublon
+    ``g @ integer_part / sqrt(p)``, with ``p = g C g^dag`` for the class Gram
+    matrix ``C = integer_part @ integer_part^dag``.  Its doublon
     law ``G`` (``doublon_law``) is all a mixed run reads of that certificate.
     """
     inputs = _inputs(variant)
     if variant == "electronic":
-        forms = _folded(inputs)
-        return {**forms, **_certify_law(forms)}
+        grams = _folded(inputs)
+        return {**grams, **_certify_law(grams)}
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-    forms = {**_folded(integer_part), "class_form": _gram_form(integer_part)}
-    law = _certify_law(forms)
+    grams = {**_folded(integer_part), "class": integer_part @ integer_part.conj().T}
+    law = _certify_law(grams)
     doublons = neutral_spin_zero_basis(AB_MODES)[:, :2]
     law["doublon_law"] = _certify_relaxation(inputs, inputs - integer_part, doublons)
-    return {**forms, **law}
+    return {**grams, **law}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     """Yield ``(branches, rounds, fidelity)`` chunks: two arrays and a float.
 
-    The engine gets the run's one squared norm: ``F0 + F1`` of a fixed ``g``, or 1,
+    The engine gets the run's one squared norm: ``|g1|^2 + |g2|^2`` of a fixed ``g``, or 1,
     and a Haar chunk only checks its draws.  A cold-atom chunk draws up front the
     block rows its longest trial almost always needs: at class probability 1/2 the
     longest of ``size`` trials takes about ``log2(size)`` rounds.  A mixed run
@@ -764,7 +736,10 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
     """
     setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
     # a Haar trial's first three draws make g, and its squared norm is 1
-    first, norm = (3, 1.0) if g is None else (0, sum(_bloch(g.g1, g.g2)[:2]))
+    first, norm = 3, 1.0
+    if g is not None:
+        a, b, c, d = g.g1.real, g.g1.imag, g.g2.real, g.g2.imag
+        first, norm = 0, (a * a + b * b) + (c * c + d * d)
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
         singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real

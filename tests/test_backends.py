@@ -56,9 +56,9 @@ from edgeteleport.relax import relax_to_ground, sector_ground_spaces
 
 
 def _norm(g):
-    """The engine's input for the fixed input ``g``: its squared norm ``F0 + F1``, a float."""
-    f = protocol._bloch(g.g1, g.g2)
-    return f[0] + f[1]
+    """The engine's input for the fixed input ``g``: its squared norm, a float."""
+    a, b, c, d = g.g1.real, g.g1.imag, g.g2.real, g.g2.imag
+    return (a * a + b * b) + (c * c + d * d)
 
 
 def _per_trial(chunks):
@@ -279,7 +279,7 @@ def test_certified_relaxation_restores_every_input_in_the_library(seed):
         relaxed = relax_to_ground(_miss(g), h).amps
         initial = prepare_initial(g, "coldatom").amps
         assert abs(abs(np.vdot(initial, relaxed)) - 1.0) <= 1e-12
-        p = np.array(protocol._bloch(*gi)) @ setup["class_form"]
+        p = (gi @ setup["class"] @ gi.conj()).real
         assert abs(p - np.linalg.norm(integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
                                       @ relaxed) ** 2) <= 1e-12
 
@@ -419,7 +419,7 @@ def test_outcome_outside_the_branches_raises_naming_it():
 
 def test_setup_ignores_outside_sectors_below_its_threshold():
     # a fold whose half-odd weight is 1e-13 of the whole still builds, and its
-    # branch forms are those of the branch state alone; 1e-11 raises
+    # branch Gram matrices are those of the branch state alone; 1e-11 raises
     x = _one_branch_states(0)[0]
     lone = create(vacuum_state(TELEPORT_MODES), "c", "up").amps
     for eps, refused in ((1e-13, False), (1e-11, True)):
@@ -428,9 +428,9 @@ def test_setup_ignores_outside_sectors_below_its_threshold():
             with pytest.raises(RuntimeError, match="no correction for Bob"):
                 protocol._folded(rows)
             continue
-        alice = protocol._folded(rows)["branch"]  # running sums over the branches
-        expected = np.zeros((4, 4))
-        expected[0, :] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing added after it
+        alice = protocol._folded(rows)["branch"]  # one Gram matrix per branch
+        expected = np.zeros((4, 2, 2))
+        expected[0, 0, 0] = 1 - eps  # |g1|^2 (1 - eps) in branch 0, nothing in the others
         assert np.abs(alice - expected).max() <= 1e-12
 
 
@@ -548,22 +548,48 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
 
 
 def test_setup_forms_certify_the_papers_probabilities():
-    # the forms hold for every input at once: each of Alice's four branches
-    # has probability 1/4, and each cold-atom round succeeds with probability
-    # F @ class_form = 1/2; the half-odd sectors have none, or the setup
-    # would have raised (test_outcome_outside_the_branches_raises_naming_it);
-    # the setup keeps the branch forms' running sums, (1/4, 1/2, 3/4, 1) times
-    # (1, 1, 0, 0) at scale 1, and the engine's constants, exactly
-    ones, half = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
+    # the Gram matrices hold for every input at once: each of Alice's four
+    # branches has weight g M g^dag = n / 4 (M = I2 / 4), each cold-atom round
+    # succeeds with probability g C g^dag = n / 2, and Bob holds c_b g g^dag;
+    # the half-odd sectors have none, or the setup would have raised
+    # (test_outcome_outside_the_branches_raises_naming_it); the setup keeps
+    # the engine's constants exactly
+    eye2, eye4 = np.eye(2), np.eye(4)
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
         setup = protocol._kernel_setup(variant)
-        alice = setup["branch"]
-        assert alice.shape == (4, len(protocol.BRANCHES)) == (4, 4)
-        for k, (form, (j, m)) in enumerate(zip(alice.T, protocol.BRANCHES)):
-            assert np.abs(form - scale * (k + 1) / 4 * ones).max() <= 1e-12, (variant, j, m)
+        assert setup["branch"].shape == (len(protocol.BRANCHES), 2, 2)
+        assert setup["bob"].shape == (len(protocol.BRANCHES), 4, 4)
+        for alice, bob, (j, m) in zip(setup["branch"], setup["bob"], protocol.BRANCHES):
+            assert np.abs(alice - scale / 4 * eye2).max() <= 1e-12, (variant, j, m)
+            assert np.abs(bob - scale / 4 * eye4).max() <= 1e-12, (variant, j, m)
         assert setup["quarters"].tolist() == [[0.25], [0.5], [0.75]]
-    assert np.abs(protocol._kernel_setup("coldatom")["class_form"] - half).max() <= 1e-12
+    assert np.abs(protocol._kernel_setup("coldatom")["class"] - eye2 / 2).max() <= 1e-12
     assert protocol._kernel_setup("coldatom")["class_p"] == 0.5
+
+
+@pytest.mark.parametrize("variant", ["electronic", "coldatom"])
+def test_setup_gram_matrices_match_the_step_by_step_path(variant):
+    # for 40 Haar inputs and every branch, g @ branch[b] @ g^dag is the
+    # branch's weight in the library's state after Alice's gates, and Bob's
+    # map contracted with g g^dag is bob_reduced_spin of that branch's
+    # unnormalised state after his corrections; a cold-atom fold is the
+    # initial state's integer-class part
+    setup = protocol._kernel_setup(variant)
+    bases = {(j, m): b for j, m, b in spin_sector_bases(TELEPORT_MODES, protocol.ALICE_WIRES)}
+    integer = integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
+    rng = np.random.default_rng(53)
+    for gi in np.stack(protocol._haar_amplitudes(rng.random((40, 3))), axis=1):
+        psi = prepare_initial(SpinAmplitudes(*gi), variant).amps
+        state = StateVector(TELEPORT_MODES, integer @ psi if variant == "coldatom" else psi)
+        state = apply_gate(hadamard("c"), apply_gate(cnot("c", "a"), state))
+        for b, branch in enumerate(protocol.BRANCHES):
+            part = bases[branch] @ (bases[branch].conj().T @ state.amps)
+            assert abs(gi @ setup["branch"][b] @ gi.conj() - np.vdot(part, part)) <= 1e-12
+            corrected = StateVector(TELEPORT_MODES, part)
+            for spec in bob_correction(*branch):
+                corrected = apply_gate(spec, corrected)
+            bob = (np.outer(gi, gi.conj()).ravel() @ setup["bob"][b]).reshape(2, 2)
+            assert np.abs(bob - protocol.bob_reduced_spin(corrected)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -581,78 +607,96 @@ _INITIAL = protocol._inputs("electronic")
 
 
 def test_certificate_refuses_forms_with_coherence_rows(monkeypatch):
-    # the second input's state overlaps the first's: each branch probability
-    # picks up Re g1 conj(g2), row 2 of its form
+    # the second input's state overlaps the first's: each branch weight
+    # picks up Re g1 conj(g2), through the off-diagonal entry 1/4 / sqrt(2)
     rows = np.stack([_INITIAL[0], (_INITIAL[0] + _INITIAL[1]) / np.sqrt(2)])
     with pytest.raises(RuntimeError, match=r"^ideal teleportation is not certified: the branch "
-                                           r"forms are not isotropic: their rows 2-3 .* reach 1\.41"):
+                                           r"Gram matrices are not multiples of I2: their "
+                                           r"coherence reaches 0\.177$"):
         _electronic_setup_of(rows, monkeypatch)
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
 def test_certificate_refuses_generic_states_in_one_branch(branch, monkeypatch):
-    # generic states inside one branch sector: Alice's branch forms would put
-    # every trial in it, but they depend on the coherence of g
+    # generic states inside one branch sector: Alice's branch Gram matrices
+    # would put every trial in it, but they depend on the coherence of g
     x = _one_branch_states(branch)
-    with pytest.raises(RuntimeError, match=r"not certified: the branch forms are not isotropic"):
+    with pytest.raises(RuntimeError, match=r"not certified: the branch Gram matrices are not "
+                                           r"multiples of I2"):
         _electronic_setup_of(x[:2], monkeypatch)
 
 
 def test_certificate_refuses_forms_with_unequal_diagonal_rows(monkeypatch):
-    # the second input's state at half the amplitude: the probabilities add
-    # up to |g1|^2 + |g2|^2 / 4
+    # the second input's state at half the amplitude: each branch weight is
+    # |g1|^2 / 4 + |g2|^2 / 16
     rows = _INITIAL * np.array([[1.0], [0.5]])
-    with pytest.raises(RuntimeError, match=r"not certified: the branch forms are not isotropic: "
-                                           r"their rows 0 and 1 .* differ by 0\.75"):
+    with pytest.raises(RuntimeError, match=r"not certified: the branch Gram matrices are not "
+                                           r"multiples of I2: their diagonal entries differ by "
+                                           r"0\.18\d$"):
         _electronic_setup_of(rows, monkeypatch)
 
 
 def test_certificate_refuses_a_constant_off_the_grid(monkeypatch):
-    # isotropic, but 0.81 / 4 is neither m / 8 nor m sqrt(2) / 8
+    # multiples of I2, but 0.81 / 4 is not m / 8
     with pytest.raises(RuntimeError, match=r"not certified: a branch constant, 0\.202\d*, is off "
-                                           r"the grids m / 8 and m sqrt\(2\) / 8"):
+                                           r"the grid m / 8$"):
         _electronic_setup_of(0.9 * _INITIAL, monkeypatch)
 
 
 def test_certificate_refuses_branch_sums_that_are_not_quarters(monkeypatch):
     # on the grid, but an electronic trial's branches would add up to 2
-    with pytest.raises(RuntimeError, match=r"not certified: the branch running sums \[0\.49\d*, "
-                                           r"0\.99\d*, 1\.49\d*, 1\.99\d*\] are not \(1/4, 1/2, "
-                                           r"3/4, 1\) times 1\.0"):
+    with pytest.raises(RuntimeError, match=r"not certified: the branch weights \[0\.5, 0\.5, "
+                                           r"0\.5, 0\.5\] are not 1/4 each of 1\.0$"):
         _electronic_setup_of(np.sqrt(2) * _INITIAL, monkeypatch)
 
 
 def test_certificate_refuses_a_class_probability_other_than_one_half(monkeypatch):
-    # an integer-class part of twice the weight: the branch sums still follow
-    # the class constant, 1, but a round no longer hits with probability 1/2
+    # an integer-class part of twice the weight: the branch weights still
+    # follow the class constant, 1, but a round no longer hits with probability 1/2
     real = protocol.integer_class_projector
     monkeypatch.setattr(protocol, "integer_class_projector",
                         lambda modes, wires: np.sqrt(2) * real(modes, wires))
-    with pytest.raises(RuntimeError, match=r"not certified: a round's class constant is 1\.0\d*, "
-                                           r"not 1/2"):
+    with pytest.raises(RuntimeError, match=r"not certified: a round's class constant is 1\.0, "
+                                           r"not 1/2$"):
         protocol._kernel_setup.__wrapped__("coldatom")
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
 def test_certificate_refuses_a_wrong_correction_for_bob(branch, monkeypatch):
     # the next branch's gates in this branch leave Bob's spin rotated: his
-    # overlap with g depends on more than its norm
+    # map mixes g1 and g2, and his overlap with g depends on more than its norm
     wrong = list(protocol._CORRECTIONS)
     wrong[branch] = protocol._CORRECTIONS[(branch + 1) % len(wrong)]
     monkeypatch.setattr(protocol, "_CORRECTIONS", tuple(wrong))
-    with pytest.raises(RuntimeError, match=r"not certified: the overlap forms are not isotropic"):
+    with pytest.raises(RuntimeError, match=rf"not certified: Bob's map in branch "
+                                           rf"\({protocol.BRANCHES[branch][0]}, .* is not c I4 "
+                                           rf"with c = m / 8 > 0"):
         protocol._kernel_setup.__wrapped__("electronic")
 
 
-def test_certificate_refuses_an_overlap_that_is_not_the_trace(monkeypatch):
-    # isotropic forms on the grid, with Bob's overlap twice his trace: a
-    # fidelity sqrt(2 n) would not be the protocol's
-    real = protocol._folded
-    monkeypatch.setattr(protocol, "_folded",
-                        lambda rows: {**real(rows), "overlap": np.sqrt(2) * real(rows)["overlap"]})
-    with pytest.raises(RuntimeError, match=r"not certified: Bob's overlap/trace in branch "
-                                           r"\(1\.0, 1\.0\) is 0\.5 / 0\.2\d*, not 1"):
+def test_certificate_refuses_a_bob_map_off_the_identity(monkeypatch):
+    # Alice's Gram matrices as they are, but Bob's down amplitude read with
+    # the wrong fermionic sign: he holds g1 |up> - g2 |dn>, and his map is
+    # diag(1, -1, -1, 1) / 4, whose trace is 0
+    real = protocol._b_reduction_indices
+    monkeypatch.setattr(protocol, "_b_reduction_indices",
+                        lambda modes: (*real(modes)[:2], -real(modes)[2]))
+    with pytest.raises(RuntimeError, match=r"not certified: Bob's map in branch \(1\.0, 1\.0\) "
+                                           r"is not c I4 with c = m / 8 > 0: it is 0\.0 I4 off "
+                                           r"by 0\.25$"):
         protocol._kernel_setup.__wrapped__("electronic")
+
+
+def test_certificate_refuses_a_zero_bob_map(monkeypatch):
+    # a reduction that reads none of Bob's amplitudes: his map is 0, and so
+    # would be his trace, where the engine reads a fidelity of 1
+    real = protocol._b_reduction_indices
+    monkeypatch.setattr(protocol, "_b_reduction_indices",
+                        lambda modes: tuple(x[:0] for x in real(modes)))
+    with pytest.raises(RuntimeError, match=r"not certified: Bob's map in branch \(1\.0, 1\.0\) "
+                                           r"is not c I4 with c = m / 8 > 0: it is 0\.0 I4 off "
+                                           r"by 0$"):
+        protocol._kernel_setup.__wrapped__("coldatom")
 
 
 # Exact report bytes: a change to any of them must be deliberate.
