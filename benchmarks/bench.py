@@ -50,9 +50,9 @@ the order statistics that bracket that median with probability at least 0.95
 for any distribution of the ratios (Kalibera & Jones, "Rigorous Benchmarking
 in Reasonable Time", ISMM 2013), at the exact binomial coverage
 ``ratio_ci95_coverage``.  Fewer than six rounds cannot reach 0.95; their
-interval is the whole range.  ``verdict`` is ``faster`` or ``slower`` when
-the interval reaches 0.95 and lies below or above 1, and ``not resolved``
-otherwise.
+interval is the whole range.  The default, ten rounds, reaches 0.979.
+``verdict`` is ``faster`` or ``slower`` when the interval reaches 0.95 and
+lies below or above 1, and ``not resolved`` otherwise.
 
 Each measuring process also times ``reference_s()`` of
 ``perfbench/calibrate.py`` (imported from this checkout, read-only), a fixed
@@ -359,7 +359,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="BENCH JSON file to write")
     parser.add_argument("--baseline", type=Path, help="tree whose src/ to measure beside this one")
     parser.add_argument("--baseline-sha", help="commit of --baseline, for a tree outside git")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="alternating rounds; at least six reach 0.95 coverage")
     parser.add_argument("--smallest", action="store_true", help="smallest sizes, one call each")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)

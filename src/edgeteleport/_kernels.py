@@ -2,15 +2,16 @@
 
 One call runs a batch of at most ``_CHUNK`` trials, with the steps of
 ``protocol.run_teleport_once`` and ``run_teleport_mixed``, the references the
-tests compare against.  It runs the law ``protocol._kernel_setup`` certifies
-as Gram matrices over the two inputs, ideal teleportation (Bennett et al.,
-PRL 70, 1895 (1993)).  For the squared norm ``n = |g1|^2 + |g2|^2``, each of
-Alice's branches has weight ``g (I2 / 4) g^dag = n / 4``, a cold-atom round
-hits with ``p = g (I2 / 2) g^dag = n / 2``, and Bob holds ``c g g^dag`` for a
-``c > 0``, so his overlap with ``g`` is ``n`` times his trace and his fidelity
-is ``sqrt(min(n, 1))``.  A run has one ``n``, a float, so a batch compares
-its draws with scalars and returns one fidelity.  No state is relaxed here:
-the cold-atom setup certifies that every doublon miss, cold-atom or mixed,
+tests compare against, and returns each trial's decisions: its branch and
+its rounds.  It runs the law ``protocol._kernel_setup`` certifies as Gram
+matrices over the two inputs, ideal teleportation (Bennett et al., PRL 70,
+1895 (1993)).  For the squared norm ``n = |g1|^2 + |g2|^2``, each of Alice's
+branches has weight ``g (I2 / 4) g^dag = n / 4`` and a cold-atom round hits
+with ``p = g (I2 / 2) g^dag = n / 2``.  A run has one ``n``, a float, so a
+batch compares its draws with scalars.  Bob holds ``c g g^dag`` for a
+``c > 0``, so his fidelity ``sqrt(min(n, 1))`` is the run's, not a batch's:
+``protocol.run_trials`` computes it once.  No state is relaxed here: the
+cold-atom setup certifies that every doublon miss, cold-atom or mixed,
 relaxes back to the initial state (a mixed run checks only its resource's
 weight on the setup's doublon law).
 Callers supply each trial's uniforms from the streams the step-by-step path
@@ -18,8 +19,6 @@ reads, so both make identical branch decisions.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,24 +29,21 @@ _CHUNK = 1024
 _ROWS, _ONE_ROUND = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64)))
 
 
-def _measure_and_correct(setup, n, u, s):
-    """Each trial's index into ``protocol.BRANCHES``, the running sum
+def _measure_and_correct(setup, u, s):
+    """Each trial's index into ``protocol.BRANCHES``: the running sum
     ``quarters * s`` its draw ``u[i]`` falls in (``s = n`` for an electronic
-    trial, 1 once a class hit has scaled the state by ``1 / sqrt(p)``), and
-    Bob's fidelity ``sqrt(overlap / trace) = sqrt(n)``, capped at 1 against rounding."""
-    branch = np.add.reduce(u >= s * setup["quarters"], axis=0, dtype=np.intp)
-    return branch, math.sqrt(min(n, 1.0))
+    trial, 1 once a class hit has scaled the state by ``1 / sqrt(p)``)."""
+    return np.add.reduce(u >= s * setup["quarters"], axis=0, dtype=np.intp)
 
 
 def electronic_batch(setup, n, u_branch):
-    """Branch index and rounds (all 1) of each electronic trial, and their
-    fidelity, for ``n`` and branch draws ``u_branch`` (:func:`_measure_and_correct`)."""
-    branch, fid = _measure_and_correct(setup, n, u_branch, n)
-    return branch, _ONE_ROUND[:len(branch)], fid
+    """Branch index and rounds (all 1) of each electronic trial, for ``n`` and
+    branch draws ``u_branch`` (:func:`_measure_and_correct`)."""
+    return _measure_and_correct(setup, u_branch, n), _ONE_ROUND[:len(u_branch)]
 
 
 def coldatom_batch(setup, n, upto, first, max_rounds, p1=None):
-    """Branch index and rounds of each cold-atom or mixed trial, and their one fidelity.
+    """Branch index and rounds of each cold-atom or mixed trial.
 
     ``n`` is as in :func:`_measure_and_correct`.  ``upto(stop)`` returns the
     chunk's draw table, a row per trial, grown by whole Philox block rows to
@@ -85,5 +81,4 @@ def coldatom_batch(setup, n, upto, first, max_rounds, p1=None):
             raise RuntimeError(f"upto({stop}) returned {u.shape[1]} draws per trial")
     u = upto(first + longest + 1)
     # a hit's state is scaled by 1 / sqrt(p): its running sums are quarters * 1
-    branch, fid = _measure_and_correct(setup, n, u[_ROWS[:len(u)], first + rounds], 1.0)
-    return branch, rounds, fid
+    return _measure_and_correct(setup, u[_ROWS[:len(u)], first + rounds], 1.0), rounds

@@ -492,27 +492,17 @@ _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(TeleportReport))
 _REPORT_JSON = "{\n" + ",\n".join(f"  {_json_str(name)}: %s" for name in _REPORT_FIELDS) + "\n}\n"
 
 
-def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
-    """Fold ``(branches, rounds, fidelity)`` chunks, one fidelity for all of a
-    chunk's trials, into a report in O(chunk) memory.  The fidelity sum is
-    pairwise over chunks, from a stack of sums of ``2**b`` chunks each, so one
-    chunk gives exactly ``np.mean`` of its trials' fidelities."""
-    chunks = iter(chunks)
-    branches, rounds, min_fid = next(chunks)
-    n, fid_sums = len(branches), [_chunk_sum(min_fid, len(branches))]
-    per_branch = np.bincount(branches, minlength=len(BRANCHES))
-    per_round = np.bincount(rounds)
-    for k, (branches, rounds, fid) in enumerate(chunks, 1):  # k chunks folded so far
+def _assemble_report(variant, seed, g, fidelity, chunks) -> TeleportReport:
+    """Fold ``(branches, rounds)`` chunks into a report in O(chunk) memory.
+    ``fidelity`` is the run's, shared by all of its trials, so it is both the
+    report's minimum and its mean."""
+    n, per_branch, per_round = 0, np.zeros(len(BRANCHES), np.intp), np.zeros(0, np.intp)
+    for branches, rounds in chunks:
         n += len(branches)
         per_branch += np.bincount(branches, minlength=len(BRANCHES))
         counts = np.bincount(rounds, minlength=len(per_round))
         counts[:len(per_round)] += per_round
         per_round = counts
-        min_fid = min(min_fid, fid)
-        x = _chunk_sum(fid, len(branches))
-        while k & 1:  # a partial sum of 2**b chunks per set bit b of k, the highest first
-            x, k = fid_sums.pop() + x, k >> 1
-        fid_sums.append(x)
     counts = per_round.tolist()
     return TeleportReport(
         variant=variant,
@@ -525,14 +515,9 @@ def _assemble_report(variant, seed, g, chunks) -> TeleportReport:
         branch_counts=dict(zip(_BRANCH_KEYS, per_branch.tolist())),
         rounds_histogram=dict(filter(operator.itemgetter(1), enumerate(counts))),
         mean_rounds=sum(map(operator.mul, range(len(counts)), counts)) / n,
-        min_fidelity=float(min_fid),
-        mean_fidelity=float(sum(reversed(fid_sums))) / n,
+        min_fidelity=fidelity,
+        mean_fidelity=fidelity,
     )
-
-
-def _chunk_sum(fid, size):
-    """``np.add.reduce(np.full(size, fid))``, which is ``size`` at ``fid = 1``."""
-    return float(size) if fid == 1.0 else np.add.reduce(np.full(size, fid))
 
 
 def default_backend() -> str:
@@ -721,25 +706,22 @@ def _kernel_setup(variant: str) -> dict:
     return {**grams, **law}
 
 
-def _run_trials_batched(g, variant, n, seed, max_rounds, resource=None):
-    """Yield ``(branches, rounds, fidelity)`` chunks: two arrays and a float.
+def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
+    """Yield ``(branches, rounds)`` chunks, two arrays: each trial's decisions.
 
-    The engine gets the run's one squared norm: ``|g1|^2 + |g2|^2`` of a fixed ``g``, or 1,
-    and a Haar chunk only checks its draws.  A cold-atom chunk draws up front the
-    block rows its longest trial almost always needs: at class probability 1/2 the
-    longest of ``size`` trials takes about ``log2(size)`` rounds.  A mixed run
-    checks its resource (``None`` is the a-b singlet) and runs on the cold-atom
+    The engine gets the run's one squared norm ``norm``, which :func:`run_trials`
+    also turns into the run's fidelity, and a Haar chunk only checks its draws.
+    A cold-atom chunk draws up front the block rows its longest trial almost
+    always needs: at class probability 1/2 the longest of ``size`` trials takes
+    about ``log2(size)`` rounds.  A mixed run checks its resource (``None`` is
+    the a-b singlet) and runs on the cold-atom
     engine, round 1 at the singlet weight ``p1`` under ``measure_spin_class``'s
     floor (2.0, a certain hit, where the doublon weight is below ``PROB_FLOOR``).
     Its misses relax to the cold-atom state unless ``tr(G rho_dd) / tr rho_dd`` fails
     :func:`_require_kappa`; then its first chunk with a round-1 miss raises.
     """
     setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
-    # a Haar trial's first three draws make g, and its squared norm is 1
-    first, norm = 3, 1.0
-    if g is not None:
-        a, b, c, d = g.g1.real, g.g1.imag, g.g2.real, g.g2.imag
-        first, norm = 0, (a * a + b * b) + (c * c + d * d)
+    first = 3 if g is None else 0  # a Haar trial's first three draws make g
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
         singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real
@@ -815,5 +797,10 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError("max_rounds must be >= 1")
     _require_word(seed, "seed", "key")
 
-    chunks = _run_trials_batched(g, variant, n, seed, max_rounds, resource)
-    return _assemble_report(variant, seed, g, chunks)
+    norm = 1.0  # a Haar input's, u0 + (1 - u0), rounds to 1
+    if g is not None:
+        a, b, c, d = g.g1.real, g.g1.imag, g.g2.real, g.g2.imag
+        norm = (a * a + b * b) + (c * c + d * d)
+    chunks = _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource)
+    # Bob's fidelity sqrt(overlap / trace) = sqrt(norm), capped at 1 against rounding
+    return _assemble_report(variant, seed, g, math.sqrt(min(norm, 1.0)), chunks)

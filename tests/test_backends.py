@@ -7,6 +7,7 @@ exactly and fidelities agree to rounding.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -61,13 +62,42 @@ def _norm(g):
     return (a * a + b * b) + (c * c + d * d)
 
 
-def _per_trial(chunks):
-    """A run's ``(branches, rounds, fidelity)`` chunks as three per-trial
-    arrays, each chunk's one fidelity repeated over its trials."""
-    branches, rounds, fids = zip(*chunks)
-    assert all(type(f) is float for f in fids)  # one Python float per chunk
-    return (np.concatenate(branches), np.concatenate(rounds),
-            np.concatenate([np.full(len(b), f) for b, f in zip(branches, fids)]))
+def _run_norm(g):
+    """The squared norm ``run_trials`` gives the engine: ``_norm(g)``, or 1 for Haar inputs."""
+    return _norm(g) if g is not None else 1.0
+
+
+def _fidelity(n):
+    """Bob's fidelity at the squared norm ``n``, ``sqrt(min(n, 1))``: every
+    trial's in a run, as ``run_trials`` reports it
+    (``test_report_fidelity_is_the_runs_one_fidelity``)."""
+    return math.sqrt(min(n, 1.0))
+
+
+def _batched(g, variant, n, seed, resource=None, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
+    """The engine's ``(branches, rounds)`` chunks of a run, at ``run_trials``'s norm."""
+    return protocol._run_trials_batched(g, variant, n, seed, max_rounds, _run_norm(g), resource)
+
+
+def _per_trial(chunks, fidelity):
+    """A run's ``(branches, rounds)`` chunks and its one fidelity as three
+    per-trial arrays, the fidelity repeated over every trial."""
+    branches, rounds = map(np.concatenate, zip(*chunks))
+    return branches, rounds, np.full(len(branches), fidelity)
+
+
+#: An input ``SpinAmplitudes.normalized`` gives at each squared norm it reaches
+#: on small integer amplitudes, 6 ulps below 1 to 2 above, by that norm.
+_NORMALIZED = {
+    0.9999999999999994: (1, 2 + 4j),
+    0.9999999999999996: (1j, 2 + 2j),
+    0.9999999999999997: (2j, 3 + 6j),
+    0.9999999999999998: (1, 1),
+    0.9999999999999999: (1, 2),
+    1.0: (1, 4),
+    1.0000000000000002: (1, 5),
+    1.0000000000000004: (1j, 4 + 7j),
+}
 
 
 def _oracle(g, variant, n, seed):
@@ -83,8 +113,7 @@ def _oracle(g, variant, n, seed):
 
 
 def _assert_engine_matches_oracle(g, variant, n, seed):
-    chunks = protocol._run_trials_batched(g, variant, n, seed, protocol.DEFAULT_MAX_ROUNDS)
-    branches, rounds, fids = _per_trial(chunks)
+    branches, rounds, fids = _per_trial(_batched(g, variant, n, seed), _fidelity(_run_norm(g)))
     o_branches, o_rounds, o_fids = _oracle(g, variant, n, seed)
     np.testing.assert_array_equal(branches, o_branches)
     np.testing.assert_array_equal(rounds, o_rounds)
@@ -122,7 +151,7 @@ def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g, seed, monkey
 
     monkeypatch.setattr(protocol._Draws, "upto", upto)
     n = protocol._CHUNK + 37
-    list(protocol._run_trials_batched(g, "coldatom", n, seed, protocol.DEFAULT_MAX_ROUNDS))
+    list(_batched(g, "coldatom", n, seed))
     monkeypatch.undo()
     # per chunk: the first call draws the rows up front, later ones on demand
     on_demand = [any(calls[1:]) for calls in grew.values()]
@@ -141,8 +170,8 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row():
         stops.append(stop)
         return draws.upto(stop)
 
-    _, rounds, _ = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _norm(g),
-                                          upto, 0, protocol.DEFAULT_MAX_ROUNDS)
+    _, rounds = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _norm(g),
+                                       upto, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4 + 1
 
@@ -194,27 +223,41 @@ def test_threads_running_at_once_give_the_sequential_reports():
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
 def test_no_fidelity_exceeds_one(variant):
     # rounding can put Bob's overlap above his trace; capped, no fidelity of
-    # the step-by-step path or of a chunk, and so no report, exceeds 1
-    chunks = protocol._run_trials_batched(None, variant, 3000, 5, protocol.DEFAULT_MAX_ROUNDS)
-    assert max(fid for _, _, fid in chunks) <= 1.0
+    # the step-by-step path, and no report's, exceeds 1, also at the squared
+    # norms above 1 that SpinAmplitudes.normalized gives
     assert _oracle(None, variant, 300, 5)[2].max() <= 1.0
-    for seed in (0, 7, 2**64 - 1):
-        report = run_trials(None, variant, 1, seed=seed)
-        assert report.min_fidelity <= 1.0 and report.mean_fidelity <= 1.0
+    above = [SpinAmplitudes.normalized(*x) for n, x in _NORMALIZED.items() if n > 1]
+    for g in (None, *above):
+        for trials, seed in ((1, 0), (1, 7), (1, 2**64 - 1), (3000, 5)):
+            report = run_trials(g, variant, trials, seed=seed)
+            assert report.min_fidelity <= 1.0 and report.mean_fidelity <= 1.0
+
+
+@pytest.mark.parametrize("variant", ["electronic", "coldatom", "mixed"])
+def test_report_fidelity_is_the_runs_one_fidelity(variant):
+    # every trial of a run has Bob's fidelity sqrt(min(n, 1)) at the run's
+    # one squared norm n, so the report's mean is its minimum, bit for bit,
+    # at every squared norm SpinAmplitudes.normalized gives and for Haar
+    # inputs; a sum of equal floats over their count need not give the float
+    inputs = [SpinAmplitudes.normalized(*x) for x in _NORMALIZED.values()]
+    assert [_norm(g) for g in inputs] == list(_NORMALIZED)
+    for g in (*inputs, None):
+        for trials in (1, 5, protocol._CHUNK, protocol._CHUNK + 1, 3000):
+            report = run_trials(g, variant, trials)
+            assert report.mean_fidelity == report.min_fidelity == _fidelity(_run_norm(g)), \
+                (g, trials)
 
 
 def test_overlap_above_the_trace_is_capped():
     # Bob's overlap over his trace is the squared norm n: above 1 by more
-    # than rounding, it still gives fidelity 1; the protocol's own norms
-    # exceed 1 by too little for sqrt to show, so this checks the cap itself
-    n, u = 400, np.random.default_rng(3).random((400, protocol.DEFAULT_MAX_ROUNDS + 1))
-    for norm in (1.0 + 1e-9, 1.0 + 2.0**-52, 4.0):
-        _, _, fid = kernels.electronic_batch(protocol._kernel_setup("electronic"), norm, u[:, 0])
-        assert fid == 1.0 and type(fid) is float
-        _, _, fid = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), norm,
-                                           lambda stop: u, 0, protocol.DEFAULT_MAX_ROUNDS)
-        assert fid == 1.0 and type(fid) is float
-    assert math.sqrt(1.0 + 1e-9) > 1.0  # uncapped, the first would exceed 1
+    # than rounding, it still gives fidelity 1; SpinAmplitudes.normalized
+    # exceeds 1 by too little for sqrt to show, so this checks the cap itself,
+    # at inputs SpinAmplitudes still takes (|n - 1| <= 1e-12)
+    for norm, variant in itertools.product((1.0 + 1e-13, 1.0 + 5e-13), protocol.VARIANTS):
+        assert math.sqrt(norm) > 1.0  # uncapped, the fidelity would exceed 1
+        report = run_trials(SpinAmplitudes(math.sqrt(norm), 0.0), variant, 5)
+        assert report.min_fidelity == report.mean_fidelity == 1.0
+        assert type(report.min_fidelity) is float and type(report.mean_fidelity) is float
 
 
 def test_report_statistics_match_oracle():
@@ -310,50 +353,43 @@ def test_setup_raises_where_relaxation_leaves_the_input(h, monkeypatch):
 @pytest.mark.parametrize("g", [SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), None],
                          ids=["fixed", "haar"])
 def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
-    shapes = []
-    real = kernels._measure_and_correct
+    norms, shapes = [], []
+    real_batch, real_measure = kernels.coldatom_batch, kernels._measure_and_correct
 
-    def spy(setup, n, u, s):
-        shapes.append((n, type(n), len(u)))
-        return real(setup, n, u, s)
+    def batch(setup, n, *args):
+        norms.append((n, type(n)))
+        return real_batch(setup, n, *args)
 
+    def spy(setup, u, s):
+        shapes.append((s, len(u)))
+        return real_measure(setup, u, s)
+
+    monkeypatch.setattr(kernels, "coldatom_batch", batch)
     monkeypatch.setattr(kernels, "_measure_and_correct", spy)
-    n = protocol._CHUNK + 37
-    chunks = list(protocol._run_trials_batched(g, "coldatom", n, 3, protocol.DEFAULT_MAX_ROUNDS))
+    report = run_trials(g, "coldatom", protocol._CHUNK + 37, seed=3)
     # a run has one squared norm, a float shared by every trial: F0 + F1 of
-    # a fixed g, and 1 for Haar inputs, whose u0 + (1 - u0) rounds to 1
-    norm = _norm(g) if g is not None else 1.0
-    assert shapes == [(norm, float, k) for k in (protocol._CHUNK, 37)]
-    assert max(int(rounds.max()) for _, rounds, _ in chunks) >= 5
+    # a fixed g, and 1 for Haar inputs, whose u0 + (1 - u0) rounds to 1;
+    # each chunk measures once, on a hit's rescaled state (running sums times 1)
+    assert norms == [(_run_norm(g), float)] * 2
+    assert shapes == [(1.0, k) for k in (protocol._CHUNK, 37)]
+    assert max(report.rounds_histogram) >= 5
 
 
 def test_report_aggregates_chunks_as_the_array_path_does():
     rng = np.random.default_rng(17)
     sizes = rng.integers(1, 60, size=37)
-    # a chunk has one fidelity for all its trials; a third of them below 1
-    chunks = [(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k),
-               float(rng.uniform(0.5, 1.0)) if i % 3 == 0 else 1.0) for i, k in enumerate(sizes)]
-    # a run's fidelity below 1 over three full chunks and a partial last one,
-    # generic and dyadic (whose every partial sum is exact)
-    runs = [[(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k), fid)
-             for k in (protocol._CHUNK,) * 3 + (37,)] for fid in (math.sqrt(1 - 4e-13), 0.75)]
-    for part in (chunks[:1], chunks, *runs):
-        b, r, f = _per_trial(part)
-        rep = protocol._assemble_report("coldatom", 0, None, iter(part))
+    chunks = [(rng.integers(0, 4, size=k), rng.geometric(0.5, size=k)) for k in sizes]
+    fid = math.sqrt(1 - 4e-13)
+    for part in (chunks[:1], chunks):
+        b, r, _ = _per_trial(part, fid)
+        rep = protocol._assemble_report("coldatom", 0, None, fid, iter(part))
         assert rep.trials == len(b)
         assert list(rep.branch_counts.values()) == np.bincount(b, minlength=4).tolist()
         assert rep.rounds_histogram == {int(k): int(c)
                                         for k, c in zip(*np.unique(r, return_counts=True))}
         assert rep.mean_rounds == float(np.mean(r))
-        assert rep.min_fidelity == float(np.min(f))
-        assert abs(rep.mean_fidelity - float(np.mean(f))) <= 1e-15
-    assert protocol._assemble_report("coldatom", 0, None, runs[1]).mean_fidelity == \
-        float(np.mean(_per_trial(runs[1])[2])) == 0.75
-    # one chunk is summed exactly as np.mean sums its trials' array, at
-    # fidelity 1 and below it, full or partial
-    for chunk in (chunks[0], chunks[1], runs[0][0], runs[0][-1]):
-        assert protocol._assemble_report("coldatom", 0, None, [chunk]).mean_fidelity == \
-            float(np.mean(_per_trial([chunk])[2]))
+        # the run's one fidelity is every trial's: the minimum and the mean
+        assert rep.min_fidelity == rep.mean_fidelity == fid
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -379,34 +415,32 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
 
     setup = protocol._kernel_setup("electronic")
-    b1, _, f1 = kernels.electronic_batch(setup, norm, u[:, 0])
+    b1, _ = kernels.electronic_batch(setup, norm, u[:, 0])
     expected = np.array([_step_by_step(g, "electronic", row[:1]) for row in u])
     np.testing.assert_array_equal(b1, expected[:, 0])
-    assert np.abs(f1 - expected[:, 2]).max() <= 1e-15
+    assert np.abs(_fidelity(norm) - expected[:, 2]).max() <= 1e-15
 
     setup = protocol._kernel_setup("coldatom")
-    b1, r1, f1 = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
-                                        protocol.DEFAULT_MAX_ROUNDS)
+    b1, r1 = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
+                                    protocol.DEFAULT_MAX_ROUNDS)
     expected = np.array([_step_by_step(g, "coldatom", row) for row in u])
     np.testing.assert_array_equal(b1, expected[:, 0])
     np.testing.assert_array_equal(r1, expected[:, 1])
-    assert np.abs(f1 - expected[:, 2]).max() <= 1e-15
+    assert np.abs(_fidelity(norm) - expected[:, 2]).max() <= 1e-15
     assert r1.max() >= 5  # the shared norm went through several restarts
 
     # a round-1 class probability p1 equal to p changes nothing; p1 = 2.0, a
     # certain hit, stops every trial in round 1, even at the largest draw
     same = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
                                   protocol.DEFAULT_MAX_ROUNDS, setup["class_p"] * norm)
-    for a, b in zip(same, (b1, r1, f1)):
+    for a, b in zip(same, (b1, r1), strict=True):
         np.testing.assert_array_equal(a, b)
     top = u.copy()
     top[:, 0] = 1 - 2.0**-53
-    branches, rounds, fid = kernels.coldatom_batch(
+    branches, rounds = kernels.coldatom_batch(
         setup, norm, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, 2.0)
     assert (rounds == 1).all()
-    expected = kernels._measure_and_correct(setup, norm, top[:, 1], 1.0)
-    np.testing.assert_array_equal(branches, expected[0])
-    assert fid == expected[1]
+    np.testing.assert_array_equal(branches, kernels._measure_and_correct(setup, top[:, 1], 1.0))
 
 
 def test_outcome_outside_the_branches_raises_naming_it():
@@ -484,11 +518,12 @@ def _short_inputs(seed, low, trials=256):
 def _one_call_per_input(norms, of, call):
     """``call(n, rows)`` once per input, on the trials ``rows`` of that input
     (``of == k``) at its squared norm ``n``, as a run has one norm; the
-    results in trial order, each call's fidelity repeated over its trials."""
+    results in trial order, with each input's run fidelity (:func:`_fidelity`)."""
     branches, rounds, fids = (np.zeros(len(of), dtype) for dtype in (np.intp, np.int64, float))
     for k in np.unique(of):
         rows = np.flatnonzero(of == k)
-        branches[rows], rounds[rows], fids[rows] = call(norms[k], rows)
+        branches[rows], rounds[rows] = call(norms[k], rows)
+        fids[rows] = _fidelity(norms[k])
     return branches, rounds, fids
 
 
@@ -538,13 +573,13 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
     setup, norm = protocol._kernel_setup(variant), _norm(g)
     if variant == "electronic":
-        branches, _, fid = kernels.electronic_batch(setup, norm, u[:, 0])
+        branches, _ = kernels.electronic_batch(setup, norm, u[:, 0])
     else:
-        branches, _, fid = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
-                                                  protocol.DEFAULT_MAX_ROUNDS)
+        branches, _ = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
+                                             protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
-    assert np.abs(fid - np.array(expected)).max() <= 1e-15
+    assert np.abs(_fidelity(norm) - np.array(expected)).max() <= 1e-15
 
 
 def test_setup_forms_certify_the_papers_probabilities():
@@ -727,7 +762,7 @@ _GOLDEN = {
   },
   "mean_rounds": 1.0,
   "min_fidelity": 0.9999999999999999,
-  "mean_fidelity": 0.9999999999999998
+  "mean_fidelity": 0.9999999999999999
 }
 """,
     ("electronic", "haar", 12): """\
@@ -787,7 +822,7 @@ _GOLDEN = {
   },
   "mean_rounds": 1.9766666666666666,
   "min_fidelity": 0.9999999999999999,
-  "mean_fidelity": 0.9999999999999998
+  "mean_fidelity": 0.9999999999999999
 }
 """,
 }
@@ -819,8 +854,8 @@ _DIGESTS = {
     ("electronic", "fixed", 1, 2**64 - 1): "63465b74b15a342dd506f87d61228eb269ed9ab103a730cd028511130652519b",
     ("electronic", "fixed", 50, 5): "8fd2cfc409efaa3c9355a1b7f80d96fa848c23df0f83cf204e700f10c58d1b7b",
     ("electronic", "fixed", 50, 2**64 - 1): "d4ae1177d30ef345f4ff46af246794da300ce3a222764be8233fac2254aa2ab3",
-    ("electronic", "fixed", 1025, 5): "a2d7ac56f8325dfb6ed3736f91aae72ab7ccec7c766970c1df94659ef22176bf",
-    ("electronic", "fixed", 1025, 2**64 - 1): "6813c773467db3fa5532d34fdbdabe9ed21c828e6ec60bb1f2abcdfcea1bf597",
+    ("electronic", "fixed", 1025, 5): "9886ab6d5e19518f7c5bb57e3d8df8bc01f54a53b5567a3c545980790cab5b62",
+    ("electronic", "fixed", 1025, 2**64 - 1): "7e1f702c600f5e2720b5f4456072e97f7973c83cae1c26c7ddb3516796f3b3a7",
     ("electronic", "haar", 1, 5): "a4d2dd15922aa0214379b911c95eb163978de8ee8bf3309c3046f1053390a64c",
     ("electronic", "haar", 1, 2**64 - 1): "4d305905a50f4106fce809a5f6015f72a19b59636a7f9503e41a515cb5febbf8",
     ("electronic", "haar", 50, 5): "88e5db1ad2c5f44b3309114a5730237c7ebcd9191e67d851d1a9911473a400ea",
@@ -831,8 +866,8 @@ _DIGESTS = {
     ("coldatom", "fixed", 1, 2**64 - 1): "dcf0adb5cbb412729ad6be2a13247c3129c3b2ae9b21a0d74cf278b892482612",
     ("coldatom", "fixed", 50, 5): "28a95033ffaf01c4a658d08d23bf4cc2d49f5809b836b0369cf60a31d8135a78",
     ("coldatom", "fixed", 50, 2**64 - 1): "9d31836e1e98d8be879e52c0e582ddb8566744d0f00ef234af0f63d815208e7b",
-    ("coldatom", "fixed", 1025, 5): "b01101c2a6b030f910391d278d211dca15664cfdc528f1882a8b0d9310a35714",
-    ("coldatom", "fixed", 1025, 2**64 - 1): "ceb6c24b1d842c2ee305be1aaa8fbca3f47e930d2299c4f2db3918d4f48b57e8",
+    ("coldatom", "fixed", 1025, 5): "c478bef95954b33f2717e3f845c64985b8fe74d5b7681408fc0c66ea3842a527",
+    ("coldatom", "fixed", 1025, 2**64 - 1): "06b253687a2e71321011887174c976458965a7b28d1f89b992b9d207c1d6562d",
     ("coldatom", "haar", 1, 5): "662ea3a54cc324beca77402d28847ec2b3a5acf43938de6c46968d3b20411766",
     ("coldatom", "haar", 1, 2**64 - 1): "690a111890cb61e6915f0b253b588fd6f3e1313a327a5520d5e2692143f95c15",
     ("coldatom", "haar", 50, 5): "575d5592c0d9fa5fc807cf6a64925c827ef8bfcf569276fa5b1a20bb1fcbdd9a",
@@ -843,8 +878,8 @@ _DIGESTS = {
     ("mixed", "fixed", 1, 2**64 - 1): "7af6397f8c881de3581eae15046ded7b6ae79d651a76e32a1e2c6299fe588492",
     ("mixed", "fixed", 50, 5): "9a18b36a2434366cdad424525b44ad963a304ff2e986937e3c487ece5973aa51",
     ("mixed", "fixed", 50, 2**64 - 1): "75b4bfccffada2adc7a615035fa6bdf8fff8f615e0b27f3d284de5c533e1d063",
-    ("mixed", "fixed", 1025, 5): "4555c8c5598593d8e41be11a7429a34175a14738be8288bb8080ab211d907ff5",
-    ("mixed", "fixed", 1025, 2**64 - 1): "3d14dfc651b2462cb0f758d44559fa4c2601c6869ee763b7d4a9263fc213be15",
+    ("mixed", "fixed", 1025, 5): "c399840603520d5c059ab710c0c740345195bceb830894de66cb0e4e8a1b0ad8",
+    ("mixed", "fixed", 1025, 2**64 - 1): "781c449edce9c165809f976c921ad7c592ee3f3a94c50845d772ab21aafd9f01",
     ("mixed", "haar", 1, 5): "1884f309716b233135fa58e2a2e76be692ae029094c04b6952ba5d802c2a21b4",
     ("mixed", "haar", 1, 2**64 - 1): "52393dedf8fc36d35597688314d4926747d6fe14097d07cc869f9238c84149ed",
     ("mixed", "haar", 50, 5): "21bdbb4f7bed4b038099cabab31296ab3d18420e1cabc018b8517884e21aec03",
@@ -855,8 +890,8 @@ _DIGESTS = {
     ("mixed/diag", "fixed", 1, 2**64 - 1): "7af6397f8c881de3581eae15046ded7b6ae79d651a76e32a1e2c6299fe588492",
     ("mixed/diag", "fixed", 50, 5): "75fac7169f23c9aa80222bc4ecbad51a9fe63ade1e6966608f7c1759174a09f0",
     ("mixed/diag", "fixed", 50, 2**64 - 1): "02cb543355361ecfb1ae1d6e2fb594d319c990fff3c843ade5654bf82af8b14a",
-    ("mixed/diag", "fixed", 1025, 5): "ecf83ff8b2ec2029414437c90446723c6702b7b75185375a1d38227361234926",
-    ("mixed/diag", "fixed", 1025, 2**64 - 1): "e1dca1c184d8d0d5a4c9a8a2314c764db7443344ec6262fd7d88a4152af21f15",
+    ("mixed/diag", "fixed", 1025, 5): "80dfb151095e71bf653f8d2d6745716d1d8804ce37679affc26bf3df38d7f6b2",
+    ("mixed/diag", "fixed", 1025, 2**64 - 1): "ec13935522ae5db7c7d91a2c53d906e11f1b920434f10d8507d7f8628b52cf96",
     ("mixed/diag", "haar", 1, 5): "1884f309716b233135fa58e2a2e76be692ae029094c04b6952ba5d802c2a21b4",
     ("mixed/diag", "haar", 1, 2**64 - 1): "f0964058700d7d395539fed5e9bd1900e9ff604b0869f002b0b25bfe31fdaeb1",
     ("mixed/diag", "haar", 50, 5): "209efa4e598febdf97f14ebbe80455d33e4008d72cabb5af674743d5a07a9a8d",
@@ -983,8 +1018,8 @@ def _mixed_oracle(g, resource, seed, trials, max_rounds=protocol.DEFAULT_MAX_ROU
 
 
 def _mixed_engine(g, resource, n, seed, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
-    chunks = protocol._run_trials_batched(g, "mixed", n, seed, max_rounds, resource)
-    return _per_trial(chunks)
+    chunks = _batched(g, "mixed", n, seed, resource, max_rounds)
+    return _per_trial(chunks, _fidelity(_run_norm(g)))
 
 
 @pytest.mark.parametrize("resource", list(_MIXED.values()), ids=list(_MIXED))
@@ -1163,13 +1198,13 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     g = SpinAmplitudes(np.sqrt(1 - 4e-13), 0.0)
     calls, real = [], kernels.coldatom_batch
     monkeypatch.setattr(kernels, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
-    run_trials(g, "mixed", 1)
+    assert run_trials(g, "mixed", 1).min_fidelity >= 1 - 1e-12
     setup, p1 = calls[0][0], calls[0][5]  # the singlet's, as run_trials makes them
     assert setup is protocol._kernel_setup("coldatom") and p1 == 2.0
     branch_u = np.random.default_rng(9).random(40)
     table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
-    branches, rounds, fid = real(setup, _norm(g), lambda stop: table, 0, 64, p1)
-    assert (rounds == 1).all() and fid >= 1 - 1e-12
+    branches, rounds = real(setup, _norm(g), lambda stop: table, 0, 64, p1)
+    assert (rounds == 1).all()
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):
         res = run_teleport_mixed(g, singlet, _Uniforms([1 - 2.0**-53, u]))

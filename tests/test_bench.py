@@ -98,3 +98,15 @@ def test_round_ratios_give_a_verdict_only_when_the_interval_excludes_one(current
     baseline = {r: [1.0, 1.0, 50.0] if r == 0 else [1.0] for r in range(len(current))}
     rec = _bench()._round_ratios(baseline, {r: [c] for r, c in enumerate(current)})
     assert rec["round_ratios"] == current and rec["verdict"] == verdict
+
+
+def test_default_round_count_reaches_the_intervals_coverage(tmp_path, monkeypatch):
+    # a run with no --rounds must be able to resolve a verdict: its rounds'
+    # order-statistic interval covers the median with probability >= 0.95
+    bench, seen = _bench(), []
+    monkeypatch.setattr(bench, "measure", lambda trees, rounds, smallest:
+                        seen.append(rounds) or ({}, {"current": {}}))
+    assert bench.main(["--out", str(tmp_path / "bench.json")]) == 0
+    (rounds,) = seen
+    assert bench._median_interval([float(k) for k in range(rounds)])[2] >= 0.95
+    assert json.loads((tmp_path / "bench.json").read_text())["settings"]["rounds"] == rounds
