@@ -39,8 +39,8 @@ order through :func:`trial_rng`.  Both draw from one numpy ``Philox`` per
 thread, whose key and counter are set before each block row, so no generator
 is built per chunk or per stream.  Draws are consumed in a fixed order (three
 for Haar amplitudes, one per class measurement, one for the branch), so the
-vectorised engine in :mod:`edgeteleport._kernels` and the step-by-step path
-make the same decisions in every trial.
+vectorised engine (:func:`electronic_batch`, :func:`coldatom_batch`) and the
+step-by-step path make the same decisions in every trial.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import _CHUNK
 from .fock import (
     AB_MODES,
     TELEPORT_MODES,
@@ -416,6 +414,66 @@ class _Draws:
         return self.u
 
 
+# The vectorised engine: a call runs at most ``_CHUNK`` trials on the law
+# :func:`_certify_law` proves, ideal teleportation (Bennett et al., PRL 70, 1895
+# (1993)), and returns each trial's branch and rounds, as its oracles
+# :func:`run_teleport_once` and :func:`run_teleport_mixed` decide them on the same draws.
+
+#: Trials per call at most; a call slices its row indices and electronic rounds from these.
+_CHUNK = 1024
+_ROWS, _ONE_ROUND = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64)))
+#: The running sums of the four branch weights over ``n``, as :func:`_certify_law` certifies them.
+_QUARTERS = _read_only(np.array([[0.25], [0.5], [0.75]]))
+
+
+def _measure_and_correct(u, s):
+    """Each trial's index into ``BRANCHES``: the running sum ``_QUARTERS * s``
+    its draw ``u[i]`` falls in (``s = n`` for an electronic trial, 1 once a
+    class hit has scaled the state by ``1 / sqrt(p)``)."""
+    return np.add.reduce(u >= s * _QUARTERS, axis=0, dtype=np.intp)
+
+
+def electronic_batch(n, u_branch):
+    """Branch index and rounds (all 1) of each electronic trial, for ``n`` and
+    branch draws ``u_branch`` (:func:`_measure_and_correct`)."""
+    return _measure_and_correct(u_branch, n), _ONE_ROUND[:len(u_branch)]
+
+
+def coldatom_batch(n, draws, first, max_rounds, p1=None):
+    """Branch index and rounds of each cold-atom or mixed trial.
+
+    ``n`` is as in :func:`_measure_and_correct`.  Column ``first + r - 1`` of
+    the chunk's table ``draws.u`` decides class measurement ``r`` and
+    ``first + rounds`` the branch.  A trial stops in the first round whose draw
+    falls below ``p = n / 2``, or ``p1`` in round 1 if given (a mixed run's).
+    Rounds are counted over the block rows drawn so far, and one more is drawn
+    only while some trial has no hit and fewer than ``max_rounds`` class draws
+    exist.  Hitting ``max_rounds`` raises, as in the step-by-step path.
+    """
+    p, u = 0.5 * n, draws.u
+    while True:
+        c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
+        # a True column after them: a trial with no hit gets c + 1 rounds
+        hit = np.ones((len(u), c + 1), dtype=bool)
+        np.less(u[:, first:first + c], p, out=hit[:, :c])
+        if p1 is not None:
+            np.less(u[:, first], p1, out=hit[:, 0])
+        rounds = hit.argmax(axis=1) + 1
+        del hit  # freed before the draw table grows below
+        longest = int(rounds.max())
+        if longest <= c:
+            break
+        if c == max_rounds:
+            raise RuntimeError(
+                f"no integer-spin outcome after {max_rounds} restarts; "
+                "statistically unreachable, check the setup"
+            )
+        u = draws.upto(u.shape[1] + 1)
+    u = draws.upto(first + longest + 1)
+    # a hit's state is scaled by 1 / sqrt(p): its running sums are _QUARTERS * 1
+    return _measure_and_correct(u[_ROWS[:len(u)], first + rounds], 1.0), rounds
+
+
 class _TrialStream:
     """One trial's draws in stream order, read as from a ``numpy.random.Generator``."""
 
@@ -579,9 +637,9 @@ def _eighths(name, x) -> np.ndarray:
     return m
 
 
-def _certify_law(grams: dict) -> dict:
+def _certify_law(grams: dict) -> None:
     """Raise, naming the first check that fails, unless ``grams`` state ideal
-    teleportation; return the constants the engine reads.
+    teleportation, the law the engine runs from the constants ``_QUARTERS`` and 1/2.
 
     ``grams`` are :func:`_folded`'s, with a cold-atom fold's class Gram
     matrix ``class``.  Each of Alice's must be ``c I2`` (no coherence, equal
@@ -612,8 +670,6 @@ def _certify_law(grams: dict) -> dict:
         if m <= 0 or gap > _LAW_TOL:
             _refuse(f"Bob's map in branch {branch} is not c I4 with c = m / 8 > 0: it is "
                     f"{m / 8!r} I4 off by {gap:.3g}")
-    law = {"quarters": np.cumsum(weights)[:3, None] / sum(weights)}
-    return {**law, "class_p": hit / 8} if "class" in grams else law
 
 
 def _require_kappa(kappa, residual=0.0):
@@ -683,8 +739,7 @@ def _inputs(variant: str) -> np.ndarray:
 @_built_once()
 def _kernel_setup(variant: str) -> dict:
     """The batch engine's setup, built once per variant (``fock._built_once``):
-    the folded Gram matrices, certified by :func:`_certify_law`, and the
-    constants the engine reads.
+    the folded Gram matrices, certified by :func:`_certify_law`.
 
     Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
     trials fold their integer-class parts, ``integer_part``: once
@@ -697,13 +752,13 @@ def _kernel_setup(variant: str) -> dict:
     inputs = _inputs(variant)
     if variant == "electronic":
         grams = _folded(inputs)
-        return {**grams, **_certify_law(grams)}
+        _certify_law(grams)
+        return grams
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
     grams = {**_folded(integer_part), "class": integer_part @ integer_part.conj().T}
-    law = _certify_law(grams)
+    _certify_law(grams)
     doublons = neutral_spin_zero_basis(AB_MODES)[:, :2]
-    law["doublon_law"] = _certify_relaxation(inputs, inputs - integer_part, doublons)
-    return {**grams, **law}
+    return {**grams, "doublon_law": _certify_relaxation(inputs, inputs - integer_part, doublons)}
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
@@ -735,12 +790,12 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
         if g is None:
             _require_haar_draws(draws.u)
         if variant == "electronic":
-            yield _kernels.electronic_batch(setup, norm, draws.u[:, first])
+            yield electronic_batch(norm, draws.u[:, first])
         elif variant == "coldatom":
             draws.upto(first + size.bit_length() + 3)
-            yield _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds)
+            yield coldatom_batch(norm, draws, first, max_rounds)
         else:
-            chunk = _kernels.coldatom_batch(setup, norm, draws.upto, first, max_rounds, p1)
+            chunk = coldatom_batch(norm, draws, first, max_rounds, p1)
             if kappa <= _ORTHO_TOL**2 and chunk[1].max() > 1:
                 _require_kappa(kappa)
             yield chunk

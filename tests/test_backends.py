@@ -22,7 +22,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edgeteleport
-import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import (
     AB_MODES,
@@ -77,6 +76,19 @@ def _fidelity(n):
 def _batched(g, variant, n, seed, resource=None, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
     """The engine's ``(branches, rounds)`` chunks of a run, at ``run_trials``'s norm."""
     return protocol._run_trials_batched(g, variant, n, seed, max_rounds, _run_norm(g), resource)
+
+
+#: Columns of a hand-made draw table: whole Philox blocks of 4 draws, and at
+#: least ``first + max_rounds + 1`` for ``first = 0``, so the engine draws none.
+_WIDTH = protocol.DEFAULT_MAX_ROUNDS + 4
+
+
+def _draws_of(table):
+    """A chunk's draws whose table is the hand-made ``table``, for the engine."""
+    assert table.shape[1] % 4 == 0 and table.shape[1] > protocol.DEFAULT_MAX_ROUNDS
+    draws = protocol._Draws(0, 0, len(table))
+    draws.u = table
+    return draws
 
 
 def _per_trial(chunks, fidelity):
@@ -159,38 +171,21 @@ def test_coldatom_engine_matches_oracle_past_the_predrawn_blocks(g, seed, monkey
     _assert_engine_matches_oracle(g, "coldatom", n, seed)
 
 
-def test_restart_loop_reads_the_draw_table_once_per_block_row():
-    # rounds are counted over the block rows drawn so far, so the engine reads
-    # the table once, once per added row and once for the branch draws, not
-    # once per round
+def test_restart_loop_reads_the_draw_table_once_per_block_row(monkeypatch):
+    # rounds are counted over the block rows drawn so far, so the engine asks
+    # for draws once per added row and once for the branch draws, not once
+    # per round
     g, n = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5), protocol._CHUNK
-    draws, stops = protocol._Draws(8, 0, n), []
+    draws, stops, real = protocol._Draws(8, 0, n), [], protocol._Draws.upto
 
-    def upto(stop):
+    def upto(self, stop):
         stops.append(stop)
-        return draws.upto(stop)
+        return real(self, stop)
 
-    _, rounds = kernels.coldatom_batch(protocol._kernel_setup("coldatom"), _norm(g),
-                                       upto, 0, protocol.DEFAULT_MAX_ROUNDS)
+    monkeypatch.setattr(protocol._Draws, "upto", upto)
+    _, rounds = protocol.coldatom_batch(_norm(g), draws, 0, protocol.DEFAULT_MAX_ROUNDS)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
-    assert len(stops) <= draws.u.shape[1] // 4 + 1
-
-
-def test_restart_loop_refuses_a_draw_table_that_does_not_grow():
-    # no class draw of 0.9 hits p = 1/2, and an upto that returns the same 8
-    # columns would make the loop ask for a ninth for ever; the assert in
-    # upto fails the test, instead of hanging it, if the engine asks again
-    table, stops = np.full((3, 8), 0.9), []
-
-    def upto(stop):
-        stops.append(stop)
-        assert len(stops) < 100, "the restart loop kept asking for draws"
-        return table
-
-    with pytest.raises(RuntimeError, match=r"upto\(9\) returned 8 draws per trial"):
-        kernels.coldatom_batch(protocol._kernel_setup("coldatom"),
-                               _norm(SpinAmplitudes(1.0, 0.0)), upto, 0, 64)
-    assert stops == [1, 9]
+    assert len(stops) <= draws.u.shape[1] // 4
 
 
 def test_threads_running_at_once_give_the_sequential_reports():
@@ -354,18 +349,18 @@ def test_setup_raises_where_relaxation_leaves_the_input(h, monkeypatch):
                          ids=["fixed", "haar"])
 def test_each_chunk_measures_once_on_input_coordinates(g, monkeypatch):
     norms, shapes = [], []
-    real_batch, real_measure = kernels.coldatom_batch, kernels._measure_and_correct
+    real_batch, real_measure = protocol.coldatom_batch, protocol._measure_and_correct
 
-    def batch(setup, n, *args):
+    def batch(n, *args):
         norms.append((n, type(n)))
-        return real_batch(setup, n, *args)
+        return real_batch(n, *args)
 
-    def spy(setup, u, s):
+    def spy(u, s):
         shapes.append((s, len(u)))
-        return real_measure(setup, u, s)
+        return real_measure(u, s)
 
-    monkeypatch.setattr(kernels, "coldatom_batch", batch)
-    monkeypatch.setattr(kernels, "_measure_and_correct", spy)
+    monkeypatch.setattr(protocol, "coldatom_batch", batch)
+    monkeypatch.setattr(protocol, "_measure_and_correct", spy)
     report = run_trials(g, "coldatom", protocol._CHUNK + 37, seed=3)
     # a run has one squared norm, a float shared by every trial: F0 + F1 of
     # a fixed g, and 1 for Haar inputs, whose u0 + (1 - u0) rounds to 1;
@@ -412,17 +407,14 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     # one squared norm shared by n trials gives each trial the step-by-step
     # path's branch, rounds and fidelity
     n, norm = 400, _norm(g)
-    u = np.random.default_rng(23).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
+    u = np.random.default_rng(23).random((n, _WIDTH))
 
-    setup = protocol._kernel_setup("electronic")
-    b1, _ = kernels.electronic_batch(setup, norm, u[:, 0])
+    b1, _ = protocol.electronic_batch(norm, u[:, 0])
     expected = np.array([_step_by_step(g, "electronic", row[:1]) for row in u])
     np.testing.assert_array_equal(b1, expected[:, 0])
     assert np.abs(_fidelity(norm) - expected[:, 2]).max() <= 1e-15
 
-    setup = protocol._kernel_setup("coldatom")
-    b1, r1 = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
-                                    protocol.DEFAULT_MAX_ROUNDS)
+    b1, r1 = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS)
     expected = np.array([_step_by_step(g, "coldatom", row) for row in u])
     np.testing.assert_array_equal(b1, expected[:, 0])
     np.testing.assert_array_equal(r1, expected[:, 1])
@@ -431,16 +423,15 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
 
     # a round-1 class probability p1 equal to p changes nothing; p1 = 2.0, a
     # certain hit, stops every trial in round 1, even at the largest draw
-    same = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
-                                  protocol.DEFAULT_MAX_ROUNDS, setup["class_p"] * norm)
+    same = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS, 0.5 * norm)
     for a, b in zip(same, (b1, r1), strict=True):
         np.testing.assert_array_equal(a, b)
     top = u.copy()
     top[:, 0] = 1 - 2.0**-53
-    branches, rounds = kernels.coldatom_batch(
-        setup, norm, lambda stop: top, 0, protocol.DEFAULT_MAX_ROUNDS, 2.0)
+    branches, rounds = protocol.coldatom_batch(
+        norm, _draws_of(top), 0, protocol.DEFAULT_MAX_ROUNDS, 2.0)
     assert (rounds == 1).all()
-    np.testing.assert_array_equal(branches, kernels._measure_and_correct(setup, top[:, 1], 1.0))
+    np.testing.assert_array_equal(branches, protocol._measure_and_correct(top[:, 1], 1.0))
 
 
 def test_outcome_outside_the_branches_raises_naming_it():
@@ -535,9 +526,8 @@ def test_bob_step_with_every_trial_in_one_branch(branch):
     # the engine as on the step-by-step path
     inputs, norms, of, r = _short_inputs(41 + branch, 0.5)
     u = (branch + r) / 4 * np.take(norms, of)
-    setup = protocol._kernel_setup("electronic")
     branches, _, fids = _one_call_per_input(
-        norms, of, lambda n, rows: kernels.electronic_batch(setup, n, u[rows]))
+        norms, of, lambda n, rows: protocol.electronic_batch(n, u[rows]))
     assert set(branches.tolist()) == {branch}
     expected = np.array([_step_by_step(inputs[k], "electronic", [x]) for k, x in zip(of, u)])
     np.testing.assert_array_equal(branches, expected[:, 0])
@@ -553,11 +543,10 @@ def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_hal
     # p <= 1/2) and then 0.25 (a hit, p >= 0.28) stop every trial in round 2;
     # the step-by-step path relaxes its miss to the normalised initial state
     inputs, norms, of, r = _short_inputs(45 + branch, 0.75)
-    table = np.zeros((len(of), protocol.DEFAULT_MAX_ROUNDS + 1))
+    table = np.zeros((len(of), _WIDTH))
     table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, (branch + r) / 4
-    setup = protocol._kernel_setup("coldatom")
-    branches, rounds, fids = _one_call_per_input(norms, of, lambda n, rows: kernels.coldatom_batch(
-        setup, n, lambda stop: table[rows], 0, protocol.DEFAULT_MAX_ROUNDS))
+    branches, rounds, fids = _one_call_per_input(norms, of, lambda n, rows: protocol.coldatom_batch(
+        n, _draws_of(table[rows]), 0, protocol.DEFAULT_MAX_ROUNDS))
     assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
     expected = np.array([_step_by_step(inputs[k], "coldatom", row[:3]) for k, row in zip(of, table)])
     np.testing.assert_array_equal(branches, expected[:, 0])
@@ -570,13 +559,12 @@ def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_hal
 def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     g = SpinAmplitudes.normalized(0.3 + 0.4j, 0.5)
     n = protocol._CHUNK
-    u = np.random.default_rng(43).random((n, protocol.DEFAULT_MAX_ROUNDS + 1))
-    setup, norm = protocol._kernel_setup(variant), _norm(g)
+    u = np.random.default_rng(43).random((n, _WIDTH))
+    norm = _norm(g)
     if variant == "electronic":
-        branches, _ = kernels.electronic_batch(setup, norm, u[:, 0])
+        branches, _ = protocol.electronic_batch(norm, u[:, 0])
     else:
-        branches, _ = kernels.coldatom_batch(setup, norm, lambda stop: u, 0,
-                                             protocol.DEFAULT_MAX_ROUNDS)
+        branches, _ = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
     assert np.abs(_fidelity(norm) - np.array(expected)).max() <= 1e-15
@@ -587,8 +575,9 @@ def test_setup_forms_certify_the_papers_probabilities():
     # branches has weight g M g^dag = n / 4 (M = I2 / 4), each cold-atom round
     # succeeds with probability g C g^dag = n / 2, and Bob holds c_b g g^dag;
     # the half-odd sectors have none, or the setup would have raised
-    # (test_outcome_outside_the_branches_raises_naming_it); the setup keeps
-    # the engine's constants exactly
+    # (test_outcome_outside_the_branches_raises_naming_it); the engine's
+    # constants are the certified ones: the branch weights' running sums over
+    # n are _QUARTERS, and a round hits below 1/2 of n
     eye2, eye4 = np.eye(2), np.eye(4)
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
         setup = protocol._kernel_setup(variant)
@@ -597,9 +586,13 @@ def test_setup_forms_certify_the_papers_probabilities():
         for alice, bob, (j, m) in zip(setup["branch"], setup["bob"], protocol.BRANCHES):
             assert np.abs(alice - scale / 4 * eye2).max() <= 1e-12, (variant, j, m)
             assert np.abs(bob - scale / 4 * eye4).max() <= 1e-12, (variant, j, m)
-        assert setup["quarters"].tolist() == [[0.25], [0.5], [0.75]]
+        weights = setup["branch"][:, 0, 0].real
+        assert np.abs(np.cumsum(weights)[:3, None] / weights.sum() - protocol._QUARTERS).max() <= 1e-12
+    assert protocol._QUARTERS.tolist() == [[0.25], [0.5], [0.75]]
     assert np.abs(protocol._kernel_setup("coldatom")["class"] - eye2 / 2).max() <= 1e-12
-    assert protocol._kernel_setup("coldatom")["class_p"] == 0.5
+    table = np.zeros((2, _WIDTH))
+    table[:, 0] = np.nextafter(0.5, 0.0), 0.5  # a hit, then a miss and a hit, at n = 1
+    assert protocol.coldatom_batch(1.0, _draws_of(table), 0, 64)[1].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -1196,14 +1189,14 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     # the singlet's doublon weight is 0, below PROB_FLOOR: a class draw at or
     # above the integer weight, here 1 - 2**-53 >= F0 + F1 = 1 - 4e-13, hits
     g = SpinAmplitudes(np.sqrt(1 - 4e-13), 0.0)
-    calls, real = [], kernels.coldatom_batch
-    monkeypatch.setattr(kernels, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
+    calls, real = [], protocol.coldatom_batch
+    monkeypatch.setattr(protocol, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
     assert run_trials(g, "mixed", 1).min_fidelity >= 1 - 1e-12
-    setup, p1 = calls[0][0], calls[0][5]  # the singlet's, as run_trials makes them
-    assert setup is protocol._kernel_setup("coldatom") and p1 == 2.0
+    norm, p1 = calls[0][0], calls[0][4]  # the singlet's, as run_trials makes them
+    assert norm == _norm(g) and p1 == 2.0
     branch_u = np.random.default_rng(9).random(40)
-    table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, 2))])
-    branches, rounds = real(setup, _norm(g), lambda stop: table, 0, 64, p1)
+    table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, _WIDTH - 2))])
+    branches, rounds = real(norm, _draws_of(table), 0, 64, p1)
     assert (rounds == 1).all()
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):

@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import edgeteleport._kernels as kernels
 import edgeteleport.protocol as protocol
 from edgeteleport.fock import AB_MODES, DensityMatrix
 from edgeteleport.protocol import run_trials
@@ -30,13 +29,12 @@ def _peak(call):
 
 def test_one_haar_chunk_peaks_under_half_a_mebibyte():
     # a Haar chunk checks its draws and runs the engine at the squared norm 1
-    setup = protocol._kernel_setup("electronic")
     draws = protocol._Draws(1, 0, protocol._CHUNK)
     u = draws.u[:, 3].copy()
 
     def chunk():
         protocol._require_haar_draws(draws.u)
-        return kernels.electronic_batch(setup, 1.0, u)
+        return protocol.electronic_batch(1.0, u)
 
     assert _peak(chunk) <= 512 * 1024
 
@@ -65,10 +63,10 @@ def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
     resource = _span_resource([0.25, 0.25, 0.5])
     whole = run_trials(None, "mixed", 10, seed=4, resource=resource)
     calls, seen = [], []
-    real_batch, real_assemble = kernels.coldatom_batch, protocol._assemble_report
+    real_batch, real_assemble = protocol.coldatom_batch, protocol._assemble_report
 
     def counted_batch(*args):
-        calls.append(len(args[2](1)))  # the chunk's trials: the rows of its draw table
+        calls.append(len(args[1].u))  # the chunk's trials: the rows of its draw table
         return real_batch(*args)
 
     def watched_assemble(variant, seed, g, fidelity, chunks):
@@ -79,7 +77,7 @@ def test_mixed_trials_fold_one_chunk_at_a_time(monkeypatch):
         return real_assemble(variant, seed, g, fidelity, watched())
 
     monkeypatch.setattr(protocol, "_CHUNK", 4)
-    monkeypatch.setattr(kernels, "coldatom_batch", counted_batch)
+    monkeypatch.setattr(protocol, "coldatom_batch", counted_batch)
     monkeypatch.setattr(protocol, "_assemble_report", watched_assemble)
     chunked = run_trials(None, "mixed", 10, seed=4, resource=resource)
     # one engine call per chunk, and each chunk reaches the report before

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import edgeteleport
 from edgeteleport import cli, fock, protocol
+from edgeteleport.protocol import run_trials
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +44,22 @@ def test_no_two_trace_targets_are_one_object(monkeypatch):
     targets = importlib.import_module("workloads").trace_targets()
     objects = [inspect.getattr_static(owner, attr) for _, owner, attr, _ in targets]
     assert len({id(obj) for obj in objects}) == len(objects)
+
+
+def test_engine_calls_reach_the_benchmarks_engine_spans(monkeypatch):
+    # the benchmark traces the engine under its former module name; the tracer
+    # rebinds every package attribute that holds a traced function, so the
+    # calls protocol makes land in the spans.  A copy behind that name, or a
+    # call under a name the tracer misses, would read 0 spans here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    targets = importlib.import_module("workloads").trace_targets()
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install(targets, "edgeteleport")
+    try:
+        run_trials(None, "coldatom", 2000, seed=1)
+        run_trials(None, "electronic", 10, seed=1)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("kernels.coldatom_batch") == 2
+    assert names.count("kernels.electronic_batch") == 1
