@@ -59,6 +59,7 @@ from .fock import (
     TELEPORT_MODES,
     DensityMatrix,
     StateVector,
+    _array,
     _built_once,
     _read_only,
     annihilation_matrix,
@@ -240,16 +241,11 @@ def _b_reduction_indices(modes):
 def bob_reduced_spin(state) -> np.ndarray:
     """Unnormalized 2x2 spin density matrix of Bob's singly occupied wire."""
     n_up, n_dn, signs = _b_reduction_indices(state.modes)
-    if isinstance(state, DensityMatrix):
-        r00 = float(np.sum(np.diagonal(state.mat)[n_up]).real)
-        r11 = float(np.sum(np.diagonal(state.mat)[n_dn]).real)
-        r01 = complex(np.sum(signs * state.mat[n_up, n_dn]))
-    else:
-        au = state.amps[n_up]
-        ad = state.amps[n_dn]
-        r00 = float(np.sum(np.abs(au) ** 2))
-        r11 = float(np.sum(np.abs(ad) ** 2))
-        r01 = complex(np.sum(signs * au * ad.conj()))
+    x = _array(state)
+    rho = x if x.ndim == 2 else np.outer(x, x.conj())
+    r00 = float(np.sum(np.diagonal(rho)[n_up]).real)
+    r11 = float(np.sum(np.diagonal(rho)[n_dn]).real)
+    r01 = complex(np.sum(signs * rho[n_up, n_dn]))
     return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
 
 
@@ -422,8 +418,12 @@ class _Draws:
 #: Trials per call at most; a call slices its row indices and electronic rounds from these.
 _CHUNK = 1024
 _ROWS, _ONE_ROUND = _read_only((np.arange(_CHUNK), np.ones(_CHUNK, dtype=np.int64)))
-#: The running sums of the four branch weights over ``n``, as :func:`_certify_law` certifies them.
-_QUARTERS = _read_only(np.array([[0.25], [0.5], [0.75]]))
+#: The running sums of the four branch weights over ``n``, and a cold-atom
+#: round's hit probability over ``n``: the law :func:`_certify_law` checks.
+_QUARTERS, _CLASS_P = _read_only(np.array([[0.25], [0.5], [0.75]])), 0.5
+#: The doublon law ``G`` :func:`_certify_relaxation` checks, exact: an
+#: orthogonal doublon block's ``kappa`` is then 0, not rounding.
+_DOUBLON_LAW = _read_only(np.full((2, 2), 0.25))
 
 
 def _measure_and_correct(u, s):
@@ -450,7 +450,7 @@ def coldatom_batch(n, draws, first, max_rounds, p1=None):
     only while some trial has no hit and fewer than ``max_rounds`` class draws
     exist.  Hitting ``max_rounds`` raises, as in the step-by-step path.
     """
-    p, u = 0.5 * n, draws.u
+    p, u = _CLASS_P * n, draws.u
     while True:
         c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
         # a True column after them: a trial with no hit gets c + 1 rounds
@@ -619,7 +619,7 @@ def _folded(rows) -> dict:
     return {"branch": np.array([grams[b] for b in BRANCHES]), "bob": np.array(bob)}
 
 
-#: Absolute tolerance of the law's certificate, on Gram entries and on a constant's snap.
+#: Absolute tolerance of the law's certificate, on every Gram entry.
 _LAW_TOL = 1e-12
 
 
@@ -627,49 +627,28 @@ def _refuse(why):
     raise RuntimeError(f"ideal teleportation is not certified: {why}")
 
 
-def _eighths(name, x) -> np.ndarray:
-    """``8 x`` rounded to whole numbers, or raise, naming the first entry of
-    ``x`` farther than ``_LAW_TOL`` from the grid ``m / 8``."""
-    m = np.round(8 * np.real(x))
-    off = np.abs(x - m / 8) > _LAW_TOL
-    if off.any():
-        _refuse(f"a {name} constant, {np.real(x)[off][0].item()!r}, is off the grid m / 8")
-    return m
-
-
 def _certify_law(grams: dict) -> None:
-    """Raise, naming the first check that fails, unless ``grams`` state ideal
-    teleportation, the law the engine runs from the constants ``_QUARTERS`` and 1/2.
+    """Raise unless ``grams`` state ideal teleportation as the engine runs it,
+    from ``_QUARTERS`` and ``_CLASS_P``, naming the first Gram matrix farther
+    than ``_LAW_TOL`` from its law value and the gap.
 
-    ``grams`` are :func:`_folded`'s, with a cold-atom fold's class Gram
-    matrix ``class``.  Each of Alice's must be ``c I2`` (no coherence, equal
-    diagonal), a weight ``c n`` for the squared norm ``n = |g1|^2 + |g2|^2``,
-    with ``c`` on the grid ``m / 8``, to ``_LAW_TOL``.  Then, in eighths: the
-    class constant is 1/2, each branch constant is 1/4 of the hit constant
-    (1, or the class constant), and each of Bob's maps is ``c_b I4`` with
-    ``c_b = m / 8 > 0``: he holds ``c_b g g^dag``, so his overlap with ``g``
-    is ``n`` times his trace.
+    ``grams`` are :func:`_folded`'s, with a cold-atom fold's class Gram matrix
+    ``class``, whose law is ``_CLASS_P I2``.  Branch ``b``'s law is ``w_b I2``,
+    a weight ``g M_b g^dag = w_b n`` for the squared norm ``n = |g1|^2 + |g2|^2``,
+    with ``w_b = h (Q_b - Q_{b-1})`` for the running sums ``Q = (0, _QUARTERS, 1)``
+    and the hit constant ``h`` (1, or ``_CLASS_P`` for a cold-atom fold).  Bob's
+    map's is ``w_b I4``: he holds ``w_b g g^dag``, so his overlap with ``g`` is
+    ``n`` times his trace.
     """
-    eighths = {}
-    for name in [k for k in ("branch", "class") if k in grams]:
-        gram = grams[name].reshape(-1, 2, 2)
-        for gap, why in ((np.abs(gram[:, 0, 1]).max(), "coherence reaches"),
-                         (np.abs(gram[:, 0, 0] - gram[:, 1, 1]).max(), "diagonal entries differ by")):
-            if gap > _LAW_TOL:
-                _refuse(f"the {name} Gram matrices are not multiples of I2: their {why} {gap:.3g}")
-        eighths[name] = _eighths(name, gram[:, 0, 0]).tolist()
-    hit = eighths.get("class", [8.0])[0]
-    if "class" in grams and hit != 4:
-        _refuse(f"a round's class constant is {hit / 8!r}, not 1/2")
-    weights = eighths["branch"]
-    if any(4 * m != hit for m in weights):
-        _refuse(f"the branch weights {[m / 8 for m in weights]} are not 1/4 each of {hit / 8!r}")
-    for branch, r in zip(BRANCHES, grams["bob"]):
-        m = round(2 * np.trace(r).real)  # c_b = tr(R) / 4, in eighths
-        gap = np.abs(r - m / 8 * np.eye(4)).max()
-        if m <= 0 or gap > _LAW_TOL:
-            _refuse(f"Bob's map in branch {branch} is not c I4 with c = m / 8 > 0: it is "
-                    f"{m / 8!r} I4 off by {gap:.3g}")
+    hit = _CLASS_P if "class" in grams else 1.0
+    weights = (hit * np.diff(_QUARTERS.ravel(), prepend=0.0, append=1.0)).tolist()
+    law = [("the class Gram matrix", grams["class"], _CLASS_P)] if "class" in grams else []
+    for name, key in ("the Gram matrix of branch", "branch"), ("Bob's map in branch", "bob"):
+        law += [(f"{name} {b}", m, w) for b, m, w in zip(BRANCHES, grams[key], weights)]
+    for name, gram, c in law:
+        gap = np.abs(gram - c * np.eye(len(gram))).max()
+        if gap > _LAW_TOL:
+            _refuse(f"{name} is off its law {c!r} I{len(gram)} by {gap:.3g}")
 
 
 def _require_kappa(kappa, residual=0.0):
@@ -685,8 +664,8 @@ def _require_kappa(kappa, residual=0.0):
         )
 
 
-def _certify_relaxation(inputs, miss, doublons) -> np.ndarray:
-    """Raise unless relaxing a round-1 miss restores its input; return the doublon law ``G``.
+def _certify_relaxation(inputs, miss, doublons) -> None:
+    """Raise unless relaxing a round-1 miss restores its input by the doublon law ``G``.
 
     A miss leaves the a-b pair on the orthonormal columns ``doublons``.  Doublon
     ``k`` times c_up and c_dn is the unit fold ``y_k``: a doublon block ``rho``
@@ -701,7 +680,8 @@ def _certify_relaxation(inputs, miss, doublons) -> np.ndarray:
     to its initial state, so each restart round measures round 1's state.
     Residuals are relative, to 1e-12; weight of the folds off their sector, or
     of ``miss`` off the folds, above ``_WEIGHT_FLOOR**2`` of theirs raises, as
-    does ``relax_to_ground``'s zero vector.  ``G`` is snapped to the grid ``m / 8``.
+    does ``relax_to_ground``'s zero vector.  Last, ``G`` must be ``_DOUBLON_LAW``
+    to ``_LAW_TOL``: that constant is all a mixed run reads of this certificate.
     """
     k = doublons.shape[1]
     folds = np.einsum("ak,ic->kiac", doublons, np.eye(4)[1:3]).reshape(k, 2, -1)
@@ -727,38 +707,36 @@ def _certify_relaxation(inputs, miss, doublons) -> np.ndarray:
             f"a multiple of the inputs (relative residual {residual:.3g}, "
             f"|c| {np.linalg.norm(c):.3g})"
         )
-    return _eighths("doublon-law", law) / 8  # exact: an orthogonal block's kappa is then 0
+    gap = np.abs(law - _DOUBLON_LAW).max()
+    if gap > _LAW_TOL:
+        _refuse(f"the doublon Gram matrix G is off its law {_DOUBLON_LAW.tolist()} by {gap:.3g}")
 
 
-@_built_once()
 def _inputs(variant: str) -> np.ndarray:
     """The initial states of the inputs ``g = (1, 0)`` and ``(0, 1)``, as rows."""
     return np.stack([prepare_initial(SpinAmplitudes(*e), variant).amps for e in np.eye(2)])
 
 
 @_built_once()
-def _kernel_setup(variant: str) -> dict:
-    """The batch engine's setup, built once per variant (``fock._built_once``):
-    the folded Gram matrices, certified by :func:`_certify_law`.
+def _kernel_setup(variant: str) -> None:
+    """Raise unless the engine's constants are the variant's protocol, checked
+    once per variant (``fock._built_once``, whose build logs); returns nothing.
 
-    Electronic trials fold the two inputs (``[g1, g2] @ inputs``).  Cold-atom
-    trials fold their integer-class parts, ``integer_part``: once
-    :func:`_certify_relaxation` has shown that every miss relaxes back to the
-    initial state, a trial stops, whatever its round, in the state
-    ``g @ integer_part / sqrt(p)``, with ``p = g C g^dag`` for the class Gram
-    matrix ``C = integer_part @ integer_part^dag``.  Its doublon
-    law ``G`` (``doublon_law``) is all a mixed run reads of that certificate.
+    Electronic trials fold the two inputs (``[g1, g2] @ inputs``) into
+    :func:`_certify_law`.  Cold-atom trials fold their integer-class parts,
+    ``integer_part``: once :func:`_certify_relaxation` has shown that every
+    miss relaxes back to the initial state, a trial stops, whatever its round,
+    in the state ``g @ integer_part / sqrt(p)``, with ``p = g C g^dag`` for the
+    class Gram matrix ``C = integer_part @ integer_part^dag``.
     """
     inputs = _inputs(variant)
     if variant == "electronic":
-        grams = _folded(inputs)
-        _certify_law(grams)
-        return grams
+        _certify_law(_folded(inputs))
+        return
     integer_part = inputs @ integer_class_projector(TELEPORT_MODES, ALICE_WIRES).T
-    grams = {**_folded(integer_part), "class": integer_part @ integer_part.conj().T}
-    _certify_law(grams)
+    _certify_law({**_folded(integer_part), "class": integer_part @ integer_part.conj().T})
     doublons = neutral_spin_zero_basis(AB_MODES)[:, :2]
-    return {**grams, "doublon_law": _certify_relaxation(inputs, inputs - integer_part, doublons)}
+    _certify_relaxation(inputs, inputs - integer_part, doublons)
 
 
 def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
@@ -775,13 +753,13 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
     Its misses relax to the cold-atom state unless ``tr(G rho_dd) / tr rho_dd`` fails
     :func:`_require_kappa`; then its first chunk with a round-1 miss raises.
     """
-    setup = _kernel_setup("coldatom" if variant == "mixed" else variant)
+    _kernel_setup("coldatom" if variant == "mixed" else variant)
     first = 3 if g is None else 0  # a Haar trial's first three draws make g
     if variant == "mixed":
         r3 = _span_coordinates(resource) if resource is not None else np.diag([0.0, 0.0, 1.0])
         singlet, doublons = r3[2, 2].real, np.trace(r3[:2, :2]).real
         if doublons * norm >= PROB_FLOOR:
-            p1, kappa = singlet * norm, np.vdot(setup["doublon_law"], r3[:2, :2]).real / doublons
+            p1, kappa = singlet * norm, np.vdot(_DOUBLON_LAW, r3[:2, :2]).real / doublons
         else:
             p1, kappa = 2.0, 1.0  # a certain hit: no miss to relax
     for start in range(0, n, _CHUNK):

@@ -301,6 +301,16 @@ def _pair_hamiltonian(sign):
     return HermitianOperator(TELEPORT_MODES, -pair.conj().T @ pair)
 
 
+def _grams(variant):
+    """:func:`protocol._folded`'s Gram matrices of a variant's fold, as the setup
+    certifies them; a cold-atom fold's with its class Gram matrix ``class``."""
+    inputs = protocol._inputs(variant)
+    if variant == "electronic":
+        return protocol._folded(inputs)
+    x1 = inputs @ integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES).T
+    return {**protocol._folded(x1), "class": x1 @ x1.conj().T}
+
+
 def _setup_with(h, monkeypatch):
     """A fresh cold-atom setup whose relaxation Hamiltonian is ``h``."""
     monkeypatch.setattr(protocol, "_relax_hamiltonian", lambda: h)
@@ -310,14 +320,15 @@ def _setup_with(h, monkeypatch):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_certified_relaxation_restores_every_input_in_the_library(seed):
     # the setup certifies it; the library's relaxation agrees input by input
-    setup, h = protocol._kernel_setup("coldatom"), protocol._relax_hamiltonian()
+    protocol._kernel_setup("coldatom")
+    grams, h = _grams("coldatom"), protocol._relax_hamiltonian()
     rng = np.random.default_rng(seed)
     for gi in np.stack(protocol._haar_amplitudes(rng.random((40, 3))), axis=1):
         g = SpinAmplitudes(*gi)
         relaxed = relax_to_ground(_miss(g), h).amps
         initial = prepare_initial(g, "coldatom").amps
         assert abs(abs(np.vdot(initial, relaxed)) - 1.0) <= 1e-12
-        p = (gi @ setup["class"] @ gi.conj()).real
+        p = (gi @ grams["class"] @ gi.conj()).real
         assert abs(p - np.linalg.norm(integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
                                       @ relaxed) ** 2) <= 1e-12
 
@@ -580,16 +591,16 @@ def test_setup_forms_certify_the_papers_probabilities():
     # n are _QUARTERS, and a round hits below 1/2 of n
     eye2, eye4 = np.eye(2), np.eye(4)
     for variant, scale in (("electronic", 1.0), ("coldatom", 0.5)):
-        setup = protocol._kernel_setup(variant)
-        assert setup["branch"].shape == (len(protocol.BRANCHES), 2, 2)
-        assert setup["bob"].shape == (len(protocol.BRANCHES), 4, 4)
-        for alice, bob, (j, m) in zip(setup["branch"], setup["bob"], protocol.BRANCHES):
+        grams = _grams(variant)
+        assert grams["branch"].shape == (len(protocol.BRANCHES), 2, 2)
+        assert grams["bob"].shape == (len(protocol.BRANCHES), 4, 4)
+        for alice, bob, (j, m) in zip(grams["branch"], grams["bob"], protocol.BRANCHES):
             assert np.abs(alice - scale / 4 * eye2).max() <= 1e-12, (variant, j, m)
             assert np.abs(bob - scale / 4 * eye4).max() <= 1e-12, (variant, j, m)
-        weights = setup["branch"][:, 0, 0].real
+        weights = grams["branch"][:, 0, 0].real
         assert np.abs(np.cumsum(weights)[:3, None] / weights.sum() - protocol._QUARTERS).max() <= 1e-12
     assert protocol._QUARTERS.tolist() == [[0.25], [0.5], [0.75]]
-    assert np.abs(protocol._kernel_setup("coldatom")["class"] - eye2 / 2).max() <= 1e-12
+    assert np.abs(_grams("coldatom")["class"] - eye2 / 2).max() <= 1e-12
     table = np.zeros((2, _WIDTH))
     table[:, 0] = np.nextafter(0.5, 0.0), 0.5  # a hit, then a miss and a hit, at n = 1
     assert protocol.coldatom_batch(1.0, _draws_of(table), 0, 64)[1].tolist() == [1, 2]
@@ -602,7 +613,7 @@ def test_setup_gram_matrices_match_the_step_by_step_path(variant):
     # map contracted with g g^dag is bob_reduced_spin of that branch's
     # unnormalised state after his corrections; a cold-atom fold is the
     # initial state's integer-class part
-    setup = protocol._kernel_setup(variant)
+    grams = _grams(variant)
     bases = {(j, m): b for j, m, b in spin_sector_bases(TELEPORT_MODES, protocol.ALICE_WIRES)}
     integer = integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES)
     rng = np.random.default_rng(53)
@@ -612,11 +623,11 @@ def test_setup_gram_matrices_match_the_step_by_step_path(variant):
         state = apply_gate(hadamard("c"), apply_gate(cnot("c", "a"), state))
         for b, branch in enumerate(protocol.BRANCHES):
             part = bases[branch] @ (bases[branch].conj().T @ state.amps)
-            assert abs(gi @ setup["branch"][b] @ gi.conj() - np.vdot(part, part)) <= 1e-12
+            assert abs(gi @ grams["branch"][b] @ gi.conj() - np.vdot(part, part)) <= 1e-12
             corrected = StateVector(TELEPORT_MODES, part)
             for spec in bob_correction(*branch):
                 corrected = apply_gate(spec, corrected)
-            bob = (np.outer(gi, gi.conj()).ravel() @ setup["bob"][b]).reshape(2, 2)
+            bob = (np.outer(gi, gi.conj()).ravel() @ grams["bob"][b]).reshape(2, 2)
             assert np.abs(bob - protocol.bob_reduced_spin(corrected)).max() <= 1e-12
 
 
@@ -638,19 +649,21 @@ def test_certificate_refuses_forms_with_coherence_rows(monkeypatch):
     # the second input's state overlaps the first's: each branch weight
     # picks up Re g1 conj(g2), through the off-diagonal entry 1/4 / sqrt(2)
     rows = np.stack([_INITIAL[0], (_INITIAL[0] + _INITIAL[1]) / np.sqrt(2)])
-    with pytest.raises(RuntimeError, match=r"^ideal teleportation is not certified: the branch "
-                                           r"Gram matrices are not multiples of I2: their "
-                                           r"coherence reaches 0\.177$"):
+    with pytest.raises(RuntimeError, match=r"^ideal teleportation is not certified: the Gram "
+                                           r"matrix of branch \(1\.0, 1\.0\) is off its law "
+                                           r"0\.25 I2 by 0\.177$"):
         _electronic_setup_of(rows, monkeypatch)
 
 
 @pytest.mark.parametrize("branch", range(len(protocol.BRANCHES)))
 def test_certificate_refuses_generic_states_in_one_branch(branch, monkeypatch):
     # generic states inside one branch sector: Alice's branch Gram matrices
-    # would put every trial in it, but they depend on the coherence of g
+    # would put every trial in it, but they depend on the coherence of g; the
+    # first branch's is off its law: the unit diagonal, or 0 outside it
     x = _one_branch_states(branch)
-    with pytest.raises(RuntimeError, match=r"not certified: the branch Gram matrices are not "
-                                           r"multiples of I2"):
+    gap = "0\\.75" if branch == 0 else "0\\.25"
+    with pytest.raises(RuntimeError, match=r"not certified: the Gram matrix of branch "
+                                           rf"\(1\.0, 1\.0\) is off its law 0\.25 I2 by {gap}$"):
         _electronic_setup_of(x[:2], monkeypatch)
 
 
@@ -658,34 +671,36 @@ def test_certificate_refuses_forms_with_unequal_diagonal_rows(monkeypatch):
     # the second input's state at half the amplitude: each branch weight is
     # |g1|^2 / 4 + |g2|^2 / 16
     rows = _INITIAL * np.array([[1.0], [0.5]])
-    with pytest.raises(RuntimeError, match=r"not certified: the branch Gram matrices are not "
-                                           r"multiples of I2: their diagonal entries differ by "
-                                           r"0\.18\d$"):
+    with pytest.raises(RuntimeError, match=r"not certified: the Gram matrix of branch "
+                                           r"\(1\.0, 1\.0\) is off its law 0\.25 I2 by "
+                                           r"0\.188$"):
         _electronic_setup_of(rows, monkeypatch)
 
 
 def test_certificate_refuses_a_constant_off_the_grid(monkeypatch):
-    # multiples of I2, but 0.81 / 4 is not m / 8
-    with pytest.raises(RuntimeError, match=r"not certified: a branch constant, 0\.202\d*, is off "
-                                           r"the grid m / 8$"):
+    # multiples of I2, but 0.81 / 4 is not the law's 1/4
+    with pytest.raises(RuntimeError, match=r"not certified: the Gram matrix of branch "
+                                           r"\(1\.0, 1\.0\) is off its law 0\.25 I2 by "
+                                           r"0\.0475$"):
         _electronic_setup_of(0.9 * _INITIAL, monkeypatch)
 
 
 def test_certificate_refuses_branch_sums_that_are_not_quarters(monkeypatch):
-    # on the grid, but an electronic trial's branches would add up to 2
-    with pytest.raises(RuntimeError, match=r"not certified: the branch weights \[0\.5, 0\.5, "
-                                           r"0\.5, 0\.5\] are not 1/4 each of 1\.0$"):
+    # multiples of I2, but an electronic trial's branches would add up to 2
+    with pytest.raises(RuntimeError, match=r"not certified: the Gram matrix of branch "
+                                           r"\(1\.0, 1\.0\) is off its law 0\.25 I2 by "
+                                           r"0\.25$"):
         _electronic_setup_of(np.sqrt(2) * _INITIAL, monkeypatch)
 
 
 def test_certificate_refuses_a_class_probability_other_than_one_half(monkeypatch):
-    # an integer-class part of twice the weight: the branch weights still
-    # follow the class constant, 1, but a round no longer hits with probability 1/2
+    # an integer-class part of twice the weight: a round would hit with
+    # probability 1, not the engine's 1/2
     real = protocol.integer_class_projector
     monkeypatch.setattr(protocol, "integer_class_projector",
                         lambda modes, wires: np.sqrt(2) * real(modes, wires))
-    with pytest.raises(RuntimeError, match=r"not certified: a round's class constant is 1\.0, "
-                                           r"not 1/2$"):
+    with pytest.raises(RuntimeError, match=r"not certified: the class Gram matrix is off its "
+                                           r"law 0\.5 I2 by 0\.5$"):
         protocol._kernel_setup.__wrapped__("coldatom")
 
 
@@ -697,8 +712,8 @@ def test_certificate_refuses_a_wrong_correction_for_bob(branch, monkeypatch):
     wrong[branch] = protocol._CORRECTIONS[(branch + 1) % len(wrong)]
     monkeypatch.setattr(protocol, "_CORRECTIONS", tuple(wrong))
     with pytest.raises(RuntimeError, match=rf"not certified: Bob's map in branch "
-                                           rf"\({protocol.BRANCHES[branch][0]}, .* is not c I4 "
-                                           rf"with c = m / 8 > 0"):
+                                           rf"\({protocol.BRANCHES[branch][0]}, .*\) is off its "
+                                           rf"law 0\.25 I4 by 0\.375$"):
         protocol._kernel_setup.__wrapped__("electronic")
 
 
@@ -710,8 +725,7 @@ def test_certificate_refuses_a_bob_map_off_the_identity(monkeypatch):
     monkeypatch.setattr(protocol, "_b_reduction_indices",
                         lambda modes: (*real(modes)[:2], -real(modes)[2]))
     with pytest.raises(RuntimeError, match=r"not certified: Bob's map in branch \(1\.0, 1\.0\) "
-                                           r"is not c I4 with c = m / 8 > 0: it is 0\.0 I4 off "
-                                           r"by 0\.25$"):
+                                           r"is off its law 0\.25 I4 by 0\.5$"):
         protocol._kernel_setup.__wrapped__("electronic")
 
 
@@ -722,9 +736,32 @@ def test_certificate_refuses_a_zero_bob_map(monkeypatch):
     monkeypatch.setattr(protocol, "_b_reduction_indices",
                         lambda modes: tuple(x[:0] for x in real(modes)))
     with pytest.raises(RuntimeError, match=r"not certified: Bob's map in branch \(1\.0, 1\.0\) "
-                                           r"is not c I4 with c = m / 8 > 0: it is 0\.0 I4 off "
-                                           r"by 0$"):
+                                           r"is off its law 0\.125 I4 by 0\.125$"):
         protocol._kernel_setup.__wrapped__("coldatom")
+
+
+def _refuses(variant, why):
+    with pytest.raises(RuntimeError, match=f"^ideal teleportation is not certified: {why}$"):
+        protocol._kernel_setup.__wrapped__(variant)
+
+
+def test_certificate_reads_the_engines_constants(monkeypatch):
+    # the certificate holds the protocol to the constants the engine runs: a
+    # last running sum of 0.8, a hit probability of 0.6 or another doublon law
+    # is refused by each variant that reads it
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_QUARTERS", protocol._read_only(np.array([[0.25], [0.5], [0.8]])))
+        for variant, law, gap in (("electronic", r"0\.3", r"0\.05"),
+                                  ("coldatom", r"0\.15", r"0\.025")):
+            _refuses(variant, rf"the Gram matrix of branch \(1\.0, -1\.0\) is off its law {law}\d* "
+                              rf"I2 by {gap}")
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "_CLASS_P", 0.6)
+        _refuses("coldatom", r"the class Gram matrix is off its law 0\.6 I2 by 0\.1")
+        protocol._kernel_setup.__wrapped__("electronic")  # its hit constant is 1
+    monkeypatch.setattr(protocol, "_DOUBLON_LAW", protocol._read_only(np.diag([0.5, 0.0])))
+    _refuses("coldatom", r"the doublon Gram matrix G is off its law \[\[0\.5, 0\.0\], "
+                         r"\[0\.0, 0\.0\]\] by 0\.25")
 
 
 # Exact report bytes: a change to any of them must be deliberate.
@@ -1049,7 +1086,8 @@ def test_one_haar_trial_matches_the_oracle(variant):
     assert (max(rounds) > 1) == (variant != "electronic")
 
 
-def test_resource_certificate_covers_the_doublon_sector_and_refuses_misses_outside_it():
+def test_resource_certificate_covers_the_doublon_sector_and_refuses_misses_outside_it(
+        monkeypatch):
     # a mixed resource's misses are folds of the span's two doublons, which
     # reach one a-b sector (charge 2, J = 0, times c's two spin states); the
     # setup certifies the doublon law there, and a fold outside it, or a miss
@@ -1061,9 +1099,9 @@ def test_resource_certificate_covers_the_doublon_sector_and_refuses_misses_outsi
     assert reached == [12]
     inputs = protocol._inputs("coldatom")
     miss = inputs - inputs @ integer_class_projector(TELEPORT_MODES, protocol.ALICE_WIRES).T
-    law = protocol._certify_relaxation(inputs, miss, doublons)
-    assert np.abs(law - 0.25).max() <= 1e-15
-    np.testing.assert_array_equal(law, protocol._kernel_setup("coldatom")["doublon_law"])
+    np.testing.assert_array_equal(protocol._DOUBLON_LAW, np.full((2, 2), 0.25))
+    monkeypatch.setattr(protocol, "_LAW_TOL", 1e-15)  # the computed law is within 1e-15 of it
+    assert protocol._certify_relaxation(inputs, miss, doublons) is None
     outside = np.column_stack([doublons, vacuum_state(AB_MODES).amps])
     for args in [(inputs, miss, outside), (inputs, inputs, doublons)]:
         with pytest.raises(RuntimeError, match="reach a sector outside the certified ones"):
@@ -1149,7 +1187,7 @@ def test_mixed_misses_relax_by_the_doublon_law(block, u):
     h = protocol._relax_hamiltonian()
     w, wy = np.sum([[np.trace(x.conj().T @ miss.mat @ x).real for x in pair]
                     for pair in sector_ground_spaces(h)], axis=0)
-    law = protocol._kernel_setup("coldatom")["doublon_law"]
+    law = protocol._DOUBLON_LAW
     kappa = np.vdot(law, r3[:2, :2]).real / np.trace(r3[:2, :2]).real
     assert abs(wy / w - kappa) <= 1e-15
     message = "orthogonal to its sector ground space"

@@ -596,7 +596,7 @@ _CACHED = {
     "sector_ground_spaces": lambda: sector_ground_spaces(protocol._relax_hamiltonian())[0][1],
     "relax_hamiltonian": lambda: protocol._relax_hamiltonian().mat,
     "b_reduction_indices": lambda: protocol._b_reduction_indices(MODES)[2],
-    "kernel_setup": lambda: protocol._kernel_setup("coldatom")["bob"],
+    "kernel_setup": lambda: protocol._DOUBLON_LAW,
     "observable_diagonal": lambda: fock._observable_diagonal(MODES, "spin_z", ("b",)),
     "neutral_spin_zero_basis": lambda: protocol.neutral_spin_zero_basis(),
 }
