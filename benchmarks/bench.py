@@ -13,7 +13,9 @@ BLAS thread (``OPENBLAS_NUM_THREADS=1``).
 Layers:
 
 - ``import``: ``import edgeteleport`` in a fresh process, numpy's import
-  included;
+  included; when ``dont_write_bytecode`` is set (below), a tree with no
+  cached bytecode, such as an archive export, is compiled from source in
+  every fresh process, so this layer includes compiling the package;
 - ``warm_up/<variant>``: the first ``warm_up`` of a fresh process, which
   builds that variant's kernel setup;
 - ``run_trials/<variant>/<g>/<n>``: ``run_trials`` after ``warm_up``, for a
@@ -63,6 +65,11 @@ times per tree, round and process, and their median per tree;
 ``median_ref_units`` is a layer's median over its tree's median reference
 time.  A file thus states the spell it was measured in, and two files compare
 in reference units.
+
+``machine`` records the host, the library versions, whether numba is present,
+and ``dont_write_bytecode``: Python's ``sys.flags.dont_write_bytecode`` in the
+driver (``-B`` or ``PYTHONDONTWRITEBYTECODE``), which every measuring process
+inherits, so no measuring process writes bytecode when it is set.
 
 ``--smallest`` runs every layer family at small sizes (one and 100 trials
 for ``run_trials``), once each, for a quick check of the driver itself.
@@ -219,7 +226,8 @@ def child(mode: str, src: str, smallest: bool, trace: bool) -> dict:
 
 
 def _run_child(mode: str, src: Path, smallest: bool, trace: bool) -> dict:
-    argv = [sys.executable, __file__, "--child", mode, "--src", str(src)]
+    argv = [sys.executable, *["-B"] * sys.flags.dont_write_bytecode, __file__,
+            "--child", mode, "--src", str(src)]
     argv += ["--smallest"] * smallest + ["--trace-memory"] * trace
     out = subprocess.run(argv, check=True, capture_output=True, text=True,
                          env={**os.environ, **ENV}, cwd=REPO)
@@ -275,6 +283,7 @@ def _machine() -> dict:
         "numpy": np.__version__,
         "openblas": _openblas(),
         "numba_present": importlib.util.find_spec("numba") is not None,
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
     }
 
 

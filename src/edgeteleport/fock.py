@@ -235,15 +235,13 @@ def basis_state(modes: ModeSet, occupied: Sequence[int] | int) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def _read_only(x):
-    """``x`` with every array it holds marked read-only, through tuples, lists,
-    dict values and dataclass fields: every caller of a cache shares them."""
+    """``x`` with every array it holds marked read-only, through tuples, lists
+    and dataclass fields: every caller of a cache shares them."""
     if isinstance(x, np.ndarray):
         x.flags.writeable = False
     elif isinstance(x, (tuple, list)):
         for item in x:
             _read_only(item)
-    elif isinstance(x, dict):
-        _read_only(list(x.values()))
     elif dataclasses.is_dataclass(x):
         _read_only([getattr(x, f.name) for f in dataclasses.fields(x)])
     return x

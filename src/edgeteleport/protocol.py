@@ -45,6 +45,7 @@ step-by-step path make the same decisions in every trial.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import operator
@@ -89,6 +90,8 @@ BRANCHES = ((1.0, 1.0), (1.0, 0.0), (1.0, -1.0), (0.0, 0.0))
 
 #: The report's ``branch_counts`` keys, in ``BRANCHES`` order.
 _BRANCH_KEYS = tuple(f"{j:g},{m:g}" for j, m in BRANCHES)
+#: The report fold's empty branch and round counts: a chunk rebinds them, never writes.
+_NO_BRANCHES, _NO_ROUNDS = _read_only((np.zeros(len(BRANCHES), np.intp), np.zeros(0, np.intp)))
 
 DEFAULT_MAX_ROUNDS = 64
 
@@ -106,21 +109,6 @@ def _modulus(z):
         return abs(z)
     except OverflowError:
         return math.inf
-
-
-def _require_unit_amplitudes(g1, g2):
-    """Raise unless every (g1, g2) pair is finite with unit norm to 1e-12.
-
-    Takes complex scalars or arrays; a NaN or infinite amplitude fails the
-    norm test too, and is then reported as such.
-    """
-    a1, a2 = _modulus(g1), _modulus(g2)
-    # products, not ** 2: a float power raises OverflowError above ~1e154
-    if np.all(abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12):
-        return
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
-        raise ValueError("spin amplitudes must be finite")
-    raise ValueError("|g1|^2 + |g2|^2 must equal 1")
 
 
 def _json_block(brackets: str, items: list[str]) -> str:
@@ -144,22 +132,12 @@ def _haar_amplitudes(u):
     ``|g1|^2`` of a Haar-random unit vector in C^2 is uniform on [0, 1] and
     the two phases are independent and uniform, so no normal draws (and no
     rejection) are needed: ``g1 = sqrt(u0) e^{2 pi i u1}``,
-    ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.
+    ``g2 = sqrt(1 - u0) e^{2 pi i u2}``.  Nothing is checked here: the
+    stream's draws are multiples of 2**-53 in [0, 1), and
+    :class:`SpinAmplitudes` refuses amplitudes that are not finite unit vectors.
     """
     g = np.sqrt(np.stack([u[:, 0], 1.0 - u[:, 0]], axis=1)) * np.exp(u[:, 1:3] * (2j * np.pi))
-    _require_unit_amplitudes(g[:, 0], g[:, 1])
     return g.T
-
-
-def _require_haar_draws(u):
-    """Raise the amplitudes' own error for draws that make ``_haar_amplitudes(u)``
-    NaN or infinite: a NaN or infinite draw in any of the three columns, or a
-    ``u0`` outside [0, 1].  For every other ``u0``, ``u0 + (1 - u0)`` rounds to 1."""
-    u0 = u[:, 0]
-    # a NaN or infinite u0 fails the first test too
-    if not (np.minimum.reduce(u0) >= 0.0 and np.maximum.reduce(u0) <= 1.0
-            and np.logical_and.reduce(np.isfinite(u[:, 1:3]), axis=None)):
-        raise ValueError("spin amplitudes must be finite")
 
 
 @dataclass(frozen=True)
@@ -172,8 +150,12 @@ class SpinAmplitudes:
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
         a1, a2 = _modulus(g1), _modulus(g2)
-        if not abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12:  # plain floats: no numpy call
-            _require_unit_amplitudes(g1, g2)
+        # plain floats, and products, not ** 2: a float power raises OverflowError
+        # above ~1e154; a NaN or infinite amplitude fails this test too
+        if not abs(a1 * a1 + a2 * a2 - 1.0) <= 1e-12:
+            if not (cmath.isfinite(g1) and cmath.isfinite(g2)):
+                raise ValueError("spin amplitudes must be finite")
+            raise ValueError("|g1|^2 + |g2|^2 must equal 1")
 
     @staticmethod
     def normalized(g1: complex, g2: complex) -> "SpinAmplitudes":
@@ -280,6 +262,12 @@ def _relax_hamiltonian():
     return build_h_lambda(1.0, TELEPORT_MODES)
 
 
+def _round_cap(max_rounds: int) -> RuntimeError:
+    """The error of a trial with no integer-spin outcome in ``max_rounds`` rounds."""
+    return RuntimeError(f"no integer-spin outcome after {max_rounds} restarts; "
+                        "statistically unreachable, check the setup")
+
+
 def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) -> TeleportResult:
     """The protocol's steps on a state vector or a density matrix: with
     ``restarts``, the class measurement, relaxing the a-b pair after each miss;
@@ -290,10 +278,7 @@ def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) ->
         if cls == INTEGER:
             break
         if rounds >= max_rounds:
-            raise RuntimeError(
-                f"no integer-spin outcome after {max_rounds} restarts; "
-                "statistically unreachable, check the setup"
-            )
+            raise _round_cap(max_rounds)
         state = relax_to_ground(state, _relax_hamiltonian())
         rounds += 1
     state = apply_gate(cnot("c", "a"), state)
@@ -464,10 +449,7 @@ def coldatom_batch(n, draws, first, max_rounds, p1=None):
         if longest <= c:
             break
         if c == max_rounds:
-            raise RuntimeError(
-                f"no integer-spin outcome after {max_rounds} restarts; "
-                "statistically unreachable, check the setup"
-            )
+            raise _round_cap(max_rounds)
         u = draws.upto(u.shape[1] + 1)
     u = draws.upto(first + longest + 1)
     # a hit's state is scaled by 1 / sqrt(p): its running sums are _QUARTERS * 1
@@ -554,12 +536,13 @@ def _assemble_report(variant, seed, g, fidelity, chunks) -> TeleportReport:
     """Fold ``(branches, rounds)`` chunks into a report in O(chunk) memory.
     ``fidelity`` is the run's, shared by all of its trials, so it is both the
     report's minimum and its mean."""
-    n, per_branch, per_round = 0, np.zeros(len(BRANCHES), np.intp), np.zeros(0, np.intp)
+    n, per_branch, per_round = 0, _NO_BRANCHES, _NO_ROUNDS
     for branches, rounds in chunks:
         n += len(branches)
-        per_branch += np.bincount(branches, minlength=len(BRANCHES))
+        per_branch = per_branch + np.bincount(branches, minlength=len(BRANCHES))
         counts = np.bincount(rounds, minlength=len(per_round))
-        counts[:len(per_round)] += per_round
+        if len(per_round):  # the first chunk's counts are the fold's
+            counts[:len(per_round)] += per_round
         per_round = counts
     counts = per_round.tolist()
     return TeleportReport(
@@ -743,7 +726,8 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
     """Yield ``(branches, rounds)`` chunks, two arrays: each trial's decisions.
 
     The engine gets the run's one squared norm ``norm``, which :func:`run_trials`
-    also turns into the run's fidelity, and a Haar chunk only checks its draws.
+    also turns into the run's fidelity.  A Haar chunk goes to the engine as drawn,
+    at ``first = 3``: every draw is a multiple of 2**-53 in [0, 1), so its norm is 1.
     A cold-atom chunk draws up front the block rows its longest trial almost
     always needs: at class probability 1/2 the longest of ``size`` trials takes
     about ``log2(size)`` rounds.  A mixed run checks its resource (``None`` is
@@ -765,8 +749,6 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
         draws = _Draws(seed, start, size)
-        if g is None:
-            _require_haar_draws(draws.u)
         if variant == "electronic":
             yield electronic_batch(norm, draws.u[:, first])
         elif variant == "coldatom":

@@ -3,6 +3,7 @@ smallest sizes and writes every key; no timing is asserted."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,9 +35,11 @@ def test_bench_driver_writes_every_layer_for_both_trees(tmp_path):
     assert report["schema"] == "edgeteleport-bench/1"
     machine = report["machine"]
     assert set(machine) == {"platform", "machine", "cpu_model", "cpu_count", "python", "numpy",
-                            "openblas", "numba_present"}
+                            "openblas", "numba_present", "dont_write_bytecode"}
     assert set(machine["openblas"]) == {"name", "version", "core"}
     assert isinstance(machine["numba_present"], bool)
+    # the driver above runs without -B, so only the environment sets the flag
+    assert machine["dont_write_bytecode"] is bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     assert report["settings"]["env"] == {"OPENBLAS_NUM_THREADS": "1"}
     assert list(report["trees"]) == ["baseline", "current"]
     assert report["trees"]["baseline"]["git"] == {"sha": "abc1234",

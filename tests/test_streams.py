@@ -8,6 +8,7 @@ call, and ``trial_rng`` reads one trial's blocks in order.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,9 +110,8 @@ def test_haar_scalar_and_batch_amplitudes_are_bit_identical():
 
 
 def test_engine_haar_norms_are_those_of_the_oracles_amplitudes():
-    # the engine runs a Haar chunk at the squared norm 1, once its draws pass
+    # the engine runs a Haar chunk at the squared norm 1, on its draws as drawn
     u = protocol._Draws(17, 0, protocol._CHUNK).u
-    assert protocol._require_haar_draws(u) is None
     g1, g2 = protocol._haar_amplitudes(u[:, :3])
     assert np.abs(np.abs(g1) ** 2 + np.abs(g2) ** 2 - 1.0).max() <= 1e-15
     # u0 is a multiple of 2**-53, so 1 - u0 is exact and so is the unit norm
@@ -136,56 +136,17 @@ def test_a_draw_and_its_complement_sum_to_one(u):
     assert u + (1.0 - u) == 1.0
 
 
-def _old_haar_guard_refuses(u):
-    """The Haar draw check as the engine made it while it built a squared
-    norm ``u0 + (1 - u0)`` per trial: True where that check raised."""
-    u0 = u[:, 0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return not (np.minimum.reduce(np.minimum(u0, 1.0 - u0)) >= 0.0
-                    and np.logical_and.reduce(np.isfinite(u[:, 1:3]), axis=None))
-
-
-_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.0**-53, 1.0 + 2.0**-52, 3.0, 2.0**-1074,
-            -1e308, 1e308]
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.sampled_from(_SPECIAL),
-                                      st.floats(allow_nan=True, allow_infinity=True))] * 4),
-                min_size=1, max_size=6))
-def test_haar_draw_check_refuses_what_the_norm_guard_refused(rows):
-    # the check that replaced the per-trial norms accepts and refuses the
-    # same tables, whichever column (of the four a block row has) is bad
-    u = np.array(rows, dtype=float)
-    refused = _old_haar_guard_refuses(u)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if refused:
-            with pytest.raises(ValueError, match="spin amplitudes must be finite"):
-                protocol._require_haar_draws(u)
-        else:
-            protocol._require_haar_draws(u)
-
-
-@pytest.mark.parametrize("column", [0, 1, 2])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_engine_haar_rows_refuse_non_finite_draws(column, bad):
-    # the engine's guard raises the amplitudes' own error, for the phase
-    # draws too, which the squared norms do not read
-    u = protocol._Draws(17, 0, 8).u.copy()
-    u[5, column] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
-        protocol._require_haar_draws(u)
-
-
 @pytest.mark.parametrize("u0", [-2.0**-53, 1.0 + 2.0**-52, 3.0])
 def test_engine_haar_norms_refuse_a_first_draw_outside_the_unit_interval(u0):
-    # the norm u0 + (1 - u0) is 1 for every finite u0; the guard still
-    # refuses, as _haar_amplitudes does, whose sqrt(u0) or sqrt(1 - u0) is NaN
-    u = protocol._Draws(17, 0, 8).u.copy()
-    u[2, 0] = u0
-    for make in (protocol._require_haar_draws, lambda u: protocol._haar_amplitudes(u[:, :3])):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
-            make(u)
+    # the engine takes its own draws unchecked, at the norm 1: the stream gives
+    # only multiples of 2**-53 in [0, 1).  A stream that gives anything else
+    # reaches the oracle's SpinAmplitudes, which refuses the NaN sqrt(u0) or
+    # sqrt(1 - u0)
+    u = protocol._Draws(17, 0, 8).u[2:3, :3].copy()
+    u[0, 0] = u0
+    stub = SimpleNamespace(random=lambda size: u.reshape(size))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="spin amplitudes must be finite"):
+        SpinAmplitudes.haar(stub)
 
 
 def test_streams_read_alternately_match_streams_read_in_turn():
