@@ -177,10 +177,7 @@ def _plain_args(options: dict[str, argparse.Action], words) -> argparse.Namespac
                 continue
             if action.required:
                 return None
-            value = action.default  # argparse converts a str default through type
-            if isinstance(value, str) and action.type is not None:
-                value = action.type(value)
-            values[action.dest] = value
+            values[action.dest] = action.default  # no typed option has a str default
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         return None
     return argparse.Namespace(**values)

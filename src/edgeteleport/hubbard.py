@@ -190,8 +190,8 @@ class PerturbativeCheck:
     deviation: float
 
 
-def _perturbative_energy(params: CouplingParams, stacklevel: int = 3) -> float:
-    """-4 lam^2 / e2, checked; the default ``stacklevel`` warns at the caller of its caller."""
+def _perturbative_energy(params: CouplingParams) -> float:
+    """-4 lam^2 / e2, checked; its regime warning names the caller of its caller."""
     if params.e2 <= 0:
         raise ValueError("perturbative comparison requires e2 > 0")
     try:
@@ -204,7 +204,7 @@ def _perturbative_energy(params: CouplingParams, stacklevel: int = 3) -> float:
         warnings.warn(
             "lam/e2 > 0.1: outside the strong-Coulomb regime, the quadratic "
             "formula for the ground energy degrades",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return e0_pert
 
@@ -212,32 +212,16 @@ def _perturbative_energy(params: CouplingParams, stacklevel: int = 3) -> float:
 def perturbative_check(params: CouplingParams) -> PerturbativeCheck:
     """Exact neutral-sector ground energy against -4 lam^2 / e2.
 
-    The residual scales as lam^4 / e2^3 (closed form above); sweeping lam and
-    fitting the quartic coefficient is left to callers, this returns one data
-    point.  Requires e2 > 0 and a finite -4 lam^2 / e2; otherwise raises
-    ``ValueError`` naming the coupling.
+    The residual scales as lam^4 / e2^3 (closed form above); this returns one
+    data point, and a caller fits the quartic coefficient over a lam sweep as
+    ``max(deviation * e2**3 / lam**4)``.  Requires e2 > 0 and a finite
+    -4 lam^2 / e2; otherwise raises ``ValueError`` naming the coupling.  Past
+    lam/e2 = 0.1 it warns, at the caller's line.
     """
-    return _perturbative_check(params)
-
-
-def _perturbative_check(params: CouplingParams) -> PerturbativeCheck:
-    """``perturbative_check``'s body; its regime warning names the caller of its caller."""
-    e0_pert = _perturbative_energy(params, stacklevel=4)
+    e0_pert = _perturbative_energy(params)
     h = build_h_int(params, AB_MODES)
     e0 = ground_state(h, sector=(0, None, None)).energy
     return PerturbativeCheck(e0, e0_pert, abs(e0 - e0_pert))
-
-
-def quartic_coefficient(e2: float, lams) -> float:
-    """Fit C in deviation = C * lam^4 / e2^3 over a lam sweep (max over points)."""
-    cs = []
-    for lam in lams:
-        chk = _perturbative_check(CouplingParams(e2, lam))
-        try:
-            cs.append(chk.deviation * e2**3 / lam**4)
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"e2^3 / lam^4 is not finite at e2={e2!r}, lam={lam!r}") from None
-    return float(max(cs))
 
 
 @_built_once()

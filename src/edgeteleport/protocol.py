@@ -93,7 +93,8 @@ _BRANCH_KEYS = tuple(f"{j:g},{m:g}" for j, m in BRANCHES)
 #: The report fold's empty branch and round counts: a chunk rebinds them, never writes.
 _NO_BRANCHES, _NO_ROUNDS = _read_only((np.zeros(len(BRANCHES), np.intp), np.zeros(0, np.intp)))
 
-DEFAULT_MAX_ROUNDS = 64
+#: The class-measurement cap, a safety stop: a trial reaches it with probability 2**-64.
+MAX_ROUNDS = 64
 
 VARIANTS = ("electronic", "coldatom", "mixed")
 
@@ -262,13 +263,13 @@ def _relax_hamiltonian():
     return build_h_lambda(1.0, TELEPORT_MODES)
 
 
-def _round_cap(max_rounds: int) -> RuntimeError:
-    """The error of a trial with no integer-spin outcome in ``max_rounds`` rounds."""
-    return RuntimeError(f"no integer-spin outcome after {max_rounds} restarts; "
+def _round_cap() -> RuntimeError:
+    """The error of a trial with no integer-spin outcome in ``MAX_ROUNDS`` rounds."""
+    return RuntimeError(f"no integer-spin outcome in {MAX_ROUNDS} rounds; "
                         "statistically unreachable, check the setup")
 
 
-def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) -> TeleportResult:
+def _teleport(state, g: SpinAmplitudes, rng, restarts: bool) -> TeleportResult:
     """The protocol's steps on a state vector or a density matrix: with
     ``restarts``, the class measurement, relaxing the a-b pair after each miss;
     then Alice's gates and (J, Jz) measurement, and Bob's corrections."""
@@ -277,8 +278,8 @@ def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) ->
         cls, state = measure_spin_class(state, ALICE_WIRES, rng)
         if cls == INTEGER:
             break
-        if rounds >= max_rounds:
-            raise _round_cap(max_rounds)
+        if rounds >= MAX_ROUNDS:
+            raise _round_cap()
         state = relax_to_ground(state, _relax_hamiltonian())
         rounds += 1
     state = apply_gate(cnot("c", "a"), state)
@@ -290,10 +291,9 @@ def _teleport(state, g: SpinAmplitudes, rng, max_rounds: int, restarts: bool) ->
     return TeleportResult((outcome.j, outcome.m), rounds, bob_fidelity(state, g), state)
 
 
-def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator,
-                      max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportResult:
+def run_teleport_once(g: SpinAmplitudes, variant: str, rng: np.random.Generator) -> TeleportResult:
     """One protocol run through the step-by-step library path."""
-    return _teleport(prepare_initial(g, variant), g, rng, max_rounds, restarts=variant == "coldatom")
+    return _teleport(prepare_initial(g, variant), g, rng, restarts=variant == "coldatom")
 
 
 @_built_once(key=lambda modes=AB_MODES: modes)
@@ -322,8 +322,7 @@ def _span_coordinates(resource: DensityMatrix) -> np.ndarray:
 
 
 def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
-                       rng: np.random.Generator,
-                       max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportResult:
+                       rng: np.random.Generator) -> TeleportResult:
     """Teleport with a mixed a-b resource: :func:`run_teleport_once`'s
     cold-atom steps, on a density matrix.
 
@@ -335,7 +334,7 @@ def run_teleport_mixed(g: SpinAmplitudes, resource: DensityMatrix,
     chi[1] = g.g1  # c_up occupied
     chi[2] = g.g2  # c_dn occupied
     rho = DensityMatrix(TELEPORT_MODES, np.kron(resource.mat, np.outer(chi, chi.conj())))
-    return _teleport(rho, g, rng, max_rounds, restarts=True)
+    return _teleport(rho, g, rng, restarts=True)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +423,7 @@ def electronic_batch(n, u_branch):
     return _measure_and_correct(u_branch, n), _ONE_ROUND[:len(u_branch)]
 
 
-def coldatom_batch(n, draws, first, max_rounds, p1=None):
+def coldatom_batch(n, draws, first, p1=None):
     """Branch index and rounds of each cold-atom or mixed trial.
 
     ``n`` is as in :func:`_measure_and_correct`.  Column ``first + r - 1`` of
@@ -432,12 +431,12 @@ def coldatom_batch(n, draws, first, max_rounds, p1=None):
     ``first + rounds`` the branch.  A trial stops in the first round whose draw
     falls below ``p = n / 2``, or ``p1`` in round 1 if given (a mixed run's).
     Rounds are counted over the block rows drawn so far, and one more is drawn
-    only while some trial has no hit and fewer than ``max_rounds`` class draws
-    exist.  Hitting ``max_rounds`` raises, as in the step-by-step path.
+    only while some trial has no hit and fewer than ``MAX_ROUNDS`` class draws
+    exist.  Hitting ``MAX_ROUNDS`` raises, as in the step-by-step path.
     """
     p, u = _CLASS_P * n, draws.u
     while True:
-        c = min(u.shape[1] - first, max_rounds)  # class draws drawn so far
+        c = min(u.shape[1] - first, MAX_ROUNDS)  # class draws drawn so far
         # a True column after them: a trial with no hit gets c + 1 rounds
         hit = np.ones((len(u), c + 1), dtype=bool)
         np.less(u[:, first:first + c], p, out=hit[:, :c])
@@ -448,8 +447,8 @@ def coldatom_batch(n, draws, first, max_rounds, p1=None):
         longest = int(rounds.max())
         if longest <= c:
             break
-        if c == max_rounds:
-            raise _round_cap(max_rounds)
+        if c == MAX_ROUNDS:
+            raise _round_cap()
         u = draws.upto(u.shape[1] + 1)
     u = draws.upto(first + longest + 1)
     # a hit's state is scaled by 1 / sqrt(p): its running sums are _QUARTERS * 1
@@ -722,7 +721,7 @@ def _kernel_setup(variant: str) -> None:
     _certify_relaxation(inputs, inputs - integer_part, doublons)
 
 
-def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
+def _run_trials_batched(g, variant, n, seed, norm, resource=None):
     """Yield ``(branches, rounds)`` chunks, two arrays: each trial's decisions.
 
     The engine gets the run's one squared norm ``norm``, which :func:`run_trials`
@@ -753,9 +752,9 @@ def _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource=None):
             yield electronic_batch(norm, draws.u[:, first])
         elif variant == "coldatom":
             draws.upto(first + size.bit_length() + 3)
-            yield coldatom_batch(norm, draws, first, max_rounds)
+            yield coldatom_batch(norm, draws, first)
         else:
-            chunk = coldatom_batch(norm, draws, first, max_rounds, p1)
+            chunk = coldatom_batch(norm, draws, first, p1)
             if kappa <= _ORTHO_TOL**2 and chunk[1].max() > 1:
                 _require_kappa(kappa)
             yield chunk
@@ -787,18 +786,17 @@ def warm_up(variant: str = "electronic"):
 
 
 def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
-               resource: DensityMatrix | None = None,
-               max_rounds: int = DEFAULT_MAX_ROUNDS) -> TeleportReport:
+               resource: DensityMatrix | None = None) -> TeleportReport:
     """Aggregate ``n`` independent seeded runs into a report.
 
     ``g=None`` draws fresh haar-random spin amplitudes per trial.  Reports are
     bitwise reproducible for a fixed seed.  Every variant runs on the
     vectorised engine, which makes the same branch and round decisions as
     :func:`run_teleport_once`, or :func:`run_teleport_mixed` on ``resource``
-    (default: the a-b singlet), trial for trial.
+    (default: the a-b singlet), trial for trial.  A trial with no integer-spin
+    outcome in ``MAX_ROUNDS`` class measurements raises ``RuntimeError``.
     """
     n, seed = _integer(n, "n"), _integer(seed, "seed")
-    max_rounds = _integer(max_rounds, "max_rounds")
     if n < 1:
         raise ValueError("need at least one trial")
     if n > 2**64:
@@ -808,14 +806,12 @@ def run_trials(g: SpinAmplitudes | None, variant: str, n: int, seed: int = 0,
         raise ValueError(f"variant must be one of {VARIANTS}")
     if resource is not None and variant != "mixed":
         raise ValueError(f"a resource state applies to the mixed variant only, not {variant!r}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     _require_word(seed, "seed", "key")
 
     norm = 1.0  # a Haar input's, u0 + (1 - u0), rounds to 1
     if g is not None:
         a, b, c, d = g.g1.real, g.g1.imag, g.g2.real, g.g2.imag
         norm = (a * a + b * b) + (c * c + d * d)
-    chunks = _run_trials_batched(g, variant, n, seed, max_rounds, norm, resource)
+    chunks = _run_trials_batched(g, variant, n, seed, norm, resource)
     # Bob's fidelity sqrt(overlap / trace) = sqrt(norm), capped at 1 against rounding
     return _assemble_report(variant, seed, g, math.sqrt(min(norm, 1.0)), chunks)

@@ -73,19 +73,19 @@ def _fidelity(n):
     return math.sqrt(min(n, 1.0))
 
 
-def _batched(g, variant, n, seed, resource=None, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
+def _batched(g, variant, n, seed, resource=None):
     """The engine's ``(branches, rounds)`` chunks of a run, at ``run_trials``'s norm."""
-    return protocol._run_trials_batched(g, variant, n, seed, max_rounds, _run_norm(g), resource)
+    return protocol._run_trials_batched(g, variant, n, seed, _run_norm(g), resource)
 
 
 #: Columns of a hand-made draw table: whole Philox blocks of 4 draws, and at
-#: least ``first + max_rounds + 1`` for ``first = 0``, so the engine draws none.
-_WIDTH = protocol.DEFAULT_MAX_ROUNDS + 4
+#: least ``first + MAX_ROUNDS + 1`` for ``first = 0``, so the engine draws none.
+_WIDTH = protocol.MAX_ROUNDS + 4
 
 
 def _draws_of(table):
     """A chunk's draws whose table is the hand-made ``table``, for the engine."""
-    assert table.shape[1] % 4 == 0 and table.shape[1] > protocol.DEFAULT_MAX_ROUNDS
+    assert table.shape[1] % 4 == 0 and table.shape[1] > protocol.MAX_ROUNDS
     draws = protocol._Draws(0, 0, len(table))
     draws.u = table
     return draws
@@ -183,7 +183,7 @@ def test_restart_loop_reads_the_draw_table_once_per_block_row(monkeypatch):
         return real(self, stop)
 
     monkeypatch.setattr(protocol._Draws, "upto", upto)
-    _, rounds = protocol.coldatom_batch(_norm(g), draws, 0, protocol.DEFAULT_MAX_ROUNDS)
+    _, rounds = protocol.coldatom_batch(_norm(g), draws, 0)
     assert rounds.max() >= 8  # a third block row, and more rounds than table reads
     assert len(stops) <= draws.u.shape[1] // 4
 
@@ -267,15 +267,15 @@ def test_report_statistics_match_oracle():
     assert abs(rep.mean_fidelity - fids.mean()) <= 1e-12
 
 
-def test_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds():
+def test_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds(monkeypatch):
     longest = int(_oracle(None, "coldatom", 60, 4)[1].max())
     assert longest >= 2
-    rep = run_trials(None, "coldatom", 60, seed=4, max_rounds=longest)
+    monkeypatch.setattr(protocol, "MAX_ROUNDS", longest)
+    rep = run_trials(None, "coldatom", 60, seed=4)
     assert max(rep.rounds_histogram) == longest
-    with pytest.raises(RuntimeError, match=f"no integer-spin outcome after {longest - 1} restarts"):
-        run_trials(None, "coldatom", 60, seed=4, max_rounds=longest - 1)
-    with pytest.raises(ValueError):
-        run_trials(None, "coldatom", 60, seed=4, max_rounds=0)
+    monkeypatch.setattr(protocol, "MAX_ROUNDS", longest - 1)
+    with pytest.raises(RuntimeError, match=f"no integer-spin outcome in {longest - 1} rounds"):
+        run_trials(None, "coldatom", 60, seed=4)
 
 
 def test_batched_run_is_reproducible():
@@ -425,7 +425,7 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
     np.testing.assert_array_equal(b1, expected[:, 0])
     assert np.abs(_fidelity(norm) - expected[:, 2]).max() <= 1e-15
 
-    b1, r1 = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS)
+    b1, r1 = protocol.coldatom_batch(norm, _draws_of(u), 0)
     expected = np.array([_step_by_step(g, "coldatom", row) for row in u])
     np.testing.assert_array_equal(b1, expected[:, 0])
     np.testing.assert_array_equal(r1, expected[:, 1])
@@ -434,13 +434,12 @@ def test_one_shared_row_gives_the_per_trial_rows_results(g):
 
     # a round-1 class probability p1 equal to p changes nothing; p1 = 2.0, a
     # certain hit, stops every trial in round 1, even at the largest draw
-    same = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS, 0.5 * norm)
+    same = protocol.coldatom_batch(norm, _draws_of(u), 0, 0.5 * norm)
     for a, b in zip(same, (b1, r1), strict=True):
         np.testing.assert_array_equal(a, b)
     top = u.copy()
     top[:, 0] = 1 - 2.0**-53
-    branches, rounds = protocol.coldatom_batch(
-        norm, _draws_of(top), 0, protocol.DEFAULT_MAX_ROUNDS, 2.0)
+    branches, rounds = protocol.coldatom_batch(norm, _draws_of(top), 0, 2.0)
     assert (rounds == 1).all()
     np.testing.assert_array_equal(branches, protocol._measure_and_correct(top[:, 1], 1.0))
 
@@ -485,7 +484,7 @@ def _step_by_step(g, variant, draws):
     """Branch index and fidelity of the step-by-step path on the input ``g``
     (anything with ``g1`` and ``g2``) and the uniforms ``draws``."""
     res = protocol._teleport(prepare_initial(g, variant), g, _Uniforms(draws),
-                             protocol.DEFAULT_MAX_ROUNDS, restarts=variant == "coldatom")
+                             restarts=variant == "coldatom")
     return protocol.BRANCHES.index(res.branch), res.rounds, res.fidelity
 
 
@@ -557,7 +556,7 @@ def test_coldatom_bob_step_reads_generic_fidelities_at_class_probability_one_hal
     table = np.zeros((len(of), _WIDTH))
     table[:, 0], table[:, 1], table[:, 2] = 0.75, 0.25, (branch + r) / 4
     branches, rounds, fids = _one_call_per_input(norms, of, lambda n, rows: protocol.coldatom_batch(
-        n, _draws_of(table[rows]), 0, protocol.DEFAULT_MAX_ROUNDS))
+        n, _draws_of(table[rows]), 0))
     assert set(branches.tolist()) == {branch} and set(rounds.tolist()) == {2}
     expected = np.array([_step_by_step(inputs[k], "coldatom", row[:3]) for k, row in zip(of, table)])
     np.testing.assert_array_equal(branches, expected[:, 0])
@@ -575,7 +574,7 @@ def test_bob_step_with_a_fixed_input_on_all_four_branches(variant):
     if variant == "electronic":
         branches, _ = protocol.electronic_batch(norm, u[:, 0])
     else:
-        branches, _ = protocol.coldatom_batch(norm, _draws_of(u), 0, protocol.DEFAULT_MAX_ROUNDS)
+        branches, _ = protocol.coldatom_batch(norm, _draws_of(u), 0)
     assert set(branches.tolist()) == set(range(len(protocol.BRANCHES)))
     expected = [run_teleport_once(g, variant, _Uniforms(u[i])).fidelity for i in range(n)]
     assert np.abs(_fidelity(norm) - np.array(expected)).max() <= 1e-15
@@ -603,7 +602,7 @@ def test_setup_forms_certify_the_papers_probabilities():
     assert np.abs(_grams("coldatom")["class"] - eye2 / 2).max() <= 1e-12
     table = np.zeros((2, _WIDTH))
     table[:, 0] = np.nextafter(0.5, 0.0), 0.5  # a hit, then a miss and a hit, at n = 1
-    assert protocol.coldatom_batch(1.0, _draws_of(table), 0, 64)[1].tolist() == [1, 2]
+    assert protocol.coldatom_batch(1.0, _draws_of(table), 0)[1].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("variant", ["electronic", "coldatom"])
@@ -1035,20 +1034,19 @@ _MIXED = {
 _MIXED_CHECKED = [*range(30), *range(protocol._CHUNK - 20, protocol._CHUNK + 1)]
 
 
-def _mixed_oracle(g, resource, seed, trials, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
+def _mixed_oracle(g, resource, seed, trials):
     if resource is None:
         resource = _span_resource(np.diag([0.0, 0.0, 1.0]))
     results = []
     for i in trials:
         rng = trial_rng(seed, i)
-        res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng), resource,
-                                 rng, max_rounds)
+        res = run_teleport_mixed(g if g is not None else SpinAmplitudes.haar(rng), resource, rng)
         results.append((protocol.BRANCHES.index(res.branch), res.rounds, res.fidelity))
     return map(np.array, zip(*results))
 
 
-def _mixed_engine(g, resource, n, seed, max_rounds=protocol.DEFAULT_MAX_ROUNDS):
-    chunks = _batched(g, "mixed", n, seed, resource, max_rounds)
+def _mixed_engine(g, resource, n, seed):
+    chunks = _batched(g, "mixed", n, seed, resource)
     return _per_trial(chunks, _fidelity(_run_norm(g)))
 
 
@@ -1208,19 +1206,21 @@ def test_mixed_misses_relax_by_the_doublon_law(block, u):
     assert max(run_trials(g, "mixed", 20, seed=3, resource=resource).rounds_histogram) > 1
 
 
-def test_mixed_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds():
+def test_mixed_restart_cap_raises_exactly_where_the_oracle_needs_more_rounds(monkeypatch):
     resource = _MIXED["random0"]
     _, o_rounds, _ = _mixed_oracle(None, resource, 4, range(60))
     longest = int(o_rounds.max())
     assert longest >= 2
-    rep = run_trials(None, "mixed", 60, seed=4, resource=resource, max_rounds=longest)
+    monkeypatch.setattr(protocol, "MAX_ROUNDS", longest)
+    rep = run_trials(None, "mixed", 60, seed=4, resource=resource)
     assert max(rep.rounds_histogram) == longest
     for cap in (longest - 1, 1):
-        message = rf"^no integer-spin outcome after {cap} restarts; statistically unreachable"
+        monkeypatch.setattr(protocol, "MAX_ROUNDS", cap)
+        message = rf"^no integer-spin outcome in {cap} rounds; statistically unreachable"
         with pytest.raises(RuntimeError, match=message):
-            run_trials(None, "mixed", 60, seed=4, resource=resource, max_rounds=cap)
-    with pytest.raises(RuntimeError, match=r"^no integer-spin outcome after 1 restarts"):
-        list(_mixed_oracle(None, resource, 4, range(60), max_rounds=1))
+            run_trials(None, "mixed", 60, seed=4, resource=resource)
+    with pytest.raises(RuntimeError, match=r"^no integer-spin outcome in 1 rounds"):
+        list(_mixed_oracle(None, resource, 4, range(60)))
 
 
 def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
@@ -1230,11 +1230,11 @@ def test_mixed_round_one_never_misses_into_a_weightless_class(monkeypatch):
     calls, real = [], protocol.coldatom_batch
     monkeypatch.setattr(protocol, "coldatom_batch", lambda *args: calls.append(args) or real(*args))
     assert run_trials(g, "mixed", 1).min_fidelity >= 1 - 1e-12
-    norm, p1 = calls[0][0], calls[0][4]  # the singlet's, as run_trials makes them
+    norm, p1 = calls[0][0], calls[0][3]  # the singlet's, as run_trials makes them
     assert norm == _norm(g) and p1 == 2.0
     branch_u = np.random.default_rng(9).random(40)
     table = np.column_stack([np.full(40, 1 - 2.0**-53), branch_u, np.zeros((40, _WIDTH - 2))])
-    branches, rounds = real(norm, _draws_of(table), 0, 64, p1)
+    branches, rounds = real(norm, _draws_of(table), 0, p1)
     assert (rounds == 1).all()
     singlet = _span_resource(np.diag([0.0, 0.0, 1.0]))
     for i, u in enumerate(branch_u):

@@ -7,6 +7,7 @@ from edgeteleport import fock
 from edgeteleport.fock import (
     AB_MODES,
     TELEPORT_MODES,
+    HermitianOperator,
     ModeSet,
     StateVector,
     annihilation_matrix,
@@ -82,6 +83,11 @@ def test_creation_on_vacuum():
     up = create(vac, "a", "up")
     expected = basis_state(TELEPORT_MODES, [TELEPORT_MODES.index("a", "up")])
     assert inner_product(expected, up) == pytest.approx(1.0)
+    # an int label is the occupation bit pattern itself
+    assert inner_product(basis_state(TELEPORT_MODES, 1 << TELEPORT_MODES.index("a", "up")),
+                         up) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="occupation label out of range"):
+        basis_state(TELEPORT_MODES, 64)
 
 
 def test_anticommutation_sign_between_orders():
@@ -169,6 +175,17 @@ def test_state_vector_takes_strided_amplitudes():
         np.testing.assert_array_equal(state.amps, amps)
     with pytest.raises(ValueError, match="finite"):
         StateVector(TELEPORT_MODES, np.full((64, 2), np.nan, dtype=np.complex128)[:, 0])
+    with pytest.raises(ValueError, match="must have length 64"):
+        StateVector(TELEPORT_MODES, np.zeros(16))
+
+
+def test_operator_refuses_a_wrong_shape_or_a_non_hermitian_matrix():
+    with pytest.raises(ValueError, match="operator shape does not match mode set"):
+        HermitianOperator(AB_MODES, np.eye(64))
+    skew = np.zeros((16, 16))
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="operator 'hop' is not Hermitian"):
+        HermitianOperator(AB_MODES, skew, "hop")
 
 
 def test_inner_product_and_normalize():
@@ -181,6 +198,8 @@ def test_inner_product_and_normalize():
     assert inner_product(1j * up, up) == pytest.approx(-1j)
     with pytest.raises(ValueError):
         normalize(StateVector(TELEPORT_MODES, np.zeros(64)))
+    with pytest.raises(ValueError, match="mode sets do not match"):
+        inner_product(vac, vacuum_state(AB_MODES))
     parity = build_observable(TELEPORT_MODES, "parity")
     assert expectation(parity, up) == pytest.approx(-1.0)
 

@@ -43,6 +43,8 @@ def test_spec_validation():
         GateSpec("CNOT", target="a")  # control missing
     with pytest.raises(ValueError):
         GateSpec("HADAMARD", target="c", control="a")
+    with pytest.raises(ValueError, match="unknown gate kind 'SWAP'"):
+        GateSpec("SWAP", "a")
     with pytest.raises(ValueError):
         spin_rotation("a", np.array([[1.0, 1.0], [0.0, 1.0]]))  # not unitary
     with pytest.raises(KeyError):

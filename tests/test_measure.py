@@ -20,6 +20,7 @@ from edgeteleport.measure import (
     HALF_ODD_INTEGER,
     INTEGER,
     MeasurementOutcome,
+    _snap_j,
     born_index,
     integer_class_projector,
     measure_spin,
@@ -93,6 +94,9 @@ def test_sector_labels_are_consistent_eigenvalues():
             # 2j cannot exceed the electron count on the measured wires
             n_e = float(np.vdot(v, n_ca @ v).real)
             assert 2 * s.j <= n_e + 1e-9
+    # an eigenvalue off the j(j+1) ladder is refused, not rounded to a label
+    with pytest.raises(RuntimeError, match="total-spin eigenvalue 0.3 does not snap"):
+        _snap_j(0.3)
 
 
 def test_branch_decomposition_matches_oracle():

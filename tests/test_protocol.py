@@ -191,6 +191,8 @@ def test_known_branch_state_needs_no_correction():
 
     exact = create(create(create(vacuum_state(MODES), "b", "up"), "a", "dn"), "c", "dn")
     assert overlap(exact, post) == pytest.approx(1.0, abs=1e-12)
+    # with Bob's wire empty there is no spin to compare: fidelity 0
+    assert bob_fidelity(vacuum_state(MODES), g) == 0.0
 
 
 def test_fidelity_ignores_global_phase():
@@ -265,7 +267,9 @@ def test_correction_uses_only_classical_bits():
         assert bob_correction(j, m) == specs
 
 
-def test_restart_cap_raises():
+def test_restart_cap_raises(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_ROUNDS", 8)  # a short cap keeps this fast
+
     class AlwaysHigh:
         def random(self, *a):
             return 0.999999 if not a else np.full(a[0], 0.999999)
@@ -274,7 +278,7 @@ def test_restart_cap_raises():
             return np.array([1.0, 0.0, 0.0, 0.0])
 
     with pytest.raises(RuntimeError):
-        run_teleport_once(SpinAmplitudes(1, 0), "coldatom", AlwaysHigh(), max_rounds=8)
+        run_teleport_once(SpinAmplitudes(1, 0), "coldatom", AlwaysHigh())
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +323,16 @@ def test_mixed_half_singlet_resource():
     assert min(rounds) == 1 and max(rounds) > 1
 
 
-def test_mixed_restart_cap_raises_like_the_other_paths():
+def test_mixed_restart_cap_raises_like_the_other_paths(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_ROUNDS", 3)
+
     class Misses:  # every class measurement draws the half-odd outcome, of weight 1/2
         def random(self):
             return 1.0 - 2.0**-53
 
-    with pytest.raises(RuntimeError, match=r"after 3 restarts; statistically unreachable, "
+    with pytest.raises(RuntimeError, match=r"in 3 rounds; statistically unreachable, "
                                            r"check the setup$"):
-        run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(0.5, 0.25, 0.25), Misses(), max_rounds=3)
+        run_teleport_mixed(SpinAmplitudes(1, 0), _mixture(0.5, 0.25, 0.25), Misses())
 
 
 def test_mixed_rejects_useless_resource():
@@ -445,10 +451,6 @@ def test_run_trials_rejects_bad_inputs():
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=-1)
     with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
         run_trials(SpinAmplitudes(1, 0), "electronic", 10, seed=2**64)
-    for bad in (2.5, True, "3"):
-        for variant in ("electronic", "coldatom", "mixed"):
-            with pytest.raises(TypeError, match="max_rounds must be an integer"):
-                run_trials(None, variant, 10, max_rounds=bad)
     rho = DensityMatrix.from_state(singlet_state(AB_MODES))
     for variant in ("electronic", "coldatom"):
         with pytest.raises(ValueError, match="mixed variant only"):

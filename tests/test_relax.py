@@ -106,6 +106,9 @@ def test_orthogonal_sector_component_raises():
     ) * (1 / np.sqrt(2.0))
     with pytest.raises(RuntimeError):
         relax_to_ground(anti, H_HOP)
+    # every sector's weight below the floor: nothing is left to relax
+    with pytest.raises(RuntimeError, match="relaxation produced the zero state"):
+        relax_to_ground(StateVector(MODES, np.full(64, 1e-14)), H_HOP)
 
 
 def test_rejects_hamiltonian_touching_other_wires():
@@ -113,6 +116,8 @@ def test_rejects_hamiltonian_touching_other_wires():
     state = doublon_state(1.0, 0.0)
     with pytest.raises(ValueError):
         relax_to_ground(state, h_bad)
+    with pytest.raises(ValueError, match="state and Hamiltonian mode sets differ"):
+        relax_to_ground(singlet_state(AB_MODES), H_HOP)
 
 
 class _FixedUniform:
@@ -227,6 +232,19 @@ def test_dm_validation_helpers():
     assert float(np.trace(good.mat).real) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         DensityMatrix(AB_MODES, np.eye(16)).validate()  # trace 16
+    with pytest.raises(ValueError, match="density matrix shape does not match mode set"):
+        DensityMatrix(AB_MODES, np.eye(64) / 64)
+    pure = np.diag([1.0] + [0.0] * 15)
+    skew = np.zeros((16, 16))
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        DensityMatrix(AB_MODES, pure + skew).validate()
+    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+        DensityMatrix(AB_MODES, np.diag([1.5, -0.5] + [0.0] * 14)).validate()
+    rho = DensityMatrix(AB_MODES, pure.astype(complex))
+    rho.mat[3, 3] = np.nan  # written after construction: validate checks again
+    with pytest.raises(ValueError, match="density matrix must be finite"):
+        rho.validate()
 
 
 @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 1), np.nan), ((5, 5), np.nan),
